@@ -26,8 +26,10 @@
 //! queue is slower than the heap on the 1k-chain case, (b) the `Auto`
 //! backend lands below 0.95× heap on *any* benched topology, (c) —
 //! on hosts with ≥ 4 cores — the 4-worker `sweep_10k` fails to beat
-//! 1 worker, or (d) a scale workload's peak RSS per gate grows more
-//! than 10% past the committed baseline.
+//! 1 worker, (d) a scale workload's peak RSS per gate grows more
+//! than 10% past the committed baseline, or (e) in the service tier,
+//! the hot batch is under 10× the cold one's specs/sec or the lint
+//! preflight takes more than 30% of lint + simulate on one cold spec.
 //!
 //! Before timing anything the harness *verifies* that both queue
 //! backends and both sweep disciplines produce bit-identical outputs on
@@ -38,8 +40,8 @@ use std::time::Instant;
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use faithful::service::{run_batch, BatchOptions, ServeConfig, Server};
 use faithful::{
-    ChannelSpec, DigitalSpec, Experiment, ExperimentSpec, FailurePolicySpec, NoiseSpec,
-    OutputSelect, ScenarioSpec, SignalSpec, TopologySpec,
+    lint_text_for_service, ChannelSpec, DigitalSpec, Experiment, ExperimentSpec, FailurePolicySpec,
+    LintConfig, NoiseSpec, OutputSelect, ScenarioSpec, SignalSpec, TopologySpec,
 };
 use ivl_circuit::{
     Circuit, CircuitBuilder, GateKind, QueueBackend, Scenario, ScenarioRunner, SimResult,
@@ -444,11 +446,47 @@ fn service_spec(k: u64) -> String {
     .to_string()
 }
 
+/// The two stages a cold submission of `service_spec` pays before
+/// rendering: the daemon's lint preflight and the run (workers forced
+/// to 1, lint off, as the daemon does). Timed in-process and
+/// interleaved — lint, run, lint, run, … — so host drift hits both
+/// alike; returns the median `(lint_us, simulate_us)`.
+fn preflight_cost(test_mode: bool) -> (f64, f64) {
+    let text = service_spec(0);
+    let registry = ivl_core::factory::ChannelRegistry::with_builtins();
+    let mut spec: ExperimentSpec = text.parse().expect("service spec parses");
+    if let faithful::WorkloadSpec::Digital(d) = &mut spec.workload {
+        d.workers = Some(1);
+    }
+    let rounds = if test_mode { 21 } else { 101 };
+    let (mut lint_us, mut sim_us) = (Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        let t = Instant::now();
+        let report = lint_text_for_service(&text, &registry).expect("service spec parses");
+        lint_us.push(t.elapsed().as_secs_f64() * 1e6);
+        assert!(!report.has_errors(), "{report}");
+        let t = Instant::now();
+        let result = Experiment::new(spec.clone())
+            .with_lint(LintConfig::Off)
+            .run()
+            .expect("service spec runs");
+        sim_us.push(t.elapsed().as_secs_f64() * 1e6);
+        assert!(result.digital().is_some());
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(&mut lint_us), median(&mut sim_us))
+}
+
 /// Runs the experiment-service tier: an in-process `faithful-serve`
 /// pool fed one batch of distinct specs over 4 pipelined connections,
-/// cold (every spec computed) then hot (pure cache replay). Returns the
+/// cold (every spec computed) then hot (pure cache replay), plus the
+/// in-process lint-vs-simulate split of one cold spec. Returns the
 /// recorded `(metric, value)` pairs; under `IVL_BENCH_CHECK` asserts
-/// the hot batch sustains >= 10x the cold specs/sec.
+/// the hot batch sustains >= 10x the cold specs/sec and the lint
+/// preflight takes at most 30% of lint + simulate.
 fn service_tier(test_mode: bool) -> Vec<(String, f64)> {
     let batch = if test_mode { 256 } else { 1000 };
     let specs: Vec<String> = (0..batch).map(service_spec).collect();
@@ -475,6 +513,12 @@ fn service_tier(test_mode: bool) -> Vec<(String, f64)> {
     assert_eq!(summary.jobs, specs.len() as u64);
 
     let ratio = hot.specs_per_sec() / cold.specs_per_sec().max(1e-12);
+    let (lint_us, simulate_us) = preflight_cost(test_mode);
+    let lint_share = lint_us / (lint_us + simulate_us);
+    println!(
+        "service preflight: lint {lint_us:.0}us, simulate {simulate_us:.0}us, \
+         lint share {lint_share:.2}"
+    );
     println!(
         "service tier ({batch} specs): cold {:.0} specs/sec (p50 {:.2}ms, p99 {:.2}ms), \
          hot {:.0} specs/sec (p50 {:.2}ms, p99 {:.2}ms), {ratio:.1}x",
@@ -494,6 +538,12 @@ fn service_tier(test_mode: bool) -> Vec<(String, f64)> {
             cold.specs_per_sec()
         );
         println!("IVL_BENCH_CHECK passed: service hot vs cold = {ratio:.1}x");
+        assert!(
+            lint_share <= 0.30,
+            "regression gate: the lint preflight takes {lint_share:.2} of lint + simulate \
+             on the service spec (lint {lint_us:.0}us, simulate {simulate_us:.0}us)"
+        );
+        println!("IVL_BENCH_CHECK passed: service lint share = {lint_share:.2}");
     }
     vec![
         ("cold_specs_per_sec".to_owned(), cold.specs_per_sec()),
@@ -509,6 +559,9 @@ fn service_tier(test_mode: bool) -> Vec<(String, f64)> {
         ),
         ("hot_p50_ms".to_owned(), hot.latency_ms(0.5).unwrap_or(0.0)),
         ("hot_p99_ms".to_owned(), hot.latency_ms(0.99).unwrap_or(0.0)),
+        ("lint_us".to_owned(), lint_us),
+        ("simulate_us".to_owned(), simulate_us),
+        ("lint_share".to_owned(), lint_share),
     ]
 }
 

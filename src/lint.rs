@@ -50,7 +50,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use ivl_core::channel::{apply_online, OnlineChannel};
+use ivl_core::channel::{apply_online, OnlineChannel, SimChannel};
 use ivl_core::delay::{check_involution, delta_min_of, DelayPair};
 use ivl_core::factory::{delay_pair_from, ChannelParams, ChannelRegistry, DelayFamily, ParamValue};
 use ivl_core::noise::EtaBounds;
@@ -369,7 +369,7 @@ const INVOLUTION_TOL: f64 = 1e-6;
 const DEAD_WIDTH: f64 = 1e-12;
 
 /// Cached per-channel facts from the channel-verification pass.
-#[derive(Clone, Default)]
+#[derive(Clone, Copy, Default)]
 struct ChannelFacts {
     builds: bool,
     hint: Option<f64>,
@@ -378,13 +378,29 @@ struct ChannelFacts {
     zero_delay: bool,
 }
 
-struct Linter<'a> {
+/// One distinct channel spec of the linted workload. Every pass refers
+/// to it by its index in [`Linter::channels`], so the spec is rendered,
+/// verified and built for probing once, however many edges carry it.
+struct InternedChannel<'s> {
+    spec: &'s ChannelSpec,
+    span: Option<Span>,
+    /// Set once the verification pass has run on this channel.
+    facts: Option<ChannelFacts>,
+    /// The pristine probe channel, built on the first probe (`Some(None)`
+    /// when it does not build). Probes run on clones of it: `reset()`
+    /// does not rewind noise streams, so a probed channel is spent.
+    probe: Option<Option<Box<dyn SimChannel>>>,
+}
+
+struct Linter<'a, 's> {
     registry: &'a ChannelRegistry,
     spans: SpecSpans,
     diagnostics: Vec<Diagnostic>,
-    channels: HashMap<String, ChannelFacts>,
-    /// `(channel key, width bits)` → surviving output width.
-    probe_cache: HashMap<(String, u64), Option<f64>>,
+    channels: Vec<InternedChannel<'s>>,
+    /// Canonical rendering → index into `channels`.
+    channel_ids: HashMap<String, usize>,
+    /// `(channel index, width bits)` → surviving output width.
+    probe_cache: HashMap<(usize, u64), Option<f64>>,
     probes_left: usize,
     truncated: bool,
     /// Lint for the experiment service: adds diagnostics about fields
@@ -392,13 +408,14 @@ struct Linter<'a> {
     service: bool,
 }
 
-impl<'a> Linter<'a> {
+impl<'a, 's> Linter<'a, 's> {
     fn new(registry: &'a ChannelRegistry, spans: SpecSpans) -> Self {
         Linter {
             registry,
             spans,
             diagnostics: Vec::new(),
-            channels: HashMap::new(),
+            channels: Vec::new(),
+            channel_ids: HashMap::new(),
             probe_cache: HashMap::new(),
             probes_left: PROBE_BUDGET,
             truncated: false,
@@ -426,10 +443,11 @@ impl<'a> Linter<'a> {
         });
     }
 
-    fn run(mut self, spec: &ExperimentSpec) -> LintReport {
+    fn run(mut self, spec: &'s ExperimentSpec) -> LintReport {
         match &spec.workload {
             WorkloadSpec::Channel(c) => {
-                self.check_channel(&c.channel);
+                let ci = self.intern(&c.channel);
+                self.check_channel(ci);
                 self.check_signal(&c.input, "input", self.spans.workload);
             }
             WorkloadSpec::Digital(d) => self.lint_digital(d),
@@ -503,28 +521,38 @@ impl<'a> Linter<'a> {
     // Pass 2: channel-parameter verification
     // ------------------------------------------------------------------
 
-    fn channel_key(c: &ChannelSpec) -> String {
-        channel_to_value(c).to_string()
-    }
-
-    fn channel_span(&self, key: &str) -> Option<Span> {
-        self.spans.channels.get(key).copied()
-    }
-
-    /// Verifies one channel spec (memoized by its canonical rendering)
-    /// and returns the cached facts about it.
-    fn check_channel(&mut self, c: &ChannelSpec) -> ChannelFacts {
-        let key = Self::channel_key(c);
-        if let Some(facts) = self.channels.get(&key) {
-            return facts.clone();
+    /// The index of `c` in the channel table, adding it on first sight.
+    /// Specs are told apart by their canonical rendering, so equal specs
+    /// written out separately (on different edges) share one entry.
+    fn intern(&mut self, c: &'s ChannelSpec) -> usize {
+        let key = channel_to_value(c).to_string();
+        if let Some(&ci) = self.channel_ids.get(&key) {
+            return ci;
         }
-        let facts = self.verify_channel(c, &key);
-        self.channels.insert(key, facts.clone());
+        let ci = self.channels.len();
+        self.channels.push(InternedChannel {
+            spec: c,
+            span: self.spans.channels.get(&key).copied(),
+            facts: None,
+            probe: None,
+        });
+        self.channel_ids.insert(key, ci);
+        ci
+    }
+
+    /// Verifies one interned channel (once; later calls read the memo)
+    /// and returns the cached facts about it.
+    fn check_channel(&mut self, ci: usize) -> ChannelFacts {
+        if let Some(facts) = self.channels[ci].facts {
+            return facts;
+        }
+        let InternedChannel { spec, span, .. } = self.channels[ci];
+        let facts = self.verify_channel(spec, span);
+        self.channels[ci].facts = Some(facts);
         facts
     }
 
-    fn verify_channel(&mut self, c: &ChannelSpec, key: &str) -> ChannelFacts {
-        let span = self.channel_span(key);
+    fn verify_channel(&mut self, c: &ChannelSpec, span: Option<Span>) -> ChannelFacts {
         let mut facts = ChannelFacts::default();
         if !self.registry.contains(&c.kind) {
             self.push(
@@ -667,7 +695,7 @@ impl<'a> Linter<'a> {
     // Digital workload: passes 1, 3 and 4
     // ------------------------------------------------------------------
 
-    fn lint_digital(&mut self, d: &DigitalSpec) {
+    fn lint_digital(&mut self, d: &'s DigitalSpec) {
         self.check_finite(d.horizon, "digital: field \"horizon\"", self.spans.horizon);
         if d.horizon.is_finite() && d.horizon < 0.0 {
             self.push(
@@ -681,11 +709,12 @@ impl<'a> Linter<'a> {
 
         let graph = self.extract_graph(&d.topology);
         for edge in &graph.edges {
-            if let Some(c) = edge.channel {
-                self.check_channel(c);
+            if let Some(ci) = edge.channel {
+                self.check_channel(ci);
             }
         }
-        self.graph_pass(&graph);
+        let scc = graph.sccs();
+        self.graph_pass(&graph, &scc);
         self.hint_spread(&graph);
 
         let mut labels: HashSet<&str> = HashSet::new();
@@ -742,7 +771,7 @@ impl<'a> Linter<'a> {
             }
         }
 
-        self.hazard_pass(&graph, &d.scenarios);
+        self.hazard_pass(&graph, &scc, &d.scenarios);
         self.budget_pass(&graph, d);
         self.retry_pass(&graph, d);
     }
@@ -753,7 +782,7 @@ impl<'a> Linter<'a> {
     /// Σ_ports (transitions × direct out-edges). If that floor already
     /// exceeds `max_events`, the scenario is guaranteed to die with
     /// `MaxEventsExceeded` before a single gate fires.
-    fn budget_pass(&mut self, g: &Graph<'_>, d: &DigitalSpec) {
+    fn budget_pass(&mut self, g: &Graph, d: &DigitalSpec) {
         let Some(budget) = d.max_events else {
             return;
         };
@@ -801,14 +830,15 @@ impl<'a> Linter<'a> {
     /// deterministic the retries can only reproduce the failure.
     /// Channels of unknown (custom) kinds are conservatively assumed
     /// stochastic, so they never trigger this warning.
-    fn retry_pass(&mut self, g: &Graph<'_>, d: &DigitalSpec) {
+    fn retry_pass(&mut self, g: &Graph, d: &DigitalSpec) {
         let FailurePolicySpec::Retry { attempts } = d.on_failure else {
             return;
         };
         let deterministic = g.edges.iter().all(|e| {
-            let Some(c) = e.channel else {
+            let Some(ci) = e.channel else {
                 return true; // direct connection
             };
+            let c = self.channels[ci].spec;
             if !matches!(
                 c.kind.as_str(),
                 "pure" | "inertial" | "ddm" | "involution" | "eta"
@@ -835,7 +865,7 @@ impl<'a> Linter<'a> {
 
     // ---- pass 1: graph analysis ----
 
-    fn extract_graph<'s>(&mut self, topology: &'s TopologySpec) -> Graph<'s> {
+    fn extract_graph(&mut self, topology: &'s TopologySpec) -> Graph {
         let mut g = Graph::default();
         match topology {
             TopologySpec::Netlist(n) => {
@@ -881,10 +911,11 @@ impl<'a> Linter<'a> {
                         }
                     }
                     if let (Some(from), Some(to)) = (from, to) {
+                        let channel = e.channel.as_ref().map(|c| self.intern(c));
                         g.edges.push(GEdge {
                             from,
                             to,
-                            channel: e.channel.as_ref(),
+                            channel,
                             span,
                         });
                     }
@@ -908,14 +939,15 @@ impl<'a> Linter<'a> {
                     kind: GKind::Output,
                     span: None,
                 });
-                let span = self.channel_span(&Self::channel_key(channel));
+                let ci = self.intern(channel);
+                let span = self.channels[ci].span;
                 for i in 0..=*stages as usize {
                     g.edges.push(GEdge {
                         from: i,
                         to: i + 1,
                         // the first hop is a direct connection, matching
                         // how the facade builds the chain
-                        channel: (i > 0).then_some(channel),
+                        channel: (i > 0).then_some(ci),
                         span,
                     });
                 }
@@ -994,7 +1026,7 @@ impl<'a> Linter<'a> {
 
     /// The 3-node stand-in graph for a scale generator: input `"a"`
     /// directly into one gate, one generator channel to output `"y"`.
-    fn generator_skeleton<'s>(&mut self, g: &mut Graph<'s>, channel: &'s ChannelSpec) {
+    fn generator_skeleton(&mut self, g: &mut Graph, channel: &'s ChannelSpec) {
         g.nodes.push(GNode {
             name: "a".to_owned(),
             kind: GKind::Input,
@@ -1010,7 +1042,8 @@ impl<'a> Linter<'a> {
             kind: GKind::Output,
             span: None,
         });
-        let span = self.channel_span(&Self::channel_key(channel));
+        let ci = self.intern(channel);
+        let span = self.channels[ci].span;
         g.edges.push(GEdge {
             from: 0,
             to: 1,
@@ -1020,7 +1053,7 @@ impl<'a> Linter<'a> {
         g.edges.push(GEdge {
             from: 1,
             to: 2,
-            channel: Some(channel),
+            channel: Some(ci),
             span,
         });
     }
@@ -1042,7 +1075,7 @@ impl<'a> Linter<'a> {
         }
     }
 
-    fn graph_pass(&mut self, g: &Graph<'_>) {
+    fn graph_pass(&mut self, g: &Graph, scc: &Sccs) {
         // dangling / undriven / unreachable nodes
         for (i, node) in g.nodes.iter().enumerate() {
             let (ins, outs) = (g.in_degree[i], g.out_degree[i]);
@@ -1092,13 +1125,9 @@ impl<'a> Linter<'a> {
         // combinational cycles: an SCC whose zero-minimum-delay edges
         // alone still close a cycle deadlocks the simulator (IVL001);
         // feedback through genuinely delayed edges is legal (IVL002).
-        let scc = g.sccs();
-        for component in &scc.components {
-            let is_cycle = component.len() > 1
-                || g.edges
-                    .iter()
-                    .any(|e| e.from == e.to && component.contains(&e.from));
-            if !is_cycle {
+        let undelayed = self.undelayed_cycles(g, scc);
+        for (id, component) in scc.components.iter().enumerate() {
+            if !scc.on_cycle[component[0]] {
                 continue;
             }
             let names: Vec<&str> = component
@@ -1106,17 +1135,7 @@ impl<'a> Linter<'a> {
                 .map(|&i| g.nodes[i].name.as_str())
                 .collect();
             let span = component.iter().find_map(|&i| g.nodes[i].span);
-            let in_component: HashSet<usize> = component.iter().copied().collect();
-            let zero_edges: Vec<&GEdge<'_>> = g
-                .edges
-                .iter()
-                .filter(|e| {
-                    in_component.contains(&e.from)
-                        && in_component.contains(&e.to)
-                        && self.edge_is_zero_delay(e)
-                })
-                .collect();
-            if has_cycle(component, &zero_edges) {
+            if undelayed[id] {
                 self.push(
                     "IVL001",
                     Severity::Error,
@@ -1138,11 +1157,51 @@ impl<'a> Linter<'a> {
         }
     }
 
-    fn edge_is_zero_delay(&mut self, e: &GEdge<'_>) -> bool {
+    /// Per component: `true` if its zero-delay internal edges alone close
+    /// a cycle. One Kahn pass over the zero-delay edges inside cyclic
+    /// components; those edges never leave their component, so a member
+    /// left with in-degree > 0 sits on or behind a cycle of its own
+    /// component.
+    fn undelayed_cycles(&mut self, g: &Graph, scc: &Sccs) -> Vec<bool> {
+        let mut zero = vec![false; g.edges.len()];
+        let mut indeg = vec![0usize; g.nodes.len()];
+        for (ei, e) in g.edges.iter().enumerate() {
+            if scc.on_cycle[e.from]
+                && scc.component_of[e.from] == scc.component_of[e.to]
+                && self.edge_is_zero_delay(e)
+            {
+                zero[ei] = true;
+                indeg[e.to] += 1;
+            }
+        }
+        let mut queue: Vec<usize> = (0..g.nodes.len())
+            .filter(|&v| scc.on_cycle[v] && indeg[v] == 0)
+            .collect();
+        while let Some(v) = queue.pop() {
+            for &ei in &g.out_edges[v] {
+                if zero[ei] {
+                    let to = g.edges[ei].to;
+                    indeg[to] -= 1;
+                    if indeg[to] == 0 {
+                        queue.push(to);
+                    }
+                }
+            }
+        }
+        let mut undelayed = vec![false; scc.components.len()];
+        for (v, &d) in indeg.iter().enumerate() {
+            if d > 0 {
+                undelayed[scc.component_of[v]] = true;
+            }
+        }
+        undelayed
+    }
+
+    fn edge_is_zero_delay(&mut self, e: &GEdge) -> bool {
         match e.channel {
             None => true,
-            Some(c) => {
-                let facts = self.check_channel(c);
+            Some(ci) => {
+                let facts = self.check_channel(ci);
                 facts.builds && facts.zero_delay
             }
         }
@@ -1152,13 +1211,13 @@ impl<'a> Linter<'a> {
     /// `delay_hint()` and spans 4x the largest; a spread beyond the
     /// bucket-count clamp (16384 buckets) parks most events in the
     /// overflow level.
-    fn hint_spread(&mut self, g: &Graph<'_>) {
+    fn hint_spread(&mut self, g: &Graph) {
         let mut min_hint = f64::INFINITY;
         let mut max_hint: f64 = 0.0;
         let mut span = None;
         for e in &g.edges {
-            let Some(c) = e.channel else { continue };
-            let facts = self.check_channel(c);
+            let Some(ci) = e.channel else { continue };
+            let facts = self.check_channel(ci);
             if let Some(h) = facts.hint {
                 if h > 0.0 {
                     if h < min_hint {
@@ -1184,27 +1243,30 @@ impl<'a> Linter<'a> {
 
     // ---- pass 3: stimulus hazard analysis ----
 
-    fn hazard_pass(&mut self, g: &Graph<'_>, scenarios: &[ScenarioSpec]) {
-        let scc = g.sccs();
-        let cyclic: HashSet<usize> = scc
-            .components
+    fn hazard_pass(&mut self, g: &Graph, scc: &Sccs, scenarios: &[ScenarioSpec]) {
+        let order = g.topo_order(&scc.on_cycle);
+        // every driven port resolved in one scan (node names are unique
+        // in the lint graph)
+        let mut ports: HashMap<&str, Option<usize>> = scenarios
             .iter()
-            .filter(|c| {
-                c.len() > 1
-                    || g.edges
-                        .iter()
-                        .any(|e| e.from == e.to && c.contains(&e.from))
-            })
-            .flatten()
-            .copied()
+            .flat_map(|s| s.inputs.iter().map(|(port, _)| (port.as_str(), None)))
             .collect();
-        let order = g.topo_order(&cyclic);
+        let mut unresolved = ports.len();
+        for (i, node) in g.nodes.iter().enumerate() {
+            if unresolved == 0 {
+                break;
+            }
+            if let Some(slot @ None) = ports.get_mut(node.name.as_str()) {
+                *slot = Some(i);
+                unresolved -= 1;
+            }
+        }
         // edge index -> (first scenario label, death count)
         let mut deaths: HashMap<usize, (String, usize)> = HashMap::new();
         for s in scenarios {
             let mut width: Vec<Option<f64>> = vec![None; g.nodes.len()];
             for (port, sig) in &s.inputs {
-                if let Some(idx) = g.nodes.iter().position(|n| n.name == *port) {
+                if let Some(idx) = ports[port.as_str()] {
                     if let Some(w) = min_pulse_width(sig) {
                         width[idx] = Some(w);
                     }
@@ -1217,12 +1279,12 @@ impl<'a> Linter<'a> {
                 }
                 for &ei in &g.out_edges[v] {
                     let e = &g.edges[ei];
-                    if cyclic.contains(&e.to) {
+                    if scc.on_cycle[e.to] {
                         continue;
                     }
                     let w_out = match e.channel {
                         None => Some(w),
-                        Some(c) => self.pulse_response(c, w),
+                        Some(ci) => self.pulse_response(ci, w),
                     };
                     let Some(w_out) = w_out else { continue };
                     if w_out <= DEAD_WIDTH {
@@ -1264,11 +1326,11 @@ impl<'a> Linter<'a> {
     /// adversary for `eta` channels (so a death is a death under *every*
     /// admissible noise sequence). `None` when the channel cannot be
     /// probed or the budget ran out.
-    fn pulse_response(&mut self, c: &ChannelSpec, width: f64) -> Option<f64> {
+    fn pulse_response(&mut self, ci: usize, width: f64) -> Option<f64> {
         if !(width.is_finite() && width > 0.0) {
             return None;
         }
-        let key = (Self::channel_key(c), width.to_bits());
+        let key = (ci, width.to_bits());
         if let Some(cached) = self.probe_cache.get(&key) {
             return *cached;
         }
@@ -1277,27 +1339,16 @@ impl<'a> Linter<'a> {
             return None;
         }
         self.probes_left -= 1;
-        let result = self.probe_once(c, width);
+        let result = self.probe_once(ci, width);
         self.probe_cache.insert(key, result);
         result
     }
 
-    fn probe_once(&mut self, c: &ChannelSpec, width: f64) -> Option<f64> {
-        let facts = self.check_channel(c);
-        if !facts.builds {
+    fn probe_once(&mut self, ci: usize, width: f64) -> Option<f64> {
+        if !self.check_channel(ci).builds {
             return None;
         }
-        let mut channel = if c.kind == "eta" {
-            // the adversary may only *shrink* the surviving width, so
-            // probe against the one that extends pulses the most
-            let params = extending_params(&c.params);
-            self.registry
-                .build(&c.kind, &params)
-                .or_else(|_| self.registry.build(&c.kind, &c.params))
-                .ok()?
-        } else {
-            self.registry.build(&c.kind, &c.params).ok()?
-        };
+        let mut channel = self.probe_channel(ci)?.clone_box();
         let input = Signal::pulse(0.0, width).ok()?;
         let out = apply_online(&mut channel, &input);
         let t = out.transitions();
@@ -1306,6 +1357,29 @@ impl<'a> Linter<'a> {
             (Some(_), None) => width,
             _ => 0.0,
         })
+    }
+
+    /// The pristine probe channel of an interned spec, built on first
+    /// use. For `eta` it faces the pulse-extending adversary: any other
+    /// admissible noise can only *shrink* the surviving width, so a death
+    /// shown here is a death under every admissible noise sequence.
+    fn probe_channel(&mut self, ci: usize) -> Option<&dyn SimChannel> {
+        let registry = self.registry;
+        let entry = &mut self.channels[ci];
+        let c = entry.spec;
+        entry
+            .probe
+            .get_or_insert_with(|| {
+                if c.kind == "eta" {
+                    registry
+                        .build(&c.kind, &extending_params(&c.params))
+                        .or_else(|_| registry.build(&c.kind, &c.params))
+                        .ok()
+                } else {
+                    registry.build(&c.kind, &c.params).ok()
+                }
+            })
+            .as_deref()
     }
 
     // ------------------------------------------------------------------
@@ -1565,35 +1639,45 @@ struct GNode {
     span: Option<Span>,
 }
 
-struct GEdge<'a> {
+struct GEdge {
     from: usize,
     to: usize,
-    channel: Option<&'a ChannelSpec>,
+    /// Index into the linter's channel table; `None` for a direct wire.
+    channel: Option<usize>,
     span: Option<Span>,
 }
 
 #[derive(Default)]
-struct Graph<'a> {
+struct Graph {
     nodes: Vec<GNode>,
-    edges: Vec<GEdge<'a>>,
+    edges: Vec<GEdge>,
     out_edges: Vec<Vec<usize>>,
     in_degree: Vec<usize>,
     out_degree: Vec<usize>,
+    self_loop: Vec<bool>,
 }
 
-struct SccResult {
+/// Strongly connected components of a [`Graph`].
+struct Sccs {
     components: Vec<Vec<usize>>,
+    /// Per node: index of its component.
+    component_of: Vec<usize>,
+    /// Per node: its component closes a cycle (more than one member,
+    /// or a self-loop).
+    on_cycle: Vec<bool>,
 }
 
-impl<'a> Graph<'a> {
+impl Graph {
     fn index(&mut self) {
         self.out_edges = vec![Vec::new(); self.nodes.len()];
         self.in_degree = vec![0; self.nodes.len()];
         self.out_degree = vec![0; self.nodes.len()];
+        self.self_loop = vec![false; self.nodes.len()];
         for (i, e) in self.edges.iter().enumerate() {
             self.out_edges[e.from].push(i);
             self.out_degree[e.from] += 1;
             self.in_degree[e.to] += 1;
+            self.self_loop[e.from] |= e.from == e.to;
         }
     }
 
@@ -1623,7 +1707,7 @@ impl<'a> Graph<'a> {
 
     /// Strongly connected components via iterative Kosaraju; component
     /// order and member order are deterministic.
-    fn sccs(&self) -> SccResult {
+    fn sccs(&self) -> Sccs {
         let n = self.nodes.len();
         let mut order = Vec::with_capacity(n);
         let mut seen = vec![false; n];
@@ -1675,23 +1759,32 @@ impl<'a> Graph<'a> {
             members.sort_unstable();
             components.push(members);
         }
-        SccResult { components }
-    }
-
-    /// A topological order of the acyclic part (nodes in `cyclic` are
-    /// excluded; their downstream still appears, fed only by what
-    /// reaches it acyclically).
-    fn topo_order(&self, cyclic: &HashSet<usize>) -> Vec<usize> {
-        let mut indeg: Vec<usize> = (0..self.nodes.len())
-            .map(|v| {
-                self.edges
-                    .iter()
-                    .filter(|e| e.to == v && !cyclic.contains(&e.from) && !cyclic.contains(&e.to))
-                    .count()
+        let on_cycle = component
+            .iter()
+            .map(|&id| {
+                let members = &components[id];
+                members.len() > 1 || self.self_loop[members[0]]
             })
             .collect();
+        Sccs {
+            components,
+            component_of: component,
+            on_cycle,
+        }
+    }
+
+    /// A topological order of the acyclic part (nodes `on_cycle` are
+    /// excluded; their downstream still appears, fed only by what
+    /// reaches it acyclically).
+    fn topo_order(&self, on_cycle: &[bool]) -> Vec<usize> {
+        let mut indeg = vec![0usize; self.nodes.len()];
+        for e in &self.edges {
+            if !on_cycle[e.from] && !on_cycle[e.to] {
+                indeg[e.to] += 1;
+            }
+        }
         let mut queue: Vec<usize> = (0..self.nodes.len())
-            .filter(|v| !cyclic.contains(v) && indeg[*v] == 0)
+            .filter(|&v| !on_cycle[v] && indeg[v] == 0)
             .collect();
         let mut order = Vec::with_capacity(queue.len());
         let mut head = 0;
@@ -1701,7 +1794,7 @@ impl<'a> Graph<'a> {
             order.push(v);
             for &ei in &self.out_edges[v] {
                 let to = self.edges[ei].to;
-                if cyclic.contains(&to) {
+                if on_cycle[to] {
                     continue;
                 }
                 indeg[to] -= 1;
@@ -1712,35 +1805,4 @@ impl<'a> Graph<'a> {
         }
         order
     }
-}
-
-/// `true` if the given edges close a cycle within `component`.
-fn has_cycle(component: &[usize], edges: &[&GEdge<'_>]) -> bool {
-    if edges.iter().any(|e| e.from == e.to) {
-        return true;
-    }
-    // Kahn's algorithm on the restricted subgraph: leftover nodes = cycle
-    let mut indeg: HashMap<usize, usize> = component.iter().map(|&v| (v, 0)).collect();
-    for e in edges {
-        *indeg.get_mut(&e.to).expect("edge within component") += 1;
-    }
-    let mut queue: Vec<usize> = component
-        .iter()
-        .copied()
-        .filter(|v| indeg[v] == 0)
-        .collect();
-    let mut removed = 0;
-    while let Some(v) = queue.pop() {
-        removed += 1;
-        for e in edges {
-            if e.from == v {
-                let d = indeg.get_mut(&e.to).expect("edge within component");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push(e.to);
-                }
-            }
-        }
-    }
-    removed < component.len()
 }

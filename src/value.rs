@@ -19,6 +19,11 @@
 //! Non-finite reals are not representable; specs are finite by
 //! construction.
 //!
+//! Nodes and lists nest at most [`MAX_DEPTH`] levels deep: the parser
+//! recurses once per level, and a spec may come from an untrusted
+//! client, so deeper input is refused with a [`SpecError`] instead of
+//! exhausting the stack.
+//!
 //! Every parsed [`Value`] carries the [`Span`] of its first token, so
 //! validation errors raised long after lexing (unknown fields, type
 //! mismatches, lint diagnostics) can still point at a line and column.
@@ -28,6 +33,10 @@
 use std::fmt;
 
 use crate::error::{Span, SpecError};
+
+/// The deepest nesting of values [`parse_document`] accepts (the
+/// document's workload node is level 1).
+const MAX_DEPTH: usize = 128;
 
 /// Version tag emitted and accepted by this build.
 pub const SPEC_VERSION: u32 = 1;
@@ -260,6 +269,8 @@ struct Parser<'a> {
     column: u32,
     /// Span of the most recently lexed token, for errors and values.
     span: Span,
+    /// Values currently open around the one being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -269,6 +280,7 @@ impl<'a> Parser<'a> {
             line: 1,
             column: 1,
             span: Span { line: 1, column: 1 },
+            depth: 0,
         }
     }
 
@@ -418,6 +430,16 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_value(&mut self) -> Result<Value, SpecError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("values nest deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = self.parse_nested();
+        self.depth -= 1;
+        value
+    }
+
+    fn parse_nested(&mut self) -> Result<Value, SpecError> {
         let token = self.next_token()?;
         let span = self.span;
         match token {
@@ -605,6 +627,18 @@ mod tests {
         // built values have no span, but still compare equal to parsed ones
         assert_eq!(Value::num(1.0).span(), None);
         assert_eq!(fields[0].1, Value::num(1.0));
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nested =
+            |levels: usize| format!("faithful/1 {}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse_document(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_document(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "experiment spec error at line 1, column 139: values nest deeper than 128 levels"
+        );
     }
 
     #[test]

@@ -332,6 +332,50 @@ fn sigterm_mid_batch_drains_every_accepted_job() {
     assert!(rest.contains("drained"), "missing drain summary: {rest:?}");
 }
 
+/// A 40 KB spec of 20 000 nested lists used to overflow the connection
+/// thread's stack and abort the daemon; it is now a typed `spec` error
+/// and the same connection keeps working.
+#[cfg(unix)]
+#[test]
+fn deeply_nested_spec_is_refused_and_the_daemon_stays_up() {
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_faithful-serve"))
+        .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn faithful-serve");
+    let mut stdout = BufReader::new(daemon.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("faithful-serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
+        .to_owned();
+
+    let mut client = ServiceClient::connect(addr.as_str()).unwrap();
+    let depth = 20_000;
+    let hostile = format!(
+        "faithful/1 channel {{ junk = {}{} }}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let err = client.run_one(&hostile).unwrap().reply.unwrap_err();
+    assert_eq!(err.kind, ServedErrorKind::Spec, "{err}");
+    assert!(err.message.contains("nest deeper than 128"), "{err}");
+
+    let next = client.run_one(CHANNEL_SPEC).unwrap();
+    assert!(next.reply.is_ok(), "{:?}", next.reply);
+    assert_eq!(next.payload, in_process(CHANNEL_SPEC));
+
+    let term = Command::new("kill")
+        .args(["-TERM", &daemon.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(term.success());
+    assert!(daemon.wait().unwrap().success());
+}
+
 #[cfg(unix)]
 #[test]
 fn client_bin_reports_cache_hits_on_resubmission() {

@@ -414,6 +414,27 @@ faithful/1 digital {
     assert_eq!(canonical.parse::<ExperimentSpec>().unwrap(), spec);
 }
 
+/// A 40 KB document of 20 000 nested lists used to overflow the parser's
+/// stack and abort the process; it is now a typed, located error.
+#[test]
+fn deeply_nested_input_is_a_spec_error() {
+    let depth = 20_000;
+    let text = format!(
+        "faithful/1 channel {{ junk = {}{} }}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let err = text.parse::<ExperimentSpec>().unwrap_err();
+    assert!(err.message().contains("nest deeper than 128"), "{err}");
+    assert!(err.span().is_some(), "{err}");
+    let err = faithful::lint_text(
+        &text,
+        &faithful::core::factory::ChannelRegistry::with_builtins(),
+    )
+    .unwrap_err();
+    assert!(err.message().contains("nest deeper than 128"), "{err}");
+}
+
 #[test]
 fn parse_errors_are_informative() {
     // wrong version
