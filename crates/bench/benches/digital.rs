@@ -1,6 +1,6 @@
-//! Digital event-driven simulator cost: calendar queue vs reference
-//! heap vs the adaptive `Auto` backend on the three canonical workloads
-//! (1k-gate chain, fanout grid, cancel-heavy inertial churn), the
+//! Digital event-driven simulator cost: the event queue on the three
+//! canonical workloads (1k-gate chain, fanout grid, cancel-heavy
+//! inertial churn), the
 //! persistent scenario worker pool vs the old spawn-per-sweep
 //! discipline at 1/2/4 workers, a `sweep_10k` tier (10 000
 //! scenarios) sized to actually saturate cores at 1/2/4/8 workers —
@@ -22,18 +22,16 @@
 //! (`available_parallelism`) — parallel speedups are only meaningful
 //! relative to the cores the recording host actually had. In `--test`
 //! mode (CI smoke) every measurement runs exactly once. With
-//! `IVL_BENCH_CHECK=1` the harness exits non-zero if (a) the calendar
-//! queue is slower than the heap on the 1k-chain case, (b) the `Auto`
-//! backend lands below 0.95× heap on *any* benched topology, (c) —
-//! on hosts with ≥ 4 cores — the 4-worker `sweep_10k` fails to beat
-//! 1 worker, (d) a scale workload's peak RSS per gate grows more
-//! than 10% past the committed baseline, or (e) in the service tier,
-//! the hot batch is under 10× the cold one's specs/sec or the lint
-//! preflight takes more than 30% of lint + simulate on one cold spec.
+//! `IVL_BENCH_CHECK=1` the harness exits non-zero if (a) — on hosts
+//! with ≥ 4 cores — the 4-worker `sweep_10k` fails to beat 1 worker,
+//! (b) a scale workload's peak RSS per gate grows more than 10% past
+//! the committed baseline, or (c) in the service tier, the hot batch
+//! is under 10× the cold one's specs/sec or the lint preflight takes
+//! more than 30% of lint + simulate on one cold spec.
 //!
-//! Before timing anything the harness *verifies* that both queue
-//! backends and both sweep disciplines produce bit-identical outputs on
-//! the measured workloads — a speedup on wrong answers is worthless.
+//! Before timing anything the harness *verifies* that both sweep
+//! disciplines produce bit-identical outputs on the measured workload —
+//! a speedup on wrong answers is worthless.
 
 use std::time::Instant;
 
@@ -44,8 +42,7 @@ use faithful::{
     LintConfig, NoiseSpec, OutputSelect, ScenarioSpec, SignalSpec, TopologySpec,
 };
 use ivl_circuit::{
-    Circuit, CircuitBuilder, GateKind, QueueBackend, Scenario, ScenarioRunner, SimResult,
-    Simulator, SweepResult,
+    Circuit, CircuitBuilder, GateKind, Scenario, ScenarioRunner, SimResult, Simulator, SweepResult,
 };
 use ivl_core::channel::{InertialDelay, InvolutionChannel, PureDelay};
 use ivl_core::delay::ExpChannel;
@@ -109,9 +106,9 @@ fn grid_input() -> Signal {
 /// Cancel-heavy inertial workload with a *large resident event
 /// population*: one root gate fans out to `width` parallel inertial
 /// buffers whose transport delays put pending events far in the future.
-/// Two thirds of the input pulses are narrower than the rejection
-/// window, so most scheduled events are cancelled before delivery —
-/// the queue discipline (eager discard, O(1) push) dominates run time.
+/// Most input pulses are narrower than the rejection window, so most
+/// scheduled events are cancelled before delivery — the queue's stale
+/// keys and their compaction dominate run time.
 fn cancel_heavy_circuit(width: usize) -> Circuit {
     let mut b = CircuitBuilder::new();
     let a = b.input("a");
@@ -120,9 +117,8 @@ fn cancel_heavy_circuit(width: usize) -> Circuit {
     for w in 0..width {
         let g = b.gate(&format!("buf{w}"), GateKind::Buf, Bit::Zero);
         // long transport delays (spread per edge, as process variation
-        // would) keep tens of thousands of cancelled events resident:
-        // the lazy heap carries them all as stale keys, the calendar
-        // queue discards them eagerly from their buckets
+        // would) keep tens of thousands of cancelled events resident as
+        // stale keys until the queue compacts them away
         b.connect(
             root,
             g,
@@ -151,24 +147,26 @@ fn cancel_heavy_input() -> Signal {
     .unwrap()
 }
 
-fn run_once(circuit: &Circuit, input: &Signal, backend: QueueBackend) -> SimResult {
-    let mut sim = Simulator::new(circuit.clone()).with_queue_backend(backend);
+/// A simulator warmed by one run, so what gets timed is the steady
+/// state with pool, queue and recorders at their high-water marks.
+fn warmed_sim(circuit: &Circuit, input: &Signal) -> Simulator {
+    let mut sim = Simulator::new(circuit.clone());
     sim.set_input("a", input.clone()).unwrap();
-    sim.run(1e9).unwrap()
+    sim.run(1e9).unwrap();
+    sim
 }
 
-/// A simulator warmed until its backend choice is settled: one run for
-/// a concrete backend, four for `Auto` (untimed cold run, heap probe,
-/// wheel probe, committed winner) — so what gets timed is Auto's
-/// steady state, not its measurement phase.
-fn warmed_sim(circuit: &Circuit, input: &Signal, backend: QueueBackend) -> Simulator {
-    let mut sim = Simulator::new(circuit.clone()).with_queue_backend(backend);
-    sim.set_input("a", input.clone()).unwrap();
-    let warmups = if backend == QueueBackend::Auto { 4 } else { 1 };
-    for _ in 0..warmups {
-        sim.run(1e9).unwrap();
-    }
-    sim
+/// The three canonical event-queue workloads.
+fn queue_workloads() -> Vec<(&'static str, Circuit, Signal)> {
+    vec![
+        ("chain_1k", pipeline_circuit(1024), chain_input()),
+        ("fanout_grid", fanout_grid_circuit(64, 16), grid_input()),
+        (
+            "cancel_heavy_inertial",
+            cancel_heavy_circuit(4096),
+            cancel_heavy_input(),
+        ),
+    ]
 }
 
 // ======================================================================
@@ -264,31 +262,16 @@ fn spawn_per_sweep(
 // Criterion groups
 // ======================================================================
 
-fn bench_queue_backends(c: &mut Criterion) {
+fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
     group.sample_size(10);
-    let workloads: Vec<(&str, Circuit, Signal)> = vec![
-        ("chain_1k", pipeline_circuit(1024), chain_input()),
-        ("fanout_grid", fanout_grid_circuit(64, 16), grid_input()),
-        (
-            "cancel_heavy_inertial",
-            cancel_heavy_circuit(4096),
-            cancel_heavy_input(),
-        ),
-    ];
-    for (name, circuit, input) in &workloads {
-        let probe = run_once(circuit, input, QueueBackend::Heap);
-        group.throughput(Throughput::Elements(probe.scheduled_events() as u64));
-        for (backend, tag) in [
-            (QueueBackend::Heap, "heap"),
-            (QueueBackend::Calendar, "wheel"),
-            (QueueBackend::Auto, "auto"),
-        ] {
-            let mut sim = warmed_sim(circuit, input, backend);
-            group.bench_function(BenchmarkId::new(*name, tag), |b| {
-                b.iter(|| sim.run(1e9).unwrap());
-            });
-        }
+    for (name, circuit, input) in &queue_workloads() {
+        let mut sim = warmed_sim(circuit, input);
+        let scheduled = sim.run(1e9).unwrap().scheduled_events();
+        group.throughput(Throughput::Elements(scheduled as u64));
+        group.bench_function(*name, |b| {
+            b.iter(|| sim.run(1e9).unwrap());
+        });
     }
     group.finish();
 }
@@ -316,7 +299,7 @@ fn bench_scenario_pool(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_queue_backends, bench_scenario_pool);
+criterion_group!(benches, bench_event_queue, bench_scenario_pool);
 
 // ======================================================================
 // BENCH_digital.json baseline
@@ -336,62 +319,31 @@ fn median_secs<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Interleaved best-of-`samples` per-run seconds for a set of warmed
-/// simulators on the same workload. Round-robin timing means a host
-/// slowdown hits every backend equally instead of whichever happened
-/// to be measured last, each sample is batched to span >= 10 ms (a
-/// sub-millisecond run is dominated by timer granularity and
-/// preemption spikes), and preemption only ever *adds* time, so the
-/// per-backend minimum is the least-noisy per-run estimate — the
-/// speedup ratios recorded in the baseline are taken between minima.
-fn interleaved_best_secs(sims: &mut [Simulator], samples: usize) -> Vec<f64> {
+/// Best-of-`samples` per-run seconds of a warmed simulator. Each
+/// sample is batched to span >= 10 ms (a sub-millisecond run is
+/// dominated by timer granularity and preemption spikes), and
+/// preemption only ever *adds* time, so the minimum is the least-noisy
+/// per-run estimate.
+fn best_run_secs(sim: &mut Simulator, samples: usize) -> f64 {
     let t0 = Instant::now();
-    sims[0].run(1e9).unwrap();
+    sim.run(1e9).unwrap();
     let single = t0.elapsed().as_secs_f64();
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let reps = ((0.01 / single.max(1e-9)).ceil() as usize).clamp(1, 64);
-    let mut best = vec![f64::INFINITY; sims.len()];
+    let mut best = f64::INFINITY;
     for _ in 0..samples {
-        for (i, sim) in sims.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                sim.run(1e9).unwrap();
-            }
-            best[i] = best[i].min(t0.elapsed().as_secs_f64() / reps as f64);
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            sim.run(1e9).unwrap();
         }
+        best = best.min(t0.elapsed().as_secs_f64() / reps as f64);
     }
     best
 }
 
-/// Bit-identity gate: both backends must agree on every workload, and
-/// the pool must agree with the spawn reference for every worker count,
-/// before any number is recorded.
-fn verify_bit_identity(
-    workloads: &[(&str, Circuit, Signal)],
-    circuit: &Circuit,
-    scenarios: &[Scenario],
-) {
-    for (name, wl_circuit, input) in workloads {
-        let heap = run_once(wl_circuit, input, QueueBackend::Heap);
-        for (backend, tag) in [
-            (QueueBackend::Calendar, "wheel"),
-            (QueueBackend::Auto, "auto"),
-        ] {
-            let other = run_once(wl_circuit, input, backend);
-            assert_eq!(
-                heap.processed_events(),
-                other.processed_events(),
-                "{name}: processed-event mismatch vs {tag}"
-            );
-            for node in wl_circuit.node_names() {
-                assert_eq!(
-                    heap.signal(node).unwrap(),
-                    other.signal(node).unwrap(),
-                    "{name}: node {node} diverges between heap and {tag}"
-                );
-            }
-        }
-    }
+/// Bit-identity gate: the pool must agree with the spawn reference for
+/// every worker count before any number is recorded.
+fn verify_pool_matches_spawn(circuit: &Circuit, scenarios: &[Scenario]) {
     let reference = spawn_per_sweep(circuit, scenarios, 1e9, 1);
     for workers in [1usize, 2, 4] {
         let sweep = ScenarioRunner::new(circuit.clone(), 1e9)
@@ -408,9 +360,7 @@ fn verify_bit_identity(
             );
         }
     }
-    println!(
-        "bit-identity verified: heap == wheel == auto on all workloads, pool == spawn at 1/2/4 workers"
-    );
+    println!("bit-identity verified: pool == spawn at 1/2/4 workers");
 }
 
 // ======================================================================
@@ -702,7 +652,7 @@ fn prior_rss_per_gate(baseline: &str, name: &str) -> Option<f64> {
 
 /// A spec-driven digital sweep through the `Experiment` facade — the
 /// facade dispatches to the same `ScenarioRunner`, so it inherits the
-/// calendar queue and the worker pool for free; this entry pins that.
+/// event queue and the worker pool for free; this entry pins that.
 fn facade_sweep() -> DigitalSpec {
     DigitalSpec {
         topology: TopologySpec::InverterChain {
@@ -732,55 +682,20 @@ fn facade_sweep() -> DigitalSpec {
     }
 }
 
-/// Emits the `BENCH_digital.json` perf baseline: heap vs calendar vs
-/// auto queue on the three workloads, spawn vs pool at 1/2/4 workers,
-/// the facade-driven sweep, and the `sweep_10k` scaling tier.
+/// Emits the `BENCH_digital.json` perf baseline: the event queue on
+/// the three workloads, spawn vs pool at 1/2/4 workers, the
+/// facade-driven sweep, and the `sweep_10k` scaling tier.
 #[allow(clippy::too_many_lines)]
 fn emit_baseline(test_mode: bool) {
     let iters = if test_mode { 1 } else { 5 };
-    let workloads: Vec<(&str, Circuit, Signal)> = vec![
-        ("chain_1k", pipeline_circuit(1024), chain_input()),
-        ("fanout_grid", fanout_grid_circuit(64, 16), grid_input()),
-        (
-            "cancel_heavy_inertial",
-            cancel_heavy_circuit(4096),
-            cancel_heavy_input(),
-        ),
-    ];
     let sweep_circuit = pipeline_circuit(128);
     let scenarios = sweep_scenarios(64);
-    verify_bit_identity(&workloads, &sweep_circuit, &scenarios);
+    verify_pool_matches_spawn(&sweep_circuit, &scenarios);
 
     let mut entries: Vec<(String, f64)> = Vec::new();
-    let mut queue_speedups: Vec<(String, f64)> = Vec::new();
-    let mut auto_speedups: Vec<(String, f64)> = Vec::new();
-    for (name, circuit, input) in &workloads {
-        let mut sims = [
-            warmed_sim(circuit, input, QueueBackend::Heap),
-            warmed_sim(circuit, input, QueueBackend::Calendar),
-            warmed_sim(circuit, input, QueueBackend::Auto),
-        ];
-        let mut secs = interleaved_best_secs(&mut sims, iters);
-        // The recorded auto-vs-heap ratio feeds the >= 0.95 acceptance
-        // gate; while it looks marginal, re-measure and keep per-backend
-        // minima so the JSON records the converged ratio rather than one
-        // noisy attempt. A true regression (the prober committing the
-        // wheel where it loses ~20%) sits near 0.8 and stays there no
-        // matter how often it is re-measured.
-        for _ in 0..2 {
-            if test_mode || secs[0] / secs[2].max(1e-12) >= 0.95 {
-                break;
-            }
-            let again = interleaved_best_secs(&mut sims, iters);
-            for (s, a) in secs.iter_mut().zip(again) {
-                *s = s.min(a);
-            }
-        }
-        for (slot, tag) in [(0usize, "heap"), (1, "wheel"), (2, "auto")] {
-            entries.push((format!("{name}_{tag}"), secs[slot]));
-        }
-        queue_speedups.push(((*name).to_owned(), secs[0] / secs[1].max(1e-12)));
-        auto_speedups.push(((*name).to_owned(), secs[0] / secs[2].max(1e-12)));
+    for (name, circuit, input) in &queue_workloads() {
+        let mut sim = warmed_sim(circuit, input);
+        entries.push(((*name).to_owned(), best_run_secs(&mut sim, iters)));
     }
 
     // (entry, failed, retried) per sweep workload: clean benchmark runs
@@ -888,22 +803,6 @@ fn emit_baseline(test_mode: bool) {
         json.push_str(&format!("    \"{name}\": {secs:.9}{comma}\n"));
     }
     json.push_str("  },\n");
-    json.push_str("  \"speedup_wheel_vs_heap\": {\n");
-    for (i, (name, s)) in queue_speedups.iter().enumerate() {
-        let comma = if i + 1 < queue_speedups.len() {
-            ","
-        } else {
-            ""
-        };
-        json.push_str(&format!("    \"{name}\": {s:.2}{comma}\n"));
-    }
-    json.push_str("  },\n");
-    json.push_str("  \"speedup_auto_vs_heap\": {\n");
-    for (i, (name, s)) in auto_speedups.iter().enumerate() {
-        let comma = if i + 1 < auto_speedups.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {s:.2}{comma}\n"));
-    }
-    json.push_str("  },\n");
     json.push_str("  \"speedup_pool_vs_spawn\": {\n");
     for (i, (workers, s)) in pool_speedups.iter().enumerate() {
         let comma = if i + 1 < pool_speedups.len() { "," } else { "" };
@@ -969,12 +868,6 @@ fn emit_baseline(test_mode: bool) {
     let prior_baseline = std::fs::read_to_string(&path).unwrap_or_default();
     std::fs::write(&path, json).expect("can write bench baseline");
     println!("baseline written to {}", path.display());
-    for (name, s) in &queue_speedups {
-        println!("speedup wheel vs heap, {name}: {s:.1}x");
-    }
-    for (name, s) in &auto_speedups {
-        println!("speedup auto vs heap, {name}: {s:.1}x");
-    }
     for (workers, s) in &pool_speedups {
         println!("speedup pool vs spawn, {workers}w: {s:.1}x");
     }
@@ -1008,106 +901,15 @@ fn emit_baseline(test_mode: bool) {
                 r.name, now, prior
             );
         }
-        bench_check(&workloads, &sweep10k_circuit, &sweep10k, host_cpus);
+        bench_check(&sweep10k_circuit, &sweep10k, host_cpus);
     }
 }
 
-/// Interleaved best-of-9 of heap vs challenger runs on a pair of
-/// already-warmed simulators: alternating the backends within each
-/// round means a scheduler hiccup on a shared CI runner hits both
-/// sides, not one, and taking each side's *minimum* discards the
-/// hiccups entirely — preemption only ever adds time, so the min is
-/// the least-noisy estimate of true cost a shared runner can produce.
-fn measure_speedup(sims: &mut [Simulator; 2]) -> f64 {
-    // Size each timed sample to span >= 25 ms: a sub-millisecond run is
-    // dominated by timer granularity and single preemption spikes, which
-    // is exactly the noise a 2% gate threshold cannot tolerate.
-    let t0 = Instant::now();
-    sims[0].run(1e9).unwrap();
-    let single = t0.elapsed().as_secs_f64();
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let reps = ((0.025 / single.max(1e-9)).ceil() as usize).clamp(1, 64);
-    let mut best = [f64::INFINITY, f64::INFINITY];
-    for _ in 0..9 {
-        for (i, sim) in sims.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                sim.run(1e9).unwrap();
-            }
-            best[i] = best[i].min(t0.elapsed().as_secs_f64());
-        }
-    }
-    best[0] / best[1].max(1e-12)
-}
-
-/// Gate measurement with up to three attempts over the *same* warmed
-/// simulators: a marginal ratio is re-measured and the best attempt
-/// kept, so scheduler noise on a busy shared runner is absorbed. The
-/// warmup happens exactly once — for the `Auto` challenger the warmup
-/// is where the probe commits its backend, and re-measuring the same
-/// committed simulator means a misprediction fails every attempt. (The
-/// old version re-warmed per attempt, handing a mispredicting probe
-/// three fresh chances to luck into the right backend — which is
-/// exactly how the fanout_grid regression slid through this gate.)
-fn gate_speedup_retrying(
-    circuit: &Circuit,
-    input: &Signal,
-    challenger: QueueBackend,
-    floor: f64,
-) -> f64 {
-    let mut sims = [
-        warmed_sim(circuit, input, QueueBackend::Heap),
-        warmed_sim(circuit, input, challenger),
-    ];
-    let mut best_ratio = 0.0f64;
-    for _ in 0..3 {
-        best_ratio = best_ratio.max(measure_speedup(&mut sims));
-        if best_ratio >= floor {
-            break;
-        }
-    }
-    best_ratio
-}
-
-/// The `IVL_BENCH_CHECK` regression gates, run even in `--test` mode:
-///
-/// 1. wheel ≥ 0.95× heap on the 1k chain (the original gate; a real
-///    queue regression shows up far below the 5% noise tolerance);
-/// 2. `Auto` ≥ 0.95× heap on *every* benched topology — the adaptive
-///    backend's whole contract is "never lose to the reference heap",
-///    fanout_grid included. The floor sits at 0.95 because a real
-///    misprediction (committing the wheel where it loses ~20%) reads
-///    ~0.8× every attempt, while `Auto`'s honest per-op dispatch cost
-///    plus 1-CPU scheduler noise is a 2–3% band — a 0.98 floor would
-///    flake on noise without catching anything 0.95 misses;
-/// 3. on hosts with ≥ 4 cores, the 4-worker `sweep_10k` must beat
-///    1 worker (the pool-scaling smoke). Skipped below 4 cores: with
-///    nothing to run on in parallel, a scaling assertion only measures
-///    the scheduler.
-fn bench_check(
-    workloads: &[(&str, Circuit, Signal)],
-    sweep10k_circuit: &Circuit,
-    sweep10k: &[Scenario],
-    host_cpus: usize,
-) {
-    let (name, circuit, input) = &workloads[0];
-    assert_eq!(*name, "chain_1k");
-    let speedup = gate_speedup_retrying(circuit, input, QueueBackend::Calendar, 0.95);
-    assert!(
-        speedup >= 0.95,
-        "regression gate: calendar queue slower than heap on chain_1k ({speedup:.2}x)"
-    );
-    println!("IVL_BENCH_CHECK passed: wheel vs heap on chain_1k = {speedup:.2}x");
-
-    for (name, circuit, input) in workloads {
-        let auto = gate_speedup_retrying(circuit, input, QueueBackend::Auto, 0.95);
-        assert!(
-            auto >= 0.95,
-            "regression gate: Auto backend loses to heap on {name} ({auto:.2}x)"
-        );
-        println!("IVL_BENCH_CHECK passed: auto vs heap on {name} = {auto:.2}x");
-    }
-
+/// The `IVL_BENCH_CHECK` pool-scaling smoke, run even in `--test`
+/// mode: on hosts with ≥ 4 cores, the 4-worker `sweep_10k` must beat
+/// 1 worker. Skipped below 4 cores: with nothing to run on in
+/// parallel, a scaling assertion only measures the scheduler.
+fn bench_check(sweep10k_circuit: &Circuit, sweep10k: &[Scenario], host_cpus: usize) {
     if host_cpus >= 4 {
         let time_at = |workers: usize| {
             let runner = ScenarioRunner::new(sweep10k_circuit.clone(), 1e9).with_workers(workers);

@@ -58,7 +58,6 @@ pub mod vcd;
 pub use error::{CircuitError, SimError};
 pub use gate::{GateKind, TruthTable};
 pub use graph::{Circuit, CircuitBuilder, EdgeId, NodeId, NodeKind};
-pub use queue::QueueBackend;
 pub use runner::{
     FailurePolicy, FaultKind, FaultPlan, Scenario, ScenarioFailure, ScenarioOutcome,
     ScenarioRunner, SweepAborted, SweepResult, SweepStats,

@@ -1,89 +1,26 @@
-//! Pending-event queues for the event-driven simulator.
+//! The pending-event queue of the event-driven simulator.
 //!
 //! The simulator orders pending output transitions by `(time, seq)` —
 //! time first, schedule sequence as the tie-break, so causes precede
-//! effects at equal times and runs are deterministic. This module
-//! provides two interchangeable implementations of that order behind the
-//! [`EventQueue`] trait:
+//! effects at equal times and runs are deterministic. Because `seq` is
+//! unique, that order is total: the pop sequence is fixed by the keys
+//! alone, whatever the heap's internal layout.
 //!
-//! * [`HeapQueue`] — the classic global `BinaryHeap`. `O(log n)` per
-//!   operation, kept as the bit-exact reference backend
-//!   ([`QueueBackend::Heap`], forced with the `IVL_FORCE_HEAP`
-//!   environment variable).
-//! * [`CalendarQueue`] — a bucketed calendar queue (timing wheel with a
-//!   sorted drain buffer and an overflow level). Amortized `O(1)` push
-//!   and pop: events land in a bucket chosen by integer division, only
-//!   the *current* bucket is ever sorted, and events beyond the wheel
-//!   horizon wait in an overflow list that is redistributed when the
-//!   wheel catches up. Cancelled events are removed eagerly
-//!   ([`EventQueue::discard`]) instead of lazily transiting the queue as
-//!   stale keys.
-//!
-//! Both backends deliver *exactly* the same `(time, seq)` order, so a
-//! simulation is bitwise identical under either — the
-//! `queue_equivalence` proptest suite holds them to that bar. That
-//! equivalence is what makes [`QueueBackend::Auto`] (the default) safe:
-//! the simulator times both backends on the first runs of a workload and
-//! commits to the faster one, and the choice can never change a result,
-//! only its cost. The
-//! calendar bucket width is sized from the circuit's channels via
-//! [`OnlineChannel::delay_hint`](ivl_core::channel::OnlineChannel::delay_hint):
-//! the involution channels' bounded delay ranges put typical event
-//! horizons a small, known number of buckets ahead.
+//! [`EventQueue`] is a `BinaryHeap` with lazy deletion. Cancelling an
+//! event (the channels' non-FIFO rule) leaves its key in the heap as a
+//! *stale* key; pops skip stale keys by asking the event pool whether the
+//! key's handle is still live. Under η-involution noise most events a
+//! glitch train schedules are cancelled, so stale keys would otherwise
+//! pile up. The queue therefore counts them exactly (+1 per cancel, −1
+//! per stale key popped) and, once they outnumber the live keys,
+//! compacts the heap with one `retain` pass. That costs amortised
+//! `O(1)` per cancel and bounds the heap at twice the live events plus
+//! one.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::sim::EventId;
-
-/// Which pending-event queue implementation a simulator uses.
-///
-/// The default is [`Auto`](QueueBackend::Auto): the simulator probes the
-/// calendar queue and the reference heap on its first runs of a workload
-/// and commits to whichever is faster (both deliver bit-identical
-/// results, so the choice is invisible in the output). A concrete
-/// backend can be forced per simulator with
-/// [`Simulator::with_queue_backend`](crate::Simulator::with_queue_backend)
-/// or process-wide with the `IVL_QUEUE` / `IVL_FORCE_HEAP` environment
-/// variables (see [`from_env`](QueueBackend::from_env)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum QueueBackend {
-    /// Adaptive: probe both backends on the first runs of a workload
-    /// (cancel-heavy runs commit to the wheel immediately) and commit to
-    /// the faster one. Results are bit-identical either way.
-    #[default]
-    Auto,
-    /// Bucketed calendar queue (timing wheel + sorted overflow): the
-    /// fast choice on deep pipelines and cancel-heavy churn.
-    Calendar,
-    /// Global binary heap: the bit-exact reference implementation.
-    Heap,
-}
-
-impl QueueBackend {
-    /// The default backend, honouring the environment:
-    ///
-    /// * `IVL_FORCE_HEAP` set (to anything but `0` or the empty string)
-    ///   forces [`Heap`](QueueBackend::Heap) — kept for compatibility,
-    ///   and it wins over `IVL_QUEUE`.
-    /// * `IVL_QUEUE=heap`, `IVL_QUEUE=wheel` (or `calendar`) and
-    ///   `IVL_QUEUE=auto` select the matching backend; anything else
-    ///   (including unset) yields [`Auto`](QueueBackend::Auto).
-    #[must_use]
-    pub fn from_env() -> Self {
-        if let Ok(v) = std::env::var("IVL_FORCE_HEAP") {
-            if !v.is_empty() && v != "0" {
-                return QueueBackend::Heap;
-            }
-        }
-        match std::env::var("IVL_QUEUE").as_deref() {
-            Ok("heap") => QueueBackend::Heap,
-            Ok("wheel" | "calendar") => QueueBackend::Calendar,
-            _ => QueueBackend::Auto,
-        }
-    }
-}
 
 /// A pending event: its delivery time, schedule sequence number (the
 /// total-order tie-break) and pool handle.
@@ -94,17 +31,9 @@ pub(crate) struct EventKey {
     pub(crate) id: EventId,
 }
 
-impl EventKey {
-    fn order(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
 impl PartialEq for EventKey {
     fn eq(&self, other: &Self) -> bool {
-        self.order(other) == std::cmp::Ordering::Equal
+        self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
 
@@ -118,720 +47,302 @@ impl PartialOrd for EventKey {
 
 impl Ord for EventKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.order(other)
+        self.time
+            .total_cmp(&other.time)
+            .then(self.seq.cmp(&other.seq))
     }
 }
 
-/// Minimum-first queue of pending events, ordered by `(time, seq)`.
-///
-/// `peek`/`pop` take `&mut self` because the calendar backend advances
-/// its wheel (and sorts the next bucket) lazily on access.
-pub(crate) trait EventQueue {
-    /// Removes every event, keeping allocated capacity.
-    fn clear(&mut self);
-    /// Inserts an event. Times earlier than already-popped events are
-    /// permitted and are delivered next, exactly as a heap would.
-    fn push(&mut self, key: EventKey);
-    /// The minimum event, without removing it.
-    fn peek(&mut self) -> Option<EventKey>;
-    /// Removes and returns the minimum event.
-    fn pop(&mut self) -> Option<EventKey>;
-    /// Removes and returns the minimum event if its time is `≤ time` —
-    /// the fused peek-compare-pop of the simulator's delivery loop.
-    fn pop_at_or_before(&mut self, time: f64) -> Option<EventKey>;
-    /// Eagerly removes a cancelled event identified by its exact
-    /// `(time, seq)`. Backends may decline (lazy deletion): the caller
-    /// must still filter stale pops by pool generation.
-    fn discard(&mut self, time: f64, seq: u64);
-}
-
-// ======================================================================
-// Heap backend
-// ======================================================================
-
-/// The reference backend: a global binary min-heap.
+/// Minimum-first queue of pending events with lazy, compacting
+/// cancellation. Every method that may meet a stale key takes a `live`
+/// predicate over event handles (the pool's generation check).
 #[derive(Debug, Default)]
-pub(crate) struct HeapQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Reverse<EventKey>>,
+    /// Keys in `heap` whose event was cancelled.
+    stale: usize,
 }
 
-impl EventQueue for HeapQueue {
-    fn clear(&mut self) {
+impl EventQueue {
+    /// Removes every key, keeping allocated capacity.
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
+        self.stale = 0;
     }
 
-    fn push(&mut self, key: EventKey) {
+    /// Number of keys held, stale ones included.
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Number of live (not cancelled) events.
+    pub(crate) fn live(&self) -> usize {
+        self.heap.len() - self.stale
+    }
+
+    /// Inserts a live event. Times earlier than already-popped events
+    /// are permitted and are delivered next.
+    pub(crate) fn push(&mut self, key: EventKey) {
         self.heap.push(Reverse(key));
     }
 
-    fn peek(&mut self) -> Option<EventKey> {
-        self.heap.peek().map(|Reverse(k)| *k)
-    }
-
-    fn pop(&mut self) -> Option<EventKey> {
-        self.heap.pop().map(|Reverse(k)| k)
-    }
-
-    fn pop_at_or_before(&mut self, time: f64) -> Option<EventKey> {
-        match self.heap.peek() {
-            Some(Reverse(k)) if k.time <= time => self.heap.pop().map(|Reverse(k)| k),
-            _ => None,
+    /// Records that one pushed event was cancelled, so its key is now
+    /// stale. When stale keys outnumber live ones, drops them all in one
+    /// pass and returns `true`.
+    pub(crate) fn cancel(&mut self, live: impl Fn(EventId) -> bool) -> bool {
+        self.stale += 1;
+        if self.stale <= self.live() {
+            return false;
         }
+        self.heap.retain(|Reverse(k)| live(k.id));
+        self.stale = 0;
+        true
     }
 
-    fn discard(&mut self, _time: f64, _seq: u64) {
-        // lazy deletion: the stale key is filtered at pop time by the
-        // caller's generation check
-    }
-}
-
-// ======================================================================
-// Calendar backend
-// ======================================================================
-
-/// Bucket geometry for a [`CalendarQueue`], derived from a circuit's
-/// channel delay hints.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct CalendarConfig {
-    /// Bucket width in simulation time units.
-    pub(crate) width: f64,
-    /// Number of wheel buckets (a power of two).
-    pub(crate) buckets: usize,
-}
-
-impl Default for CalendarConfig {
-    fn default() -> Self {
-        CalendarConfig {
-            width: 0.5,
-            buckets: 256,
-        }
-    }
-}
-
-impl CalendarConfig {
-    /// Sizes the wheel from channel delay hints: the bucket width is
-    /// the *smallest* hint — the finest timescale at which any gate can
-    /// reschedule, hence a good static proxy for event spacing (a width
-    /// keyed to the largest delay would pile every in-flight event of a
-    /// wide-fanout circuit into one bucket). The wheel covers four
-    /// times the largest hint before spilling to the overflow level, so
-    /// the bounded delay ranges of the involution channels keep
-    /// steady-state operation overflow-free.
-    pub(crate) fn from_delay_hints(hints: impl IntoIterator<Item = f64>) -> Self {
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        for d in hints {
-            if d.is_finite() && d > 0.0 {
-                min = min.min(d);
-                max = max.max(d);
-            }
-        }
-        if !min.is_finite() {
-            return CalendarConfig::default();
-        }
-        let width = min;
-        let span = (4.0 * max / width).ceil();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let buckets = if span.is_finite() && span >= 1.0 {
-            (span as usize).next_power_of_two().clamp(64, 16384)
-        } else {
-            256
-        };
-        CalendarConfig { width, buckets }
-    }
-}
-
-/// The calendar-queue backend: a timing wheel of unsorted buckets, a
-/// sorted drain buffer for the current bucket, and an overflow level for
-/// events beyond the wheel horizon.
-///
-/// Every event is assigned the *absolute* bucket number
-/// `⌊time / width⌋`. Because that partition is a pure, monotone function
-/// of the timestamp (no arithmetic against a moving wheel origin), two
-/// events always land in correctly ordered buckets regardless of when
-/// they were pushed — which is what makes the pop order *bitwise*
-/// identical to the reference heap rather than merely approximately
-/// time-sorted.
-///
-/// Invariants (`cur` is the absolute bucket number being drained):
-///
-/// * `drain` holds every stored event with bucket `≤ cur`, sorted
-///   *descending* by `(time, seq)` — the minimum pops from the back.
-/// * ring slot `n % buckets.len()` holds events of absolute bucket `n`
-///   for `cur < n < cur + buckets.len()`, unsorted.
-/// * `overflow` holds events at or beyond the wheel horizon, unsorted;
-///   `overflow_min_bucket` is a lower bound on their minimum bucket.
-///
-/// Pushes into the past (relative to the drain position) are legal and
-/// binary-insert into `drain`, preserving the global `(time, seq)` pop
-/// order exactly as a heap would.
-#[derive(Debug)]
-pub(crate) struct CalendarQueue {
-    width: f64,
-    /// `1 / width`: multiplying is ~5× cheaper than dividing in the
-    /// per-event bucket computation (consistency, not the exact
-    /// quotient, is what ordering needs).
-    inv_width: f64,
-    /// `buckets.len() - 1`; the length is a power of two, so `n & mask`
-    /// is `n mod len` (also for negative `n` in two's complement).
-    mask: i64,
-    buckets: Vec<Vec<EventKey>>,
-    /// Absolute bucket number currently feeding `drain`.
-    cur: i64,
-    /// Events resident in wheel buckets (excludes `drain` and
-    /// `overflow`).
-    wheel_len: usize,
-    drain: Vec<EventKey>,
-    overflow: Vec<EventKey>,
-    overflow_min_bucket: i64,
-}
-
-impl CalendarQueue {
-    /// How many tail entries `discard` inspects before giving up and
-    /// leaving a lazy stale key.
-    const DISCARD_SCAN: usize = 8;
-
-    pub(crate) fn new(config: CalendarConfig) -> Self {
-        debug_assert!(config.buckets.is_power_of_two());
-        debug_assert!(config.width > 0.0);
-        CalendarQueue {
-            width: config.width,
-            inv_width: config.width.recip(),
-            mask: config.buckets as i64 - 1,
-            buckets: (0..config.buckets).map(|_| Vec::new()).collect(),
-            cur: 0,
-            wheel_len: 0,
-            drain: Vec::new(),
-            overflow: Vec::new(),
-            overflow_min_bucket: i64::MAX,
-        }
-    }
-
-    /// The geometry this queue was built with.
-    pub(crate) fn config(&self) -> CalendarConfig {
-        CalendarConfig {
-            width: self.width,
-            buckets: self.buckets.len(),
-        }
-    }
-
-    /// The absolute bucket number of `time` — a pure monotone function
-    /// of the timestamp (saturating at the `i64` range ends, which only
-    /// degrades bucketing granularity, never ordering).
-    fn bucket_of(&self, time: f64) -> i64 {
-        #[allow(clippy::cast_possible_truncation)]
-        let n = (time * self.inv_width).floor() as i64;
-        n
-    }
-
-    fn ring_slot(&self, bucket: i64) -> usize {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let slot = (bucket & self.mask) as usize;
-        slot
-    }
-
-    /// Moves the contents of the wheel slot for absolute bucket
-    /// `bucket` into `drain` and sorts it for popping.
-    fn load_bucket(&mut self, bucket: i64) {
-        debug_assert!(self.drain.is_empty());
-        let slot = self.ring_slot(bucket);
-        std::mem::swap(&mut self.drain, &mut self.buckets[slot]);
-        self.wheel_len -= self.drain.len();
-        // descending: the minimum pops from the back in O(1)
-        self.drain.sort_unstable_by(|a, b| b.order(a));
-    }
-
-    /// Re-pushes every overflow event (after recomputing nothing): the
-    /// ones whose bucket now falls inside the wheel window move into
-    /// the wheel/drain, the rest return to overflow with an exactly
-    /// recomputed `overflow_min_bucket`.
-    fn migrate_overflow(&mut self) {
-        self.overflow_min_bucket = i64::MAX;
-        let pending = std::mem::take(&mut self.overflow);
-        for key in pending {
-            self.push(key);
-        }
-    }
-
-    /// Ensures `drain` holds the queue minimum (advancing the wheel and
-    /// redistributing overflow as needed). Returns `false` if the queue
-    /// is empty.
-    ///
-    /// The wheel advance must never pass `overflow_min_bucket`: the
-    /// overflow boundary is relative to where `cur` stood at *push*
-    /// time, so a recently pushed wheel event can occupy a *later*
-    /// bucket than an old overflow event — overflow is migrated into
-    /// the wheel before `cur` crosses it.
-    fn fill_drain(&mut self) -> bool {
-        if !self.drain.is_empty() {
-            return true;
-        }
+    /// Pops the minimum live event if its time is `≤ time` and returns
+    /// what `take` makes of it. `take` releases a live event in the
+    /// same pool access that checks it, returning `None` for a stale
+    /// key, which is dropped on the way.
+    pub(crate) fn pop_at_or_before<T>(
+        &mut self,
+        time: f64,
+        mut take: impl FnMut(&EventKey) -> Option<T>,
+    ) -> Option<T> {
         loop {
-            if self.wheel_len > 0 {
-                // bounded by one wheel revolution: wheel_len > 0
-                // guarantees a non-empty slot within buckets.len()
-                // steps (or we stop earlier at the overflow boundary)
-                while self.cur.saturating_add(1) < self.overflow_min_bucket {
-                    self.cur += 1;
-                    let slot = self.ring_slot(self.cur);
-                    if !self.buckets[slot].is_empty() {
-                        self.load_bucket(self.cur);
-                        return true;
-                    }
-                }
-                // the next occupied wheel bucket lies at or beyond the
-                // overflow minimum: fold the overflow in (its minimum
-                // is within one bucket of `cur`, hence inside the
-                // window) and rescan
-                self.migrate_overflow();
-                continue;
+            let Reverse(key) = *self.heap.peek()?;
+            if key.time > time {
+                return None;
             }
-            if self.overflow.is_empty() {
-                return false;
+            self.heap.pop();
+            if let Some(taken) = take(&key) {
+                return Some(taken);
             }
-            // the wheel is empty: rebase it at the overflow minimum and
-            // redistribute. overflow_min_bucket is a lower bound (eager
-            // discards may have removed the true minimum), so one
-            // redistribution round may land everything back in
-            // overflow — but then the bound is recomputed exactly, and
-            // the next round makes progress.
-            self.cur = self.overflow_min_bucket;
-            self.migrate_overflow();
-            if !self.drain.is_empty() {
-                return true;
+            self.stale -= 1;
+        }
+    }
+
+    /// The minimum live event, without removing it; stale keys at the
+    /// top are dropped.
+    pub(crate) fn peek(&mut self, live: impl Fn(EventId) -> bool) -> Option<EventKey> {
+        loop {
+            let Reverse(key) = *self.heap.peek()?;
+            if self.stale == 0 || live(key.id) {
+                return Some(key);
             }
-        }
-    }
-
-    /// Binary-searches `drain` (sorted descending) for the insertion
-    /// point of `key`.
-    fn drain_position(&self, key: &EventKey) -> usize {
-        self.drain
-            .partition_point(|e| e.order(key) == std::cmp::Ordering::Greater)
-    }
-}
-
-impl EventQueue for CalendarQueue {
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.cur = 0;
-        self.wheel_len = 0;
-        self.drain.clear();
-        self.overflow.clear();
-        self.overflow_min_bucket = i64::MAX;
-    }
-
-    fn push(&mut self, key: EventKey) {
-        let n = self.bucket_of(key.time);
-        if n <= self.cur {
-            let pos = self.drain_position(&key);
-            self.drain.insert(pos, key);
-        } else if n.saturating_sub(self.cur) < self.buckets.len() as i64 {
-            let slot = self.ring_slot(n);
-            self.buckets[slot].push(key);
-            self.wheel_len += 1;
-        } else {
-            if n < self.overflow_min_bucket {
-                self.overflow_min_bucket = n;
-            }
-            self.overflow.push(key);
-        }
-    }
-
-    fn peek(&mut self) -> Option<EventKey> {
-        if self.fill_drain() {
-            self.drain.last().copied()
-        } else {
-            None
-        }
-    }
-
-    fn pop(&mut self) -> Option<EventKey> {
-        if self.fill_drain() {
-            self.drain.pop()
-        } else {
-            None
-        }
-    }
-
-    fn pop_at_or_before(&mut self, time: f64) -> Option<EventKey> {
-        if self.fill_drain() && self.drain.last().is_some_and(|k| k.time <= time) {
-            self.drain.pop()
-        } else {
-            None
-        }
-    }
-
-    fn discard(&mut self, time: f64, seq: u64) {
-        let n = self.bucket_of(time);
-        if n <= self.cur {
-            // exact key: the id is irrelevant for ordering
-            let probe = EventKey {
-                time,
-                seq,
-                id: EventId::TOMBSTONE,
-            };
-            let pos = self.drain_position(&probe);
-            if self
-                .drain
-                .get(pos)
-                .is_some_and(|e| e.time == time && e.seq == seq)
-            {
-                self.drain.remove(pos);
-            }
-        } else if n.saturating_sub(self.cur) < self.buckets.len() as i64 {
-            // scan only the most recent pushes: cancellations
-            // overwhelmingly target an event scheduled moments ago, and
-            // an unbounded scan would make wide-fanout cancel storms
-            // quadratic. A miss simply leaves a stale key for the
-            // pop-time generation filter (the heap's discipline).
-            let slot = self.ring_slot(n);
-            let bucket = &mut self.buckets[slot];
-            let start = bucket.len().saturating_sub(Self::DISCARD_SCAN);
-            if let Some(pos) = bucket[start..].iter().position(|e| e.seq == seq) {
-                bucket.swap_remove(start + pos);
-                self.wheel_len -= 1;
-            }
-        } else {
-            let start = self.overflow.len().saturating_sub(Self::DISCARD_SCAN);
-            if let Some(pos) = self.overflow[start..].iter().position(|e| e.seq == seq) {
-                self.overflow.swap_remove(start + pos);
-                // overflow_min_bucket may now underestimate the
-                // survivors' minimum; it is only ever used as a lower
-                // bound, so leaving it is sound.
-            }
-        }
-    }
-}
-
-// ======================================================================
-// Backend dispatch
-// ======================================================================
-
-/// Enum dispatch over the two backends (no vtable in the hot loop).
-#[derive(Debug)]
-enum BackendQueue {
-    Heap(HeapQueue),
-    Calendar(CalendarQueue),
-}
-
-/// The simulator's queue slot: the active backend plus the most
-/// recently retired one. Keeping the retired queue alive makes backend
-/// switches allocation-free after each backend has been built once —
-/// the [`QueueBackend::Auto`] probe bounces wheel → heap → winner
-/// across a workload's first runs, and a steady-state run must not pay
-/// a rebuild for that.
-#[derive(Debug)]
-pub(crate) struct QueueImpl {
-    active: BackendQueue,
-    spare: Option<BackendQueue>,
-}
-
-impl QueueImpl {
-    /// Makes `backend` (which must be concrete — the simulator resolves
-    /// [`QueueBackend::Auto`] before preparing a run) the active,
-    /// emptied queue, reusing existing allocations when the backend and
-    /// geometry already match.
-    pub(crate) fn ensure(&mut self, backend: QueueBackend, config: CalendarConfig) {
-        let want_heap = match backend {
-            QueueBackend::Heap => true,
-            QueueBackend::Calendar => false,
-            QueueBackend::Auto => unreachable!("Auto is resolved before queue construction"),
-        };
-        if want_heap != matches!(self.active, BackendQueue::Heap(_)) {
-            // retire the active backend instead of dropping it
-            let incoming = self.spare.take().unwrap_or_else(|| {
-                if want_heap {
-                    BackendQueue::Heap(HeapQueue::default())
-                } else {
-                    BackendQueue::Calendar(CalendarQueue::new(config))
-                }
-            });
-            self.spare = Some(std::mem::replace(&mut self.active, incoming));
-        }
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.clear(),
-            BackendQueue::Calendar(q) => {
-                if q.config() == config {
-                    q.clear();
-                } else {
-                    self.active = BackendQueue::Calendar(CalendarQueue::new(config));
-                }
-            }
-        }
-    }
-
-    #[cfg(test)]
-    fn is_heap(&self) -> bool {
-        matches!(self.active, BackendQueue::Heap(_))
-    }
-}
-
-impl Default for QueueImpl {
-    fn default() -> Self {
-        QueueImpl {
-            active: BackendQueue::Heap(HeapQueue::default()),
-            spare: None,
-        }
-    }
-}
-
-impl EventQueue for QueueImpl {
-    fn clear(&mut self) {
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.clear(),
-            BackendQueue::Calendar(q) => q.clear(),
-        }
-    }
-
-    fn push(&mut self, key: EventKey) {
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.push(key),
-            BackendQueue::Calendar(q) => q.push(key),
-        }
-    }
-
-    fn peek(&mut self) -> Option<EventKey> {
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.peek(),
-            BackendQueue::Calendar(q) => q.peek(),
-        }
-    }
-
-    fn pop(&mut self) -> Option<EventKey> {
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.pop(),
-            BackendQueue::Calendar(q) => q.pop(),
-        }
-    }
-
-    fn pop_at_or_before(&mut self, time: f64) -> Option<EventKey> {
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.pop_at_or_before(time),
-            BackendQueue::Calendar(q) => q.pop_at_or_before(time),
-        }
-    }
-
-    fn discard(&mut self, time: f64, seq: u64) {
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.discard(time, seq),
-            BackendQueue::Calendar(q) => q.discard(time, seq),
+            self.heap.pop();
+            self.stale -= 1;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn key(time: f64, seq: u64) -> EventKey {
         EventKey {
             time,
             seq,
-            id: EventId::TOMBSTONE,
+            id: EventId::for_test(seq),
         }
     }
 
-    fn drain_all(q: &mut impl EventQueue) -> Vec<(f64, u64)> {
-        let mut out = Vec::new();
-        while let Some(k) = q.pop() {
-            out.push((k.time, k.seq));
-        }
-        out
+    /// A `take` for `pop_at_or_before`: the key's `(time, seq)` when
+    /// `live` accepts its handle.
+    fn taker(live: impl Fn(EventId) -> bool) -> impl FnMut(&EventKey) -> Option<(f64, u64)> {
+        move |k| live(k.id).then_some((k.time, k.seq))
     }
 
-    fn both() -> (HeapQueue, CalendarQueue) {
-        (
-            HeapQueue::default(),
-            CalendarQueue::new(CalendarConfig {
-                width: 1.0,
-                buckets: 8,
-            }),
-        )
+    /// Drains `q` (every key live) into `(time, seq)` pairs.
+    fn drain_all(q: &mut EventQueue) -> Vec<(f64, u64)> {
+        std::iter::from_fn(|| q.pop_at_or_before(f64::INFINITY, taker(|_| true))).collect()
     }
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        let (mut h, mut c) = both();
-        let keys = [
+        let mut q = EventQueue::default();
+        for k in [
             key(5.0, 0),
             key(1.0, 1),
             key(5.0, 2),
             key(0.0, 3),
-            key(100.0, 4), // overflow (beyond the 8-bucket wheel)
+            key(100.0, 4),
             key(3.5, 5),
             key(3.5, 6),
-        ];
-        for k in keys {
-            h.push(k);
-            c.push(k);
+        ] {
+            q.push(k);
         }
-        let expect = vec![
-            (0.0, 3),
-            (1.0, 1),
-            (3.5, 5),
-            (3.5, 6),
-            (5.0, 0),
-            (5.0, 2),
-            (100.0, 4),
-        ];
-        assert_eq!(drain_all(&mut h), expect);
-        assert_eq!(drain_all(&mut c), expect);
+        assert_eq!(
+            drain_all(&mut q),
+            vec![
+                (0.0, 3),
+                (1.0, 1),
+                (3.5, 5),
+                (3.5, 6),
+                (5.0, 0),
+                (5.0, 2),
+                (100.0, 4),
+            ]
+        );
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        let (mut h, mut c) = both();
+        let mut q = EventQueue::default();
         for k in [key(2.0, 0), key(4.0, 1), key(50.0, 2)] {
-            h.push(k);
-            c.push(k);
+            q.push(k);
         }
-        assert_eq!(h.pop().unwrap().seq, 0);
-        assert_eq!(c.pop().unwrap().seq, 0);
+        assert_eq!(q.pop_at_or_before(2.0, taker(|_| true)), Some((2.0, 0)));
+        assert!(q.pop_at_or_before(2.0, taker(|_| true)).is_none());
         // same-time-as-last-popped push (direct gate fanout does this)
         for k in [key(2.0, 3), key(3.0, 4)] {
-            h.push(k);
-            c.push(k);
-        }
-        let expect = vec![(2.0, 3), (3.0, 4), (4.0, 1), (50.0, 2)];
-        assert_eq!(drain_all(&mut h), expect);
-        assert_eq!(drain_all(&mut c), expect);
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let (mut h, mut c) = both();
-        for q in [&mut h as &mut dyn EventQueue, &mut c] {
-            q.push(key(7.0, 0));
-            q.push(key(3.0, 1));
-            assert_eq!(q.peek().unwrap().time, 3.0);
-            assert_eq!(q.peek().unwrap().time, 3.0);
-            assert_eq!(q.pop().unwrap().time, 3.0);
-            assert_eq!(q.peek().unwrap().time, 7.0);
-        }
-    }
-
-    #[test]
-    fn calendar_discard_removes_everywhere() {
-        let mut c = CalendarQueue::new(CalendarConfig {
-            width: 1.0,
-            buckets: 8,
-        });
-        c.push(key(0.5, 0)); // drain region
-        c.push(key(3.0, 1)); // wheel
-        c.push(key(200.0, 2)); // overflow
-        c.push(key(4.0, 3));
-        // materialize the drain so the 0.5 key sits in the sorted buffer
-        assert_eq!(c.peek().unwrap().seq, 0);
-        c.discard(0.5, 0);
-        c.discard(3.0, 1);
-        c.discard(200.0, 2);
-        assert_eq!(drain_all(&mut c), vec![(4.0, 3)]);
-    }
-
-    #[test]
-    fn calendar_clear_resets_time_base() {
-        let mut c = CalendarQueue::new(CalendarConfig {
-            width: 1.0,
-            buckets: 8,
-        });
-        c.push(key(1000.0, 0));
-        assert_eq!(c.pop().unwrap().seq, 0);
-        c.clear();
-        // events at small times must be reachable again after clear
-        c.push(key(0.25, 1));
-        assert_eq!(c.pop().unwrap().seq, 1);
-        assert!(c.pop().is_none());
-    }
-
-    #[test]
-    fn overflow_rebase_handles_sparse_far_future() {
-        let mut c = CalendarQueue::new(CalendarConfig {
-            width: 1.0,
-            buckets: 8,
-        });
-        // all far beyond the wheel, in reverse order
-        for (i, t) in [1e6, 5e5, 2e6, 5e5 + 0.25].iter().enumerate() {
-            c.push(key(*t, i as u64));
+            q.push(k);
         }
         assert_eq!(
-            drain_all(&mut c),
-            vec![(5e5, 1), (5e5 + 0.25, 3), (1e6, 0), (2e6, 2)]
+            drain_all(&mut q),
+            vec![(2.0, 3), (3.0, 4), (4.0, 1), (50.0, 2)]
         );
     }
 
     #[test]
-    fn late_wheel_events_cannot_overtake_overflow() {
-        // Regression: the overflow boundary is relative to `cur` at push
-        // time. An event pushed early lands in overflow (bucket 100 ≥
-        // 0 + 8); after the wheel advances, a *later-timed* event can
-        // land in the wheel (bucket 110 within 50 + 8·…), and a naive
-        // advance would deliver it first. The wheel must stop at the
-        // overflow minimum and migrate.
-        let mut c = CalendarQueue::new(CalendarConfig {
-            width: 1.0,
-            buckets: 64,
-        });
-        c.push(key(100.5, 0)); // overflow relative to cur = 0 (100 ≥ 64)
-        c.push(key(50.5, 1)); // wheel
-        assert_eq!(c.pop().unwrap().seq, 1); // cur advances to bucket 50
-                                             // bucket 110 is now inside the wheel window (110 − 50 < 64)
-                                             // while the earlier event at 100.5 still sits in overflow
-        c.push(key(110.0, 40));
-        assert_eq!(
-            c.pop().unwrap().seq,
-            0,
-            "overflow event at 100.5 must precede the wheel event at 110"
-        );
-        assert_eq!(c.pop().unwrap().seq, 40);
-        assert!(c.pop().is_none());
+    fn peek_does_not_consume_live_keys() {
+        let mut q = EventQueue::default();
+        q.push(key(7.0, 0));
+        q.push(key(3.0, 1));
+        assert_eq!(q.peek(|_| true).unwrap().time, 3.0);
+        assert_eq!(q.peek(|_| true).unwrap().time, 3.0);
+        assert_eq!(q.pop_at_or_before(3.0, taker(|_| true)), Some((3.0, 1)));
+        assert_eq!(q.peek(|_| true).unwrap().time, 7.0);
     }
 
     #[test]
-    fn config_from_hints() {
-        let cfg = CalendarConfig::from_delay_hints([1.0, 2.0, 4.0]);
-        assert_eq!(cfg.width, 1.0); // the smallest hint
-        assert_eq!(cfg.buckets, 64); // span 4·4/1 = 16, clamped up to 64
-                                     // degenerate hints fall back to the default geometry
-        assert_eq!(
-            CalendarConfig::from_delay_hints([f64::NAN, -1.0, 0.0]),
-            CalendarConfig::default()
-        );
-        assert_eq!(
-            CalendarConfig::from_delay_hints(std::iter::empty()),
-            CalendarConfig::default()
-        );
-        // extreme spans clamp to the bucket bounds
-        let wide = CalendarConfig::from_delay_hints([1e-9, 1e-9, 1e9]);
-        assert_eq!(wide.buckets, 16384);
+    fn stale_keys_are_skipped_and_uncounted() {
+        let mut q = EventQueue::default();
+        for s in 0..4 {
+            q.push(key(f64::from(s as u8), s));
+        }
+        let cancelled: HashSet<u64> = [0, 2].into();
+        let live = |id: EventId| !cancelled.contains(&id.test_slot());
+        assert!(!q.cancel(live));
+        assert!(!q.cancel(live));
+        assert_eq!((q.len(), q.live()), (4, 2));
+        assert_eq!(q.peek(live).unwrap().seq, 1);
+        assert_eq!((q.len(), q.live()), (3, 2), "peek dropped the stale top");
+        assert_eq!(q.pop_at_or_before(9.0, taker(live)), Some((1.0, 1)));
+        assert_eq!(q.pop_at_or_before(9.0, taker(live)), Some((3.0, 3)));
+        assert!(q.pop_at_or_before(9.0, taker(live)).is_none());
+        assert_eq!(q.len(), 0);
     }
 
+    /// Every cancel keeps the heap within twice the live events plus
+    /// one, even when everything pushed is cancelled.
     #[test]
-    fn backend_from_env_contract() {
-        // from_env is read in Simulator::new; exercising the parse here
-        // keeps the contract pinned without racing other tests on the
-        // process environment.
-        assert_eq!(QueueBackend::default(), QueueBackend::Auto);
+    fn heap_stays_within_twice_live_plus_one() {
+        let mut q = EventQueue::default();
+        let mut cancelled = HashSet::new();
+        let mut compactions = 0;
+        for s in 0..2000u64 {
+            q.push(key(1000.0 - (s % 700) as f64, s));
+            // cancel four of every five events, oldest live first
+            if s % 5 != 0 {
+                let victim = (0..=s).find(|v| !cancelled.contains(v)).unwrap();
+                cancelled.insert(victim);
+                if q.cancel(|id| !cancelled.contains(&id.test_slot())) {
+                    compactions += 1;
+                    assert_eq!(q.len(), q.live());
+                }
+                assert!(
+                    q.len() <= 2 * q.live() + 1,
+                    "{} keys, {} live",
+                    q.len(),
+                    q.live()
+                );
+            }
+        }
+        assert!(compactions >= 10, "only {compactions} compactions");
     }
 
-    #[test]
-    fn queue_impl_ensure_switches_backends() {
-        let mut q = QueueImpl::default();
-        assert!(q.is_heap());
-        q.ensure(QueueBackend::Calendar, CalendarConfig::default());
-        assert!(!q.is_heap());
-        q.push(key(1.0, 0));
-        q.ensure(QueueBackend::Calendar, CalendarConfig::default());
-        assert!(q.pop().is_none(), "ensure clears the queue");
-        q.ensure(QueueBackend::Heap, CalendarConfig::default());
-        assert!(q.is_heap());
-        // the retired calendar is kept as the spare: switching back must
-        // reuse it (and still come up empty)
-        q.push(key(2.0, 1));
-        q.ensure(QueueBackend::Calendar, CalendarConfig::default());
-        assert!(!q.is_heap());
-        assert!(q.pop().is_none(), "spare comes back cleared");
+    #[derive(Debug, Clone)]
+    enum Op {
+        Push(f64),
+        /// Cancels the live event at this index (mod the live count).
+        Cancel(usize),
+        Pop,
+        PopAtOrBefore(f64),
+    }
+
+    /// Pushes and cancels three times as often as either pop, with
+    /// times on a coarse grid so equal-time (seq tie-break) pops are
+    /// common: stale keys pile up and compaction triggers repeatedly.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..8, 0u32..1000).prop_map(|(kind, x)| {
+            let t = f64::from(x % 40) * 0.5;
+            match kind {
+                0..=2 => Op::Push(t),
+                3..=5 => Op::Cancel(x as usize),
+                6 => Op::Pop,
+                _ => Op::PopAtOrBefore(t),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random push / cancel / pop / `pop_at_or_before` sequences
+        /// against a sorted-`Vec` oracle of the live events.
+        #[test]
+        fn matches_sorted_vec_oracle(ops in proptest::collection::vec(op(), 1..400)) {
+            let mut q = EventQueue::default();
+            // live events, sorted descending by (time, seq): min at the back
+            let mut oracle: Vec<(f64, u64)> = Vec::new();
+            let mut cancelled = HashSet::new();
+            let mut seq = 0u64;
+            let mut compactions = 0;
+            for op in ops {
+                let live = |id: EventId| !cancelled.contains(&id.test_slot());
+                match op {
+                    Op::Push(t) => {
+                        q.push(key(t, seq));
+                        oracle.push((t, seq));
+                        oracle.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
+                        seq += 1;
+                    }
+                    Op::Cancel(i) => {
+                        if oracle.is_empty() {
+                            continue;
+                        }
+                        let (_, s) = oracle.remove(i % oracle.len());
+                        cancelled.insert(s);
+                        if q.cancel(|id| !cancelled.contains(&id.test_slot())) {
+                            compactions += 1;
+                            prop_assert_eq!(q.len(), oracle.len());
+                        }
+                        prop_assert!(q.len() <= 2 * q.live() + 1);
+                    }
+                    Op::Pop => {
+                        let got = q.pop_at_or_before(f64::INFINITY, taker(live));
+                        prop_assert_eq!(got, oracle.pop());
+                    }
+                    Op::PopAtOrBefore(t) => {
+                        let got = q.pop_at_or_before(t, taker(live));
+                        let want = match oracle.last() {
+                            Some(&(time, _)) if time <= t => oracle.pop(),
+                            _ => None,
+                        };
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                prop_assert_eq!(q.live(), oracle.len());
+                let top = q.peek(|id| !cancelled.contains(&id.test_slot()));
+                prop_assert_eq!(top.map(|k| (k.time, k.seq)), oracle.last().copied());
+            }
+            // long sequences must cross the compaction threshold often
+            prop_assert!(seq < 100 || compactions >= 10, "{} compactions", compactions);
+        }
     }
 }

@@ -70,7 +70,6 @@ use ivl_core::{PulseStats, Signal, Transition};
 
 use crate::error::SimError;
 use crate::graph::Circuit;
-use crate::queue::QueueBackend;
 use crate::sim::{split_mix64, SimResult, Simulator};
 
 /// One entry of a sweep: a label, input assignments, and an optional
@@ -462,16 +461,13 @@ impl WorkerShared {
 struct WorkerCtx {
     template: Circuit,
     max_events: usize,
-    backend: QueueBackend,
     watch: Option<Arc<Vec<String>>>,
     shared: Arc<WorkerShared>,
 }
 
 impl WorkerCtx {
     fn make_sim(&self) -> Simulator {
-        let mut sim = Simulator::new(self.template.clone())
-            .with_max_events(self.max_events)
-            .with_queue_backend(self.backend);
+        let mut sim = Simulator::new(self.template.clone()).with_max_events(self.max_events);
         if let Some(watch) = &self.watch {
             sim.set_watch(watch.iter())
                 .expect("watch names were validated against the template circuit");
@@ -740,14 +736,11 @@ struct WorkerPool {
 impl WorkerPool {
     /// Spawns `workers` threads, each owning a lean clone of `circuit`
     /// (topology `Arc`-shared, channel state copied) with fully
-    /// reusable simulator state. Under [`QueueBackend::Auto`] each
-    /// worker's simulator measures its own first chunk of work and
-    /// commits to the faster queue backend independently.
+    /// reusable simulator state.
     fn spawn(
         circuit: &Circuit,
         workers: usize,
         max_events: usize,
-        backend: QueueBackend,
         watch: Option<&Arc<Vec<String>>>,
     ) -> Self {
         let mut senders = Vec::with_capacity(workers);
@@ -761,7 +754,6 @@ impl WorkerPool {
             let ctx = WorkerCtx {
                 template: circuit.clone(),
                 max_events,
-                backend,
                 watch: watch.map(Arc::clone),
                 shared: Arc::clone(&shared),
             };
@@ -909,7 +901,6 @@ pub struct ScenarioRunner {
     horizon: f64,
     max_events: usize,
     workers: usize,
-    backend: QueueBackend,
     policy: FailurePolicy,
     timeout: Option<Duration>,
     fault: Option<FaultPlan>,
@@ -928,7 +919,6 @@ impl ScenarioRunner {
             horizon,
             max_events: 10_000_000,
             workers,
-            backend: QueueBackend::from_env(),
             policy: FailurePolicy::default(),
             timeout: None,
             fault: None,
@@ -958,19 +948,6 @@ impl ScenarioRunner {
     #[must_use]
     pub fn with_max_events(mut self, max_events: usize) -> Self {
         self.max_events = max_events;
-        *self
-            .pool
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-        self
-    }
-
-    /// Selects the workers' pending-event queue backend (see
-    /// [`Simulator::with_queue_backend`]). Discards any already-spawned
-    /// pool (joining, not leaking, its threads).
-    #[must_use]
-    pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.backend = backend;
         *self
             .pool
             .get_mut()
@@ -1108,7 +1085,6 @@ impl ScenarioRunner {
                     &self.circuit,
                     self.workers,
                     self.max_events,
-                    self.backend,
                     self.watch.as_ref(),
                 )
             });
@@ -1226,7 +1202,6 @@ impl fmt::Debug for ScenarioRunner {
             .field("horizon", &self.horizon)
             .field("max_events", &self.max_events)
             .field("workers", &self.workers)
-            .field("backend", &self.backend)
             .field("policy", &self.policy)
             .field("timeout", &self.timeout)
             .field("pool_spawned", &pool_spawned)

@@ -25,13 +25,11 @@
 //! counted as [dropped](SimResult::dropped_transitions) instead of
 //! growing an unbounded `Vec`.
 //!
-//! Pending events are ordered by a pluggable [`QueueBackend`]: a
-//! bucketed calendar queue (sized from the channels' delay hints), the
-//! reference binary heap, or the default [`QueueBackend::Auto`] which
-//! measures both on the first runs of a workload and commits to the
-//! faster one. Both concrete backends deliver bit-identical
-//! `(time, seq)` order — so the Auto choice never changes results —
-//! see the [`queue`](crate::queue) module docs.
+//! Pending events are ordered by one queue: a binary heap with lazy
+//! cancellation that counts its stale keys and compacts once they
+//! outnumber the live ones (see the [`queue`](crate::queue) module
+//! docs). Its pop order is the total `(time, seq)` order, so runs are
+//! deterministic.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -43,7 +41,7 @@ use ivl_core::{Bit, Signal, SignalBuilder, Transition};
 
 use crate::error::SimError;
 use crate::graph::{Circuit, EdgeId, NodeId, NodeTag};
-use crate::queue::{CalendarConfig, EventKey, EventQueue, QueueBackend, QueueImpl};
+use crate::queue::{EventKey, EventQueue};
 
 /// Generation-stamped handle to a slot in the [`EventPool`].
 ///
@@ -57,13 +55,20 @@ pub(crate) struct EventId {
     gen: u32,
 }
 
+#[cfg(test)]
 impl EventId {
-    /// A handle that resolves to no slot; used where an [`EventKey`]
-    /// needs a placeholder id (ordering never inspects the id).
-    pub(crate) const TOMBSTONE: EventId = EventId {
-        slot: u32::MAX,
-        gen: u32::MAX,
-    };
+    /// A generation-0 handle whose slot is `n` (truncated to 32 bits).
+    pub(crate) fn for_test(n: u64) -> Self {
+        EventId {
+            slot: n as u32,
+            gen: 0,
+        }
+    }
+
+    /// The slot number of the handle.
+    pub(crate) fn test_slot(self) -> u64 {
+        u64::from(self.slot)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -73,9 +78,6 @@ struct Slot {
     time: f64,
     value: Bit,
     edge: u32,
-    /// The schedule sequence number of the resident event — lets a
-    /// cancellation identify the exact queue key to discard eagerly.
-    seq: u64,
 }
 
 /// Slab event pool with a free list. Slots are recycled, so a run's
@@ -93,14 +95,13 @@ impl EventPool {
         self.free.clear();
     }
 
-    fn alloc(&mut self, time: f64, edge: usize, value: Bit, seq: u64) -> EventId {
+    fn alloc(&mut self, time: f64, edge: usize, value: Bit) -> EventId {
         if let Some(slot) = self.free.pop() {
             let s = &mut self.slots[slot as usize];
             s.live = true;
             s.time = time;
             s.value = value;
             s.edge = edge as u32;
-            s.seq = seq;
             EventId { slot, gen: s.gen }
         } else {
             let slot = u32::try_from(self.slots.len()).expect("event pool exceeds u32 slots");
@@ -110,7 +111,6 @@ impl EventPool {
                 time,
                 value,
                 edge: edge as u32,
-                seq,
             });
             EventId { slot, gen: 0 }
         }
@@ -124,10 +124,22 @@ impl EventPool {
             .filter(|s| s.live && s.gen == id.gen)
     }
 
+    /// Whether `id` still names a pending event.
+    fn is_live(&self, id: EventId) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Number of pending events.
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
     /// Releases the slot for `id` and returns its payload in one slot
-    /// access, or `None` (no mutation) if the id is stale. The single
-    /// random access matters: on large workloads a pool lookup is a
-    /// cache miss, and `get` + `release` would pay it twice per event.
+    /// access, or `None` (no mutation) if the id is stale. The
+    /// generation bump makes every outstanding handle to this event
+    /// stale. The single random access matters: on large workloads a
+    /// pool lookup is a cache miss, and a check plus a release would
+    /// pay it twice per event.
     fn take(&mut self, id: EventId) -> Option<(f64, Bit, usize)> {
         let s = self.slots.get_mut(id.slot as usize)?;
         if !(s.live && s.gen == id.gen) {
@@ -137,16 +149,6 @@ impl EventPool {
         s.gen = s.gen.wrapping_add(1);
         self.free.push(id.slot);
         Some((s.time, s.value, s.edge as usize))
-    }
-
-    /// Returns the slot to the free list and bumps its generation, so
-    /// every outstanding handle to this event becomes stale.
-    fn release(&mut self, id: EventId) {
-        let s = &mut self.slots[id.slot as usize];
-        debug_assert!(s.live && s.gen == id.gen, "double release of {id:?}");
-        s.live = false;
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(id.slot);
     }
 
     /// Number of slots ever allocated (the pool's high-water mark).
@@ -190,7 +192,7 @@ struct SimState {
     edge_rec: Vec<SignalBuilder>,
     dropped: usize,
     pool: EventPool,
-    queue: QueueImpl,
+    queue: EventQueue,
     edge_pending: Vec<VecDeque<EventId>>,
     dirty: Vec<usize>,
     dirty_scratch: Vec<usize>,
@@ -199,14 +201,7 @@ struct SimState {
 
 impl SimState {
     #[allow(clippy::cast_possible_truncation)]
-    fn prepare(
-        &mut self,
-        circuit: &Circuit,
-        inputs: &[Signal],
-        backend: QueueBackend,
-        calendar: CalendarConfig,
-        watch: Option<&[NodeId]>,
-    ) {
+    fn prepare(&mut self, circuit: &Circuit, inputs: &[Signal], watch: Option<&[NodeId]>) {
         let topo = &*circuit.topo;
         let n_nodes = topo.node_count();
         let n_edges = topo.edge_count();
@@ -276,7 +271,7 @@ impl SimState {
         self.dropped = 0;
 
         self.pool.clear();
-        self.queue.ensure(backend, calendar);
+        self.queue.clear();
         self.edge_pending.resize_with(n_edges, VecDeque::new);
         for q in &mut self.edge_pending {
             q.clear();
@@ -299,10 +294,11 @@ impl SimState {
 /// `run` so the borrow checker sees disjoint state.
 struct Queue<'a> {
     pool: &'a mut EventPool,
-    queue: &'a mut QueueImpl,
+    queue: &'a mut EventQueue,
     edge_pending: &'a mut [VecDeque<EventId>],
     seq: u64,
     scheduled: usize,
+    cancelled: usize,
     max_events: usize,
 }
 
@@ -318,7 +314,7 @@ impl Queue<'_> {
                 time: tr.time,
             });
         }
-        let id = self.pool.alloc(tr.time, edge, tr.value, self.seq);
+        let id = self.pool.alloc(tr.time, edge, tr.value);
         self.queue.push(EventKey {
             time: tr.time,
             seq: self.seq,
@@ -367,11 +363,13 @@ impl Queue<'_> {
                         cancelled: cancelled.time,
                     });
                 }
-                let (time, seq) = (slot.time, slot.seq);
-                self.pool.release(id);
-                // eager removal from the queue (the calendar backend
-                // does; the heap falls back to lazy stale filtering)
-                self.queue.discard(time, seq);
+                self.pool.take(id);
+                self.cancelled += 1;
+                // the queue key stays behind as a stale key
+                let pool = &*self.pool;
+                if self.queue.cancel(|id| pool.is_live(id)) {
+                    debug_assert_eq!(self.queue.len(), pool.live());
+                }
                 Ok(())
             }
             FeedEffect::Dropped => Ok(()),
@@ -422,183 +420,21 @@ pub struct Simulator {
     circuit: Circuit,
     inputs: Vec<Signal>,
     max_events: usize,
-    backend: QueueBackend,
-    calendar: CalendarConfig,
-    probe: AutoProbe,
     state: SimState,
     cancel: Option<Arc<AtomicBool>>,
     watch: Option<Watch>,
     transition_cap: Option<usize>,
 }
 
-/// Calendar geometry for a circuit: bucket width from the channels'
-/// delay hints (the involution channels' bounded delay ranges put
-/// typical event horizons a small number of buckets ahead).
-fn calendar_config_for(circuit: &Circuit) -> CalendarConfig {
-    CalendarConfig::from_delay_hints(
-        circuit
-            .channels
-            .iter()
-            .flatten()
-            .filter_map(|ch| ch.delay_hint()),
-    )
-}
-
-/// Accumulated timing evidence for one backend: total timed seconds
-/// and total scheduled events across every timed probe run so far.
-#[derive(Debug, Clone, Copy, Default)]
-struct ProbeAccum {
-    secs: f64,
-    scheduled: usize,
-}
-
-impl ProbeAccum {
-    fn measured(&self) -> bool {
-        self.scheduled >= AutoProbe::MIN_EVENTS
-    }
-
-    fn per_event(&self) -> f64 {
-        self.secs / self.scheduled as f64
-    }
-}
-
-/// Measure-and-switch state for [`QueueBackend::Auto`].
-///
-/// While unresolved, each run is a probe: the reference heap first,
-/// then the calendar wheel, each timed and normalized per *scheduled*
-/// event. Evidence is *accumulated* across runs — a workload of many
-/// tiny runs (each too noisy to time alone) still resolves once a
-/// backend has [`Self::MIN_EVENTS`] scheduled events on the books,
-/// instead of probing forever. Resolution rules:
-///
-/// - the simulator's very first run is never *timed*: it pays one-off
-///   costs (per-node state, pool growth, recorder setup) that would be
-///   billed to whichever backend probes first and flip close races.
-///   Its event counts still feed the cancel-rate shortcut below —
-///   counts are exact regardless of warmth;
-/// - while the heap is still unmeasured, the heap is also the backend
-///   used — the unresolved default is the reference implementation, so
-///   `Auto` cannot lose to the heap on workloads the probe never gets
-///   enough evidence about (this is where the old wheel-first probe
-///   shipped a persistent regression on short wide-fanout runs: tiny
-///   runs never resolved, and the unresolved default was the wheel);
-/// - a cancel rate above [`Self::CANCEL_COMMIT_RATE`] commits the
-///   wheel immediately, from the run counts of *any* backend
-///   (cancellation is a property of the workload, not the queue): the
-///   wheel's eager `discard` beats the heap's lazy stale filtering by
-///   construction on cancel-heavy workloads;
-/// - otherwise, once both backends are measured, the heap wins unless
-///   the wheel beat it *clearly*: the wheel is committed only when
-///   `wheel ≤ heap × WHEEL_MARGIN` with a margin below 1. The heap is
-///   the reference backend and the `Auto` contract is "never lose to
-///   the heap", so ties and timing noise must fall back to the heap —
-///   the wheel's one structural win (cancel-heavy churn) is already
-///   caught by the cancel-rate shortcut above.
-///
-/// Both backends are bit-identical, so however the timing races
-/// resolve, the simulation results are unaffected.
-#[derive(Debug, Clone, Copy, Default)]
-struct AutoProbe {
-    heap: ProbeAccum,
-    wheel: ProbeAccum,
-    /// Scheduled/processed event totals across every probe run
-    /// (including the untimed cold run) — the cancel-rate evidence.
-    sched_total: usize,
-    proc_total: usize,
-    /// Whether the cold first run has already been absorbed.
-    warmed: bool,
-    resolved: Option<QueueBackend>,
-}
-
-impl AutoProbe {
-    /// A backend is considered measured once its probe runs have
-    /// accumulated this many scheduled events: a sub-64-event sample is
-    /// dominated by timer granularity, and mispredicting on one is how
-    /// the wheel used to get committed on topologies where it loses.
-    const MIN_EVENTS: usize = 64;
-    /// Cancel-rate threshold above which the wheel is committed
-    /// outright, without a timed comparison.
-    const CANCEL_COMMIT_RATE: f64 = 0.25;
-    /// The wheel wins a timed comparison only when
-    /// `wheel ≤ heap × WHEEL_MARGIN` (per scheduled event): it must be
-    /// measurably *faster*, not merely tied, to displace the reference
-    /// heap.
-    const WHEEL_MARGIN: f64 = 0.95;
-
-    /// The concrete backend the next run should use: the committed
-    /// winner, or the next probe target (heap until measured, then the
-    /// wheel).
-    fn backend(&self) -> QueueBackend {
-        self.resolved.unwrap_or(if self.heap.measured() {
-            QueueBackend::Calendar
-        } else {
-            QueueBackend::Heap
-        })
-    }
-
-    fn record(
-        &mut self,
-        backend: QueueBackend,
-        elapsed: std::time::Duration,
-        scheduled: usize,
-        processed: usize,
-    ) {
-        if self.resolved.is_some() || scheduled == 0 {
-            return;
-        }
-        self.sched_total += scheduled;
-        self.proc_total += processed;
-        if self.sched_total >= Self::MIN_EVENTS {
-            // processed counts deliveries; the rest of the schedule
-            // budget is cancellations (plus any beyond-horizon
-            // leftovers — close enough for a heuristic)
-            let cancel_rate = 1.0 - self.proc_total as f64 / self.sched_total as f64;
-            if cancel_rate > Self::CANCEL_COMMIT_RATE {
-                self.resolved = Some(QueueBackend::Calendar);
-                return;
-            }
-        }
-        if !self.warmed {
-            // cold first run: counts recorded above, timing discarded
-            self.warmed = true;
-            return;
-        }
-        let acc = match backend {
-            QueueBackend::Heap => &mut self.heap,
-            QueueBackend::Calendar => &mut self.wheel,
-            QueueBackend::Auto => unreachable!("probe runs use a concrete backend"),
-        };
-        acc.secs += elapsed.as_secs_f64();
-        acc.scheduled += scheduled;
-        if self.heap.measured() && self.wheel.measured() {
-            self.resolved = Some(
-                if self.wheel.per_event() <= self.heap.per_event() * Self::WHEEL_MARGIN {
-                    QueueBackend::Calendar
-                } else {
-                    QueueBackend::Heap
-                },
-            );
-        }
-    }
-}
-
 impl Simulator {
     /// Creates a simulator; all inputs default to the zero signal.
-    ///
-    /// The pending-event queue backend defaults to
-    /// [`QueueBackend::from_env`]: [`QueueBackend::Auto`] unless
-    /// `IVL_QUEUE` / `IVL_FORCE_HEAP` pin a concrete backend.
     #[must_use]
     pub fn new(circuit: Circuit) -> Self {
         let inputs = vec![Signal::zero(); circuit.node_count()];
-        let calendar = calendar_config_for(&circuit);
         Simulator {
             circuit,
             inputs,
             max_events: 10_000_000,
-            backend: QueueBackend::from_env(),
-            calendar,
-            probe: AutoProbe::default(),
             state: SimState::default(),
             cancel: None,
             watch: None,
@@ -606,40 +442,7 @@ impl Simulator {
         }
     }
 
-    /// Selects the pending-event queue backend (overriding the
-    /// environment default). All backends produce bitwise identical
-    /// runs; [`QueueBackend::Auto`] times the first runs and commits to
-    /// the faster concrete backend for the rest of the workload.
-    #[must_use]
-    pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.backend = backend;
-        self.probe = AutoProbe::default();
-        self
-    }
-
-    /// The configured pending-event queue backend (possibly
-    /// [`QueueBackend::Auto`]; see
-    /// [`effective_backend`](Simulator::effective_backend) for what a
-    /// run actually uses).
-    #[must_use]
-    pub fn queue_backend(&self) -> QueueBackend {
-        self.backend
-    }
-
-    /// The concrete backend the next [`run`](Simulator::run) will use:
-    /// the configured backend, or — under [`QueueBackend::Auto`] — the
-    /// measured winner once the probe has resolved (before that, the
-    /// probe's next measurement target).
-    #[must_use]
-    pub fn effective_backend(&self) -> QueueBackend {
-        match self.backend {
-            QueueBackend::Auto => self.probe.backend(),
-            b => b,
-        }
-    }
-
-    /// Replaces the channel on `edge` (which must be a channel edge),
-    /// re-deriving the calendar-queue geometry from the new channel set.
+    /// Replaces the channel on `edge` (which must be a channel edge).
     /// The circuit topology is untouched, so recorded state and node
     /// ids stay valid.
     ///
@@ -648,7 +451,6 @@ impl Simulator {
     /// Panics if `edge` is out of range or is a direct connection.
     pub fn replace_channel(&mut self, edge: EdgeId, channel: Box<dyn SimChannel>) {
         self.circuit.replace_channel(edge, channel);
-        self.calendar = calendar_config_for(&self.circuit);
     }
 
     /// Caps the number of *scheduled* events per run (guards against
@@ -838,11 +640,6 @@ impl Simulator {
     /// out before the horizon.
     #[allow(clippy::too_many_lines)]
     pub fn run(&mut self, horizon: f64) -> Result<SimResult, SimError> {
-        // resolve Auto to a concrete backend; time the run only while
-        // the probe is still measuring (zero cost otherwise)
-        let backend = self.effective_backend();
-        let probing = self.backend == QueueBackend::Auto && self.probe.resolved.is_none();
-        let probe_start = probing.then(std::time::Instant::now);
         let cancel = self.cancel.clone();
         let cap = self.transition_cap.unwrap_or(usize::MAX);
 
@@ -852,8 +649,6 @@ impl Simulator {
         state.prepare(
             circuit,
             inputs,
-            backend,
-            self.calendar,
             self.watch.as_ref().map(|w| w.nodes.as_slice()),
         );
 
@@ -885,6 +680,7 @@ impl Simulator {
             edge_pending: edge_pending.as_mut_slice(),
             seq: 0,
             scheduled: 0,
+            cancelled: 0,
             max_events: self.max_events,
         };
 
@@ -953,13 +749,10 @@ impl Simulator {
             // deliver every still-live event at batch_time: the whole
             // same-timestamp batch lands in the dirty set before any
             // gate is re-evaluated
-            while let Some(key) = queue.queue.pop_at_or_before(batch_time) {
-                // stale key ⇒ the event was cancelled after this key was
-                // pushed; the generation mismatch filters it out (one
-                // pool access releases the slot and yields the payload)
-                let Some((time, value, edge_idx)) = queue.pool.take(key.id) else {
-                    continue;
-                };
+            while let Some((key, (time, value, edge_idx))) = queue
+                .queue
+                .pop_at_or_before(batch_time, |key| Some((*key, queue.pool.take(key.id)?)))
+            {
                 if queue.edge_pending[edge_idx].front() == Some(&key.id) {
                     queue.edge_pending[edge_idx].pop_front();
                 }
@@ -1045,18 +838,8 @@ impl Simulator {
             dirty_scratch.clear();
 
             // next batch: earliest remaining live event
-            let next = loop {
-                match queue.queue.peek() {
-                    None => break None,
-                    Some(key) => {
-                        if queue.pool.get(key.id).is_some() {
-                            break Some(key.time);
-                        }
-                        queue.queue.pop();
-                    }
-                }
-            };
-            match next {
+            let next = queue.queue.peek(|id| queue.pool.is_live(id));
+            match next.map(|key| key.time) {
                 Some(t) if t <= horizon => {
                     if t > batch_time {
                         batch_time = t;
@@ -1069,10 +852,13 @@ impl Simulator {
         }
 
         let scheduled_events = queue.scheduled;
-        if let Some(start) = probe_start {
-            self.probe
-                .record(backend, start.elapsed(), scheduled_events, processed);
-        }
+        // every scheduled event was delivered, cancelled, or is still
+        // pending beyond the horizon
+        debug_assert_eq!(
+            scheduled_events,
+            processed + queue.cancelled + queue.queue.live()
+        );
+        debug_assert_eq!(queue.queue.live(), queue.pool.live());
         let node_signals: Vec<Signal> = node_rec.iter().map(SignalBuilder::snapshot).collect();
         let edge_signals: Vec<Signal> = edge_rec.iter().map(SignalBuilder::snapshot).collect();
         Ok(SimResult {
@@ -1092,18 +878,13 @@ impl Simulator {
 impl Clone for Simulator {
     /// Clones the circuit — `Arc`-sharing the topology and deep-copying
     /// only the per-edge channel state — and the inputs; the clone
-    /// starts with fresh, empty per-run state and (under
-    /// [`QueueBackend::Auto`]) its own unresolved probe, so each sweep
-    /// worker measures its own workload. Watch set and transition cap
+    /// starts with fresh, empty per-run state. Watch set and transition cap
     /// carry over (the watch `Arc` is shared, not deep-copied).
     fn clone(&self) -> Self {
         Simulator {
             circuit: self.circuit.clone(),
             inputs: self.inputs.clone(),
             max_events: self.max_events,
-            backend: self.backend,
-            calendar: self.calendar,
-            probe: AutoProbe::default(),
             state: SimState::default(),
             cancel: None,
             watch: self.watch.clone(),
@@ -1877,89 +1658,6 @@ mod tests {
             .signal("y")
             .unwrap()
             .approx_eq(&Signal::pulse(2.0, 1.0).unwrap(), 1e-12));
-    }
-
-    #[test]
-    fn auto_probe_resolves_to_a_concrete_backend() {
-        // Auto must (a) run probes on concrete backends and (b) commit
-        // after one untimed cold run plus one heap + one wheel
-        // measurement on a workload big enough to time
-        let mut b = CircuitBuilder::new();
-        let i = b.input("i");
-        let or = b.gate("or", GateKind::Or, Bit::Zero);
-        let y = b.output("y");
-        b.connect_direct(i, or, 0).unwrap();
-        b.connect(or, or, 1, pure(2.0)).unwrap();
-        b.connect(or, y, 0, pure(0.5)).unwrap();
-        let mut sim = Simulator::new(b.build().unwrap()).with_queue_backend(QueueBackend::Auto);
-        sim.set_input("i", Signal::pulse(0.0, 0.5).unwrap())
-            .unwrap();
-        assert_eq!(sim.queue_backend(), QueueBackend::Auto);
-        assert_eq!(sim.effective_backend(), QueueBackend::Heap);
-        let first = sim.run(200.5).unwrap();
-        // the cold run is untimed: the heap is still being measured
-        assert_eq!(sim.effective_backend(), QueueBackend::Heap);
-        let second = sim.run(200.5).unwrap();
-        assert_eq!(sim.effective_backend(), QueueBackend::Calendar);
-        let third = sim.run(200.5).unwrap();
-        let resolved = sim.effective_backend();
-        assert_ne!(resolved, QueueBackend::Auto);
-        let fourth = sim.run(200.5).unwrap();
-        assert_eq!(sim.effective_backend(), resolved, "choice is committed");
-        // and the probe phases are invisible in the results
-        for run in [&second, &third, &fourth] {
-            assert_eq!(first.signal("y").unwrap(), run.signal("y").unwrap());
-            assert_eq!(first.processed_events(), run.processed_events());
-        }
-    }
-
-    #[test]
-    fn auto_probe_commits_wheel_on_cancel_heavy_workloads() {
-        // every pulse is absorbed by the inertial window → ~100% cancel
-        // rate → the wheel is committed straight from the heap probe's
-        // accumulated counts, without ever timing the wheel
-        let mut b = CircuitBuilder::new();
-        let i = b.input("i");
-        let g = b.gate("buf", GateKind::Buf, Bit::Zero);
-        let y = b.output("y");
-        b.connect(i, g, 0, InertialDelay::new(1.0, 10.0).unwrap())
-            .unwrap();
-        b.connect(g, y, 0, pure(0.5)).unwrap();
-        let mut sim = Simulator::new(b.build().unwrap()).with_queue_backend(QueueBackend::Auto);
-        let input = Signal::pulse_train((0..100).map(|k| (k as f64 * 20.0, 0.5))).unwrap();
-        sim.set_input("i", input).unwrap();
-        sim.run(1e9).unwrap();
-        assert_eq!(sim.effective_backend(), QueueBackend::Calendar);
-    }
-
-    #[test]
-    fn auto_probe_amortizes_tiny_runs_on_the_heap() {
-        // a single run scheduling fewer than MIN_EVENTS events must not
-        // resolve the probe — short noisy measurements are exactly how
-        // the wheel used to get mispredicted onto losing topologies —
-        // and while unmeasured, the backend in use must be the
-        // reference heap, so `Auto` cannot lose to it. Evidence
-        // accumulates across runs, so enough tiny runs still resolve
-        // the probe instead of measuring forever.
-        let mut b = CircuitBuilder::new();
-        let a = b.input("a");
-        let y = b.output("y");
-        b.connect_direct(a, y, 0).unwrap();
-        let mut sim = Simulator::new(b.build().unwrap()).with_queue_backend(QueueBackend::Auto);
-        sim.set_input("a", Signal::pulse(0.0, 1.0).unwrap())
-            .unwrap();
-        for _ in 0..4 {
-            sim.run(10.0).unwrap();
-            // still accumulating heap evidence: the heap stays in use
-            assert_eq!(sim.effective_backend(), QueueBackend::Heap);
-        }
-        // with enough tiny runs the heap evidence reaches MIN_EVENTS
-        // and the probe moves on to the wheel — it is not stuck
-        let moved_on = (0..400).any(|_| {
-            sim.run(10.0).unwrap();
-            sim.effective_backend() == QueueBackend::Calendar
-        });
-        assert!(moved_on, "accumulated tiny runs never measured the heap");
     }
 
     #[test]

@@ -71,11 +71,7 @@ fn repeated_runs_reach_an_allocation_steady_state() {
     let input = Signal::pulse_train((0..20).map(|k| (k as f64 * 40.0, 20.0))).unwrap();
     sim.set_input("a", input).unwrap();
 
-    // warmup: grows every buffer to its high-water mark, and — under
-    // the default Auto backend — carries the simulator all the way
-    // through its probe phases (cold run, heap probe, wheel probe,
-    // committed winner), so the steady-state runs below never pay a
-    // backend-switch allocation
+    // warmup: grows every buffer to its high-water mark
     for _ in 0..4 {
         sim.run(1e9).unwrap();
     }

@@ -1,24 +1,23 @@
-//! The calendar queue's correctness bar: **bit-identical** runs against
-//! the reference binary heap, under every workload class that stresses
-//! the queue differently — involution pipelines (non-FIFO
-//! cancellation), cancel-heavy inertial churn (eager discard + stale
-//! generations), feedback oscillation (far-future pushes + overflow),
-//! and seeded adversarial noise. [`QueueBackend::Auto`] gets the same
-//! bar: its probe runs (wheel, then heap, then the committed winner)
-//! must be indistinguishable from the reference heap on every workload
-//! class — including wide fanout, the wheel's historical regression
-//! case. Plus the persistent worker pool's determinism bar: identical
-//! `SweepResult`s across 1/2/4/7/8 workers and across repeated `run()`
-//! calls on one runner.
+//! The event queue's correctness bar: simulation output is pinned by
+//! golden `(processed, scheduled, waveform digest)` triples for fixed
+//! instances of every workload class that stresses the queue
+//! differently — involution pipelines (non-FIFO cancellation), wide
+//! fanout, cancel-heavy inertial churn (stale keys and heap
+//! compaction), feedback oscillation (far-future pushes) and seeded
+//! adversarial noise. The triples were recorded with the reference
+//! binary heap and cross-checked against the calendar wheel and the
+//! adaptive prober the compacting heap replaced, so a match means
+//! bit-identical output. Plus the worker pool's determinism bar:
+//! identical `SweepResult`s across 1/2/4/7/8 workers and across
+//! repeated `run()` calls on one runner.
 
 use ivl_circuit::{
-    Circuit, CircuitBuilder, GateKind, QueueBackend, Scenario, ScenarioRunner, SimResult, Simulator,
+    Circuit, CircuitBuilder, GateKind, Scenario, ScenarioRunner, SimResult, Simulator,
 };
 use ivl_core::channel::{EtaInvolutionChannel, InertialDelay, InvolutionChannel, PureDelay};
 use ivl_core::delay::ExpChannel;
 use ivl_core::noise::{EtaBounds, UniformNoise};
 use ivl_core::{Bit, Signal};
-use proptest::prelude::*;
 
 // ======================================================================
 // Circuit generators
@@ -47,7 +46,7 @@ fn involution_chain(stages: usize) -> Circuit {
 
 /// Inertial chain whose narrow input pulses are rejected in-channel:
 /// heavy schedule-then-cancel churn, recycling pool slots and leaving
-/// stale generations behind in the queue.
+/// stale keys behind in the queue.
 fn inertial_chain(stages: usize, window: f64) -> Circuit {
     let mut b = CircuitBuilder::new();
     let a = b.input("a");
@@ -68,12 +67,35 @@ fn inertial_chain(stages: usize, window: f64) -> Circuit {
     b.build().unwrap()
 }
 
+/// One root fanning out to `width` inertial buffers with long, spread
+/// transport delays: most pulses are rejected, so thousands of
+/// cancelled events are resident at once and the heap compacts
+/// repeatedly.
+fn inertial_fanout(width: usize) -> Circuit {
+    let mut b = CircuitBuilder::new();
+    let a = b.input("a");
+    let root = b.gate("root", GateKind::Buf, Bit::Zero);
+    b.connect_direct(a, root, 0).unwrap();
+    for w in 0..width {
+        let g = b.gate(&format!("buf{w}"), GateKind::Buf, Bit::Zero);
+        b.connect(
+            root,
+            g,
+            0,
+            InertialDelay::new(40.0 + w as f64 * 0.1, 7.0).unwrap(),
+        )
+        .unwrap();
+        let y = b.output(&format!("y{w}"));
+        b.connect(g, y, 0, PureDelay::new(0.5).unwrap()).unwrap();
+    }
+    b.build().unwrap()
+}
+
 /// The Fig. 5-style feedback loop: a fed-back OR oscillates, pushing
-/// events one loop-delay ahead forever (exercises wheel advancement and
-/// the overflow level for long horizons).
+/// events one loop-delay ahead until the horizon.
 fn feedback_loop(loop_delay: f64) -> Circuit {
     let mut b = CircuitBuilder::new();
-    let i = b.input("i");
+    let i = b.input("a");
     let or = b.gate("or", GateKind::Or, Bit::Zero);
     let y = b.output("y");
     b.connect_direct(i, or, 0).unwrap();
@@ -84,8 +106,7 @@ fn feedback_loop(loop_delay: f64) -> Circuit {
 }
 
 /// One driver fanning out to `branches` parallel buffers through
-/// channels with widely spread delays: every batch scatters events over
-/// many sparse calendar buckets (the `fanout_grid` regression shape).
+/// channels with widely spread delays.
 fn fanout_star(branches: usize) -> Circuit {
     let mut b = CircuitBuilder::new();
     let a = b.input("a");
@@ -101,8 +122,9 @@ fn fanout_star(branches: usize) -> Circuit {
     b.build().unwrap()
 }
 
-/// η-involution channel with a seeded uniform adversary: noise draws
-/// must line up transition for transition across backends.
+/// η-involution channel with a seeded uniform adversary: the η draws
+/// are consumed in feed order, so any delivery-order divergence would
+/// desynchronize the stream and show up in the waveform.
 fn noisy_circuit() -> Circuit {
     let d = ExpChannel::new(1.0, 0.5, 0.5).unwrap();
     let bounds = EtaBounds::new(0.02, 0.02).unwrap();
@@ -121,72 +143,6 @@ fn noisy_circuit() -> Circuit {
     b.build().unwrap()
 }
 
-// ======================================================================
-// Comparison helpers
-// ======================================================================
-
-/// Runs the same circuit + input on both backends and demands bitwise
-/// identical results (every node signal, every counter).
-fn assert_backends_agree(circuit: &Circuit, input: &Signal, horizon: f64, seed: Option<u64>) {
-    let run = |backend: QueueBackend| -> SimResult {
-        let mut sim = Simulator::new(circuit.clone()).with_queue_backend(backend);
-        if let Some(seed) = seed {
-            sim.reseed_noise(seed);
-        }
-        sim.set_input("a", input.clone()).unwrap();
-        sim.run(horizon).unwrap()
-    };
-    let heap = run(QueueBackend::Heap);
-    let calendar = run(QueueBackend::Calendar);
-    assert_eq!(heap.processed_events(), calendar.processed_events());
-    assert_eq!(heap.scheduled_events(), calendar.scheduled_events());
-    for name in circuit.node_names() {
-        assert_eq!(
-            heap.signal(name).unwrap(),
-            calendar.signal(name).unwrap(),
-            "node {name} diverges"
-        );
-    }
-}
-
-/// Runs the circuit once on the reference heap, then **three times** on
-/// one `Auto` simulator — crossing the wheel probe, the heap probe, and
-/// the committed winner — and demands every run match the reference
-/// bitwise. However the timing races resolve, Auto must be invisible.
-fn assert_auto_is_invisible(
-    circuit: &Circuit,
-    port: &str,
-    input: &Signal,
-    horizon: f64,
-    seed: Option<u64>,
-) {
-    let reference = {
-        let mut sim = Simulator::new(circuit.clone()).with_queue_backend(QueueBackend::Heap);
-        if let Some(seed) = seed {
-            sim.reseed_noise(seed);
-        }
-        sim.set_input(port, input.clone()).unwrap();
-        sim.run(horizon).unwrap()
-    };
-    let mut auto = Simulator::new(circuit.clone()).with_queue_backend(QueueBackend::Auto);
-    auto.set_input(port, input.clone()).unwrap();
-    for round in 0..3 {
-        if let Some(seed) = seed {
-            auto.reseed_noise(seed);
-        }
-        let run = auto.run(horizon).unwrap();
-        for name in circuit.node_names() {
-            assert_eq!(
-                reference.signal(name).unwrap(),
-                run.signal(name).unwrap(),
-                "auto round {round}: node {name} diverges"
-            );
-        }
-        assert_eq!(reference.processed_events(), run.processed_events());
-        assert_eq!(reference.scheduled_events(), run.scheduled_events());
-    }
-}
-
 fn pulse_train(gaps: &[f64], widths: &[f64]) -> Signal {
     let mut t = 0.0;
     let mut pulses = Vec::new();
@@ -198,164 +154,249 @@ fn pulse_train(gaps: &[f64], widths: &[f64]) -> Signal {
     Signal::pulse_train(pulses).unwrap()
 }
 
+/// A deterministic irregular sequence in `[lo, hi)`: `n` values from a
+/// fixed stride through a 97-step grid.
+fn spread(n: usize, stride: usize, lo: f64, hi: f64) -> Vec<f64> {
+    (0..n)
+        .map(|i| lo + (hi - lo) * ((i * stride + 5) % 97) as f64 / 97.0)
+        .collect()
+}
+
 // ======================================================================
-// Property tests
+// Golden instances
 // ======================================================================
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// One fixed simulation: a circuit, its stimulus on port `a`, the
+/// horizon and an optional noise seed.
+struct Instance {
+    name: &'static str,
+    circuit: Circuit,
+    input: Signal,
+    horizon: f64,
+    seed: Option<u64>,
+}
 
-    /// Involution pipelines: non-FIFO cancellation, variable stage
-    /// counts, irregular stimuli.
-    #[test]
-    fn calendar_matches_heap_on_involution_chains(
-        stages in 1usize..24,
-        gaps in proptest::collection::vec(0.1f64..6.0, 1..12),
-        widths in proptest::collection::vec(0.05f64..4.0, 12),
-    ) {
-        let circuit = involution_chain(stages);
-        let input = pulse_train(&gaps, &widths);
-        assert_backends_agree(&circuit, &input, 500.0, None);
-    }
+fn instances() -> Vec<Instance> {
+    let inst = |name, circuit, input, horizon, seed| Instance {
+        name,
+        circuit,
+        input,
+        horizon,
+        seed,
+    };
+    // 15 narrow pulses (rejected by the 7-wide window) per passing one
+    let cancel_heavy = Signal::pulse_train((0..48).map(|i| {
+        let t = f64::from(i) * 16.0;
+        (t, if i % 16 == 15 { 9.0 } else { 6.0 })
+    }))
+    .unwrap();
+    vec![
+        inst(
+            "involution_chain/1",
+            involution_chain(1),
+            pulse_train(&[0.3], &[0.05]),
+            500.0,
+            None,
+        ),
+        inst(
+            "involution_chain/9",
+            involution_chain(9),
+            pulse_train(
+                &[0.4, 2.5, 0.1, 5.0, 1.2, 0.2],
+                &[0.3, 1.1, 0.05, 3.9, 0.6, 0.15],
+            ),
+            500.0,
+            None,
+        ),
+        inst(
+            "involution_chain/23",
+            involution_chain(23),
+            pulse_train(&spread(11, 37, 0.1, 6.0), &spread(11, 53, 0.05, 4.0)),
+            500.0,
+            None,
+        ),
+        inst(
+            "fanout_star/2",
+            fanout_star(2),
+            pulse_train(&[0.5, 3.0], &[0.2, 5.0]),
+            500.0,
+            None,
+        ),
+        inst(
+            "fanout_star/23",
+            fanout_star(23),
+            pulse_train(&spread(7, 41, 0.5, 8.0), &spread(7, 29, 0.2, 5.0)),
+            500.0,
+            None,
+        ),
+        inst(
+            "cancel_heavy_inertial/chain1",
+            inertial_chain(1, 0.6),
+            pulse_train(&[0.5, 1.0, 2.0], &[0.1, 0.7, 0.59]),
+            500.0,
+            None,
+        ),
+        inst(
+            "cancel_heavy_inertial/chain6",
+            inertial_chain(6, 1.0),
+            pulse_train(&[1.0, 2.0, 0.8, 3.0], &[0.3, 4.0, 0.2, 0.41]),
+            400.0,
+            None,
+        ),
+        inst(
+            "cancel_heavy_inertial/chain11",
+            inertial_chain(11, 1.7),
+            pulse_train(&spread(19, 31, 0.5, 4.0), &spread(19, 43, 0.01, 0.7)),
+            500.0,
+            None,
+        ),
+        inst(
+            "cancel_heavy_inertial/fanout256",
+            inertial_fanout(256),
+            cancel_heavy,
+            1e9,
+            None,
+        ),
+        inst(
+            "feedback_loop/0.3",
+            feedback_loop(0.3),
+            Signal::pulse(0.0, 0.05).unwrap(),
+            50.0,
+            None,
+        ),
+        inst(
+            "feedback_loop/0.7",
+            feedback_loop(0.7),
+            Signal::pulse(0.0, 3.0).unwrap(),
+            500.0,
+            None,
+        ),
+        inst(
+            "feedback_loop/37",
+            feedback_loop(37.0),
+            Signal::pulse(0.0, 0.1).unwrap(),
+            2000.0,
+            None,
+        ),
+        inst(
+            "feedback_loop/13.3",
+            feedback_loop(13.3),
+            Signal::pulse(0.0, 9.9).unwrap(),
+            1500.0,
+            None,
+        ),
+        inst(
+            "eta_noise/0",
+            noisy_circuit(),
+            pulse_train(&spread(9, 23, 0.5, 5.0), &spread(9, 61, 0.5, 4.0)),
+            500.0,
+            Some(0),
+        ),
+        inst(
+            "eta_noise/17",
+            noisy_circuit(),
+            pulse_train(&spread(6, 47, 0.5, 5.0), &spread(6, 19, 0.5, 4.0)),
+            500.0,
+            Some(17),
+        ),
+        inst(
+            "eta_noise/999",
+            noisy_circuit(),
+            pulse_train(&spread(9, 71, 0.5, 5.0), &spread(9, 13, 0.5, 4.0)),
+            500.0,
+            Some(999),
+        ),
+    ]
+}
 
-    /// Cancel-heavy inertial churn: most pulses are rejected inside the
-    /// channels, so the queue is dominated by eagerly-discarded (or
-    /// stale) events and recycled pool generations.
-    #[test]
-    fn calendar_matches_heap_on_cancel_heavy_inertial(
-        stages in 1usize..12,
-        window in 0.6f64..3.0,
-        gaps in proptest::collection::vec(0.5f64..4.0, 1..20),
-        // most widths are below any sampled window: heavy rejection
-        widths in proptest::collection::vec(0.01f64..0.7, 20),
-    ) {
-        let circuit = inertial_chain(stages, window);
-        let input = pulse_train(&gaps, &widths);
-        assert_backends_agree(&circuit, &input, 500.0, None);
-    }
+/// `(name, processed, scheduled, digest)` per instance, recorded with
+/// the reference binary heap (and matched by the calendar wheel and
+/// the adaptive prober at the time).
+const GOLDEN: &[(&str, usize, usize, u64)] = &[
+    ("involution_chain/1", 2, 3, 0x04cac47d04f3641c),
+    ("involution_chain/9", 38, 43, 0xbf311cb26e9a0f68),
+    ("involution_chain/23", 236, 246, 0x9312ecfd1366bf1f),
+    ("fanout_star/2", 20, 20, 0x708b1a60dfaa07f3),
+    ("fanout_star/23", 658, 658, 0x9758afd9cb727999),
+    ("cancel_heavy_inertial/chain1", 10, 11, 0x02a123f4a2820dea),
+    ("cancel_heavy_inertial/chain6", 20, 23, 0xbef414514fe44ded),
+    (
+        "cancel_heavy_inertial/chain11",
+        148,
+        162,
+        0x31b1064d6c928c8b,
+    ),
+    (
+        "cancel_heavy_inertial/fanout256",
+        3168,
+        14688,
+        0xb0377b8e8afd51ed,
+    ),
+    ("feedback_loop/0.3", 665, 670, 0x15fcad22a5e4e561),
+    ("feedback_loop/0.7", 4, 4, 0x0ed7dae64cc9546a),
+    ("feedback_loop/37", 220, 222, 0x189d6c9129d62516),
+    ("feedback_loop/13.3", 452, 454, 0xd2e5fc6af6413bf7),
+    ("eta_noise/0", 32, 34, 0x9332ffa693426dde),
+    ("eta_noise/17", 20, 22, 0xc3bcece883101f9a),
+    ("eta_noise/999", 34, 35, 0x733e3975aa13ac70),
+];
 
-    /// Feedback oscillation: unbounded event generation until the
-    /// horizon, wheel revolutions and far-future overflow.
-    #[test]
-    fn calendar_matches_heap_on_feedback_loops(
-        loop_delay in 0.3f64..50.0,
-        pulse_width in 0.05f64..10.0,
-        horizon in 50.0f64..2000.0,
-    ) {
-        let circuit = feedback_loop(loop_delay);
-        let pick = |backend| {
-            let mut sim = Simulator::new(circuit.clone())
-                .with_queue_backend(backend)
-                .with_max_events(200_000);
-            sim.set_input("i", Signal::pulse(0.0, pulse_width).unwrap()).unwrap();
-            sim.run(horizon)
-        };
-        match (pick(QueueBackend::Heap), pick(QueueBackend::Calendar)) {
-            (Ok(h), Ok(c)) => {
-                prop_assert_eq!(h.signal("or").unwrap(), c.signal("or").unwrap());
-                prop_assert_eq!(h.signal("y").unwrap(), c.signal("y").unwrap());
-                prop_assert_eq!(h.processed_events(), c.processed_events());
-            }
-            // budget exhaustion must strike both backends identically
-            (Err(h), Err(c)) => prop_assert_eq!(format!("{h}"), format!("{c}")),
-            (h, c) => prop_assert!(false, "backends diverge: heap {h:?} vs calendar {c:?}"),
+/// FNV-1a over every node's name, initial value and transitions (time
+/// bits and value) in node order.
+fn digest(circuit: &Circuit, run: &SimResult) -> u64 {
+    fn eat(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
         }
     }
-
-    /// Seeded adversarial noise: the η draws are consumed in feed order,
-    /// so any delivery-order divergence would desynchronize the streams
-    /// and show up as different waveforms.
-    #[test]
-    fn calendar_matches_heap_under_noise(
-        seed in 0u64..1000,
-        gaps in proptest::collection::vec(0.5f64..5.0, 1..10),
-        widths in proptest::collection::vec(0.5f64..4.0, 10),
-    ) {
-        let circuit = noisy_circuit();
-        let input = pulse_train(&gaps, &widths);
-        assert_backends_agree(&circuit, &input, 500.0, Some(seed));
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for name in circuit.node_names() {
+        let signal = run.signal(name).unwrap();
+        eat(&mut h, name.as_bytes());
+        eat(&mut h, &[u8::from(signal.initial().is_one())]);
+        for tr in signal.transitions() {
+            eat(&mut h, &tr.time.to_bits().to_le_bytes());
+            eat(&mut h, &[u8::from(tr.value.is_one())]);
+        }
     }
+    h
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Auto on involution pipelines: every probe phase bit-identical to
-    /// the reference heap.
-    #[test]
-    fn auto_matches_heap_on_involution_chains(
-        stages in 1usize..16,
-        gaps in proptest::collection::vec(0.1f64..6.0, 1..10),
-        widths in proptest::collection::vec(0.05f64..4.0, 10),
-    ) {
-        let circuit = involution_chain(stages);
-        let input = pulse_train(&gaps, &widths);
-        assert_auto_is_invisible(&circuit, "a", &input, 500.0, None);
+fn triple(inst: &Instance, sim: &mut Simulator) -> (usize, usize, u64) {
+    if let Some(seed) = inst.seed {
+        sim.reseed_noise(seed);
     }
+    let run = sim.run(inst.horizon).unwrap();
+    (
+        run.processed_events(),
+        run.scheduled_events(),
+        digest(&inst.circuit, &run),
+    )
+}
 
-    /// Auto on wide fanout — the shape where the wheel historically
-    /// *lost* to the heap, so this is exactly where the probe's choice
-    /// matters and must stay invisible in the results.
-    #[test]
-    fn auto_matches_heap_on_fanout_stars(
-        branches in 2usize..24,
-        gaps in proptest::collection::vec(0.5f64..8.0, 1..8),
-        widths in proptest::collection::vec(0.2f64..5.0, 8),
-    ) {
-        let circuit = fanout_star(branches);
-        let input = pulse_train(&gaps, &widths);
-        assert_auto_is_invisible(&circuit, "a", &input, 500.0, None);
-        assert_backends_agree(&circuit, &input, 500.0, None);
-    }
-
-    /// Auto on cancel-heavy churn: the probe's cancel-rate shortcut
-    /// commits the wheel early; results must not notice.
-    #[test]
-    fn auto_matches_heap_on_cancel_heavy_inertial(
-        stages in 1usize..10,
-        window in 0.6f64..3.0,
-        gaps in proptest::collection::vec(0.5f64..4.0, 1..16),
-        widths in proptest::collection::vec(0.01f64..0.7, 16),
-    ) {
-        let circuit = inertial_chain(stages, window);
-        let input = pulse_train(&gaps, &widths);
-        assert_auto_is_invisible(&circuit, "a", &input, 500.0, None);
-    }
-
-    /// Auto on feedback oscillation (far-future pushes, overflow) and
-    /// under seeded noise: probe phases must track the heap reference
-    /// transition for transition.
-    #[test]
-    fn auto_matches_heap_on_feedback_loops(
-        loop_delay in 0.3f64..50.0,
-        pulse_width in 0.05f64..10.0,
-        horizon in 50.0f64..1000.0,
-    ) {
-        let circuit = feedback_loop(loop_delay);
-        assert_auto_is_invisible(
-            &circuit,
-            "i",
-            &Signal::pulse(0.0, pulse_width).unwrap(),
-            horizon,
-            None,
-        );
-    }
-
-    /// Auto under seeded adversarial noise.
-    #[test]
-    fn auto_matches_heap_under_noise(
-        seed in 0u64..1000,
-        gaps in proptest::collection::vec(0.5f64..5.0, 1..8),
-        widths in proptest::collection::vec(0.5f64..4.0, 8),
-    ) {
-        let circuit = noisy_circuit();
-        let input = pulse_train(&gaps, &widths);
-        assert_auto_is_invisible(&circuit, "a", &input, 500.0, Some(seed));
+/// Every instance reproduces its golden triple — on a fresh simulator
+/// and again on the same simulator's reused state.
+#[test]
+fn golden_triples_are_unchanged() {
+    let instances = instances();
+    assert_eq!(instances.len(), GOLDEN.len());
+    for (inst, &(name, processed, scheduled, digest)) in instances.iter().zip(GOLDEN) {
+        assert_eq!(inst.name, name);
+        let mut sim = Simulator::new(inst.circuit.clone());
+        sim.set_input("a", inst.input.clone()).unwrap();
+        for round in 0..2 {
+            assert_eq!(
+                triple(inst, &mut sim),
+                (processed, scheduled, digest),
+                "{name} round {round}: output diverges from the golden triple"
+            );
+        }
     }
 }
 
 // ======================================================================
-// Sweep-level equivalence and pool determinism
+// Sweep-level determinism
 // ======================================================================
 
 fn sweep_scenarios(n: usize) -> Vec<Scenario> {
@@ -394,31 +435,6 @@ fn assert_sweeps_identical(a: &ivl_circuit::SweepResult, b: &ivl_circuit::SweepR
     }
 }
 
-/// `SweepResult`s must be bit-identical between queue backends —
-/// Calendar *and* Auto (whose workers probe and commit independently,
-/// mid-sweep) — for every worker count.
-#[test]
-fn sweep_results_identical_across_backends_and_worker_counts() {
-    let scenarios = sweep_scenarios(16);
-    let reference = ScenarioRunner::new(noisy_circuit(), 300.0)
-        .with_workers(1)
-        .with_queue_backend(QueueBackend::Heap)
-        .run(&scenarios);
-    for backend in [QueueBackend::Calendar, QueueBackend::Auto] {
-        for workers in [1, 2, 4, 7, 8] {
-            let sweep = ScenarioRunner::new(noisy_circuit(), 300.0)
-                .with_workers(workers)
-                .with_queue_backend(backend)
-                .run(&scenarios);
-            assert_sweeps_identical(
-                &reference,
-                &sweep,
-                &format!("{backend:?} workers={workers}"),
-            );
-        }
-    }
-}
-
 /// The persistent pool keeps worker simulators warm across `run()`
 /// calls; repeated sweeps on one runner must stay bit-identical, for
 /// every worker count.
@@ -441,10 +457,10 @@ fn pool_is_deterministic_across_repeated_runs_and_worker_counts() {
     }
 }
 
-/// Cancel-heavy inertial sweeps through the pool: the eager-discard
-/// path and slab recycling under parallel, repeated execution.
+/// Cancel-heavy inertial sweeps through the pool: stale keys, heap
+/// compaction and slab recycling under parallel, repeated execution.
 #[test]
-fn pool_sweeps_cancel_heavy_identical_across_backends() {
+fn pool_sweeps_cancel_heavy_identical_across_worker_counts() {
     let circuit = inertial_chain(6, 1.0);
     let scenarios: Vec<Scenario> = (0..10)
         .map(|k| {
@@ -457,13 +473,17 @@ fn pool_sweeps_cancel_heavy_identical_across_backends() {
             )
         })
         .collect();
-    let heap = ScenarioRunner::new(circuit.clone(), 400.0)
-        .with_workers(2)
-        .with_queue_backend(QueueBackend::Heap)
+    let reference = ScenarioRunner::new(circuit.clone(), 400.0)
+        .with_workers(1)
         .run(&scenarios);
-    let calendar = ScenarioRunner::new(circuit, 400.0)
-        .with_workers(2)
-        .with_queue_backend(QueueBackend::Calendar)
-        .run(&scenarios);
-    assert_sweeps_identical(&heap, &calendar, "cancel-heavy pool");
+    for workers in [2, 4] {
+        let runner = ScenarioRunner::new(circuit.clone(), 400.0).with_workers(workers);
+        for round in 0..2 {
+            assert_sweeps_identical(
+                &reference,
+                &runner.run(&scenarios),
+                &format!("cancel-heavy workers={workers} round={round}"),
+            );
+        }
+    }
 }

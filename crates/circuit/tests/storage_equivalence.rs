@@ -10,9 +10,7 @@
 
 use proptest::prelude::*;
 
-use ivl_circuit::{
-    Circuit, CircuitBuilder, GateKind, QueueBackend, Scenario, ScenarioRunner, Simulator,
-};
+use ivl_circuit::{Circuit, CircuitBuilder, GateKind, Scenario, ScenarioRunner, Simulator};
 use ivl_core::channel::{InertialDelay, InvolutionChannel, PureDelay, SimChannel};
 use ivl_core::delay::ExpChannel;
 use ivl_core::{Bit, Signal};
@@ -95,28 +93,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A watched run returns exactly the signals (and event counts) of
-    /// a record-everything run, for every channel family and backend.
+    /// a record-everything run, for every channel family.
     #[test]
     fn selective_recording_is_bit_identical(
         stages in 1u32..10,
         family in family_strategy(),
         pulses in pulse_train_strategy(),
-        backend in prop_oneof![
-            Just(QueueBackend::Heap),
-            Just(QueueBackend::Calendar),
-            Just(QueueBackend::Auto),
-        ],
     ) {
         let input = stimulus(&pulses);
         let watch = ["y", "inv0", "dia_j"];
 
-        let mut full = Simulator::new(build_circuit(stages, family))
-            .with_queue_backend(backend);
+        let mut full = Simulator::new(build_circuit(stages, family));
         full.set_input("a", input.clone()).unwrap();
         let full_run = full.run(1e4).unwrap();
 
-        let mut sel = Simulator::new(build_circuit(stages, family))
-            .with_queue_backend(backend);
+        let mut sel = Simulator::new(build_circuit(stages, family));
         sel.set_watch(watch).unwrap();
         sel.set_input("a", input).unwrap();
         let sel_run = sel.run(1e4).unwrap();

@@ -254,7 +254,7 @@ fn reconfiguration_joins_the_old_pool_instead_of_leaking_it() {
     // topology reference is dropped, not leaked
     let runner = runner.with_max_events(1_000_000);
     assert_eq!(runner.circuit().topology_refs(), 1);
-    let runner = runner.with_queue_backend(ivl_circuit::QueueBackend::Heap);
+    let runner = runner.with_workers(3);
     assert_eq!(runner.circuit().topology_refs(), 1);
 
     // and the runner still works afterwards

@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ivl_circuit::{generate, QueueBackend, Simulator};
+use ivl_circuit::{generate, Simulator};
 use ivl_core::channel::{PureDelay, SimChannel};
 use ivl_core::Signal;
 
@@ -47,11 +47,7 @@ fn steady_allocs(stages: u32) -> usize {
     let channel = || PureDelay::new(0.01).unwrap().clone_box();
     let circuit = generate::inverter_chain(stages, channel).unwrap();
 
-    // Pin the reference heap: this test measures *recording* memory,
-    // and the Auto prober's timed wheel-vs-heap choice on a chain this
-    // small is a coin flip — the wheel's bucket array does not reach a
-    // run-stable allocation count as quickly as the heap does.
-    let mut sim = Simulator::new(circuit).with_queue_backend(QueueBackend::Heap);
+    let mut sim = Simulator::new(circuit);
     sim.set_watch(["y", "inv0"]).unwrap();
     let input = Signal::pulse_train((0..8).map(|k| (k as f64 * 40.0, 20.0))).unwrap();
     sim.set_input("a", input).unwrap();

@@ -145,10 +145,6 @@ impl OnlineChannel for DegradationDelay {
     fn discard_delivered(&mut self, before: f64) {
         self.engine.discard_delivered(before);
     }
-
-    fn delay_hint(&self) -> Option<f64> {
-        Some(0.5 * (self.up.delay(f64::INFINITY) + self.down.delay(f64::INFINITY)))
-    }
 }
 
 #[cfg(test)]

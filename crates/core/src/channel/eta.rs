@@ -148,10 +148,6 @@ impl<D: DelayPair, N: NoiseSource> OnlineChannel for EtaInvolutionChannel<D, N> 
     fn reseed(&mut self, seed: u64) {
         self.noise.reseed(seed);
     }
-
-    fn delay_hint(&self) -> Option<f64> {
-        Some(0.5 * (self.delay.delta_up_inf() + self.delay.delta_down_inf()))
-    }
 }
 
 #[cfg(test)]

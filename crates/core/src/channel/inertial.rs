@@ -87,10 +87,6 @@ impl OnlineChannel for InertialDelay {
     fn discard_delivered(&mut self, before: f64) {
         self.engine.discard_delivered(before);
     }
-
-    fn delay_hint(&self) -> Option<f64> {
-        Some(self.delay)
-    }
 }
 
 #[cfg(test)]

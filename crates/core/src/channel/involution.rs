@@ -66,10 +66,6 @@ impl<D: DelayPair> OnlineChannel for InvolutionChannel<D> {
     fn discard_delivered(&mut self, before: f64) {
         self.engine.discard_delivered(before);
     }
-
-    fn delay_hint(&self) -> Option<f64> {
-        Some(0.5 * (self.delay.delta_up_inf() + self.delay.delta_down_inf()))
-    }
 }
 
 #[cfg(test)]

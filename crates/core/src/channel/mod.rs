@@ -90,19 +90,6 @@ pub trait OnlineChannel {
     fn reseed(&mut self, seed: u64) {
         let _ = seed;
     }
-
-    /// A characteristic input-to-output delay of this channel, if it has
-    /// one (e.g. the transport delay of a [`PureDelay`], or `δ∞` of an
-    /// involution channel).
-    ///
-    /// This is a *scheduling hint*, not a bound: event-driven simulators
-    /// use it to size their calendar-queue buckets so that typical event
-    /// horizons span a handful of buckets. Returning `None` (the
-    /// default) simply makes the simulator fall back to a generic bucket
-    /// width — correctness never depends on the hint.
-    fn delay_hint(&self) -> Option<f64> {
-        None
-    }
 }
 
 impl<C: OnlineChannel + ?Sized> OnlineChannel for Box<C> {
@@ -117,9 +104,6 @@ impl<C: OnlineChannel + ?Sized> OnlineChannel for Box<C> {
     }
     fn reseed(&mut self, seed: u64) {
         (**self).reseed(seed);
-    }
-    fn delay_hint(&self) -> Option<f64> {
-        (**self).delay_hint()
     }
 }
 

@@ -65,10 +65,6 @@ impl OnlineChannel for PureDelay {
     fn discard_delivered(&mut self, before: f64) {
         self.engine.discard_delivered(before);
     }
-
-    fn delay_hint(&self) -> Option<f64> {
-        Some(self.delay)
-    }
 }
 
 #[cfg(test)]

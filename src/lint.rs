@@ -20,8 +20,8 @@
 //! | `IVL011` | error | constraint (C) violated for an `eta` channel or SPF spec |
 //! | `IVL012` | error | delay pair has no positive `δ_min` fixed point |
 //! | `IVL013` | warning | involution / monotonicity / concavity probing violation |
-//! | `IVL014` | warning | `delay_hint()` inconsistent with sampled delays |
-//! | `IVL015` | warning | delay-hint spread degenerates the calendar queue |
+//! | `IVL014` | — | retired (no calendar queue); never reused |
+//! | `IVL015` | — | retired (no calendar queue); never reused |
 //! | `IVL020` | warning | a scenario's stimulus provably cancels inside a channel |
 //! | `IVL021` | info | SPF input pulse provably filtered (Lemma 4 bound) |
 //! | `IVL022` | info | pulse-width propagation truncated (probe budget) |
@@ -50,7 +50,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use ivl_core::channel::{apply_online, OnlineChannel, SimChannel};
+use ivl_core::channel::{apply_online, SimChannel};
 use ivl_core::delay::{check_involution, delta_min_of, DelayPair};
 use ivl_core::factory::{delay_pair_from, ChannelParams, ChannelRegistry, DelayFamily, ParamValue};
 use ivl_core::noise::EtaBounds;
@@ -372,7 +372,6 @@ const DEAD_WIDTH: f64 = 1e-12;
 #[derive(Clone, Copy, Default)]
 struct ChannelFacts {
     builds: bool,
-    hint: Option<f64>,
     /// `true` when a probed single transition was delivered with zero
     /// delay (the edge can sustain a zero-delay cycle).
     zero_delay: bool,
@@ -580,37 +579,14 @@ impl<'a, 's> Linter<'a, 's> {
             }
         };
         facts.builds = true;
-        facts.hint = channel.delay_hint();
 
         // probe the delivery delay of an isolated wide pulse: a zero (or
-        // negative) first delay marks a zero-delay edge for pass 1, and
-        // the sampled delays must be commensurate with `delay_hint()`
-        // for the calendar queue sizing to make sense (IVL014).
+        // negative) first delay marks a zero-delay edge for pass 1
         let mut channel = channel;
         let probe = Signal::pulse(0.0, 1e6).expect("static probe signal");
         let out = apply_online(&mut channel, &probe);
-        let mut sampled: Vec<f64> = Vec::new();
         if let Some(first) = out.transitions().first() {
-            sampled.push(first.time);
             facts.zero_delay = first.time <= DEAD_WIDTH;
-        }
-        if let Some(second) = out.transitions().get(1) {
-            sampled.push(second.time - 1e6);
-        }
-        if let Some(hint) = facts.hint {
-            let d_max = sampled.iter().copied().fold(0.0_f64, f64::max);
-            if d_max > 0.0 && hint > 0.0 && (d_max > 4.0 * hint || hint > 4.0 * d_max) {
-                self.push(
-                    "IVL014",
-                    Severity::Warning,
-                    span,
-                    format!(
-                        "channel {:?}: delay_hint() = {hint} but sampled delays reach {d_max} \
-                         (ratio > 4x degrades calendar-queue bucket sizing)",
-                        c.kind
-                    ),
-                );
-            }
         }
 
         // deep involution checks when the parameters describe one of the
@@ -715,7 +691,6 @@ impl<'a, 's> Linter<'a, 's> {
         }
         let scc = graph.sccs();
         self.graph_pass(&graph, &scc);
-        self.hint_spread(&graph);
 
         let mut labels: HashSet<&str> = HashSet::new();
         let input_names: HashSet<&str> = graph
@@ -1204,40 +1179,6 @@ impl<'a, 's> Linter<'a, 's> {
                 let facts = self.check_channel(ci);
                 facts.builds && facts.zero_delay
             }
-        }
-    }
-
-    /// IVL015: the calendar queue sizes buckets from the smallest
-    /// `delay_hint()` and spans 4x the largest; a spread beyond the
-    /// bucket-count clamp (16384 buckets) parks most events in the
-    /// overflow level.
-    fn hint_spread(&mut self, g: &Graph) {
-        let mut min_hint = f64::INFINITY;
-        let mut max_hint: f64 = 0.0;
-        let mut span = None;
-        for e in &g.edges {
-            let Some(ci) = e.channel else { continue };
-            let facts = self.check_channel(ci);
-            if let Some(h) = facts.hint {
-                if h > 0.0 {
-                    if h < min_hint {
-                        span = e.span;
-                    }
-                    min_hint = min_hint.min(h);
-                    max_hint = max_hint.max(h);
-                }
-            }
-        }
-        if min_hint.is_finite() && max_hint / min_hint > 4096.0 {
-            self.push(
-                "IVL015",
-                Severity::Warning,
-                span,
-                format!(
-                    "delay hints spread from {min_hint} to {max_hint} (> 4096x): \
-                     the calendar event queue degenerates to its overflow level"
-                ),
-            );
         }
     }
 

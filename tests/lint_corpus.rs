@@ -5,7 +5,7 @@
 use std::path::Path;
 use std::process::Command;
 
-use faithful::core::factory::{ChannelParams, ChannelRegistry};
+use faithful::core::factory::ChannelRegistry;
 use faithful::{
     lint, lint_text, lint_text_for_service, DigitalSpec, Error, Experiment, ExperimentSpec,
     LintConfig, NetlistSpec, ScenarioSpec, Severity, SignalSpec, SpfSpec, SpfTask, TopologySpec,
@@ -139,66 +139,6 @@ fn warnings_do_not_deny() {
         .run()
         .unwrap();
     assert!(result.digital().is_some());
-}
-
-#[test]
-fn delay_hint_inconsistency_is_ivl014() {
-    use faithful::core::channel::{FeedEffect, OnlineChannel};
-    use faithful::core::factory::ChannelFactory;
-    use faithful::core::Transition;
-
-    // a channel claiming a 1e-3 hint while delivering with delay 10
-    #[derive(Clone)]
-    struct LyingChannel;
-    impl OnlineChannel for LyingChannel {
-        fn feed(&mut self, t: Transition) -> FeedEffect {
-            FeedEffect::Scheduled(Transition::new(t.time + 10.0, t.value))
-        }
-        fn reset(&mut self) {}
-        fn delay_hint(&self) -> Option<f64> {
-            Some(1e-3)
-        }
-    }
-    struct LyingFactory;
-    impl ChannelFactory for LyingFactory {
-        fn kind(&self) -> &str {
-            "lying"
-        }
-        fn build(
-            &self,
-            _params: &ChannelParams,
-        ) -> Result<Box<dyn faithful::core::channel::SimChannel>, faithful::core::Error> {
-            Ok(Box::new(LyingChannel))
-        }
-    }
-    let mut registry = ChannelRegistry::with_builtins();
-    registry.register(Box::new(LyingFactory));
-    let spec: ExperimentSpec = "faithful/1 channel { channel = lying {}; input = zero }"
-        .parse()
-        .unwrap();
-    let report = lint(&spec, &registry);
-    assert!(
-        report.diagnostics().iter().any(|d| d.code == "IVL014"),
-        "{report}"
-    );
-}
-
-#[test]
-fn hint_spread_is_ivl015() {
-    let netlist = NetlistSpec::new()
-        .input("a")
-        .gate("g1", faithful::GateKindSpec::Not, false)
-        .gate("g2", faithful::GateKindSpec::Not, true)
-        .output("y")
-        .channel("a", "g1", 0, faithful::ChannelSpec::pure(1e-3))
-        .channel("g1", "g2", 0, faithful::ChannelSpec::pure(1e6))
-        .channel("g2", "y", 0, faithful::ChannelSpec::pure(1.0));
-    let spec = ExperimentSpec::digital(DigitalSpec::new(TopologySpec::Netlist(netlist), 10.0));
-    let report = lint(&spec, &registry());
-    assert!(
-        report.diagnostics().iter().any(|d| d.code == "IVL015"),
-        "{report}"
-    );
 }
 
 #[test]
