@@ -13,7 +13,12 @@
 //! included) and a million-gate 2-D grid (behind `IVL_BENCH_FULL=1`) —
 //! simulated with a single watched output and recorded with build/run
 //! wall time plus peak RSS (`VmHWM`), so memory cost per gate is
-//! tracked across PRs alongside speed.
+//! tracked across PRs alongside speed. The `dag20k_sweep_2w` row times
+//! one whole facade sweep in the paper's regime — 32 short glitch
+//! trains into a 20k-gate random DAG behind η-noise channels, watching
+//! only `y`, on 2 workers — where each scenario touches a small part of
+//! the netlist, so per-scenario costs that scale with the netlist show
+//! up there first.
 //!
 //! Besides the criterion groups, the harness emits a machine-readable
 //! `BENCH_digital.json` baseline at the workspace root (override the
@@ -682,9 +687,59 @@ fn facade_sweep() -> DigitalSpec {
     }
 }
 
+/// The `dag20k_sweep_2w` row: a 20 000-gate `random_dag` behind
+/// η-involution channels with seeded uniform noise, watching only `y`,
+/// driven by 32 seeded trains of 16 glitches whose widths straddle the
+/// channel's cancellation threshold, on 2 workers.
+fn dag20k_sweep() -> DigitalSpec {
+    let scenarios = (0..32u64)
+        .map(|k| {
+            let mut at = 1.0;
+            let pulses: Vec<(f64, f64)> = (0..16u64)
+                .map(|i| {
+                    let width = 0.2 + 0.05 * ((i * 7 + k) % 16) as f64;
+                    let pulse = (at, width);
+                    at += width + 0.8 + 0.05 * ((i * 5 + k) % 16) as f64;
+                    pulse
+                })
+                .collect();
+            ScenarioSpec {
+                label: format!("g{k}"),
+                seed: Some(1000 + k),
+                inputs: vec![("a".to_owned(), SignalSpec::train(pulses))],
+            }
+        })
+        .collect();
+    DigitalSpec {
+        topology: TopologySpec::RandomDag {
+            nodes: 20_000,
+            seed: Some(1),
+            channel: ChannelSpec::eta_exp(
+                1.0,
+                0.5,
+                0.5,
+                0.02,
+                0.02,
+                NoiseSpec::Uniform { seed: 7 },
+            ),
+        },
+        scenarios,
+        horizon: 250.0,
+        workers: Some(2),
+        max_events: None,
+        on_failure: FailurePolicySpec::default(),
+        outputs: OutputSelect {
+            signals: true,
+            stats: true,
+            vcd: false,
+            watch: vec!["y".to_owned()],
+        },
+    }
+}
+
 /// Emits the `BENCH_digital.json` perf baseline: the event queue on
 /// the three workloads, spawn vs pool at 1/2/4 workers, the
-/// facade-driven sweep, and the `sweep_10k` scaling tier.
+/// facade-driven sweeps, and the `sweep_10k` scaling tier.
 #[allow(clippy::too_many_lines)]
 fn emit_baseline(test_mode: bool) {
     let iters = if test_mode { 1 } else { 5 };
@@ -774,6 +829,22 @@ fn emit_baseline(test_mode: bool) {
         "facade_sweep_4w".to_owned(),
         facade_digital.failed,
         facade_digital.retried,
+    ));
+
+    // one whole op of the paper's regime: build, pool spawn and 32
+    // scenarios that each touch a small part of a 20k-gate netlist
+    let spec = dag20k_sweep();
+    let dag_t = median_secs(iters, || {
+        let result = Experiment::digital(spec.clone()).run().unwrap();
+        assert_eq!(result.digital().unwrap().failed, 0);
+    });
+    entries.push(("dag20k_sweep_2w".to_owned(), dag_t));
+    let dag_result = Experiment::digital(spec).run().unwrap();
+    let dag_digital = dag_result.digital().unwrap();
+    sweep_health.push((
+        "dag20k_sweep_2w".to_owned(),
+        dag_digital.failed,
+        dag_digital.retried,
     ));
     for (name, failed, retried) in &sweep_health {
         assert_eq!(

@@ -103,6 +103,8 @@ pub(crate) struct Topology {
     /// order (the order the old per-node `Vec<EdgeId>` held them).
     pub(crate) out_start: Vec<u32>,
     pub(crate) out_edges: Vec<u32>,
+    /// Input-port node ids, ascending.
+    pub(crate) input_ports: Vec<u32>,
     pub(crate) names: Arc<HashMap<String, NodeId>>,
 }
 
@@ -427,6 +429,9 @@ impl CircuitBuilder {
             out_edges[cursor[f as usize] as usize] = i as u32;
             cursor[f as usize] += 1;
         }
+        let input_ports = (0..n as u32)
+            .filter(|&i| self.node_tags[i as usize] == NodeTag::Input)
+            .collect();
         let channels = self
             .conns
             .into_iter()
@@ -448,6 +453,7 @@ impl CircuitBuilder {
                 edge_pin: self.edge_pin,
                 out_start,
                 out_edges,
+                input_ports,
                 names: Arc::new(self.names),
             }),
             channels,

@@ -7,14 +7,17 @@
 //! scenarios. A [`ScenarioRunner`] amortizes setup across the batch
 //! *and across batches*: worker threads are spawned once (lazily, on
 //! the first [`run`](ScenarioRunner::run)) and live for the runner's
-//! lifetime. Every worker's circuit clone `Arc`-shares the immutable
-//! netlist topology with the template — the only per-worker state is
-//! the mutable channel boxes (single-history + noise RNG) and one
-//! [`Simulator`] whose per-run working memory stays warm scenario after
-//! scenario and sweep after sweep. A 10k-scenario sweep therefore
-//! performs zero per-scenario allocation, zero thread spawns, and holds
-//! one template plus one working copy of the netlist per worker — all
-//! `Arc`-sharing a single topology no matter the worker count.
+//! lifetime. The pool holds one template copy of the circuit that all
+//! workers share, and each worker owns one [`Simulator`] over a clone
+//! of it. Every copy `Arc`-shares the immutable netlist topology — the
+//! only per-worker state is the mutable channel boxes (single-history +
+//! noise RNG) and the simulator's per-run working memory, which stays
+//! warm scenario after scenario and sweep after sweep. A scenario costs
+//! O(activity), not O(netlist) (see [`Simulator`]'s run lifecycle). A
+//! 10k-scenario sweep therefore performs zero per-scenario allocation,
+//! zero thread spawns, and holds one template plus one working copy of
+//! the channels per worker — all `Arc`-sharing a single topology no
+//! matter the worker count.
 //!
 //! Work is distributed dynamically: workers pull fixed-size index
 //! chunks from a shared atomic cursor, so a scenario that simulates 100×
@@ -454,20 +457,31 @@ impl WorkerShared {
     }
 }
 
-/// Everything a worker needs besides the job: its template circuit (to
-/// rebuild the simulator after a contained panic, and to restore
-/// channels after a `CorruptChannel` fault), simulator knobs, and its
-/// supervision handle.
+/// Everything a worker needs besides the job: the pool's shared
+/// template circuit (to build the simulator, rebuild it after a
+/// contained panic, and restore channels after a `CorruptChannel`
+/// fault), simulator knobs, and its supervision handle.
+///
+/// The template sits behind a mutex because a `Circuit` is `Send` but
+/// not `Sync` (its channels need not be); workers only lock it to clone
+/// from it.
 struct WorkerCtx {
-    template: Circuit,
+    template: Arc<Mutex<Circuit>>,
     max_events: usize,
     watch: Option<Arc<Vec<String>>>,
     shared: Arc<WorkerShared>,
 }
 
 impl WorkerCtx {
+    fn template(&self) -> std::sync::MutexGuard<'_, Circuit> {
+        self.template
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn make_sim(&self) -> Simulator {
-        let mut sim = Simulator::new(self.template.clone()).with_max_events(self.max_events);
+        let circuit = self.template().clone();
+        let mut sim = Simulator::new(circuit).with_max_events(self.max_events);
         if let Some(watch) = &self.watch {
             sim.set_watch(watch.iter())
                 .expect("watch names were validated against the template circuit");
@@ -665,13 +679,13 @@ fn run_with_fault(
             result
         }
         Some(FaultKind::CorruptChannel) => {
-            let Some(edge) = ctx.template.first_channel_edge() else {
+            let Some(edge) = ctx.template().first_channel_edge() else {
                 return run_scenario(sim, scenario, horizon);
             };
             sim.replace_channel(edge, Box::new(CorruptedChannel));
             let result = run_scenario(sim, scenario, horizon);
             let original = ctx
-                .template
+                .template()
                 .clone_channel(edge)
                 .expect("template edge carries a channel");
             sim.replace_channel(edge, original);
@@ -734,9 +748,12 @@ struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads, each owning a lean clone of `circuit`
-    /// (topology `Arc`-shared, channel state copied) with fully
-    /// reusable simulator state.
+    /// Spawns `workers` threads sharing one template copy of `circuit`.
+    /// Each worker builds one simulator over a lean clone of the
+    /// template (topology `Arc`-shared, channel state copied) with
+    /// fully reusable per-run state, so a worker deep-copies the
+    /// channels once, and again only to rebuild after a contained
+    /// panic.
     fn spawn(
         circuit: &Circuit,
         workers: usize,
@@ -746,13 +763,14 @@ impl WorkerPool {
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         let mut shareds = Vec::with_capacity(workers);
+        let template = Arc::new(Mutex::new(circuit.clone()));
         for _ in 0..workers {
             let shared = Arc::new(WorkerShared {
                 busy_since: Mutex::new(None),
                 cancel: Arc::new(AtomicBool::new(false)),
             });
             let ctx = WorkerCtx {
-                template: circuit.clone(),
+                template: Arc::clone(&template),
                 max_events,
                 watch: watch.map(Arc::clone),
                 shared: Arc::clone(&shared),

@@ -13,7 +13,12 @@
 //! event queue, the dirty set) is owned by a [`SimState`] that the
 //! [`Simulator`] reuses across [`run`](Simulator::run) calls: after the
 //! first run the hot loop performs no pool/recorder allocations — only
-//! the returned [`SimResult`]'s signals are freshly allocated.
+//! the returned [`SimResult`]'s signals are freshly allocated. That state
+//! is restored lazily: per-node and per-edge state carries a run stamp
+//! and is reset from a cached t = 0 baseline on its first touch in a
+//! run, so a run costs O(inputs + watched + touched) rather than
+//! O(netlist) — in the paper's regime of short glitch trains into a
+//! large netlist, most of the netlist is never touched.
 //!
 //! Recording is selective: by default every node and edge gets a
 //! waveform recorder (bit-identical to the historical behaviour), but a
@@ -40,7 +45,7 @@ use ivl_core::channel::{FeedEffect, OnlineChannel as _, SimChannel};
 use ivl_core::{Bit, Signal, SignalBuilder, Transition};
 
 use crate::error::SimError;
-use crate::graph::{Circuit, EdgeId, NodeId, NodeTag};
+use crate::graph::{Circuit, EdgeId, NodeId, NodeTag, Topology};
 use crate::queue::{EventKey, EventQueue};
 
 /// Generation-stamped handle to a slot in the [`EventPool`].
@@ -173,22 +178,147 @@ fn record(rec: &mut SignalBuilder, tr: Transition, cap: usize, dropped: &mut usi
     }
 }
 
-/// Per-run working memory, reused across [`Simulator::run`] calls.
+/// The t = 0 state of a run: every node's initial value, every pin's
+/// value, the gates whose declared initial value disagrees with their
+/// inputs, and the recorder slot of each node.
 ///
-/// `prepare` resizes and resets every buffer in place (keeping
-/// capacity), so after a warmup run repeated simulations of the same
-/// circuit allocate nothing here.
+/// It depends only on the topology, the input ports' initial bits and
+/// the watch set, so it is computed once and reused for as long as
+/// those stay the same (the topology never changes under one
+/// simulator).
 #[derive(Debug, Default)]
-struct SimState {
+struct Baseline {
+    /// The key: input-port initial bits (in `input_ports` order) and
+    /// the watch set this baseline was computed for; `None` until the
+    /// first run.
+    key: Option<(Vec<Bit>, Option<Watch>)>,
     node_initial: Vec<Bit>,
     /// Flattened pin values, indexed by the topology's `pin_start` CSR.
     pins: Vec<Bit>,
-    out_value: Vec<Bit>,
+    /// Gates whose function of their initial inputs differs from their
+    /// declared initial value, ascending: the only gates the t = 0
+    /// batch has to evaluate besides those its deliveries dirty.
+    inconsistent: Vec<usize>,
     /// Recorder slot per node (`NO_REC` = unwatched). Identity map in
     /// full-recording mode.
     node_slot: Vec<u32>,
-    edge_slot: Vec<u32>,
+}
+
+impl Baseline {
+    fn matches(&self, inputs: &[Signal], watch: Option<&Watch>) -> bool {
+        let Some((bits, watched)) = &self.key else {
+            return false;
+        };
+        let same_watch = match (watched, watch) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.nodes, &b.nodes),
+            _ => false,
+        };
+        same_watch && bits.iter().zip(inputs).all(|(b, s)| *b == s.initial())
+    }
+
+    #[allow(clippy::cast_possible_truncation)]
+    fn rebuild(&mut self, topo: &Topology, inputs: &[Signal], watch: Option<&Watch>) {
+        let n_nodes = topo.node_count();
+        self.node_initial.clear();
+        self.node_initial
+            .extend((0..n_nodes).map(|i| match topo.node_tags[i] {
+                NodeTag::Gate => topo.node_initial[i],
+                // input ports are set below; output ports inherit their
+                // (unique) driver's initial value, fixed up below
+                NodeTag::Input | NodeTag::Output => Bit::Zero,
+            }));
+        for (&i, signal) in topo.input_ports.iter().zip(inputs) {
+            self.node_initial[i as usize] = signal.initial();
+        }
+
+        // pin values: driver's initial value propagated (channels keep
+        // the initial value)
+        self.pins.clear();
+        self.pins
+            .resize(topo.pin_start[n_nodes] as usize, Bit::Zero);
+        for e in 0..topo.edge_count() {
+            let to = topo.edge_to[e] as usize;
+            self.pins[(topo.pin_start[to] + topo.edge_pin[e]) as usize] =
+                self.node_initial[topo.edge_from[e] as usize];
+        }
+        self.inconsistent.clear();
+        for i in 0..n_nodes {
+            match topo.node_tags[i] {
+                NodeTag::Output => self.node_initial[i] = self.pins[topo.pin_start[i] as usize],
+                NodeTag::Gate => {
+                    if topo.gate_kinds[i].eval(&self.pins[topo.pin_range(i)])
+                        != self.node_initial[i]
+                    {
+                        self.inconsistent.push(i);
+                    }
+                }
+                NodeTag::Input => {}
+            }
+        }
+
+        self.node_slot.clear();
+        match watch {
+            None => self.node_slot.extend(0..n_nodes as u32),
+            Some(watch) => {
+                self.node_slot.resize(n_nodes, NO_REC);
+                for (slot, id) in watch.nodes.iter().enumerate() {
+                    self.node_slot[id.index()] = slot as u32;
+                }
+            }
+        }
+        self.key = Some((inputs.iter().map(Signal::initial).collect(), watch.cloned()));
+    }
+}
+
+/// Per-node working state of a run. A node is restored from the
+/// [`Baseline`] on its first touch in a run (a delivery to it, or its
+/// t = 0 evaluation), so a run pays only for the nodes it reaches.
+#[derive(Debug, Default)]
+struct Nodes {
+    /// Run stamp per node: equal to the current run once the node's
+    /// pins, output value and dirty flag were restored in it.
+    seen: Vec<u32>,
+    /// Flattened pin values, indexed by the topology's `pin_start` CSR.
+    pins: Vec<Bit>,
+    out_value: Vec<Bit>,
+    dirty_flag: Vec<bool>,
+}
+
+impl Nodes {
+    #[inline]
+    fn open(&mut self, n: usize, run: u32, topo: &Topology, base: &Baseline) {
+        if self.seen[n] != run {
+            self.seen[n] = run;
+            let pins = topo.pin_range(n);
+            self.pins[pins.clone()].copy_from_slice(&base.pins[pins]);
+            self.out_value[n] = base.node_initial[n];
+            self.dirty_flag[n] = false;
+        }
+    }
+}
+
+/// Per-run working memory, reused across [`Simulator::run`] calls.
+///
+/// `prepare` costs O(inputs + watched), not O(netlist) (full recording
+/// still resets one recorder per node and edge): node and edge state
+/// is stamped with the run and restored on first touch, so after a
+/// warmup run repeated simulations allocate nothing here and touch only
+/// what the stimulus reaches. A run that fails part-way needs no
+/// clean-up: the next run's stamp makes everything it left behind
+/// stale.
+#[derive(Debug, Default)]
+struct SimState {
+    base: Baseline,
+    /// The current run's stamp (see [`Nodes::seen`] and `edge_seen`).
+    run: u32,
+    nodes: Nodes,
+    /// Run stamp per edge: equal to the current run once the edge's
+    /// pending queue was cleared and its channel reset in it.
+    edge_seen: Vec<u32>,
     node_rec: Vec<SignalBuilder>,
+    /// One recorder per edge under full recording, none under a watch
+    /// set.
     edge_rec: Vec<SignalBuilder>,
     dropped: usize,
     pool: EventPool,
@@ -196,96 +326,104 @@ struct SimState {
     edge_pending: Vec<VecDeque<EventId>>,
     dirty: Vec<usize>,
     dirty_scratch: Vec<usize>,
-    dirty_flag: Vec<bool>,
 }
 
 impl SimState {
-    #[allow(clippy::cast_possible_truncation)]
-    fn prepare(&mut self, circuit: &Circuit, inputs: &[Signal], watch: Option<&[NodeId]>) {
-        let topo = &*circuit.topo;
-        let n_nodes = topo.node_count();
-        let n_edges = topo.edge_count();
-
-        self.node_initial.clear();
-        self.node_initial
-            .extend((0..n_nodes).map(|i| match topo.node_tags[i] {
-                NodeTag::Input => inputs[i].initial(),
-                NodeTag::Gate => topo.node_initial[i],
-                // output ports inherit their (unique) driver's initial
-                NodeTag::Output => Bit::Zero, // fixed up below
-            }));
-
-        // flattened pin values: driver's initial value propagated
-        // (channels keep the initial value)
-        let n_pins = topo.pin_start[n_nodes] as usize;
-        self.pins.clear();
-        self.pins.resize(n_pins, Bit::Zero);
-        for e in 0..n_edges {
-            let to = topo.edge_to[e] as usize;
-            self.pins[(topo.pin_start[to] + topo.edge_pin[e]) as usize] =
-                self.node_initial[topo.edge_from[e] as usize];
+    fn prepare(&mut self, topo: &Topology, inputs: &[Signal], watch: Option<&Watch>) {
+        if !self.base.matches(inputs, watch) {
+            self.base.rebuild(topo, inputs, watch);
+            let n_nodes = topo.node_count();
+            let n_edges = topo.edge_count();
+            self.nodes.seen.resize(n_nodes, 0);
+            self.nodes.pins.resize(self.base.pins.len(), Bit::Zero);
+            self.nodes.out_value.resize(n_nodes, Bit::Zero);
+            self.nodes.dirty_flag.resize(n_nodes, false);
+            self.edge_seen.resize(n_edges, 0);
+            self.edge_pending.resize_with(n_edges, VecDeque::new);
         }
-        for i in 0..n_nodes {
-            if topo.node_tags[i] == NodeTag::Output {
-                self.node_initial[i] = self.pins[topo.pin_start[i] as usize];
-            }
+        // a new stamp makes every node and edge stale; on wrap-around,
+        // clear the stamps so no old one can collide with it
+        self.run = self.run.wrapping_add(1);
+        if self.run == 0 {
+            self.nodes.seen.fill(0);
+            self.edge_seen.fill(0);
+            self.run = 1;
         }
-
-        self.out_value.clear();
-        self.out_value.extend_from_slice(&self.node_initial);
 
         // recorders: full mode keeps one per node and edge
         // (bit-identical legacy behaviour); a watch set allocates
         // exactly one recorder per watched node and none per edge
+        let initial = &self.base.node_initial;
         match watch {
             None => {
-                self.node_slot.clear();
-                self.node_slot.extend(0..n_nodes as u32);
-                self.edge_slot.clear();
-                self.edge_slot.extend(0..n_edges as u32);
                 self.node_rec
-                    .resize_with(n_nodes, || SignalBuilder::new(Bit::Zero));
-                for (rec, &init) in self.node_rec.iter_mut().zip(&self.node_initial) {
+                    .resize_with(initial.len(), || SignalBuilder::new(Bit::Zero));
+                for (rec, &init) in self.node_rec.iter_mut().zip(initial) {
                     rec.reset(init);
                 }
                 self.edge_rec
-                    .resize_with(n_edges, || SignalBuilder::new(Bit::Zero));
-                for (e, rec) in self.edge_rec.iter_mut().enumerate() {
-                    rec.reset(self.node_initial[topo.edge_from[e] as usize]);
+                    .resize_with(topo.edge_count(), || SignalBuilder::new(Bit::Zero));
+                for (rec, &from) in self.edge_rec.iter_mut().zip(&topo.edge_from) {
+                    rec.reset(initial[from as usize]);
                 }
             }
-            Some(nodes) => {
-                self.node_slot.clear();
-                self.node_slot.resize(n_nodes, NO_REC);
-                self.edge_slot.clear();
-                self.edge_slot.resize(n_edges, NO_REC);
+            Some(watch) => {
                 self.node_rec
-                    .resize_with(nodes.len(), || SignalBuilder::new(Bit::Zero));
-                for (slot, id) in nodes.iter().enumerate() {
-                    self.node_slot[id.index()] = slot as u32;
-                    self.node_rec[slot].reset(self.node_initial[id.index()]);
+                    .resize_with(watch.nodes.len(), || SignalBuilder::new(Bit::Zero));
+                for (rec, id) in self.node_rec.iter_mut().zip(watch.nodes.iter()) {
+                    rec.reset(initial[id.index()]);
                 }
                 self.edge_rec.clear();
             }
         }
         self.dropped = 0;
-
         self.pool.clear();
         self.queue.clear();
-        self.edge_pending.resize_with(n_edges, VecDeque::new);
-        for q in &mut self.edge_pending {
-            q.clear();
-        }
 
+        // the t = 0 batch starts from the inconsistent gates; a gate
+        // that agrees with its inputs cannot change until a delivery
+        // dirties it
         self.dirty.clear();
         self.dirty_scratch.clear();
-        self.dirty_flag.clear();
-        self.dirty_flag.resize(n_nodes, false);
-        for i in 0..n_nodes {
-            if topo.node_tags[i] == NodeTag::Gate {
-                self.dirty.push(i);
-                self.dirty_flag[i] = true;
-            }
+        for &g in &self.base.inconsistent {
+            self.nodes.open(g, self.run, topo, &self.base);
+            self.nodes.dirty_flag[g] = true;
+            self.dirty.push(g);
+        }
+    }
+}
+
+/// The seed of the latest [`Simulator::reseed_noise`] call. Each
+/// channel takes it on its first feed after the call, so a reseed costs
+/// O(1) plus one `reseed` per channel a later run actually feeds.
+#[derive(Debug, Clone, Default)]
+struct NoiseSeed {
+    /// Number of `reseed_noise` calls so far (0 = never reseeded).
+    generation: u32,
+    seed: u64,
+    /// Per edge: the generation whose seed the edge's channel holds.
+    applied: Vec<u32>,
+}
+
+impl NoiseSeed {
+    fn set(&mut self, seed: u64) {
+        if self.generation == u32::MAX {
+            self.applied.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        self.seed = seed;
+    }
+
+    /// Reseeds `channel` (on `edge`) unless it already holds the
+    /// latest seed. The per-edge derivation mixes the edge index in, so
+    /// distinct channels draw decorrelated streams.
+    fn apply(&mut self, edge: usize, channel: &mut dyn SimChannel) {
+        if self.applied[edge] != self.generation {
+            self.applied[edge] = self.generation;
+            channel.reseed(split_mix64(
+                self.seed ^ (edge as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ));
         }
     }
 }
@@ -296,6 +434,9 @@ struct Queue<'a> {
     pool: &'a mut EventPool,
     queue: &'a mut EventQueue,
     edge_pending: &'a mut [VecDeque<EventId>],
+    edge_seen: &'a mut [u32],
+    run: u32,
+    noise: &'a mut NoiseSeed,
     seq: u64,
     scheduled: usize,
     cancelled: usize,
@@ -303,6 +444,36 @@ struct Queue<'a> {
 }
 
 impl Queue<'_> {
+    /// Sends transition `tr` into `edge`: scheduled as-is on a direct
+    /// connection, fed to the channel otherwise. The edge's first send
+    /// in a run clears the pending handles the previous run left and
+    /// resets (and, after a `reseed_noise`, reseeds) its channel. `now`
+    /// is the current simulation time (`None` during pre-scheduling of
+    /// input-port signals, when causality cannot be violated).
+    fn send(
+        &mut self,
+        edge: usize,
+        channel: &mut Option<Box<dyn SimChannel>>,
+        tr: Transition,
+        now: Option<f64>,
+    ) -> Result<(), SimError> {
+        if self.edge_seen[edge] != self.run {
+            self.edge_seen[edge] = self.run;
+            self.edge_pending[edge].clear();
+            if let Some(ch) = channel {
+                ch.reset();
+                self.noise.apply(edge, &mut **ch);
+            }
+        }
+        match channel {
+            None => self.schedule(edge, tr),
+            Some(ch) => {
+                let effect = ch.feed(tr);
+                self.apply(edge, effect, now)
+            }
+        }
+    }
+
     /// Schedules a transition on `edge`, charging it against the event
     /// budget — cancel-heavy churn is bounded even if nothing is ever
     /// delivered.
@@ -394,17 +565,31 @@ struct Watch {
 ///
 /// # Run lifecycle and state reuse
 ///
-/// Each `run` resets channel single-history state and rebuilds the
-/// per-run working memory *in place* (the internal `SimState`: event
-/// pool, scheduling heap, pin values, recorders). After a warmup run,
-/// repeated runs of the same circuit perform no further pool/recorder
-/// allocations; only the returned [`SimResult`] is freshly allocated.
+/// A run costs O(inputs + watched + touched), not O(netlist). The t = 0
+/// state (initial values, pin values, recorder slots, and the gates
+/// whose declared initial value disagrees with their inputs) is
+/// computed once and reused until an input port's initial bit or the
+/// watch set changes. Each run then restores only the nodes, pins and
+/// pending queues it touches, on first touch, and evaluates at t = 0
+/// only the inconsistent gates plus those the t = 0 deliveries dirty,
+/// in ascending node order. A channel's single-history state is reset
+/// on its first feed in a run. After a warmup run, repeated runs
+/// perform no further pool/recorder allocations; only the returned
+/// [`SimResult`] is freshly allocated. Results are bit-identical to
+/// rebuilding all of that state eagerly before every run, including
+/// after a run that returned an error.
 ///
 /// Noise RNG streams are deliberately *not* reset between runs, so
 /// repeated runs explore fresh adversary choices. For reproducible
 /// sweeps, [`reseed_noise`](Simulator::reseed_noise) pins every
 /// channel's stream to a scenario seed (this is what
-/// [`ScenarioRunner`](crate::ScenarioRunner) does per scenario).
+/// [`ScenarioRunner`](crate::ScenarioRunner) does per scenario). The
+/// reseed is applied to each channel on its first feed after the call,
+/// which is indistinguishable from reseeding all channels at once
+/// because a channel's noise is only drawn when it is fed. Channel
+/// state read back through [`circuit`](Simulator::circuit) reflects
+/// this: a channel the last run did not feed still holds its older
+/// history and seed.
 ///
 /// # Memory-bounded recording
 ///
@@ -418,9 +603,11 @@ struct Watch {
 /// is *kept* differs.
 pub struct Simulator {
     circuit: Circuit,
+    /// One signal per input port, in `Topology::input_ports` order.
     inputs: Vec<Signal>,
     max_events: usize,
     state: SimState,
+    noise: NoiseSeed,
     cancel: Option<Arc<AtomicBool>>,
     watch: Option<Watch>,
     transition_cap: Option<usize>,
@@ -430,12 +617,17 @@ impl Simulator {
     /// Creates a simulator; all inputs default to the zero signal.
     #[must_use]
     pub fn new(circuit: Circuit) -> Self {
-        let inputs = vec![Signal::zero(); circuit.node_count()];
+        let inputs = vec![Signal::zero(); circuit.topo.input_ports.len()];
+        let noise = NoiseSeed {
+            applied: vec![0; circuit.edge_count()],
+            ..NoiseSeed::default()
+        };
         Simulator {
             circuit,
             inputs,
             max_events: 10_000_000,
             state: SimState::default(),
+            noise,
             cancel: None,
             watch: None,
             transition_cap: None,
@@ -451,6 +643,9 @@ impl Simulator {
     /// Panics if `edge` is out of range or is a direct connection.
     pub fn replace_channel(&mut self, edge: EdgeId, channel: Box<dyn SimChannel>) {
         self.circuit.replace_channel(edge, channel);
+        // the new channel keeps its own seed, exactly as if the latest
+        // reseed had been applied to the channel it replaces
+        self.noise.applied[edge.index()] = self.noise.generation;
     }
 
     /// Caps the number of *scheduled* events per run (guards against
@@ -575,10 +770,11 @@ impl Simulator {
     /// and [`SimError::InputViolatesS1`] if the signal has transitions
     /// before time 0.
     pub fn set_input(&mut self, name: &str, signal: Signal) -> Result<(), SimError> {
-        let id = self
+        let topo = &self.circuit.topo;
+        let port = self
             .circuit
             .node(name)
-            .filter(|id| self.circuit.topo.node_tags[id.index()] == NodeTag::Input)
+            .and_then(|id| topo.input_ports.binary_search(&id.0).ok())
             .ok_or_else(|| SimError::UnknownPort {
                 name: name.to_owned(),
             })?;
@@ -587,12 +783,13 @@ impl Simulator {
                 name: name.to_owned(),
             });
         }
-        self.inputs[id.index()] = signal;
+        self.inputs[port] = signal;
         Ok(())
     }
 
     /// Resets every input port back to the zero signal (scenario sweeps
     /// call this between scenarios so stale stimuli don't leak through).
+    /// Costs one write per input port.
     pub fn reset_inputs(&mut self) {
         for s in &mut self.inputs {
             *s = Signal::zero();
@@ -604,15 +801,11 @@ impl Simulator {
     /// Deterministic channels are unaffected.
     ///
     /// Two simulators over clones of the same circuit produce bitwise
-    /// identical runs after `reseed_noise` with the same seed.
+    /// identical runs after `reseed_noise` with the same seed. The call
+    /// itself is O(1): each channel takes the seed on its first feed
+    /// afterwards (see the run lifecycle above).
     pub fn reseed_noise(&mut self, seed: u64) {
-        for (i, ch) in self.circuit.channels.iter_mut().enumerate() {
-            if let Some(ch) = ch {
-                ch.reseed(split_mix64(
-                    seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ));
-            }
-        }
+        self.noise.set(seed);
     }
 
     /// High-water mark of the internal event pool: the largest number of
@@ -643,26 +836,21 @@ impl Simulator {
         let cancel = self.cancel.clone();
         let cap = self.transition_cap.unwrap_or(usize::MAX);
 
-        let circuit = &mut self.circuit;
+        // split the circuit into disjoint borrows so the hot loops
+        // index the flat topology arrays directly: the Arc-shared
+        // topology is read-only, only the channel boxes are mutated
+        let Circuit { topo, channels } = &mut self.circuit;
+        let topo = &**topo;
+        let channels = channels.as_mut_slice();
         let inputs = &self.inputs;
         let state = &mut self.state;
-        state.prepare(
-            circuit,
-            inputs,
-            self.watch.as_ref().map(|w| w.nodes.as_slice()),
-        );
-
-        // reset channel history
-        for ch in circuit.channels.iter_mut().flatten() {
-            ch.reset();
-        }
+        state.prepare(topo, inputs, self.watch.as_ref());
 
         let SimState {
-            node_initial: _,
-            pins,
-            out_value,
-            node_slot,
-            edge_slot,
+            base,
+            run,
+            nodes,
+            edge_seen,
             node_rec,
             edge_rec,
             dropped,
@@ -671,49 +859,33 @@ impl Simulator {
             edge_pending,
             dirty,
             dirty_scratch,
-            dirty_flag,
         } = state;
+        let run = *run;
+        let node_slot = base.node_slot.as_slice();
 
         let mut queue = Queue {
             pool,
             queue: event_queue,
             edge_pending: edge_pending.as_mut_slice(),
+            edge_seen: edge_seen.as_mut_slice(),
+            run,
+            noise: &mut self.noise,
             seq: 0,
             scheduled: 0,
             cancelled: 0,
             max_events: self.max_events,
         };
 
-        // split the circuit into disjoint borrows so the hot loops
-        // index the flat topology arrays directly: the Arc-shared
-        // topology is read-only, only the channel boxes are mutated
-        let Circuit { topo, channels } = circuit;
-        let topo = &**topo;
-        let channels = channels.as_mut_slice();
-
         // Pre-schedule all input-port signals. A channel driven by an
         // input port sees exactly that port's transitions, so feeding
         // them all upfront is equivalent to feeding them in global time
         // order.
-        for i in 0..topo.node_count() {
-            if topo.node_tags[i] != NodeTag::Input {
-                continue;
-            }
-            let signal = &inputs[i];
+        for (&port, signal) in topo.input_ports.iter().zip(inputs) {
+            let i = port as usize;
             for &eid in topo.outgoing(i) {
                 let e = eid as usize;
-                match &mut channels[e] {
-                    None => {
-                        for tr in signal {
-                            queue.schedule(e, *tr)?;
-                        }
-                    }
-                    Some(ch) => {
-                        for tr in signal {
-                            let effect = ch.feed(*tr);
-                            queue.apply(e, effect, None)?;
-                        }
-                    }
+                for tr in signal {
+                    queue.send(e, &mut channels[e], *tr, None)?;
                 }
             }
             // record the input signal itself
@@ -738,6 +910,7 @@ impl Simulator {
         // initial values (the paper lets a gate's declared initial value
         // disagree with its function; the mismatch appears at time 0)
         let mut batch_time = 0.0_f64;
+        let mut first_batch = true;
 
         loop {
             // cooperative cancellation: one relaxed load per batch
@@ -760,10 +933,9 @@ impl Simulator {
                 if let Some(ch) = &mut channels[edge_idx] {
                     ch.discard_delivered(time);
                 }
-                let eslot = edge_slot[edge_idx];
-                if eslot != NO_REC {
+                if let Some(rec) = edge_rec.get_mut(edge_idx) {
                     record(
-                        &mut edge_rec[eslot as usize],
+                        rec,
                         Transition::new(time, value),
                         cap,
                         dropped,
@@ -772,17 +944,18 @@ impl Simulator {
                 }
                 let to = topo.edge_to[edge_idx] as usize;
                 let pin = topo.edge_pin[edge_idx];
-                pins[(topo.pin_start[to] + pin) as usize] = value;
+                nodes.open(to, run, topo, base);
+                nodes.pins[(topo.pin_start[to] + pin) as usize] = value;
                 match topo.node_tags[to] {
                     NodeTag::Gate => {
-                        if !dirty_flag[to] {
-                            dirty_flag[to] = true;
+                        if !nodes.dirty_flag[to] {
+                            nodes.dirty_flag[to] = true;
                             dirty.push(to);
                         }
                     }
                     NodeTag::Output => {
-                        if out_value[to] != value {
-                            out_value[to] = value;
+                        if nodes.out_value[to] != value {
+                            nodes.out_value[to] = value;
                             let slot = node_slot[to];
                             if slot != NO_REC {
                                 record(
@@ -799,20 +972,23 @@ impl Simulator {
                 }
             }
 
+            // the t = 0 batch evaluates its gates in ascending node
+            // order, as a sweep over every gate would
+            if first_batch {
+                first_batch = false;
+                dirty.sort_unstable();
+            }
             // evaluate dirty gates and feed their transitions
             std::mem::swap(dirty, dirty_scratch);
             for &i in dirty_scratch.iter() {
-                dirty_flag[i] = false;
+                nodes.dirty_flag[i] = false;
             }
             for &i in dirty_scratch.iter() {
-                if topo.node_tags[i] != NodeTag::Gate {
+                let new_value = topo.gate_kinds[i].eval(&nodes.pins[topo.pin_range(i)]);
+                if new_value == nodes.out_value[i] {
                     continue;
                 }
-                let new_value = topo.gate_kinds[i].eval(&pins[topo.pin_range(i)]);
-                if new_value == out_value[i] {
-                    continue;
-                }
-                out_value[i] = new_value;
+                nodes.out_value[i] = new_value;
                 let tr = Transition::new(batch_time, new_value);
                 let slot = node_slot[i];
                 if slot != NO_REC {
@@ -826,13 +1002,7 @@ impl Simulator {
                 }
                 for &eid in topo.outgoing(i) {
                     let e = eid as usize;
-                    match &mut channels[e] {
-                        None => queue.schedule(e, tr)?,
-                        Some(ch) => {
-                            let effect = ch.feed(tr);
-                            queue.apply(e, effect, Some(batch_time))?;
-                        }
-                    }
+                    queue.send(e, &mut channels[e], tr, Some(batch_time))?;
                 }
             }
             dirty_scratch.clear();
@@ -877,15 +1047,17 @@ impl Simulator {
 
 impl Clone for Simulator {
     /// Clones the circuit — `Arc`-sharing the topology and deep-copying
-    /// only the per-edge channel state — and the inputs; the clone
-    /// starts with fresh, empty per-run state. Watch set and transition cap
-    /// carry over (the watch `Arc` is shared, not deep-copied).
+    /// only the per-edge channel state — the inputs and any reseed not
+    /// yet applied; the clone starts with fresh, empty per-run state.
+    /// Watch set and transition cap carry over (the watch `Arc` is
+    /// shared, not deep-copied).
     fn clone(&self) -> Self {
         Simulator {
             circuit: self.circuit.clone(),
             inputs: self.inputs.clone(),
             max_events: self.max_events,
             state: SimState::default(),
+            noise: self.noise.clone(),
             cancel: None,
             watch: self.watch.clone(),
             transition_cap: self.transition_cap,
@@ -1658,6 +1830,71 @@ mod tests {
             .signal("y")
             .unwrap()
             .approx_eq(&Signal::pulse(2.0, 1.0).unwrap(), 1e-12));
+    }
+
+    #[test]
+    fn t0_batch_evaluates_in_ascending_node_order() {
+        // `low` is dirtied by a t = 0 delivery, `high` is inconsistent
+        // from the start; the t = 0 batch still evaluates `low` first,
+        // so after the input's two events the budget of 3 trips on
+        // `high`'s event (t = 2), exactly as when every gate was
+        // evaluated at t = 0 in node order
+        let mut b = CircuitBuilder::new();
+        let a = b.input("a");
+        let c = b.input("c");
+        let low = b.gate("low", GateKind::Buf, Bit::Zero);
+        let high = b.gate("high", GateKind::Not, Bit::Zero);
+        let y1 = b.output("y1");
+        let y2 = b.output("y2");
+        b.connect_direct(a, low, 0).unwrap();
+        b.connect_direct(c, high, 0).unwrap();
+        b.connect(low, y1, 0, pure(1.0)).unwrap();
+        b.connect(high, y2, 0, pure(2.0)).unwrap();
+        let mut sim = Simulator::new(b.build().unwrap()).with_max_events(3);
+        sim.set_input("a", Signal::pulse(0.0, 5.0).unwrap())
+            .unwrap();
+        assert!(matches!(
+            sim.run(10.0),
+            Err(SimError::MaxEventsExceeded { time, .. }) if time == 2.0
+        ));
+    }
+
+    #[test]
+    fn replaced_channel_keeps_its_own_seed() {
+        // a reseed issued before a channel swap applies to the channel
+        // it replaced, never to the newcomer
+        use ivl_core::channel::EtaInvolutionChannel;
+        use ivl_core::noise::{EtaBounds, UniformNoise};
+
+        let eta = |seed| {
+            EtaInvolutionChannel::new(
+                ExpChannel::new(1.0, 0.5, 0.5).unwrap(),
+                EtaBounds::new(0.02, 0.02).unwrap(),
+                UniformNoise::new(seed),
+            )
+        };
+        let build = |seed| {
+            let mut b = CircuitBuilder::new();
+            let a = b.input("a");
+            let g = b.gate("buf", GateKind::Buf, Bit::Zero);
+            let y = b.output("y");
+            b.connect_direct(a, g, 0).unwrap();
+            let e = b.connect(g, y, 0, eta(seed)).unwrap();
+            (b.build().unwrap(), e)
+        };
+        let input = Signal::pulse_train([(0.0, 2.0), (4.0, 2.0), (8.0, 2.0)]).unwrap();
+
+        let (circuit, e) = build(1);
+        let mut swapped = Simulator::new(circuit);
+        swapped.reseed_noise(5);
+        swapped.replace_channel(e, Box::new(eta(9)));
+        swapped.set_input("a", input.clone()).unwrap();
+        let got = swapped.run(50.0).unwrap();
+
+        let mut reference = Simulator::new(build(9).0);
+        reference.set_input("a", input).unwrap();
+        let want = reference.run(50.0).unwrap();
+        assert_eq!(got.signal("y").unwrap(), want.signal("y").unwrap());
     }
 
     #[test]

@@ -4,17 +4,22 @@
 //! differently — involution pipelines (non-FIFO cancellation), wide
 //! fanout, cancel-heavy inertial churn (stale keys and heap
 //! compaction), feedback oscillation (far-future pushes) and seeded
-//! adversarial noise. The triples were recorded with the reference
-//! binary heap and cross-checked against the calendar wheel and the
-//! adaptive prober the compacting heap replaced, so a match means
+//! adversarial noise, including a seeded scenario sequence on a random
+//! DAG that touches only part of its netlist per run. The triples were
+//! recorded with the reference binary heap and cross-checked against
+//! the calendar wheel and the adaptive prober the compacting heap
+//! replaced (the DAG sequence against the simulator that reset every
+//! node, pin and channel eagerly per run), so a match means
 //! bit-identical output. Plus the worker pool's determinism bar:
 //! identical `SweepResult`s across 1/2/4/7/8 workers and across
 //! repeated `run()` calls on one runner.
 
 use ivl_circuit::{
-    Circuit, CircuitBuilder, GateKind, Scenario, ScenarioRunner, SimResult, Simulator,
+    generate, Circuit, CircuitBuilder, GateKind, Scenario, ScenarioRunner, SimResult, Simulator,
 };
-use ivl_core::channel::{EtaInvolutionChannel, InertialDelay, InvolutionChannel, PureDelay};
+use ivl_core::channel::{
+    EtaInvolutionChannel, InertialDelay, InvolutionChannel, PureDelay, SimChannel,
+};
 use ivl_core::delay::ExpChannel;
 use ivl_core::noise::{EtaBounds, UniformNoise};
 use ivl_core::{Bit, Signal};
@@ -143,6 +148,23 @@ fn noisy_circuit() -> Circuit {
     b.build().unwrap()
 }
 
+/// A seeded 2000-gate `random_dag` behind η-involution channels with
+/// uniform noise: a glitch train reaches only part of the netlist, so
+/// a scenario sequence on one simulator exercises per-run state that
+/// the previous scenario left behind.
+fn noisy_dag() -> Circuit {
+    let d = ExpChannel::new(1.0, 0.5, 0.5).unwrap();
+    let bounds = EtaBounds::new(0.02, 0.02).unwrap();
+    generate::random_dag(2000, 7, || -> Box<dyn SimChannel> {
+        Box::new(EtaInvolutionChannel::new(
+            d.clone(),
+            bounds,
+            UniformNoise::new(0),
+        ))
+    })
+    .unwrap()
+}
+
 fn pulse_train(gaps: &[f64], widths: &[f64]) -> Signal {
     let mut t = 0.0;
     let mut pulses = Vec::new();
@@ -166,23 +188,22 @@ fn spread(n: usize, stride: usize, lo: f64, hi: f64) -> Vec<f64> {
 // Golden instances
 // ======================================================================
 
-/// One fixed simulation: a circuit, its stimulus on port `a`, the
-/// horizon and an optional noise seed.
+/// One fixed simulation sequence: a circuit, the horizon, and the
+/// runs made back to back on one simulator — each a stimulus on port
+/// `a` and an optional noise seed.
 struct Instance {
     name: &'static str,
     circuit: Circuit,
-    input: Signal,
+    runs: Vec<(Signal, Option<u64>)>,
     horizon: f64,
-    seed: Option<u64>,
 }
 
 fn instances() -> Vec<Instance> {
     let inst = |name, circuit, input, horizon, seed| Instance {
         name,
         circuit,
-        input,
+        runs: vec![(input, seed)],
         horizon,
-        seed,
     };
     // 15 narrow pulses (rejected by the 7-wide window) per passing one
     let cancel_heavy = Signal::pulse_train((0..48).map(|i| {
@@ -306,12 +327,32 @@ fn instances() -> Vec<Instance> {
             500.0,
             Some(999),
         ),
+        Instance {
+            name: "random_dag_eta/3x",
+            circuit: noisy_dag(),
+            runs: vec![
+                (
+                    pulse_train(&spread(8, 37, 0.8, 1.6), &spread(8, 11, 0.2, 1.0)),
+                    Some(101),
+                ),
+                (
+                    pulse_train(&spread(3, 59, 0.8, 1.6), &spread(3, 23, 0.2, 1.0)),
+                    Some(202),
+                ),
+                (
+                    pulse_train(&spread(12, 17, 0.8, 1.6), &spread(12, 67, 0.2, 1.0)),
+                    Some(303),
+                ),
+            ],
+            horizon: 300.0,
+        },
     ]
 }
 
 /// `(name, processed, scheduled, digest)` per instance, recorded with
 /// the reference binary heap (and matched by the calendar wheel and
-/// the adaptive prober at the time).
+/// the adaptive prober at the time). Multi-run instances sum the
+/// counts and chain the digest through their runs.
 const GOLDEN: &[(&str, usize, usize, u64)] = &[
     ("involution_chain/1", 2, 3, 0x04cac47d04f3641c),
     ("involution_chain/9", 38, 43, 0xbf311cb26e9a0f68),
@@ -339,18 +380,18 @@ const GOLDEN: &[(&str, usize, usize, u64)] = &[
     ("eta_noise/0", 32, 34, 0x9332ffa693426dde),
     ("eta_noise/17", 20, 22, 0xc3bcece883101f9a),
     ("eta_noise/999", 34, 35, 0x733e3975aa13ac70),
+    ("random_dag_eta/3x", 562, 1660, 0x3dfca31c47209f17),
 ];
 
 /// FNV-1a over every node's name, initial value and transitions (time
-/// bits and value) in node order.
-fn digest(circuit: &Circuit, run: &SimResult) -> u64 {
+/// bits and value) in node order, continuing from the state `h`.
+fn digest(mut h: u64, circuit: &Circuit, run: &SimResult) -> u64 {
     fn eat(h: &mut u64, bytes: &[u8]) {
         for &b in bytes {
             *h ^= u64::from(b);
             *h = h.wrapping_mul(0x0100_0000_01b3);
         }
     }
-    let mut h = 0xcbf2_9ce4_8422_2325;
     for name in circuit.node_names() {
         let signal = run.signal(name).unwrap();
         eat(&mut h, name.as_bytes());
@@ -364,15 +405,18 @@ fn digest(circuit: &Circuit, run: &SimResult) -> u64 {
 }
 
 fn triple(inst: &Instance, sim: &mut Simulator) -> (usize, usize, u64) {
-    if let Some(seed) = inst.seed {
-        sim.reseed_noise(seed);
+    let (mut processed, mut scheduled, mut h) = (0, 0, 0xcbf2_9ce4_8422_2325);
+    for (input, seed) in &inst.runs {
+        sim.set_input("a", input.clone()).unwrap();
+        if let Some(seed) = seed {
+            sim.reseed_noise(*seed);
+        }
+        let run = sim.run(inst.horizon).unwrap();
+        processed += run.processed_events();
+        scheduled += run.scheduled_events();
+        h = digest(h, &inst.circuit, &run);
     }
-    let run = sim.run(inst.horizon).unwrap();
-    (
-        run.processed_events(),
-        run.scheduled_events(),
-        digest(&inst.circuit, &run),
-    )
+    (processed, scheduled, h)
 }
 
 /// Every instance reproduces its golden triple — on a fresh simulator
@@ -384,7 +428,6 @@ fn golden_triples_are_unchanged() {
     for (inst, &(name, processed, scheduled, digest)) in instances.iter().zip(GOLDEN) {
         assert_eq!(inst.name, name);
         let mut sim = Simulator::new(inst.circuit.clone());
-        sim.set_input("a", inst.input.clone()).unwrap();
         for round in 0..2 {
             assert_eq!(
                 triple(inst, &mut sim),

@@ -244,11 +244,12 @@ fn reconfiguration_joins_the_old_pool_instead_of_leaking_it() {
     let runner = ScenarioRunner::new(circuit, 100.0).with_workers(3);
     assert_eq!(runner.circuit().topology_refs(), 1);
 
-    // first run spawns the pool: each worker holds a template clone and
-    // a simulator clone, all Arc-sharing the runner's topology
+    // first run spawns the pool: one template clone shared by the
+    // workers, and one simulator clone per worker, all Arc-sharing the
+    // runner's topology
     let sweep = runner.run(&seeded_scenarios(4));
     assert_eq!(sweep.stats().failures, 0);
-    assert_eq!(runner.circuit().topology_refs(), 1 + 2 * 3);
+    assert_eq!(runner.circuit().topology_refs(), 1 + 1 + 3);
 
     // reconfiguring must join the old workers — every worker-held
     // topology reference is dropped, not leaked
@@ -260,7 +261,7 @@ fn reconfiguration_joins_the_old_pool_instead_of_leaking_it() {
     // and the runner still works afterwards
     let sweep = runner.run(&seeded_scenarios(4));
     assert_eq!(sweep.stats().failures, 0);
-    assert_eq!(runner.circuit().topology_refs(), 1 + 2 * 3);
+    assert_eq!(runner.circuit().topology_refs(), 1 + 1 + 3);
     drop(runner);
 }
 

@@ -74,6 +74,12 @@ pub trait OnlineChannel {
 
     /// Resets the single-history state (but not stateful noise sources;
     /// see [`EtaInvolutionChannel::reset_noise`]).
+    ///
+    /// Contract: `reset` never touches noise state and
+    /// [`reseed`](OnlineChannel::reseed) never touches history, so the
+    /// two commute. An event-driven simulator relies on this to call
+    /// both lazily, on a channel's first feed in a run, in either order;
+    /// a channel that is not fed in a run is not touched at all.
     fn reset(&mut self);
 
     /// Drops internal bookkeeping for output transitions scheduled at or
@@ -87,6 +93,11 @@ pub trait OnlineChannel {
     /// them. Deterministic channels ignore this (the default). Scenario
     /// sweeps use it to give every scenario an independent, reproducible
     /// adversary regardless of which worker thread runs it.
+    ///
+    /// Contract: `reseed` replaces the whole noise state (so of two
+    /// reseeds without a feed between them only the last one matters),
+    /// never touches the single-history state, and commutes with
+    /// [`reset`](OnlineChannel::reset).
     fn reseed(&mut self, seed: u64) {
         let _ = seed;
     }
