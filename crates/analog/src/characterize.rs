@@ -218,37 +218,8 @@ pub(crate) fn run_one(
     }
 }
 
-/// Sweeps pulse widths and collects `(T, δ)` samples for the measured
-/// stage. With `inverted = false` the second (and interesting) sample of
-/// each run is the edge pair opposite to `inverted = true`, so calling
-/// both orientations characterizes `δ↑` and `δ↓`.
-///
-/// # Errors
-///
-/// Propagates simulation errors; sweep points whose pulses are swallowed
-/// analogly are skipped.
-#[deprecated(
-    since = "0.1.0",
-    note = "superseded by `SweepRunner::sweep_samples` (parallel, bit-identical) and the \
-            `faithful::Experiment` facade; this serial path remains as a compat wrapper"
-)]
-pub fn sweep_samples(
-    chain: &InverterChain,
-    vdd: &VddSource,
-    config: &SweepConfig,
-    inverted: bool,
-) -> Result<Vec<DelaySample>, Error> {
-    config.validate()?;
-    let runs = config
-        .widths
-        .iter()
-        .map(|&w| run_one(chain, vdd, config, w, inverted))
-        .collect();
-    collect_samples(runs, config)
-}
-
 /// Folds per-width run results into samples — the single definition of
-/// the sweep's error semantics, shared by the serial entry points and
+/// the sweep's error semantics for
 /// [`SweepRunner`](crate::SweepRunner): swallowed pulses
 /// ([`Error::Core`] / [`Error::DegenerateWaveform`]) are skipped, other
 /// errors propagate, an empty sweep is a [`Error::MissingCrossing`].
@@ -279,7 +250,7 @@ pub(crate) fn collect_samples(
 }
 
 /// Splits samples by output edge into `(δ↑, δ↓)`, each sorted by
-/// offset (shared by the serial and parallel pipelines).
+/// offset.
 pub(crate) fn partition_by_edge(
     samples: impl IntoIterator<Item = DelaySample>,
 ) -> (Vec<DelaySample>, Vec<DelaySample>) {
@@ -297,8 +268,7 @@ pub(crate) fn partition_by_edge(
     (up, down)
 }
 
-/// Turns measured samples into deviations against a reference model
-/// (shared by the serial and parallel pipelines).
+/// Turns measured samples into deviations against a reference model.
 pub(crate) fn apply_reference<D: DelayPair + ?Sized>(
     samples: &[DelaySample],
     reference: &D,
@@ -311,30 +281,6 @@ pub(crate) fn apply_reference<D: DelayPair + ?Sized>(
             edge: s.edge,
         })
         .collect()
-}
-
-/// Characterizes both delay functions of the measured stage: returns
-/// `(δ↑ samples, δ↓ samples)` sorted by offset.
-///
-/// # Errors
-///
-/// As [`sweep_samples`].
-#[deprecated(
-    since = "0.1.0",
-    note = "superseded by `SweepRunner::characterize` (parallel, bit-identical) and the \
-            `faithful::Experiment` facade; this serial path remains as a compat wrapper"
-)]
-#[allow(deprecated)]
-pub fn characterize(
-    chain: &InverterChain,
-    vdd: &VddSource,
-    config: &SweepConfig,
-) -> Result<(Vec<DelaySample>, Vec<DelaySample>), Error> {
-    let mut all = Vec::new();
-    for inverted in [false, true] {
-        all.extend(sweep_samples(chain, vdd, config, inverted)?);
-    }
-    Ok(partition_by_edge(all))
 }
 
 /// Sorts measured samples by offset and drops points violating strict
@@ -389,43 +335,19 @@ pub fn to_empirical(
         .map_err(Error::Core)
 }
 
-/// Sweeps pulse widths on a (possibly perturbed) chain/supply and
-/// reports the deviation `D(T)` between the analog output crossings and
-/// the prediction of `reference` (Figs. 8 and 9).
-///
-/// The prediction uses the *measured* previous output crossing as the
-/// single-history anchor, exactly as in the paper's evaluation: for the
-/// `n`-th transition, `t̂_out = t_in + δ_ref(T)` with
-/// `T = t_in − t_out^{prev,measured}`, and `D = t_out^{measured} − t̂_out`.
-///
-/// # Errors
-///
-/// As [`sweep_samples`].
-#[deprecated(
-    since = "0.1.0",
-    note = "superseded by `SweepRunner::measure_deviations` (parallel, bit-identical) and the \
-            `faithful::Experiment` facade; this serial path remains as a compat wrapper"
-)]
-#[allow(deprecated)]
-pub fn measure_deviations<D: DelayPair + ?Sized>(
-    chain: &InverterChain,
-    vdd: &VddSource,
-    config: &SweepConfig,
-    reference: &D,
-    inverted: bool,
-) -> Result<Vec<DeviationSample>, Error> {
-    let samples = sweep_samples(chain, vdd, config, inverted)?;
-    Ok(apply_reference(&samples, reference))
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the serial compat wrappers are tested on purpose
 mod tests {
     use super::*;
+    use crate::SweepRunner;
     use ivl_core::Bit;
 
     fn chain() -> InverterChain {
         InverterChain::umc90_like(7).unwrap()
+    }
+
+    /// One worker: the sweep runs inline, in width order.
+    fn runner() -> SweepRunner {
+        SweepRunner::new().with_workers(1)
     }
 
     fn fast_config() -> SweepConfig {
@@ -464,7 +386,9 @@ mod tests {
 
     #[test]
     fn sweep_produces_increasing_offsets() {
-        let samples = sweep_samples(&chain(), &VddSource::dc(1.0), &fast_config(), false).unwrap();
+        let samples = runner()
+            .sweep_samples(&chain(), &VddSource::dc(1.0), &fast_config(), false)
+            .unwrap();
         assert!(samples.len() >= 6, "got {}", samples.len());
         // wider pulses → larger T
         for w in samples.windows(2) {
@@ -478,7 +402,9 @@ mod tests {
 
     #[test]
     fn characterize_yields_both_edges() {
-        let (up, down) = characterize(&chain(), &VddSource::dc(1.0), &fast_config()).unwrap();
+        let (up, down) = runner()
+            .characterize(&chain(), &VddSource::dc(1.0), &fast_config())
+            .unwrap();
         assert!(!up.is_empty());
         assert!(!down.is_empty());
         assert!(up.iter().all(|s| s.edge == Edge::Rising));
@@ -490,7 +416,9 @@ mod tests {
 
     #[test]
     fn to_piecewise_builds_a_causal_pair() {
-        let (up, _) = characterize(&chain(), &VddSource::dc(1.0), &fast_config()).unwrap();
+        let (up, _) = runner()
+            .characterize(&chain(), &VddSource::dc(1.0), &fast_config())
+            .unwrap();
         let pair = to_piecewise(&up).unwrap();
         assert!(pair.delta_up(0.0) > 0.0);
         // the pair reproduces the measured samples it kept
@@ -507,9 +435,11 @@ mod tests {
         let c = chain();
         let vdd = VddSource::dc(1.0);
         let cfg = fast_config();
-        let (up, _) = characterize(&c, &vdd, &cfg).unwrap();
+        let (up, _) = runner().characterize(&c, &vdd, &cfg).unwrap();
         let pair = to_piecewise(&up).unwrap();
-        let devs = measure_deviations(&c, &vdd, &cfg, &pair, true).unwrap();
+        let devs = runner()
+            .measure_deviations(&c, &vdd, &cfg, &pair, true)
+            .unwrap();
         for d in &devs {
             assert_eq!(d.edge, Edge::Rising);
             assert!(d.deviation.abs() < 0.5, "self-deviation {d:?} too large");
@@ -522,12 +452,16 @@ mod tests {
         let c = chain();
         let vdd = VddSource::dc(1.0);
         let cfg = fast_config();
-        let (up, _) = characterize(&c, &vdd, &cfg).unwrap();
+        let (up, _) = runner().characterize(&c, &vdd, &cfg).unwrap();
         let pair = to_piecewise(&up).unwrap();
         let fast = c.scaled_width(1.1).unwrap();
         let slow = c.scaled_width(0.9).unwrap();
-        let dev_fast = measure_deviations(&fast, &vdd, &cfg, &pair, true).unwrap();
-        let dev_slow = measure_deviations(&slow, &vdd, &cfg, &pair, true).unwrap();
+        let dev_fast = runner()
+            .measure_deviations(&fast, &vdd, &cfg, &pair, true)
+            .unwrap();
+        let dev_slow = runner()
+            .measure_deviations(&slow, &vdd, &cfg, &pair, true)
+            .unwrap();
         let mean =
             |v: &[DeviationSample]| v.iter().map(|s| s.deviation).sum::<f64>() / v.len() as f64;
         assert!(mean(&dev_fast) < -0.1, "fast: {}", mean(&dev_fast));

@@ -123,7 +123,7 @@ impl Inverter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ode::rk4;
+    use crate::ode::rk4_flat;
 
     fn inv() -> Inverter {
         Inverter::umc90_like(5.0).unwrap()
@@ -155,13 +155,13 @@ mod tests {
     fn transient_settles_to_inverted_rail() {
         let i = inv();
         // input steps high at t = 0, output starts at VDD
-        let trace = rk4(0.0, &[1.0], 0.05, 2000, |_t, y, dy| {
+        let trace = rk4_flat(0.0, &[1.0], 0.05, 2000, |_t, y, dy| {
             dy[0] = i.dv_out(1.0, y[0], 1.0);
         });
-        let v_final = trace.last().unwrap()[0];
+        let v_final = *trace.last().unwrap();
         assert!(v_final < 0.01, "output must settle low: {v_final}");
         // and the transition passes the midpoint within tens of ps
-        let crossed = trace.iter().position(|s| s[0] < 0.5).unwrap();
+        let crossed = trace.iter().position(|&v| v < 0.5).unwrap();
         let t_cross = crossed as f64 * 0.05;
         assert!(
             (1.0..60.0).contains(&t_cross),
@@ -174,10 +174,10 @@ mod tests {
         let slow = inv();
         let fast = slow.scaled_width(1.5).unwrap();
         let cross = |i: Inverter| {
-            let trace = rk4(0.0, &[1.0], 0.05, 4000, |_t, y, dy| {
+            let trace = rk4_flat(0.0, &[1.0], 0.05, 4000, |_t, y, dy| {
                 dy[0] = i.dv_out(1.0, y[0], 1.0);
             });
-            trace.iter().position(|s| s[0] < 0.5).unwrap()
+            trace.iter().position(|&v| v < 0.5).unwrap()
         };
         assert!(cross(fast) < cross(slow));
     }
@@ -186,12 +186,12 @@ mod tests {
     fn lower_vdd_switches_slower() {
         let i = inv();
         let cross = |vdd: f64| {
-            let trace = rk4(0.0, &[vdd], 0.05, 40000, |_t, y, dy| {
+            let trace = rk4_flat(0.0, &[vdd], 0.05, 40000, |_t, y, dy| {
                 dy[0] = i.dv_out(vdd, y[0], vdd);
             });
             trace
                 .iter()
-                .position(|s| s[0] < vdd / 2.0)
+                .position(|&v| v < vdd / 2.0)
                 .expect("must cross")
         };
         // time ≈ C·(VDD/2)/I with I ∝ (VDD − V_T)^α: the 0.6 V crossing

@@ -19,9 +19,10 @@
 //!   8.5 GHz one-pole low-pass);
 //! * [`waveform`] — sampled waveforms with interpolated threshold
 //!   crossings and digitization to `ivl-core` [`Signal`]s;
-//! * [`characterize`] — pulse-width sweeps extracting `(T, δ)` delay
-//!   samples and model-vs-analog deviations `D(T)`;
-//! * [`sweep`] — a [`SweepRunner`] fanning characterization sweeps
+//! * [`characterize`] — the sweep configuration, `(T, δ)` delay
+//!   samples, model-vs-analog deviations `D(T)` and the reference
+//!   models fitted to measured samples;
+//! * [`sweep`] — a [`SweepRunner`] running pulse-width sweeps, fanned
 //!   across worker threads with deterministic result assembly.
 //!
 //! Units: time in **ps**, voltage in **V**, current in **mA**,
@@ -45,6 +46,7 @@
 //!
 //! [`Signal`]: ivl_core::Signal
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -3,8 +3,8 @@
 //!
 //! The fixed-step integrator ([`rk4_with`]) streams accepted states into
 //! a caller-provided recorder, so hot paths can fill flat row-major
-//! buffers instead of allocating a `Vec<Vec<f64>>` per step; [`rk4`]
-//! remains as a thin compatibility wrapper with the original signature.
+//! buffers ([`rk4_flat`]) or keep a single component instead of
+//! allocating a `Vec<f64>` per step.
 //!
 //! The adaptive integrator ([`rk45`]) is an embedded Dormand–Prince
 //! 5(4) pair with a PI step-size controller. Every accepted step is
@@ -75,25 +75,6 @@ where
 {
     let mut out = Vec::with_capacity((steps + 1) * y0.len());
     rk4_with(t0, y0, dt, steps, f, |_k, _t, y| out.extend_from_slice(y));
-    out
-}
-
-/// Compatibility wrapper around [`rk4_with`] returning one `Vec<f64>`
-/// per recorded state (the original allocation-heavy signature).
-///
-/// ```
-/// use ivl_analog::ode::rk4;
-/// // dy/dt = -y, y(0) = 1 → y(t) = e^{-t}
-/// let trace = rk4(0.0, &[1.0], 0.01, 500, |_t, y, dy| dy[0] = -y[0]);
-/// let y_final = trace.last().unwrap()[0];
-/// assert!((y_final - (-5.0f64).exp()).abs() < 1e-9);
-/// ```
-pub fn rk4<F>(t0: f64, y0: &[f64], dt: f64, steps: usize, f: F) -> Vec<Vec<f64>>
-where
-    F: FnMut(f64, &[f64], &mut [f64]),
-{
-    let mut out = Vec::with_capacity(steps + 1);
-    rk4_with(t0, y0, dt, steps, f, |_k, _t, y| out.push(y.to_vec()));
     out
 }
 
@@ -521,8 +502,8 @@ mod tests {
         let exact = (-2.0f64).exp();
         let err = |dt: f64| {
             let steps = (2.0 / dt).round() as usize;
-            let trace = rk4(0.0, &[1.0], dt, steps, |_t, y, dy| dy[0] = -y[0]);
-            (trace.last().unwrap()[0] - exact).abs()
+            let trace = rk4_flat(0.0, &[1.0], dt, steps, |_t, y, dy| dy[0] = -y[0]);
+            (trace.last().unwrap() - exact).abs()
         };
         let e1 = err(0.1);
         let e2 = err(0.05);
@@ -533,11 +514,11 @@ mod tests {
     #[test]
     fn harmonic_oscillator_conserves_energy() {
         // y'' = -y as a 2-state system
-        let trace = rk4(0.0, &[1.0, 0.0], 0.01, 2000, |_t, y, dy| {
+        let trace = rk4_flat(0.0, &[1.0, 0.0], 0.01, 2000, |_t, y, dy| {
             dy[0] = y[1];
             dy[1] = -y[0];
         });
-        for state in trace.iter().step_by(100) {
+        for state in trace.chunks_exact(2).step_by(100) {
             let energy = state[0] * state[0] + state[1] * state[1];
             assert!((energy - 1.0).abs() < 1e-6, "energy drift: {energy}");
         }
@@ -546,29 +527,30 @@ mod tests {
     #[test]
     fn time_dependent_rhs() {
         // dy/dt = t → y = t²/2
-        let trace = rk4(0.0, &[0.0], 0.1, 100, |t, _y, dy| dy[0] = t);
-        let y = trace.last().unwrap()[0];
+        let trace = rk4_flat(0.0, &[0.0], 0.1, 100, |t, _y, dy| dy[0] = t);
+        let y = *trace.last().unwrap();
         assert!((y - 50.0).abs() < 1e-9);
     }
 
     #[test]
     fn records_initial_state_and_length() {
-        let trace = rk4(0.0, &[3.0], 0.1, 10, |_t, _y, dy| dy[0] = 0.0);
-        assert_eq!(trace.len(), 11);
-        assert_eq!(trace[0], vec![3.0]);
-        assert_eq!(trace[10], vec![3.0]);
+        let trace = rk4_flat(0.0, &[3.0], 0.1, 10, |_t, _y, dy| dy[0] = 0.0);
+        assert_eq!(trace, vec![3.0; 11]);
     }
 
     #[test]
-    fn flat_recorder_matches_nested_trace() {
+    fn flat_recorder_matches_per_state_rows() {
         let f = |_t: f64, y: &[f64], dy: &mut [f64]| {
             dy[0] = y[1];
             dy[1] = -y[0];
         };
-        let nested = rk4(0.0, &[1.0, 0.0], 0.05, 40, f);
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        rk4_with(0.0, &[1.0, 0.0], 0.05, 40, f, |_k, _t, y| {
+            rows.push(y.to_vec())
+        });
         let flat = rk4_flat(0.0, &[1.0, 0.0], 0.05, 40, f);
         assert_eq!(flat.len(), 41 * 2);
-        for (k, row) in nested.iter().enumerate() {
+        for (k, row) in rows.iter().enumerate() {
             assert_eq!(&flat[2 * k..2 * k + 2], row.as_slice());
         }
     }

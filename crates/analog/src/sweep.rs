@@ -1,20 +1,23 @@
-//! Parallel characterization sweeps: fan pulse widths over worker
-//! threads (the analog twin of `ivl_circuit`'s `ScenarioRunner`).
+//! Characterization sweeps: fan pulse widths over worker threads.
 //!
 //! Every pulse width of a [`SweepConfig`] is an independent chain
-//! simulation, so a sweep parallelizes embarrassingly: workers pull
-//! index chunks from a shared atomic cursor (narrow pulses integrate
-//! faster than wide ones, so static striping left workers idle at the
-//! tail) and the results are assembled back in width order. The chain
-//! itself is only ever *borrowed* — per-worker state is one result
-//! vector, nothing else. Because the simulations are pure (no RNG), a
-//! sweep's output is **bitwise identical for every worker count** —
-//! unlike `ScenarioRunner`, no seeds are needed for determinism.
+//! simulation, so a sweep parallelizes embarrassingly. It runs on the
+//! same executor as `ivl_circuit`'s `ScenarioRunner`,
+//! [`ivl_core::exec::fan_out`]: scoped workers pull index chunks from a
+//! shared atomic cursor (narrow pulses integrate faster than wide ones,
+//! so static striping left workers idle at the tail), and the results
+//! are assembled back in width order. One worker runs inline, as a
+//! plain map over the widths. The chain itself is only ever *borrowed*
+//! — workers carry no state of their own. Because the simulations are
+//! pure (no RNG), a sweep's output is **bitwise identical for every
+//! worker count** — unlike `ScenarioRunner`, no seeds are needed for
+//! determinism.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::thread;
 
 use ivl_core::delay::DelayPair;
+use ivl_core::exec::{catch_panic, fan_out};
 use ivl_core::Signal;
 
 use crate::chain::InverterChain;
@@ -79,12 +82,17 @@ impl SweepRunner {
         self.workers
     }
 
-    /// Parallel [`sweep_samples`](crate::characterize::sweep_samples):
-    /// identical output, widths fanned across workers.
+    /// Sweeps pulse widths and collects `(T, δ)` samples for the
+    /// measured stage. With `inverted = false` the second (and
+    /// interesting) sample of each run is the edge pair opposite to
+    /// `inverted = true`, so calling both orientations characterizes
+    /// `δ↑` and `δ↓`.
     ///
     /// # Errors
     ///
-    /// As [`sweep_samples`](crate::characterize::sweep_samples).
+    /// Returns [`Error::InvalidSweep`] for an empty or non-finite sweep
+    /// axis and propagates simulation errors; sweep points whose pulses
+    /// are swallowed analogly are skipped.
     pub fn sweep_samples(
         &self,
         chain: &InverterChain,
@@ -97,13 +105,13 @@ impl SweepRunner {
         collect_samples(runs, config)
     }
 
-    /// Parallel [`characterize`](crate::characterize::characterize):
-    /// both orientations of every width run concurrently, returning
+    /// Characterizes both delay functions of the measured stage: both
+    /// orientations of every width run concurrently, returning
     /// `(δ↑ samples, δ↓ samples)` sorted by offset.
     ///
     /// # Errors
     ///
-    /// As [`characterize`](crate::characterize::characterize).
+    /// As [`sweep_samples`](SweepRunner::sweep_samples).
     pub fn characterize(
         &self,
         chain: &InverterChain,
@@ -125,14 +133,21 @@ impl SweepRunner {
         Ok(partition_by_edge(all))
     }
 
-    /// Parallel
-    /// [`measure_deviations`](crate::characterize::measure_deviations):
-    /// the sweep fans out, the reference model is applied serially to
-    /// the assembled samples.
+    /// Sweeps pulse widths on a (possibly perturbed) chain/supply and
+    /// reports the deviation `D(T)` between the analog output crossings
+    /// and the prediction of `reference` (Figs. 8 and 9). The sweep fans
+    /// out; the reference model is applied serially to the assembled
+    /// samples.
+    ///
+    /// The prediction uses the *measured* previous output crossing as
+    /// the single-history anchor, exactly as in the paper's evaluation:
+    /// for the `n`-th transition, `t̂_out = t_in + δ_ref(T)` with
+    /// `T = t_in − t_out^{prev,measured}`, and
+    /// `D = t_out^{measured} − t̂_out`.
     ///
     /// # Errors
     ///
-    /// As [`measure_deviations`](crate::characterize::measure_deviations).
+    /// As [`sweep_samples`](SweepRunner::sweep_samples).
     pub fn measure_deviations<D: DelayPair + ?Sized>(
         &self,
         chain: &InverterChain,
@@ -158,87 +173,38 @@ impl SweepRunner {
         })
     }
 
-    /// Work-stealing fan-out: workers claim fixed-size index chunks
-    /// from a shared atomic cursor (a slow job no longer stalls a
-    /// statically assigned stripe); results are returned in job order
-    /// regardless of scheduling.
-    ///
-    /// Every job runs inside a panic supervisor: a panicking job is
+    /// Fans `jobs` out with [`fan_out`] (no per-worker state: the
+    /// chain is only borrowed) and returns the results in job order.
+    /// Every job runs inside [`catch_panic`]: a panicking job is
     /// contained as [`Error::WorkerPanic`] in its own result slot (with
-    /// the job index and the panic payload) instead of tearing down the
+    /// the job index and the panic message) instead of tearing down the
     /// whole sweep and poisoning every other width's result.
     fn run_jobs<T, F>(&self, jobs: usize, job: F) -> Vec<Result<T, Error>>
     where
         T: Send,
         F: Fn(usize) -> Result<T, Error> + Sync,
     {
-        let supervised = |idx: usize| -> Result<T, Error> {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(idx))) {
-                Ok(result) => result,
-                Err(payload) => Err(Error::WorkerPanic {
-                    index: idx,
-                    message: panic_message(payload.as_ref()),
-                }),
-            }
-        };
-        let workers = self.workers.min(jobs.max(1));
-        if workers <= 1 {
-            return (0..jobs).map(supervised).collect();
-        }
-        // ~4 chunks per worker balances cursor contention against load
-        // imbalance; a chunk is never empty
-        let chunk = (jobs / (workers * 4)).clamp(1, 16);
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<T, Error>>> = Vec::new();
-        slots.resize_with(jobs, || None);
-        thread::scope(|scope| {
-            let (supervised, cursor) = (&supervised, &cursor);
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= jobs {
-                                return out;
-                            }
-                            for idx in start..(start + chunk).min(jobs) {
-                                out.push((idx, supervised(idx)));
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                // job panics are contained above; a failed join would be
-                // a bug in the fan-out plumbing itself
-                for (idx, res) in h.join().expect("sweep worker exited cleanly") {
-                    slots[idx] = Some(res);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every job index is claimed by a worker"))
-            .collect()
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
+        let mut workers = vec![(); self.workers.min(jobs)];
+        fan_out(&mut workers, jobs, &AtomicBool::new(false), |(), index| {
+            catch_panic(|| job(index))
+                .unwrap_or_else(|message| Err(Error::WorkerPanic { index, message }))
+        })
+        .into_iter()
+        .map(|r| r.expect("nothing stops the fan-out, so every job runs"))
+        .collect()
     }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // serial-vs-parallel equivalence deliberately uses the compat wrappers
 mod tests {
     use super::*;
-    use crate::characterize::{characterize, measure_deviations, sweep_samples, to_piecewise};
+    use crate::characterize::to_piecewise;
+
+    /// The serial reference: one worker runs inline, a plain map over
+    /// the widths.
+    fn serial() -> SweepRunner {
+        SweepRunner::new().with_workers(1)
+    }
 
     fn chain() -> InverterChain {
         InverterChain::umc90_like(7).unwrap()
@@ -254,8 +220,10 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_serial_bitwise() {
         let vdd = VddSource::dc(1.0);
-        let serial = sweep_samples(&chain(), &vdd, &cfg(), false).unwrap();
-        for workers in [1, 2, 4] {
+        let serial = serial()
+            .sweep_samples(&chain(), &vdd, &cfg(), false)
+            .unwrap();
+        for workers in [2, 4, 7] {
             let par = SweepRunner::new()
                 .with_workers(workers)
                 .sweep_samples(&chain(), &vdd, &cfg(), false)
@@ -267,13 +235,15 @@ mod tests {
     #[test]
     fn parallel_characterize_matches_serial_bitwise() {
         let vdd = VddSource::dc(1.0);
-        let (up_s, down_s) = characterize(&chain(), &vdd, &cfg()).unwrap();
-        let (up_p, down_p) = SweepRunner::new()
-            .with_workers(3)
-            .characterize(&chain(), &vdd, &cfg())
-            .unwrap();
-        assert_eq!(up_s, up_p);
-        assert_eq!(down_s, down_p);
+        let (up_s, down_s) = serial().characterize(&chain(), &vdd, &cfg()).unwrap();
+        for workers in [2, 3, 4] {
+            let (up_p, down_p) = SweepRunner::new()
+                .with_workers(workers)
+                .characterize(&chain(), &vdd, &cfg())
+                .unwrap();
+            assert_eq!(up_s, up_p, "workers = {workers}");
+            assert_eq!(down_s, down_p, "workers = {workers}");
+        }
     }
 
     #[test]
@@ -281,14 +251,18 @@ mod tests {
         let c = chain();
         let vdd = VddSource::dc(1.0);
         let config = cfg();
-        let (up, _) = characterize(&c, &vdd, &config).unwrap();
+        let (up, _) = serial().characterize(&c, &vdd, &config).unwrap();
         let pair = to_piecewise(&up).unwrap();
-        let serial = measure_deviations(&c, &vdd, &config, &pair, true).unwrap();
-        let par = SweepRunner::new()
-            .with_workers(4)
+        let reference = serial()
             .measure_deviations(&c, &vdd, &config, &pair, true)
             .unwrap();
-        assert_eq!(serial, par);
+        for workers in [2, 4] {
+            let par = SweepRunner::new()
+                .with_workers(workers)
+                .measure_deviations(&c, &vdd, &config, &pair, true)
+                .unwrap();
+            assert_eq!(reference, par, "workers = {workers}");
+        }
     }
 
     #[test]

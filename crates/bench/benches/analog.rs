@@ -15,8 +15,6 @@ use std::time::Instant;
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use ivl_analog::chain::InverterChain;
-#[allow(deprecated)] // the serial compat wrapper stays benchmarked as the baseline
-use ivl_analog::characterize::sweep_samples;
 use ivl_analog::characterize::{Integrator, SweepConfig};
 use ivl_analog::ode::Rk45Options;
 use ivl_analog::stimulus::Pulse;
@@ -83,18 +81,13 @@ fn bench_characterization(c: &mut Criterion) {
         widths: vec![40.0, 70.0, 100.0],
         ..SweepConfig::default()
     };
+    let serial = SweepRunner::new().with_workers(1);
     group.bench_function("three_point_sweep", |b| {
-        #[allow(deprecated)] // serial baseline for the parallel runner numbers
-        b.iter(|| sweep_samples(&chain, &vdd, &cfg, false).unwrap());
+        b.iter(|| serial.sweep_samples(&chain, &vdd, &cfg, false).unwrap());
     });
     let full = characterize_config(Integrator::default());
     group.bench_function("characterize_7stage", |b| {
-        b.iter(|| {
-            SweepRunner::new()
-                .with_workers(1)
-                .characterize(&chain, &vdd, &full)
-                .unwrap()
-        });
+        b.iter(|| serial.characterize(&chain, &vdd, &full).unwrap());
     });
     group.finish();
 }

@@ -1,10 +1,9 @@
 //! Digital event-driven simulator cost: the event queue on the three
 //! canonical workloads (1k-gate chain, fanout grid, cancel-heavy
-//! inertial churn), the
-//! persistent scenario worker pool vs the old spawn-per-sweep
-//! discipline at 1/2/4 workers, a `sweep_10k` tier (10 000
+//! inertial churn), a 64-scenario sweep on the scenario runner at
+//! 1/2/4 workers, a `sweep_10k` tier (10 000
 //! scenarios) sized to actually saturate cores at 1/2/4/8 workers —
-//! the old 64-scenario sweep finished in ~18 ms and measured spawn
+//! the 64-scenario sweep finishes in tens of ms and measures spawn
 //! overhead, not scaling — and a `service` tier pushing a batch of
 //! distinct specs through an in-process `faithful-serve` daemon cold
 //! (every spec computed) and hot (pure content-addressed cache replay),
@@ -13,7 +12,9 @@
 //! included) and a million-gate 2-D grid (behind `IVL_BENCH_FULL=1`) —
 //! simulated with a single watched output and recorded with build/run
 //! wall time plus peak RSS (`VmHWM`), so memory cost per gate is
-//! tracked across PRs alongside speed. The `dag20k_sweep_2w` row times
+//! tracked across PRs alongside speed; the resident set right after the
+//! 1-worker `sweep_10k` (which runs on the calling thread) is recorded
+//! next to it. The `dag20k_sweep_2w` row times
 //! one whole facade sweep in the paper's regime — 32 short glitch
 //! trains into a 20k-gate random DAG behind η-noise channels, watching
 //! only `y`, on 2 workers — where each scenario touches a small part of
@@ -34,9 +35,10 @@
 //! is under 10× the cold one's specs/sec or the lint preflight takes
 //! more than 30% of lint + simulate on one cold spec.
 //!
-//! Before timing anything the harness *verifies* that both sweep
-//! disciplines produce bit-identical outputs on the measured workload —
-//! a speedup on wrong answers is worthless.
+//! Before timing anything the harness *verifies* that the scenario
+//! runner reproduces a serial single-simulator loop bit for bit on the
+//! measured workload at every worker count — a speedup on wrong answers
+//! is worthless.
 
 use std::time::Instant;
 
@@ -175,12 +177,12 @@ fn queue_workloads() -> Vec<(&'static str, Circuit, Signal)> {
 }
 
 // ======================================================================
-// Sweep disciplines: persistent pool vs spawn-per-sweep
+// Sweep workloads
 // ======================================================================
 
 /// The input signal scenario `k` assigns to port "a" — shared by the
-/// pool scenarios and the spawn reference so both disciplines always
-/// simulate identical workloads.
+/// runner's scenarios and the serial reference so both always simulate
+/// identical workloads.
 fn scenario_signal(k: u64) -> Signal {
     Signal::pulse_train((0..10).map(|i| (f64::from(i) * 40.0, 15.0 + k as f64 * 0.1))).unwrap()
 }
@@ -213,54 +215,24 @@ fn sweep10k_scenarios(n: usize) -> Vec<Scenario> {
         .collect()
 }
 
-/// The pre-pool discipline, reconstructed on the public API: spawn
-/// fresh threads per sweep, statically assign scenario `i` to worker
-/// `i % workers`, fresh circuit clones every time.
-fn spawn_per_sweep(
-    circuit: &Circuit,
-    scenarios: &[Scenario],
-    horizon: f64,
-    workers: usize,
-) -> Vec<Option<SimResult>> {
-    let n = scenarios.len();
-    let mut slots: Vec<Option<SimResult>> = Vec::new();
-    slots.resize_with(n, || None);
-    let sims: Vec<Simulator> = (0..workers.min(n))
-        .map(|_| Simulator::new(circuit.clone()))
-        .collect();
-    let workers = sims.len();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = sims
-            .into_iter()
-            .enumerate()
-            .map(|(w, mut sim)| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut idx = w;
-                    while idx < n {
-                        let sc = &scenarios[idx];
-                        sim.reset_inputs();
-                        if let Some(seed) = sc.seed() {
-                            sim.reseed_noise(seed);
-                        }
-                        // scenarios here assign only port "a"
-                        // (Scenario does not expose its inputs; the
-                        // shared constructor keeps both sides equal)
-                        sim.set_input("a", scenario_signal(idx as u64)).unwrap();
-                        out.push((idx, sim.run(horizon).unwrap()));
-                        idx += workers;
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (idx, res) in h.join().expect("spawn worker panicked") {
-                slots[idx] = Some(res);
+/// The serial reference: one simulator runs every scenario in order.
+fn serial_reference(circuit: &Circuit, scenarios: &[Scenario], horizon: f64) -> Vec<SimResult> {
+    let mut sim = Simulator::new(circuit.clone());
+    scenarios
+        .iter()
+        .enumerate()
+        .map(|(idx, sc)| {
+            sim.reset_inputs();
+            if let Some(seed) = sc.seed() {
+                sim.reseed_noise(seed);
             }
-        }
-    });
-    slots
+            // scenarios here assign only port "a" (Scenario does not
+            // expose its inputs; the shared constructor keeps both sides
+            // equal)
+            sim.set_input("a", scenario_signal(idx as u64)).unwrap();
+            sim.run(horizon).unwrap()
+        })
+        .collect()
 }
 
 // ======================================================================
@@ -288,11 +260,8 @@ fn bench_scenario_pool(c: &mut Criterion) {
     let scenarios = sweep_scenarios(64);
     group.throughput(Throughput::Elements(scenarios.len() as u64));
     for workers in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("spawn", workers), &workers, |b, &w| {
-            b.iter(|| spawn_per_sweep(&circuit, &scenarios, 1e9, w));
-        });
         let runner = ScenarioRunner::new(circuit.clone(), 1e9).with_workers(workers);
-        let _ = runner.run(&scenarios); // spawn + warm the pool
+        let _ = runner.run(&scenarios); // warm the simulators
         group.bench_with_input(BenchmarkId::new("pool", workers), &workers, |b, _| {
             b.iter(|| {
                 let sweep = runner.run(&scenarios);
@@ -346,26 +315,26 @@ fn best_run_secs(sim: &mut Simulator, samples: usize) -> f64 {
     best
 }
 
-/// Bit-identity gate: the pool must agree with the spawn reference for
-/// every worker count before any number is recorded.
-fn verify_pool_matches_spawn(circuit: &Circuit, scenarios: &[Scenario]) {
-    let reference = spawn_per_sweep(circuit, scenarios, 1e9, 1);
+/// Bit-identity gate: the runner must agree with the serial reference
+/// for every worker count before any number is recorded.
+fn verify_runner_matches_serial(circuit: &Circuit, scenarios: &[Scenario]) {
+    let reference = serial_reference(circuit, scenarios, 1e9);
     for workers in [1usize, 2, 4] {
         let sweep = ScenarioRunner::new(circuit.clone(), 1e9)
             .with_workers(workers)
             .run(scenarios);
-        for (slot, outcome) in reference.iter().zip(sweep.outcomes()) {
-            let reference_run = slot.as_ref().unwrap();
-            let pool_run = outcome.result().as_ref().unwrap();
+        assert_eq!(sweep.len(), reference.len());
+        for (reference_run, outcome) in reference.iter().zip(sweep.outcomes()) {
+            let runner_run = outcome.result().as_ref().unwrap();
             assert_eq!(
                 reference_run.signal("y").unwrap(),
-                pool_run.signal("y").unwrap(),
-                "pool (workers={workers}) diverges from spawn reference on {}",
+                runner_run.signal("y").unwrap(),
+                "runner (workers={workers}) diverges from the serial reference on {}",
                 outcome.label()
             );
         }
     }
-    println!("bit-identity verified: pool == spawn at 1/2/4 workers");
+    println!("bit-identity verified: runner == serial simulator at 1/2/4 workers");
 }
 
 // ======================================================================
@@ -524,13 +493,18 @@ fn service_tier(test_mode: bool) -> Vec<(String, f64)> {
 // The `scale` tier: chain_100k / grid_1M with peak-RSS accounting
 // ======================================================================
 
-/// The process peak resident set (`VmHWM` from `/proc/self/status`), in
-/// bytes. `None` off Linux or if the field is missing.
-fn peak_rss_bytes() -> Option<u64> {
+/// One `kB` field of `/proc/self/status`, in bytes. `None` off Linux
+/// or if the field is missing.
+fn proc_status_bytes(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let line = status.lines().find(|l| l.starts_with(field))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
+}
+
+/// The process peak resident set (`VmHWM`), in bytes.
+fn peak_rss_bytes() -> Option<u64> {
+    proc_status_bytes("VmHWM:")
 }
 
 /// Resets the kernel's peak-RSS watermark so each scale workload reads
@@ -657,7 +631,7 @@ fn prior_rss_per_gate(baseline: &str, name: &str) -> Option<f64> {
 
 /// A spec-driven digital sweep through the `Experiment` facade — the
 /// facade dispatches to the same `ScenarioRunner`, so it inherits the
-/// event queue and the worker pool for free; this entry pins that.
+/// event queue and the runner's workers for free; this entry pins that.
 fn facade_sweep() -> DigitalSpec {
     DigitalSpec {
         topology: TopologySpec::InverterChain {
@@ -738,14 +712,21 @@ fn dag20k_sweep() -> DigitalSpec {
 }
 
 /// Emits the `BENCH_digital.json` perf baseline: the event queue on
-/// the three workloads, spawn vs pool at 1/2/4 workers, the
+/// the three workloads, the 64-scenario sweep at 1/2/4 workers, the
 /// facade-driven sweeps, and the `sweep_10k` scaling tier.
 #[allow(clippy::too_many_lines)]
 fn emit_baseline(test_mode: bool) {
     let iters = if test_mode { 1 } else { 5 };
     let sweep_circuit = pipeline_circuit(128);
     let scenarios = sweep_scenarios(64);
-    verify_pool_matches_spawn(&sweep_circuit, &scenarios);
+    verify_runner_matches_serial(&sweep_circuit, &scenarios);
+    // the scale tier runs before the sweep tiers: resetting the peak-RSS
+    // watermark only lowers it to the current RSS, so heap the allocator
+    // still caches from an earlier tier would count against the scale
+    // workload (the 1-worker sweep_10k runs on this thread and leaves
+    // ~270 MB of freed heap cached in its arena; the recorded
+    // `rss_after_sweep_10k_1w_bytes` keeps that residue visible)
+    let scale = scale_tier();
 
     let mut entries: Vec<(String, f64)> = Vec::new();
     for (name, circuit, input) in &queue_workloads() {
@@ -757,20 +738,14 @@ fn emit_baseline(test_mode: bool) {
     // must report zero failures, and the recorded counts let a baseline
     // diff spot a sweep that silently started skipping scenarios
     let mut sweep_health: Vec<(String, usize, u64)> = Vec::new();
-    let mut pool_speedups: Vec<(usize, f64)> = Vec::new();
     for workers in [1usize, 2, 4] {
-        let spawn_t = median_secs(iters, || {
-            spawn_per_sweep(&sweep_circuit, &scenarios, 1e9, workers);
-        });
-        entries.push((format!("spawn_sweep_{workers}w"), spawn_t));
         let runner = ScenarioRunner::new(sweep_circuit.clone(), 1e9).with_workers(workers);
-        let _ = runner.run(&scenarios); // spawn + warm the pool
+        let _ = runner.run(&scenarios); // warm the simulators
         let pool_t = median_secs(iters, || {
             let sweep: SweepResult = runner.run(&scenarios);
             assert_eq!(sweep.stats().failures, 0);
         });
         entries.push((format!("pool_sweep_{workers}w"), pool_t));
-        pool_speedups.push((workers, spawn_t / pool_t.max(1e-12)));
         let stats = runner.run(&scenarios).stats().clone();
         sweep_health.push((
             format!("pool_sweep_{workers}w"),
@@ -782,14 +757,15 @@ fn emit_baseline(test_mode: bool) {
     // sweep_10k: the scaling tier. 10k cheap scenarios at 1/2/4/8
     // workers — large enough that per-scenario setup cost or a
     // per-worker netlist clone would dominate the wall time, small
-    // enough per scenario that the pool's chunked cursor matters.
+    // enough per scenario that the runner's chunked cursor matters.
     let sweep10k_circuit = pipeline_circuit(64);
     let sweep10k = sweep10k_scenarios(10_000);
     let sweep10k_iters = if test_mode { 1 } else { 3 };
     let mut sweep10k_times: Vec<(usize, f64)> = Vec::new();
+    let mut rss_after_sweep_10k_1w = 0;
     for workers in [1usize, 2, 4, 8] {
         let runner = ScenarioRunner::new(sweep10k_circuit.clone(), 1e9).with_workers(workers);
-        let _ = runner.run(&sweep10k[..64.min(sweep10k.len())]); // spawn + warm the pool
+        let _ = runner.run(&sweep10k[..64.min(sweep10k.len())]); // warm the simulators
         let t = median_secs(sweep10k_iters, || {
             let sweep: SweepResult = runner.run(&sweep10k);
             assert_eq!(sweep.stats().failures, 0);
@@ -802,6 +778,17 @@ fn emit_baseline(test_mode: bool) {
             stats.failures,
             stats.retried,
         ));
+        if workers == 1 {
+            // recorded, not gated: a 1-worker sweep runs on this thread,
+            // and the heap glibc keeps cached in the main arena after
+            // its results are freed shows up here as resident memory
+            drop(runner);
+            rss_after_sweep_10k_1w = proc_status_bytes("VmRSS:").unwrap_or(0);
+            println!(
+                "sweep_10k 1w: resident {:.1} MiB after the runner is dropped",
+                rss_after_sweep_10k_1w as f64 / (1024.0 * 1024.0)
+            );
+        }
     }
 
     let spec = facade_sweep();
@@ -831,7 +818,7 @@ fn emit_baseline(test_mode: bool) {
         facade_digital.retried,
     ));
 
-    // one whole op of the paper's regime: build, pool spawn and 32
+    // one whole op of the paper's regime: build, worker spawn and 32
     // scenarios that each touch a small part of a 20k-gate netlist
     let spec = dag20k_sweep();
     let dag_t = median_secs(iters, || {
@@ -858,7 +845,6 @@ fn emit_baseline(test_mode: bool) {
     }
 
     let service = service_tier(test_mode);
-    let scale = scale_tier();
 
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut json = String::from("{\n");
@@ -874,12 +860,6 @@ fn emit_baseline(test_mode: bool) {
         json.push_str(&format!("    \"{name}\": {secs:.9}{comma}\n"));
     }
     json.push_str("  },\n");
-    json.push_str("  \"speedup_pool_vs_spawn\": {\n");
-    for (i, (workers, s)) in pool_speedups.iter().enumerate() {
-        let comma = if i + 1 < pool_speedups.len() { "," } else { "" };
-        json.push_str(&format!("    \"{workers}w\": {s:.2}{comma}\n"));
-    }
-    json.push_str("  },\n");
     json.push_str("  \"sweep_10k_scaling\": {\n");
     let base_10k = sweep10k_times[0].1;
     for (i, (workers, t)) in sweep10k_times.iter().enumerate() {
@@ -892,6 +872,9 @@ fn emit_baseline(test_mode: bool) {
         json.push_str(&format!("    \"{workers}w\": {s:.2}{comma}\n"));
     }
     json.push_str("  },\n");
+    json.push_str(&format!(
+        "  \"rss_after_sweep_10k_1w_bytes\": {rss_after_sweep_10k_1w},\n"
+    ));
     json.push_str("  \"service\": {\n");
     for (i, (name, v)) in service.iter().enumerate() {
         let comma = if i + 1 < service.len() { "," } else { "" };
@@ -939,9 +922,6 @@ fn emit_baseline(test_mode: bool) {
     let prior_baseline = std::fs::read_to_string(&path).unwrap_or_default();
     std::fs::write(&path, json).expect("can write bench baseline");
     println!("baseline written to {}", path.display());
-    for (workers, s) in &pool_speedups {
-        println!("speedup pool vs spawn, {workers}w: {s:.1}x");
-    }
     for (workers, t) in &sweep10k_times {
         println!("sweep_10k {workers}w: {t:.3}s ({:.2}x vs 1w)", base_10k / t);
     }
@@ -976,7 +956,7 @@ fn emit_baseline(test_mode: bool) {
     }
 }
 
-/// The `IVL_BENCH_CHECK` pool-scaling smoke, run even in `--test`
+/// The `IVL_BENCH_CHECK` runner-scaling smoke, run even in `--test`
 /// mode: on hosts with ≥ 4 cores, the 4-worker `sweep_10k` must beat
 /// 1 worker. Skipped below 4 cores: with nothing to run on in
 /// parallel, a scaling assertion only measures the scheduler.
@@ -984,7 +964,7 @@ fn bench_check(sweep10k_circuit: &Circuit, sweep10k: &[Scenario], host_cpus: usi
     if host_cpus >= 4 {
         let time_at = |workers: usize| {
             let runner = ScenarioRunner::new(sweep10k_circuit.clone(), 1e9).with_workers(workers);
-            let _ = runner.run(&sweep10k[..64.min(sweep10k.len())]); // spawn + warm
+            let _ = runner.run(&sweep10k[..64.min(sweep10k.len())]); // warm
             let t0 = Instant::now();
             let sweep = runner.run(sweep10k);
             assert_eq!(sweep.stats().failures, 0);
@@ -1001,7 +981,7 @@ fn bench_check(sweep10k_circuit: &Circuit, sweep10k: &[Scenario], host_cpus: usi
             t1 / t4
         );
     } else {
-        println!("IVL_BENCH_CHECK: pool-scaling smoke skipped (host has {host_cpus} cpu)");
+        println!("IVL_BENCH_CHECK: runner-scaling smoke skipped (host has {host_cpus} cpu)");
     }
 }
 

@@ -1,23 +1,23 @@
-//! Parallel multi-scenario sweeps over a **persistent, supervised
-//! worker pool**: fan a batch of stimuli / noise seeds over worker
-//! threads, each simulating its own clone of one circuit.
+//! Parallel multi-scenario sweeps on **supervised, scoped workers**:
+//! fan a batch of stimuli / noise seeds over worker threads, each
+//! simulating its own clone of one circuit.
 //!
 //! The paper's Monte-Carlo experiments (adversary batteries, η-noise
 //! sweeps) run the *same* circuit under thousands of slightly different
 //! scenarios. A [`ScenarioRunner`] amortizes setup across the batch
-//! *and across batches*: worker threads are spawned once (lazily, on
-//! the first [`run`](ScenarioRunner::run)) and live for the runner's
-//! lifetime. The pool holds one template copy of the circuit that all
-//! workers share, and each worker owns one [`Simulator`] over a clone
-//! of it. Every copy `Arc`-shares the immutable netlist topology — the
-//! only per-worker state is the mutable channel boxes (single-history +
+//! *and across batches*: each [`run`](ScenarioRunner::run) fans its
+//! scenarios over scoped threads with [`ivl_core::exec::fan_out`]
+//! (one worker runs inline, on the calling thread), and every worker
+//! borrows a warm [`Simulator`] from a stash the runner keeps between
+//! runs. Simulators are cloned from the runner's own circuit, so every
+//! copy `Arc`-shares the immutable netlist topology — the only
+//! per-worker state is the mutable channel boxes (single-history +
 //! noise RNG) and the simulator's per-run working memory, which stays
 //! warm scenario after scenario and sweep after sweep. A scenario costs
 //! O(activity), not O(netlist) (see [`Simulator`]'s run lifecycle). A
-//! 10k-scenario sweep therefore performs zero per-scenario allocation,
-//! zero thread spawns, and holds one template plus one working copy of
-//! the channels per worker — all `Arc`-sharing a single topology no
-//! matter the worker count.
+//! 10k-scenario sweep therefore performs zero per-scenario allocation
+//! and holds one working copy of the channels per worker — all
+//! `Arc`-sharing a single topology no matter the worker count.
 //!
 //! Work is distributed dynamically: workers pull fixed-size index
 //! chunks from a shared atomic cursor, so a scenario that simulates 100×
@@ -29,9 +29,9 @@
 //! Every scenario executes under a per-scenario supervisor:
 //!
 //! * a **panic** in the simulator or a channel is contained by
-//!   `catch_unwind`, the worker's simulator is rebuilt from the
-//!   template, and the failure is recorded as a typed
-//!   [`ScenarioFailure`] — the pool survives;
+//!   [`catch_panic`], the worker's simulator is rebuilt from the
+//!   runner's circuit, and the failure is recorded as a typed
+//!   [`ScenarioFailure`] — the sweep goes on;
 //! * a **wall-clock budget** ([`with_scenario_timeout`]) is enforced by
 //!   a watchdog thread that cancels stragglers cooperatively (the
 //!   simulator polls a cancel flag once per event batch);
@@ -59,16 +59,14 @@
 //! [`with_max_events`]: ScenarioRunner::with_max_events
 //! [`try_run`]: ScenarioRunner::try_run
 
-use std::cell::UnsafeCell;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use ivl_core::channel::{FeedEffect, OnlineChannel};
+use ivl_core::exec::{catch_panic, fan_out};
 use ivl_core::{PulseStats, Signal, Transition};
 
 use crate::error::SimError;
@@ -423,12 +421,12 @@ impl SweepResult {
 }
 
 // ======================================================================
-// Persistent worker pool
+// Supervised scenarios on scoped workers
 // ======================================================================
 
-/// Per-worker supervision state, shared between the worker thread, the
-/// job abort path, and the watchdog.
-struct WorkerShared {
+/// A worker's supervision handle, shared between the thread running
+/// its scenarios, an aborting sweep, and the watchdog.
+struct Supervisor {
     /// `Some(start)` while the worker is inside a scenario. Guarded by
     /// a mutex so the watchdog never cancels a scenario that started
     /// after the stamp it read.
@@ -439,261 +437,56 @@ struct WorkerShared {
     cancel: Arc<AtomicBool>,
 }
 
-impl WorkerShared {
-    fn begin(&self) {
-        let mut busy = self
-            .busy_since
+impl Supervisor {
+    fn busy(&self) -> MutexGuard<'_, Option<Instant>> {
+        self.busy_since
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn begin(&self) {
+        let mut busy = self.busy();
         self.cancel.store(false, Ordering::SeqCst);
         *busy = Some(Instant::now());
     }
 
     fn end(&self) {
-        *self
-            .busy_since
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-    }
-}
-
-/// Everything a worker needs besides the job: the pool's shared
-/// template circuit (to build the simulator, rebuild it after a
-/// contained panic, and restore channels after a `CorruptChannel`
-/// fault), simulator knobs, and its supervision handle.
-///
-/// The template sits behind a mutex because a `Circuit` is `Send` but
-/// not `Sync` (its channels need not be); workers only lock it to clone
-/// from it.
-struct WorkerCtx {
-    template: Arc<Mutex<Circuit>>,
-    max_events: usize,
-    watch: Option<Arc<Vec<String>>>,
-    shared: Arc<WorkerShared>,
-}
-
-impl WorkerCtx {
-    fn template(&self) -> std::sync::MutexGuard<'_, Circuit> {
-        self.template
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        *self.busy() = None;
     }
 
-    fn make_sim(&self) -> Simulator {
-        let circuit = self.template().clone();
-        let mut sim = Simulator::new(circuit).with_max_events(self.max_events);
-        if let Some(watch) = &self.watch {
-            sim.set_watch(watch.iter())
-                .expect("watch names were validated against the template circuit");
-        }
-        sim.set_cancel_flag(Some(Arc::clone(&self.shared.cancel)));
-        sim
-    }
-}
-
-/// One sweep's shared state: the scenario slice (as a raw pointer whose
-/// lifetime is guarded by `try_run` blocking until every worker reports
-/// completion), the work-stealing cursor, one result slot per scenario,
-/// and the failure-policy machinery.
-struct Job {
-    scenarios: *const Scenario,
-    n: usize,
-    horizon: f64,
-    chunk: usize,
-    policy: FailurePolicy,
-    fault: Option<FaultPlan>,
-    cursor: AtomicUsize,
-    slots: Vec<ResultSlot>,
-    completed: Mutex<usize>,
-    done: Condvar,
-    panicked: AtomicBool,
-    aborted: AtomicBool,
-    retried: AtomicU64,
-    abort_failure: Mutex<Option<ScenarioFailure>>,
-    /// Every worker's cancel flag, so an aborting failure can reclaim
-    /// stragglers without waiting for them to finish naturally.
-    worker_cancels: Vec<Arc<AtomicBool>>,
-}
-
-// SAFETY: `scenarios` is only dereferenced while the dispatching
-// `try_run` call is blocked waiting for completion (so the borrow it
-// was created from is alive), and each `slots[i]` is written by exactly
-// one worker (the one that claimed index `i` from `cursor`).
-unsafe impl Send for Job {}
-unsafe impl Sync for Job {}
-
-/// A result slot: the scenario's outcome plus the retries spent on it.
-struct ResultSlot(UnsafeCell<Option<(Result<SimResult, SimError>, u32)>>);
-
-impl Job {
-    /// Claims and runs chunks until the cursor is exhausted or the
-    /// sweep aborts.
-    fn work(&self, sim: &mut Simulator, ctx: &WorkerCtx) {
-        loop {
-            if self.aborted.load(Ordering::Relaxed) {
-                return;
-            }
-            let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-            if start >= self.n {
-                return;
-            }
-            let end = (start + self.chunk).min(self.n);
-            for idx in start..end {
-                if self.aborted.load(Ordering::Relaxed) {
-                    return;
-                }
-                // SAFETY: see the `Send`/`Sync` impls above.
-                let scenario = unsafe { &*self.scenarios.add(idx) };
-                let (result, retries) = self.run_supervised(sim, ctx, idx, scenario);
-                if let Err(cause) = &result {
-                    if self.policy == FailurePolicy::Abort {
-                        self.abort_with(ScenarioFailure {
-                            index: idx,
-                            label: scenario.label.clone(),
-                            seed: scenario.seed,
-                            cause: cause.clone(),
-                            retries,
-                        });
-                    }
-                }
-                unsafe { *self.slots[idx].0.get() = Some((result, retries)) };
-            }
-        }
-    }
-
-    /// Runs one scenario under the failure policy: retry on failure (same
-    /// seed) up to the policy's bound, counting retries globally.
-    fn run_supervised(
-        &self,
-        sim: &mut Simulator,
-        ctx: &WorkerCtx,
-        idx: usize,
-        scenario: &Scenario,
-    ) -> (Result<SimResult, SimError>, u32) {
-        let fault = self.fault.as_ref().and_then(|p| p.kind_at(idx));
-        let extra = match self.policy {
-            FailurePolicy::Retry(n) => n,
-            _ => 0,
-        };
-        let mut attempt: u32 = 0;
-        loop {
-            let result = run_attempt(sim, ctx, idx, scenario, self.horizon, fault, attempt);
-            if result.is_ok() || attempt >= extra || self.aborted.load(Ordering::Relaxed) {
-                return (result, attempt);
-            }
-            attempt += 1;
-            self.retried.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records the triggering failure (first writer wins), then stops
-    /// dispatch and cancels every worker's in-flight scenario.
-    fn abort_with(&self, failure: ScenarioFailure) {
-        {
-            let mut slot = self
-                .abort_failure
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if slot.is_none() {
-                *slot = Some(failure);
-            }
-        }
-        self.aborted.store(true, Ordering::SeqCst);
-        self.cursor.store(self.n, Ordering::Relaxed);
-        for flag in &self.worker_cancels {
-            flag.store(true, Ordering::SeqCst);
+    /// Cancels the running scenario if it started `deadline` ago or
+    /// earlier. The stamp and the flag are touched under the same lock
+    /// [`begin`](Supervisor::begin) takes, so a freshly started
+    /// scenario is never cancelled by a stale observation.
+    fn expire(&self, deadline: Duration) {
+        let busy = self.busy();
+        if busy.is_some_and(|since| since.elapsed() >= deadline) {
+            self.cancel.store(true, Ordering::SeqCst);
         }
     }
 }
 
-/// Runs one attempt of one scenario inside the panic supervisor.
-fn run_attempt(
-    sim: &mut Simulator,
-    ctx: &WorkerCtx,
-    idx: usize,
-    scenario: &Scenario,
-    horizon: f64,
-    fault: Option<&FaultKind>,
-    attempt: u32,
-) -> Result<SimResult, SimError> {
-    ctx.shared.begin();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_with_fault(sim, ctx, idx, scenario, horizon, fault, attempt)
-    }));
-    ctx.shared.end();
-    match outcome {
-        Ok(result) => result,
-        Err(payload) => {
-            // the panic may have left the simulator (or its channel
-            // boxes) inconsistent — rebuild from the template
-            *sim = ctx.make_sim();
-            Err(SimError::ScenarioPanicked {
-                message: panic_message(payload.as_ref()),
-            })
-        }
-    }
+/// A warm simulator kept across runs, with its supervision handle.
+struct Worker {
+    sim: Simulator,
+    supervisor: Supervisor,
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
+/// The per-scenario wall-clock enforcer: every tick (≤ 50 ms) it
+/// cancels any worker whose scenario has run past `deadline`, until
+/// the sweep raises `finished` (and unparks it).
+fn run_watchdog(supervisors: &[&Supervisor], deadline: Duration, finished: &AtomicBool) {
+    let tick = (deadline / 8).clamp(Duration::from_millis(1), Duration::from_millis(50));
+    while !finished.load(Ordering::SeqCst) {
+        thread::park_timeout(tick);
+        for s in supervisors {
+            s.expire(deadline);
+        }
     }
 }
 
 /// Defensive cap on [`FaultKind::Stall`] when no watchdog is armed.
 const STALL_CAP: Duration = Duration::from_secs(30);
-
-fn run_with_fault(
-    sim: &mut Simulator,
-    ctx: &WorkerCtx,
-    idx: usize,
-    scenario: &Scenario,
-    horizon: f64,
-    fault: Option<&FaultKind>,
-    attempt: u32,
-) -> Result<SimResult, SimError> {
-    match fault {
-        Some(FaultKind::Panic) => panic!("injected fault: panic at scenario {idx}"),
-        Some(FaultKind::Flaky { failures }) if attempt < *failures => {
-            panic!("injected fault: flaky panic at scenario {idx} (attempt {attempt})")
-        }
-        Some(FaultKind::Stall) => {
-            // block until the watchdog reclaims this worker (or the
-            // defensive cap expires); the cancelled flag then surfaces
-            // as `SimError::Cancelled` from the run below
-            let start = Instant::now();
-            while !ctx.shared.cancel.load(Ordering::Relaxed) && start.elapsed() < STALL_CAP {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            run_scenario(sim, scenario, horizon)
-        }
-        Some(FaultKind::ExhaustBudget) => {
-            let saved = sim.max_events();
-            sim.set_max_events(1);
-            let result = run_scenario(sim, scenario, horizon);
-            sim.set_max_events(saved);
-            result
-        }
-        Some(FaultKind::CorruptChannel) => {
-            let Some(edge) = ctx.template().first_channel_edge() else {
-                return run_scenario(sim, scenario, horizon);
-            };
-            sim.replace_channel(edge, Box::new(CorruptedChannel));
-            let result = run_scenario(sim, scenario, horizon);
-            let original = ctx
-                .template()
-                .clone_channel(edge)
-                .expect("template edge carries a channel");
-            sim.replace_channel(edge, original);
-            result
-        }
-        Some(FaultKind::Flaky { .. }) | None => run_scenario(sim, scenario, horizon),
-    }
-}
 
 /// A deliberately broken channel: it claims a pairwise cancellation on
 /// its very first input, which the simulator rejects as a hard
@@ -710,184 +503,18 @@ impl OnlineChannel for CorruptedChannel {
     fn reset(&mut self) {}
 }
 
-/// Increments the job's completion count when dropped — *including*
-/// during unwinding, so a panicking worker cannot leave `try_run`
-/// waiting forever on the condvar.
-struct CompletionGuard<'a>(&'a Job);
-
-impl Drop for CompletionGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.panicked.store(true, Ordering::SeqCst);
-        }
-        let mut completed = self
-            .0
-            .completed
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *completed += 1;
-        self.0.done.notify_all();
-    }
-}
-
-fn worker_loop(rx: &Receiver<Arc<Job>>, ctx: &WorkerCtx) {
-    let mut sim = ctx.make_sim();
-    while let Ok(job) = rx.recv() {
-        let _guard = CompletionGuard(&job);
-        job.work(&mut sim, ctx);
-    }
-}
-
-/// The spawned threads, their job mailboxes and supervision handles.
-/// Dropping the pool disconnects the mailboxes (workers exit their
-/// receive loop) and joins every thread.
-struct WorkerPool {
-    senders: Vec<Sender<Arc<Job>>>,
-    handles: Vec<JoinHandle<()>>,
-    shared: Vec<Arc<WorkerShared>>,
-}
-
-impl WorkerPool {
-    /// Spawns `workers` threads sharing one template copy of `circuit`.
-    /// Each worker builds one simulator over a lean clone of the
-    /// template (topology `Arc`-shared, channel state copied) with
-    /// fully reusable per-run state, so a worker deep-copies the
-    /// channels once, and again only to rebuild after a contained
-    /// panic.
-    fn spawn(
-        circuit: &Circuit,
-        workers: usize,
-        max_events: usize,
-        watch: Option<&Arc<Vec<String>>>,
-    ) -> Self {
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        let mut shareds = Vec::with_capacity(workers);
-        let template = Arc::new(Mutex::new(circuit.clone()));
-        for _ in 0..workers {
-            let shared = Arc::new(WorkerShared {
-                busy_since: Mutex::new(None),
-                cancel: Arc::new(AtomicBool::new(false)),
-            });
-            let ctx = WorkerCtx {
-                template: Arc::clone(&template),
-                max_events,
-                watch: watch.map(Arc::clone),
-                shared: Arc::clone(&shared),
-            };
-            let (tx, rx) = mpsc::channel::<Arc<Job>>();
-            senders.push(tx);
-            shareds.push(shared);
-            handles.push(std::thread::spawn(move || worker_loop(&rx, &ctx)));
-        }
-        WorkerPool {
-            senders,
-            handles,
-            shared: shareds,
-        }
-    }
-
-    fn workers(&self) -> usize {
-        self.senders.len()
-    }
-
-    fn cancel_flags(&self) -> Vec<Arc<AtomicBool>> {
-        self.shared.iter().map(|s| Arc::clone(&s.cancel)).collect()
-    }
-
-    /// Hands the job to every worker and blocks until all of them have
-    /// drained the cursor (or bailed out of an aborting sweep). Arms a
-    /// watchdog for the duration if a scenario deadline is set. Returns
-    /// `false` if a worker panicked *outside* the per-scenario
-    /// supervisor (pool plumbing bug).
-    fn execute(&self, job: &Arc<Job>, deadline: Option<Duration>) -> bool {
-        // a send only fails if the worker already died; waiting counts
-        // only the workers that actually received the job, so the wait
-        // below always terminates
-        let alive = self
-            .senders
-            .iter()
-            .filter(|tx| tx.send(Arc::clone(job)).is_ok())
-            .count();
-        let watchdog = deadline.map(|d| self.spawn_watchdog(job, d, alive));
-        let mut completed = job
-            .completed
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while *completed < alive {
-            completed = job
-                .done
-                .wait(completed)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        drop(completed);
-        if let Some(handle) = watchdog {
-            // exits within one tick of the completion count reaching
-            // `alive` — bounded by 50 ms
-            let _ = handle.join();
-        }
-        !job.panicked.load(Ordering::SeqCst)
-    }
-
-    /// The per-scenario wall-clock enforcer: polls every worker's
-    /// `busy_since` stamp and sets its cancel flag once the deadline is
-    /// exceeded. The stamp and the flag are touched under the same
-    /// mutex the worker uses, so a freshly started scenario can never
-    /// be cancelled by a stale observation.
-    fn spawn_watchdog(&self, job: &Arc<Job>, deadline: Duration, alive: usize) -> JoinHandle<()> {
-        let job = Arc::clone(job);
-        let shared: Vec<Arc<WorkerShared>> = self.shared.clone();
-        std::thread::spawn(move || {
-            let tick = (deadline / 8)
-                .max(Duration::from_millis(1))
-                .min(Duration::from_millis(50));
-            loop {
-                {
-                    let completed = job
-                        .completed
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if *completed >= alive {
-                        return;
-                    }
-                }
-                std::thread::sleep(tick);
-                for s in &shared {
-                    let busy = s
-                        .busy_since
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if let Some(since) = *busy {
-                        if since.elapsed() >= deadline {
-                            s.cancel.store(true, Ordering::SeqCst);
-                        }
-                    }
-                }
-            }
-        })
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            // worker panics were already surfaced by `execute`
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Fans scenarios across a persistent pool of supervised worker
-/// threads, each simulating its own clone of the circuit.
+/// Fans scenarios across supervised worker threads, each simulating
+/// its own clone of the circuit.
 ///
-/// The pool is spawned lazily on the first [`run`](ScenarioRunner::run)
-/// and reused for every subsequent sweep: each worker keeps one warm
-/// [`Simulator`] (event pool, recorders, queue) for the runner's whole
-/// lifetime. Workers claim scenario-index chunks from a shared atomic
-/// cursor, so load imbalance between scenarios is absorbed dynamically.
-/// Scenarios run supervised: panic containment, per-scenario
-/// timeouts, [`FailurePolicy`] handling and [`FaultPlan`] injection.
+/// Every [`run`](ScenarioRunner::run) spawns scoped workers for its
+/// own duration (none for a single worker, which runs on the calling
+/// thread) and hands each one a warm [`Simulator`] from a stash the
+/// runner keeps across runs, so event pools, recorders and queues stay
+/// allocated sweep after sweep. Workers claim scenario-index chunks
+/// from a shared atomic cursor, so load imbalance between scenarios is
+/// absorbed dynamically. Scenarios run supervised: panic containment,
+/// per-scenario timeouts, [`FailurePolicy`] handling and [`FaultPlan`]
+/// injection.
 ///
 /// ```
 /// use ivl_circuit::{CircuitBuilder, GateKind, Scenario, ScenarioRunner, Simulator};
@@ -915,15 +542,19 @@ impl Drop for WorkerPool {
 /// # }
 /// ```
 pub struct ScenarioRunner {
-    circuit: Circuit,
+    /// Behind a mutex because a `Circuit` is `Send` but not `Sync` (its
+    /// channels need not be); workers lock it only to clone from it.
+    circuit: Mutex<Circuit>,
     horizon: f64,
     max_events: usize,
     workers: usize,
     policy: FailurePolicy,
     timeout: Option<Duration>,
     fault: Option<FaultPlan>,
-    watch: Option<Arc<Vec<String>>>,
-    pool: Mutex<Option<WorkerPool>>,
+    watch: Option<Vec<String>>,
+    /// Warm simulators kept across runs: as many as the largest run
+    /// so far needed, at most `workers`.
+    stash: Mutex<Vec<Worker>>,
 }
 
 impl ScenarioRunner {
@@ -931,9 +562,9 @@ impl ScenarioRunner {
     /// workers as the machine advertises.
     #[must_use]
     pub fn new(circuit: Circuit, horizon: f64) -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let workers = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         ScenarioRunner {
-            circuit,
+            circuit: Mutex::new(circuit),
             horizon,
             max_events: 10_000_000,
             workers,
@@ -941,19 +572,16 @@ impl ScenarioRunner {
             timeout: None,
             fault: None,
             watch: None,
-            pool: Mutex::new(None),
+            stash: Mutex::new(Vec::new()),
         }
     }
 
-    /// Sets the number of worker threads (clamped to ≥ 1). Discards any
-    /// already-spawned pool (joining, not leaking, its threads).
+    /// Sets the number of worker threads (clamped to ≥ 1). Drops any
+    /// warm simulators.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        *self
-            .pool
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+        self.drop_stash();
         self
     }
 
@@ -961,15 +589,11 @@ impl ScenarioRunner {
     /// [`Simulator::with_max_events`]). The budget is enforced — and
     /// reported — per scenario: exhausting it fails that scenario with
     /// [`SimError::MaxEventsExceeded`], it never aborts the sweep by
-    /// itself. Discards any already-spawned pool (joining, not leaking,
-    /// its threads).
+    /// itself. Drops any warm simulators.
     #[must_use]
     pub fn with_max_events(mut self, max_events: usize) -> Self {
         self.max_events = max_events;
-        *self
-            .pool
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+        self.drop_stash();
         self
     }
 
@@ -977,8 +601,8 @@ impl ScenarioRunner {
     /// nodes (see [`Simulator::set_watch`]) — on large circuits this
     /// bounds sweep memory by the watch set instead of the netlist.
     /// The circuit's output ports are always added to the set, so
-    /// [`SweepStats`] pulse statistics stay complete. Discards any
-    /// already-spawned pool (joining, not leaking, its threads).
+    /// [`SweepStats`] pulse statistics stay complete. Drops any warm
+    /// simulators.
     ///
     /// # Errors
     ///
@@ -989,30 +613,31 @@ impl ScenarioRunner {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
+        let circuit = self
+            .circuit
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         let mut list: Vec<String> = Vec::new();
         for name in names {
             let name = name.as_ref();
-            if self.circuit.node(name).is_none() {
+            if circuit.node(name).is_none() {
                 return Err(SimError::UnknownNode { name: name.into() });
             }
             list.push(name.to_string());
         }
-        for port in self.circuit.output_names() {
+        for port in circuit.output_names() {
             list.push(port.to_string());
         }
         list.sort_unstable();
         list.dedup();
-        self.watch = Some(Arc::new(list));
-        *self
-            .pool
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+        self.watch = Some(list);
+        self.drop_stash();
         Ok(self)
     }
 
     /// Sets the sweep's [`FailurePolicy`] (default
-    /// [`FailurePolicy::Skip`]). Per-job configuration: the worker pool
-    /// is kept.
+    /// [`FailurePolicy::Skip`]). Per-run configuration: warm simulators
+    /// are kept.
     #[must_use]
     pub fn with_failure_policy(mut self, policy: FailurePolicy) -> Self {
         self.policy = policy;
@@ -1023,8 +648,8 @@ impl ScenarioRunner {
     /// any scenario still running `timeout` after it started, failing
     /// it with [`SimError::Cancelled`]. Cancellation is cooperative
     /// (polled once per event batch), so enforcement granularity is one
-    /// batch plus one watchdog tick (≤ 50 ms). Per-job configuration:
-    /// the worker pool is kept.
+    /// batch plus one watchdog tick (≤ 50 ms). Per-run configuration:
+    /// warm simulators are kept.
     #[must_use]
     pub fn with_scenario_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
@@ -1033,7 +658,7 @@ impl ScenarioRunner {
 
     /// Installs a deterministic [`FaultPlan`] (chaos testing). Faults
     /// fire by scenario index on every sweep this runner executes until
-    /// the plan is replaced. Per-job configuration: the worker pool is
+    /// the plan is replaced. Per-run configuration: warm simulators are
     /// kept.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
@@ -1044,27 +669,22 @@ impl ScenarioRunner {
     /// Installs or clears the fault plan in place — the mutable twin of
     /// [`with_fault_plan`](ScenarioRunner::with_fault_plan), for callers
     /// that re-target the plan between runs (e.g. batch-local index
-    /// remapping). Per-job configuration: the worker pool is kept.
+    /// remapping). Per-run configuration: warm simulators are kept.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
-    }
-
-    /// The template circuit scenarios are swept over.
-    #[must_use]
-    pub fn circuit(&self) -> &Circuit {
-        &self.circuit
     }
 
     /// Sweeps `scenarios`, returning outcomes in input order plus
     /// aggregate pulse statistics over the circuit's output ports.
     ///
     /// Workers pull scenario-index chunks from a shared cursor; each
-    /// worker reuses one simulator (and its event pool) for all of its
-    /// scenarios, across every `run` call on this runner. Failures —
-    /// simulation errors, contained worker panics, watchdog
-    /// cancellations — are recorded per scenario under the default
-    /// [`FailurePolicy::Skip`] (see [`SweepResult::failures`]); they do
-    /// not abort the sweep and they do not kill the pool.
+    /// worker reuses one warm simulator (and its event pool) for all of
+    /// its scenarios, and the runner keeps those simulators for its
+    /// next `run`. Failures — simulation errors, contained worker
+    /// panics, watchdog cancellations — are recorded per scenario under
+    /// the default [`FailurePolicy::Skip`] (see
+    /// [`SweepResult::failures`]); they do not abort the sweep and the
+    /// runner stays usable.
     ///
     /// # Panics
     ///
@@ -1091,79 +711,81 @@ impl ScenarioRunner {
     /// [`FailurePolicy::Abort`] and a scenario failed.
     pub fn try_run(&self, scenarios: &[Scenario]) -> Result<SweepResult, SweepAborted> {
         let n = scenarios.len();
-        let mut slots: Vec<Option<(Result<SimResult, SimError>, u32)>> = Vec::new();
-        let mut retried = 0u64;
-        if n > 0 {
-            let mut pool_guard = self
-                .pool
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let pool = pool_guard.get_or_insert_with(|| {
-                WorkerPool::spawn(
-                    &self.circuit,
-                    self.workers,
-                    self.max_events,
-                    self.watch.as_ref(),
-                )
-            });
-            // ~4 chunks per worker balances stealing overhead against
-            // load imbalance; a chunk is never empty
-            let chunk = (n / (pool.workers() * 4)).clamp(1, 64);
-            let job = Arc::new(Job {
-                scenarios: scenarios.as_ptr(),
-                n,
-                horizon: self.horizon,
-                chunk,
-                policy: self.policy,
-                fault: self.fault.clone(),
-                cursor: AtomicUsize::new(0),
-                slots: (0..n).map(|_| ResultSlot(UnsafeCell::new(None))).collect(),
-                completed: Mutex::new(0),
-                done: Condvar::new(),
-                panicked: AtomicBool::new(false),
-                aborted: AtomicBool::new(false),
-                retried: AtomicU64::new(0),
-                abort_failure: Mutex::new(None),
-                worker_cancels: pool.cancel_flags(),
-            });
-            let ok = pool.execute(&job, self.timeout);
-            if !ok {
-                // a panic escaped the per-scenario supervisor: a pool
-                // plumbing bug, not a scenario failure — discard the
-                // pool so a subsequent run starts from fresh workers
-                *pool_guard = None;
-                panic!("scenario worker panicked outside scenario supervision");
-            }
-            drop(pool_guard);
-            retried = job.retried.load(Ordering::Relaxed);
-            // SAFETY: every worker has reported completion (with the
-            // release/acquire ordering of the completion mutex), so the
-            // slots are no longer aliased.
-            if job.aborted.load(Ordering::SeqCst) {
-                let failure = job
-                    .abort_failure
+        let mut stash = self.stash.lock().unwrap_or_else(|poisoned| {
+            // a panic escaped scenario supervision mid-run (a runner
+            // bug, not a scenario failure): start from fresh simulators
+            self.stash.clear_poison();
+            let mut stash = poisoned.into_inner();
+            stash.clear();
+            stash
+        });
+        let workers = self.workers.min(n);
+        while stash.len() < workers {
+            stash.push(self.new_worker());
+        }
+        let mut states: Vec<(&mut Simulator, &Supervisor)> = stash[..workers]
+            .iter_mut()
+            .map(|w| (&mut w.sim, &w.supervisor))
+            .collect();
+        let supervisors: Vec<&Supervisor> = states.iter().map(|(_, s)| *s).collect();
+
+        let stop = AtomicBool::new(false);
+        let retried = AtomicU64::new(0);
+        let tripped: Mutex<Option<ScenarioFailure>> = Mutex::new(None);
+        let job = |(sim, supervisor): &mut (&mut Simulator, &Supervisor), idx: usize| {
+            let scenario = &scenarios[idx];
+            let (result, retries) =
+                self.run_supervised(sim, supervisor, idx, scenario, &stop, &retried);
+            if let (Err(cause), FailurePolicy::Abort) = (&result, self.policy) {
+                // the first failure is the one reported; then stop
+                // dispatch and reclaim every straggler
+                tripped
                     .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .take()
-                    .expect("an aborted sweep records its triggering failure");
-                let completed = job
-                    .slots
-                    .iter()
-                    .filter(|slot| unsafe { matches!(&*slot.0.get(), Some((Ok(_), _))) })
-                    .count();
-                return Err(SweepAborted { failure, completed });
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_or_insert_with(|| ScenarioFailure {
+                        index: idx,
+                        label: scenario.label.clone(),
+                        seed: scenario.seed,
+                        cause: cause.clone(),
+                        retries,
+                    });
+                stop.store(true, Ordering::SeqCst);
+                for s in &supervisors {
+                    s.cancel.store(true, Ordering::SeqCst);
+                }
             }
-            slots = job
-                .slots
+            (result, retries)
+        };
+        let finished = AtomicBool::new(false);
+        let slots = thread::scope(|scope| {
+            let watchdog = self.timeout.map(|deadline| {
+                let (supervisors, finished) = (&supervisors, &finished);
+                scope.spawn(move || run_watchdog(supervisors, deadline, finished))
+            });
+            let slots = catch_panic(|| fan_out(&mut states, n, &stop, job));
+            finished.store(true, Ordering::SeqCst);
+            if let Some(handle) = watchdog {
+                handle.thread().unpark();
+            }
+            slots
+        })
+        .unwrap_or_else(|message| {
+            panic!("scenario worker panicked outside scenario supervision: {message}")
+        });
+        drop(stash);
+
+        if let Some(failure) = tripped.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            let completed = slots
                 .iter()
-                .map(|slot| unsafe { (*slot.0.get()).take() })
-                .collect();
+                .filter(|slot| matches!(slot, Some((Ok(_), _))))
+                .count();
+            return Err(SweepAborted { failure, completed });
         }
 
         let mut failures: Vec<ScenarioFailure> = Vec::new();
         let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(n);
         for (idx, (slot, sc)) in slots.into_iter().zip(scenarios).enumerate() {
-            let (result, retries) = slot.expect("every scenario index is claimed by a worker");
+            let (result, retries) = slot.expect("every scenario runs unless the sweep aborts");
             if let Err(cause) = &result {
                 failures.push(ScenarioFailure {
                     index: idx,
@@ -1179,10 +801,11 @@ impl ScenarioRunner {
             });
         }
 
-        let output_names: Vec<&str> = self.circuit.output_names();
+        let circuit = self.circuit();
+        let output_names: Vec<&str> = circuit.output_names();
         let mut stats = SweepStats {
             scenarios: n,
-            retried,
+            retried: retried.into_inner(),
             ..SweepStats::default()
         };
         for outcome in &outcomes {
@@ -1206,15 +829,131 @@ impl ScenarioRunner {
             failures,
         })
     }
+
+    fn circuit(&self) -> MutexGuard<'_, Circuit> {
+        self.circuit.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn drop_stash(&mut self) {
+        self.stash
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
+
+    fn new_worker(&self) -> Worker {
+        let supervisor = Supervisor {
+            busy_since: Mutex::new(None),
+            cancel: Arc::new(AtomicBool::new(false)),
+        };
+        Worker {
+            sim: self.new_sim(&supervisor.cancel),
+            supervisor,
+        }
+    }
+
+    /// A simulator over a lean clone of the runner's circuit (topology
+    /// `Arc`-shared, channel state copied), wired to `cancel`.
+    fn new_sim(&self, cancel: &Arc<AtomicBool>) -> Simulator {
+        let circuit = self.circuit().clone();
+        let mut sim = Simulator::new(circuit).with_max_events(self.max_events);
+        if let Some(watch) = &self.watch {
+            sim.set_watch(watch.iter())
+                .expect("watch names were validated against the runner's circuit");
+        }
+        sim.set_cancel_flag(Some(Arc::clone(cancel)));
+        sim
+    }
+
+    /// Runs one scenario under the failure policy: retry on failure (same
+    /// seed) up to the policy's bound, counting retries in `retried`.
+    fn run_supervised(
+        &self,
+        sim: &mut Simulator,
+        supervisor: &Supervisor,
+        idx: usize,
+        scenario: &Scenario,
+        stop: &AtomicBool,
+        retried: &AtomicU64,
+    ) -> (Result<SimResult, SimError>, u32) {
+        let fault = self.fault.as_ref().and_then(|p| p.kind_at(idx));
+        let extra = match self.policy {
+            FailurePolicy::Retry(n) => n,
+            _ => 0,
+        };
+        let mut attempt: u32 = 0;
+        loop {
+            supervisor.begin();
+            let outcome =
+                catch_panic(|| self.run_with_fault(sim, supervisor, idx, scenario, fault, attempt));
+            supervisor.end();
+            let result = outcome.unwrap_or_else(|message| {
+                // the panic may have left the simulator (or its channel
+                // boxes) inconsistent — rebuild it
+                *sim = self.new_sim(&supervisor.cancel);
+                Err(SimError::ScenarioPanicked { message })
+            });
+            if result.is_ok() || attempt >= extra || stop.load(Ordering::Relaxed) {
+                return (result, attempt);
+            }
+            attempt += 1;
+            retried.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn run_with_fault(
+        &self,
+        sim: &mut Simulator,
+        supervisor: &Supervisor,
+        idx: usize,
+        scenario: &Scenario,
+        fault: Option<&FaultKind>,
+        attempt: u32,
+    ) -> Result<SimResult, SimError> {
+        let horizon = self.horizon;
+        match fault {
+            Some(FaultKind::Panic) => panic!("injected fault: panic at scenario {idx}"),
+            Some(FaultKind::Flaky { failures }) if attempt < *failures => {
+                panic!("injected fault: flaky panic at scenario {idx} (attempt {attempt})")
+            }
+            Some(FaultKind::Stall) => {
+                // block until the watchdog reclaims this worker (or the
+                // defensive cap expires); the cancelled flag then
+                // surfaces as `SimError::Cancelled` from the run below
+                let start = Instant::now();
+                while !supervisor.cancel.load(Ordering::Relaxed) && start.elapsed() < STALL_CAP {
+                    thread::sleep(Duration::from_millis(1));
+                }
+                run_scenario(sim, scenario, horizon)
+            }
+            Some(FaultKind::ExhaustBudget) => {
+                let saved = sim.max_events();
+                sim.set_max_events(1);
+                let result = run_scenario(sim, scenario, horizon);
+                sim.set_max_events(saved);
+                result
+            }
+            Some(FaultKind::CorruptChannel) => {
+                let Some(edge) = self.circuit().first_channel_edge() else {
+                    return run_scenario(sim, scenario, horizon);
+                };
+                sim.replace_channel(edge, Box::new(CorruptedChannel));
+                let result = run_scenario(sim, scenario, horizon);
+                let original = self
+                    .circuit()
+                    .clone_channel(edge)
+                    .expect("the runner's edge carries a channel");
+                sim.replace_channel(edge, original);
+                result
+            }
+            Some(FaultKind::Flaky { .. }) | None => run_scenario(sim, scenario, horizon),
+        }
+    }
 }
 
 impl fmt::Debug for ScenarioRunner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let pool_spawned = self
-            .pool
-            .lock()
-            .map(|guard| guard.is_some())
-            .unwrap_or(false);
+        let warm = self.stash.try_lock().map_or(0, |stash| stash.len());
         f.debug_struct("ScenarioRunner")
             .field("circuit", &self.circuit)
             .field("horizon", &self.horizon)
@@ -1222,7 +961,7 @@ impl fmt::Debug for ScenarioRunner {
             .field("workers", &self.workers)
             .field("policy", &self.policy)
             .field("timeout", &self.timeout)
-            .field("pool_spawned", &pool_spawned)
+            .field("warm_simulators", &warm)
             .finish()
     }
 }

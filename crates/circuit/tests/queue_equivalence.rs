@@ -10,7 +10,7 @@
 //! the calendar wheel and the adaptive prober the compacting heap
 //! replaced (the DAG sequence against the simulator that reset every
 //! node, pin and channel eagerly per run), so a match means
-//! bit-identical output. Plus the worker pool's determinism bar:
+//! bit-identical output. Plus the scenario runner's determinism bar:
 //! identical `SweepResult`s across 1/2/4/7/8 workers and across
 //! repeated `run()` calls on one runner.
 
@@ -478,9 +478,9 @@ fn assert_sweeps_identical(a: &ivl_circuit::SweepResult, b: &ivl_circuit::SweepR
     }
 }
 
-/// The persistent pool keeps worker simulators warm across `run()`
-/// calls; repeated sweeps on one runner must stay bit-identical, for
-/// every worker count.
+/// Each `run()` fans out over scoped workers that reuse the warm
+/// simulators the runner keeps between runs; repeated sweeps on one
+/// runner must stay bit-identical, for every worker count.
 #[test]
 fn pool_is_deterministic_across_repeated_runs_and_worker_counts() {
     let scenarios = sweep_scenarios(13);

@@ -1,5 +1,5 @@
 //! Scenario supervision: panic containment, failure policies, retries,
-//! watchdog timeouts, fault injection, and pool lifecycle.
+//! watchdog timeouts, fault injection, and warm-simulator lifecycle.
 
 use std::time::Duration;
 
@@ -70,7 +70,7 @@ fn injected_panic_becomes_a_typed_failure_and_the_pool_survives() {
         other => panic!("expected ScenarioPanicked, got {other:?}"),
     }
 
-    // the pool is still alive: the very same runner sweeps again, and a
+    // the runner is still usable: it sweeps again, and a
     // fault-free reference run matches every surviving scenario bitwise
     let again = runner.run(&scenarios);
     assert_eq!(again.failures().len(), 1);
@@ -217,52 +217,62 @@ fn corrupt_channel_fault_is_a_deterministic_cancellation_mismatch() {
 
 #[test]
 fn watchdog_cancels_stalled_scenarios() {
-    let runner = ScenarioRunner::new(noisy_circuit(), 200.0)
-        .with_workers(2)
-        .with_scenario_timeout(Duration::from_millis(100))
-        .with_fault_plan(FaultPlan::new().with_fault(1, FaultKind::Stall));
-    let scenarios = seeded_scenarios(6);
-    let start = std::time::Instant::now();
-    let sweep = runner.run(&scenarios);
-    // well under the 30 s defensive stall cap: the watchdog reclaimed it
-    assert!(start.elapsed() < Duration::from_secs(10));
-    assert_eq!(sweep.failures().len(), 1);
-    let failure = &sweep.failures()[0];
-    assert_eq!(failure.index, 1);
-    assert!(
-        matches!(failure.cause, SimError::Cancelled { .. }),
-        "{:?}",
-        failure.cause
-    );
-    // untimed scenarios on the same workers were not cancelled
-    assert_eq!(sweep.stats().failures, 1);
+    // one worker runs inline on the calling thread; it must be watched
+    // all the same
+    for workers in [1, 2] {
+        let runner = ScenarioRunner::new(noisy_circuit(), 200.0)
+            .with_workers(workers)
+            .with_scenario_timeout(Duration::from_millis(100))
+            .with_fault_plan(FaultPlan::new().with_fault(1, FaultKind::Stall));
+        let scenarios = seeded_scenarios(6);
+        let start = std::time::Instant::now();
+        let sweep = runner.run(&scenarios);
+        // well under the 30 s defensive stall cap: the watchdog reclaimed it
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "workers={workers}"
+        );
+        assert_eq!(sweep.failures().len(), 1, "workers={workers}");
+        let failure = &sweep.failures()[0];
+        assert_eq!(failure.index, 1);
+        assert!(
+            matches!(failure.cause, SimError::Cancelled { .. }),
+            "{:?}",
+            failure.cause
+        );
+        // untimed scenarios on the same workers were not cancelled
+        assert_eq!(sweep.stats().failures, 1, "workers={workers}");
+    }
 }
 
 #[test]
 fn reconfiguration_joins_the_old_pool_instead_of_leaking_it() {
     let circuit = inverter_circuit();
+    let probe = circuit.clone();
+    // references held by the runner: the probe's own one is not counted
+    let held = || probe.topology_refs() - 1;
     let runner = ScenarioRunner::new(circuit, 100.0).with_workers(3);
-    assert_eq!(runner.circuit().topology_refs(), 1);
+    assert_eq!(held(), 1);
 
-    // first run spawns the pool: one template clone shared by the
-    // workers, and one simulator clone per worker, all Arc-sharing the
-    // runner's topology
+    // the first run warms one simulator per worker, each cloned from
+    // the runner's circuit and Arc-sharing its topology
     let sweep = runner.run(&seeded_scenarios(4));
     assert_eq!(sweep.stats().failures, 0);
-    assert_eq!(runner.circuit().topology_refs(), 1 + 1 + 3);
+    assert_eq!(held(), 1 + 3);
 
-    // reconfiguring must join the old workers — every worker-held
-    // topology reference is dropped, not leaked
+    // reconfiguring drops the warm simulators — every worker-held
+    // topology reference is released, not leaked
     let runner = runner.with_max_events(1_000_000);
-    assert_eq!(runner.circuit().topology_refs(), 1);
+    assert_eq!(held(), 1);
     let runner = runner.with_workers(3);
-    assert_eq!(runner.circuit().topology_refs(), 1);
+    assert_eq!(held(), 1);
 
     // and the runner still works afterwards
     let sweep = runner.run(&seeded_scenarios(4));
     assert_eq!(sweep.stats().failures, 0);
-    assert_eq!(runner.circuit().topology_refs(), 1 + 1 + 3);
+    assert_eq!(held(), 1 + 3);
     drop(runner);
+    assert_eq!(held(), 0);
 }
 
 #[test]
@@ -273,7 +283,7 @@ fn dropping_the_runner_joins_all_workers() {
     let _ = runner.run(&seeded_scenarios(8));
     assert!(probe.topology_refs() > 2);
     drop(runner);
-    // only the probe's reference remains: every worker thread exited
+    // only the probe's reference remains: every warm simulator is gone
     assert_eq!(probe.topology_refs(), 1);
 }
 

@@ -40,6 +40,7 @@
 //! # Ok(())
 //! # }
 //! ```
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -47,6 +48,7 @@ pub mod bit;
 pub mod channel;
 pub mod delay;
 mod error;
+pub mod exec;
 pub mod factory;
 pub mod noise;
 pub mod pulse;

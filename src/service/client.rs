@@ -3,7 +3,7 @@
 //! benchmark tier.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -32,7 +32,9 @@ pub struct Response {
 /// in any order, matched by id. [`run_one`](Self::run_one) is the
 /// blocking single-spec convenience.
 pub struct ServiceClient {
-    stream: TcpStream,
+    /// Buffered for reads (a frame arrives in one read, not three);
+    /// frames are written straight to the socket underneath.
+    stream: BufReader<TcpStream>,
     next_id: u64,
 }
 
@@ -46,7 +48,10 @@ impl ServiceClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ServiceClient> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        let mut client = ServiceClient { stream, next_id: 0 };
+        let mut client = ServiceClient {
+            stream: BufReader::new(stream),
+            next_id: 0,
+        };
         match client.read_frame()? {
             Frame::Hello { greeting } if greeting == GREETING => Ok(client),
             Frame::Hello { greeting } => Err(io::Error::new(
@@ -73,7 +78,7 @@ impl ServiceClient {
             id,
             spec: spec_text.to_owned(),
         }
-        .write_to(&mut (&self.stream))?;
+        .write_to(&mut self.stream.get_ref())?;
         Ok(id)
     }
 

@@ -26,12 +26,12 @@
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use ivl_core::exec::catch_panic;
 use ivl_core::factory::ChannelRegistry;
 
 use super::cache::{CacheCounters, ResultCache};
@@ -411,7 +411,8 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, per_connection: usi
         .expect("spawn writer thread");
 
     let gate = Gate::new(per_connection);
-    let mut stream = stream;
+    // buffered: a frame arrives in one read, not three
+    let mut stream = std::io::BufReader::new(stream);
     loop {
         match Frame::read_from(&mut stream) {
             Err(_) => {
@@ -560,7 +561,7 @@ fn process(job: &Job, registry: &ChannelRegistry, shared: &Arc<Shared>) {
     let mut spec = job.spec.clone();
     override_workers(&mut spec);
     let experiment = Experiment::new(spec).with_lint(LintConfig::Off);
-    match catch_unwind(AssertUnwindSafe(|| experiment.run())) {
+    match catch_panic(|| experiment.run()) {
         Ok(Ok(result)) => {
             let rendered = render_result(&result);
             if job.cacheable {
@@ -584,13 +585,8 @@ fn process(job: &Job, registry: &ChannelRegistry, shared: &Arc<Shared>) {
                 text: render_error(ServedErrorKind::Run, &e.to_string(), &[]),
             });
         }
-        Err(panic) => {
+        Err(message) => {
             shared.errors.fetch_add(1, Ordering::SeqCst);
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_owned());
             let _ = job.reply.send(Frame::Error {
                 id: job.id,
                 text: render_error(

@@ -143,19 +143,22 @@ impl Value {
         match &self.kind {
             ValueKind::Num(v) => write!(f, "{v:?}"),
             ValueKind::Int(v) => write!(f, "{v}"),
-            ValueKind::Word(w) => write!(f, "{w}"),
+            ValueKind::Word(w) => f.write_str(w),
             ValueKind::Str(s) => {
                 f.write_str("\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        '\n' => f.write_str("\\n")?,
-                        '\t' => f.write_str("\\t")?,
-                        '\r' => f.write_str("\\r")?,
-                        c => write!(f, "{c}")?,
-                    }
+                let mut rest = s.as_str();
+                while let Some(i) = rest.find(['"', '\\', '\n', '\t', '\r']) {
+                    f.write_str(&rest[..i])?;
+                    f.write_str(match rest.as_bytes()[i] {
+                        b'"' => "\\\"",
+                        b'\\' => "\\\\",
+                        b'\n' => "\\n",
+                        b'\t' => "\\t",
+                        _ => "\\r",
+                    })?;
+                    rest = &rest[i + 1..];
                 }
+                f.write_str(rest)?;
                 f.write_str("\"")
             }
             ValueKind::List(items) => {
@@ -174,28 +177,44 @@ impl Value {
                         if i > 0 {
                             f.write_str(",")?;
                         }
-                        writeln!(f)?;
-                        write!(f, "{:1$}", "", indent + 2)?;
+                        f.write_str("\n")?;
+                        pad(f, indent + 2)?;
                         item.write(f, indent + 2)?;
                     }
-                    writeln!(f)?;
-                    write!(f, "{:1$}]", "", indent)
+                    f.write_str("\n")?;
+                    pad(f, indent)?;
+                    f.write_str("]")
                 }
             }
             ValueKind::Node(tag, fields) => {
+                f.write_str(tag)?;
                 if fields.is_empty() {
-                    return write!(f, "{tag}");
+                    return Ok(());
                 }
-                writeln!(f, "{tag} {{")?;
+                f.write_str(" {\n")?;
                 for (name, value) in fields {
-                    write!(f, "{:1$}{name} = ", "", indent + 2)?;
+                    pad(f, indent + 2)?;
+                    f.write_str(name)?;
+                    f.write_str(" = ")?;
                     value.write(f, indent + 2)?;
-                    writeln!(f, ";")?;
+                    f.write_str(";\n")?;
                 }
-                write!(f, "{:1$}}}", "", indent)
+                pad(f, indent)?;
+                f.write_str("}")
             }
         }
     }
+}
+
+/// Writes `width` spaces.
+fn pad(f: &mut fmt::Formatter<'_>, mut width: usize) -> fmt::Result {
+    const SPACES: &str = "                                ";
+    while width > 0 {
+        let n = width.min(SPACES.len());
+        f.write_str(&SPACES[..n])?;
+        width -= n;
+    }
+    Ok(())
 }
 
 impl From<ValueKind> for Value {
@@ -263,12 +282,17 @@ impl fmt::Display for Token {
 }
 
 struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-    /// Position of the *next* unread character (1-based).
+    text: &'a str,
+    /// Byte offset of the next unread character.
+    pos: usize,
+    /// Position of the *next* unread character (1-based; columns count
+    /// characters, not bytes).
     line: u32,
     column: u32,
     /// Span of the most recently lexed token, for errors and values.
     span: Span,
+    /// A token lexed ahead by [`Parser::peek_token`], with its span.
+    peeked: Option<(Token, Span)>,
     /// Values currently open around the one being parsed.
     depth: usize,
 }
@@ -276,10 +300,12 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
-            chars: text.char_indices().peekable(),
+            text,
+            pos: 0,
             line: 1,
             column: 1,
             span: Span { line: 1, column: 1 },
+            peeked: None,
             depth: 0,
         }
     }
@@ -288,98 +314,121 @@ impl<'a> Parser<'a> {
         SpecError::new(message).at(self.span)
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().map(|&(_, c)| c)
+    fn peek_byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let (_, c) = self.chars.next()?;
-        if c == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
+    fn peek_char(&self) -> Option<char> {
+        self.text[self.pos..].chars().next()
+    }
+
+    /// Consumes `len` bytes (a whole number of characters), keeping the
+    /// line and column of the next unread character.
+    fn advance(&mut self, len: usize) {
+        for &b in &self.text.as_bytes()[self.pos..self.pos + len] {
+            if b == b'\n' {
+                self.line += 1;
+                self.column = 1;
+            } else if b & 0xC0 != 0x80 {
+                // the first byte of a character, not a continuation
+                self.column += 1;
+            }
         }
-        Some(c)
+        self.pos += len;
+    }
+
+    /// Consumes bytes from the current position while `keep` holds for
+    /// them (ASCII predicates only) and returns the consumed slice.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        let len = self.text.as_bytes()[start..]
+            .iter()
+            .position(|&b| !keep(b))
+            .unwrap_or(self.text.len() - start);
+        self.advance(len);
+        &self.text[start..start + len]
     }
 
     fn skip_ws(&mut self) {
-        while let Some(c) = self.peek() {
-            if c.is_whitespace() {
-                self.bump();
-            } else if c == '#' {
+        while let Some(b) = self.peek_byte() {
+            if b.is_ascii_whitespace() || b == 0x0B {
+                self.advance(1);
+            } else if b == b'#' {
                 // comment to end of line
-                while let Some(c) = self.bump() {
-                    if c == '\n' {
-                        break;
-                    }
-                }
+                self.take_while(|b| b != b'\n');
             } else {
-                break;
+                // Unicode whitespace beyond ASCII counts too
+                match self.peek_char() {
+                    Some(c) if !c.is_ascii() && c.is_whitespace() => self.advance(c.len_utf8()),
+                    _ => break,
+                }
             }
         }
     }
 
     fn next_token(&mut self) -> Result<Token, SpecError> {
+        if let Some((token, span)) = self.peeked.take() {
+            self.span = span;
+            return Ok(token);
+        }
         self.skip_ws();
         self.span = Span {
             line: self.line,
             column: self.column,
         };
-        let Some(c) = self.peek() else {
+        let Some(b) = self.peek_byte() else {
             return Ok(Token::End);
         };
-        if c == '"' {
-            self.bump();
+        if b == b'"' {
+            self.advance(1);
             let mut s = String::new();
             loop {
-                match self.bump() {
-                    Some('"') => return Ok(Token::Str(s)),
-                    Some('\\') => match self.bump() {
-                        Some('"') => s.push('"'),
-                        Some('\\') => s.push('\\'),
-                        Some('n') => s.push('\n'),
-                        Some('t') => s.push('\t'),
-                        Some('r') => s.push('\r'),
-                        Some(other) => return Err(self.err(format!("unknown escape \\{other}"))),
-                        None => return Err(self.err("unterminated string")),
-                    },
-                    Some(c) => s.push(c),
+                s.push_str(self.take_while(|b| b != b'"' && b != b'\\'));
+                match self.peek_byte() {
+                    Some(b'"') => {
+                        self.advance(1);
+                        return Ok(Token::Str(s));
+                    }
+                    Some(_) => {
+                        self.advance(1); // the backslash
+                        let Some(c) = self.peek_char() else {
+                            return Err(self.err("unterminated string"));
+                        };
+                        self.advance(c.len_utf8());
+                        match c {
+                            '"' => s.push('"'),
+                            '\\' => s.push('\\'),
+                            'n' => s.push('\n'),
+                            't' => s.push('\t'),
+                            'r' => s.push('\r'),
+                            other => return Err(self.err(format!("unknown escape \\{other}"))),
+                        }
+                    }
                     None => return Err(self.err("unterminated string")),
                 }
             }
         }
-        if c.is_ascii_alphabetic() || c == '_' {
-            let mut w = String::new();
-            while let Some(c) = self.peek() {
-                if c.is_ascii_alphanumeric() || c == '_' {
-                    w.push(c);
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-            return Ok(Token::Word(w));
+        if b.is_ascii_alphabetic() || b == b'_' {
+            let w = self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_');
+            return Ok(Token::Word(w.to_owned()));
         }
-        if c.is_ascii_digit() || c == '-' || c == '+' {
-            let mut n = String::new();
-            n.push(c);
-            self.bump();
+        if b.is_ascii_digit() || b == b'-' || b == b'+' {
+            let (start, bytes) = (self.pos, self.text.as_bytes());
             let mut real = false;
-            while let Some(c) = self.peek() {
+            let mut len = 1;
+            for &c in &bytes[start + 1..] {
                 match c {
-                    '0'..='9' => n.push(c),
-                    '.' | 'e' | 'E' => {
-                        real = true;
-                        n.push(c);
-                    }
+                    b'0'..=b'9' => {}
+                    b'.' | b'e' | b'E' => real = true,
                     // exponent signs: only valid right after e/E, let
                     // f64::from_str be the judge
-                    '-' | '+' if n.ends_with(['e', 'E']) => n.push(c),
+                    b'-' | b'+' if matches!(bytes[start + len - 1], b'e' | b'E') => {}
                     _ => break,
                 }
-                self.bump();
+                len += 1;
             }
+            self.advance(len);
+            let n = &self.text[start..start + len];
             if !real && !n.starts_with(['-', '+']) {
                 if let Ok(v) = n.parse::<u64>() {
                     return Ok(Token::Int(v));
@@ -390,22 +439,24 @@ impl<'a> Parser<'a> {
                 .map(Token::Num)
                 .map_err(|_| self.err(format!("bad number {n:?}")));
         }
-        if "{}[]=;,/".contains(c) {
-            self.bump();
-            return Ok(Token::Punct(c));
+        if b"{}[]=;,/".contains(&b) {
+            self.advance(1);
+            return Ok(Token::Punct(char::from(b)));
         }
+        let c = self.peek_char().expect("a byte is left, so a character is");
         Err(self.err(format!("unexpected character {c:?}")))
     }
 
-    fn peek_token(&mut self) -> Result<Token, SpecError> {
-        let save_chars = self.chars.clone();
-        let (save_line, save_column, save_span) = (self.line, self.column, self.span);
-        let t = self.next_token()?;
-        self.chars = save_chars;
-        self.line = save_line;
-        self.column = save_column;
-        self.span = save_span;
-        Ok(t)
+    /// The next token, without consuming it: it is lexed once and
+    /// handed out by the following [`Parser::next_token`].
+    fn peek_token(&mut self) -> Result<&Token, SpecError> {
+        if self.peeked.is_none() {
+            let span = self.span;
+            let token = self.next_token()?;
+            self.peeked = Some((token, self.span));
+            self.span = span;
+        }
+        Ok(&self.peeked.as_ref().expect("just filled").0)
     }
 
     fn expect_word(&mut self, word: &str) -> Result<(), SpecError> {
@@ -601,6 +652,30 @@ mod tests {
         assert!(parse_document("faithful/1 node { a 1 }").is_err());
         assert!(parse_document("nope/1 zero").is_err());
         assert!(parse_document("faithful/1 \"bad\\q\"").is_err());
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        let cases = [
+            (
+                "faithful/1 x {\n  s = \"é€\\n\"; t = ?? }",
+                "line 2, column 19: unexpected character '?'",
+            ),
+            // Unicode whitespace separates tokens like ASCII whitespace
+            (
+                "faithful/1 x {\u{A0}a\u{2003}=\u{3000}1; b = \"\u{1F600}\" ;c = ¿ }",
+                "line 1, column 36: unexpected character '¿'",
+            ),
+            // a comment running to end of input still advances the column
+            (
+                "faithful/1 [1, 2 # trailing é comment",
+                "line 1, column 38: expected ',' or ']', found end of input",
+            ),
+        ];
+        for (text, expected) in cases {
+            let err = parse_document(text).unwrap_err().to_string();
+            assert!(err.ends_with(expected), "{text:?}: {err}");
+        }
     }
 
     #[test]

@@ -1,23 +1,23 @@
-// The legacy serial entry points are exercised on purpose: this suite
-// pins the compat wrappers' behaviour (see tests/experiment_facade.rs
-// for the facade equivalents).
-#![allow(deprecated)]
-
 //! Integration of the analog substrate with the delay-model layer: the
 //! Section V pipeline (characterize → model → deviations under
 //! variations) reproduced end to end at test scale.
 
 use faithful::analog::chain::InverterChain;
-use faithful::analog::characterize::{
-    characterize, measure_deviations, sweep_samples, to_empirical, to_piecewise, SweepConfig,
-};
+use faithful::analog::characterize::{to_empirical, to_piecewise, SweepConfig};
 use faithful::analog::senseamp::SenseAmp;
 use faithful::analog::stimulus::Pulse;
 use faithful::analog::supply::VddSource;
+use faithful::analog::sweep::SweepRunner;
 use faithful::core::channel::{Channel, InvolutionChannel};
 use faithful::core::delay::delta_min_of;
 use faithful::core::delay::fit::fit_exp_channel;
 use faithful::Edge;
+
+/// One worker: every sweep runs inline, in width order (see
+/// tests/experiment_facade.rs for the facade equivalents).
+fn serial() -> SweepRunner {
+    SweepRunner::new().with_workers(1)
+}
 
 fn test_config() -> SweepConfig {
     SweepConfig {
@@ -31,7 +31,7 @@ fn test_config() -> SweepConfig {
 fn characterized_delay_functions_saturate_and_increase() {
     let chain = InverterChain::umc90_like(7).unwrap();
     let vdd = VddSource::dc(1.0);
-    let (up, down) = characterize(&chain, &vdd, &test_config()).unwrap();
+    let (up, down) = serial().characterize(&chain, &vdd, &test_config()).unwrap();
     for series in [&up, &down] {
         assert!(series.len() >= 6, "only {} samples", series.len());
         // increasing in T
@@ -51,7 +51,7 @@ fn digital_model_predicts_analog_crossings_on_nominal_chain() {
     let chain = InverterChain::umc90_like(7).unwrap();
     let vdd = VddSource::dc(1.0);
     let cfg = test_config();
-    let (up, down) = characterize(&chain, &vdd, &cfg).unwrap();
+    let (up, down) = serial().characterize(&chain, &vdd, &cfg).unwrap();
     let pair = to_empirical(&up, &down).unwrap();
 
     // fresh pulse not in the sweep grid
@@ -82,14 +82,18 @@ fn supply_variation_deviations_are_small_and_sign_alternating() {
     // with |phase| effect but bounded
     let chain = InverterChain::umc90_like(7).unwrap();
     let cfg = test_config();
-    let (up, down) = characterize(&chain, &VddSource::dc(1.0), &cfg).unwrap();
+    let (up, down) = serial()
+        .characterize(&chain, &VddSource::dc(1.0), &cfg)
+        .unwrap();
     let reference = to_empirical(&up, &down).unwrap();
     let mut any_positive = false;
     let mut any_negative = false;
     for phase in [0.0, 120.0, 240.0] {
         let vdd = VddSource::with_sine(1.0, 0.01, 120.0, phase).unwrap();
         for inverted in [false, true] {
-            let devs = measure_deviations(&chain, &vdd, &cfg, &reference, inverted).unwrap();
+            let devs = serial()
+                .measure_deviations(&chain, &vdd, &cfg, &reference, inverted)
+                .unwrap();
             for d in devs {
                 assert!(d.deviation.abs() < 2.0, "{d:?}");
                 if d.deviation > 0.0 {
@@ -108,14 +112,17 @@ fn width_variations_shift_deviations_like_fig_8b_8c() {
     let chain = InverterChain::umc90_like(7).unwrap();
     let vdd = VddSource::dc(1.0);
     let cfg = test_config();
-    let (up, down) = characterize(&chain, &vdd, &cfg).unwrap();
+    let (up, down) = serial().characterize(&chain, &vdd, &cfg).unwrap();
     let reference = to_empirical(&up, &down).unwrap();
     let mean_dev = |factor: f64| -> f64 {
         let varied = chain.scaled_width(factor).unwrap();
         let mut sum = 0.0;
         let mut n = 0;
         for inverted in [false, true] {
-            for d in measure_deviations(&varied, &vdd, &cfg, &reference, inverted).unwrap() {
+            for d in serial()
+                .measure_deviations(&varied, &vdd, &cfg, &reference, inverted)
+                .unwrap()
+            {
                 sum += d.deviation;
                 n += 1;
             }
@@ -134,7 +141,7 @@ fn exp_channel_fit_approximates_measured_data_near_small_t() {
     let chain = InverterChain::umc90_like(7).unwrap();
     let vdd = VddSource::dc(1.0);
     let cfg = test_config();
-    let (up, down) = characterize(&chain, &vdd, &cfg).unwrap();
+    let (up, down) = serial().characterize(&chain, &vdd, &cfg).unwrap();
     let ups: Vec<(f64, f64)> = up.iter().map(|s| (s.offset, s.delay)).collect();
     let downs: Vec<(f64, f64)> = down.iter().map(|s| (s.offset, s.delay)).collect();
     let fit = fit_exp_channel(&ups, &downs, None).unwrap();
@@ -144,7 +151,9 @@ fn exp_channel_fit_approximates_measured_data_near_small_t() {
     assert!(dm > 0.0);
     // deviations of the fit against the analog chain exist but stay
     // bounded over the sampled range
-    let devs = measure_deviations(&chain, &vdd, &cfg, &fit.channel, true).unwrap();
+    let devs = serial()
+        .measure_deviations(&chain, &vdd, &cfg, &fit.channel, true)
+        .unwrap();
     for d in &devs {
         assert_eq!(d.edge, Edge::Rising);
         assert!(d.deviation.abs() < 5.0, "{d:?}");
@@ -167,7 +176,7 @@ fn lower_vdd_shifts_the_whole_delay_curve_up_fig_7() {
             ..cfg.clone()
         };
         let vdd = VddSource::dc(v);
-        let s = sweep_samples(&chain, &vdd, &cfg_v, false).unwrap();
+        let s = serial().sweep_samples(&chain, &vdd, &cfg_v, false).unwrap();
         s.iter().map(|x| x.delay).sum::<f64>() / s.len() as f64
     };
     let d10 = mean_delay(1.0);
@@ -200,7 +209,9 @@ fn sense_amp_preserves_crossing_order_and_delays_slightly() {
 #[test]
 fn piecewise_from_up_samples_is_involution_exact() {
     let chain = InverterChain::umc90_like(7).unwrap();
-    let (up, _) = characterize(&chain, &VddSource::dc(1.0), &test_config()).unwrap();
+    let (up, _) = serial()
+        .characterize(&chain, &VddSource::dc(1.0), &test_config())
+        .unwrap();
     let pair = to_piecewise(&up).unwrap();
     // the derived pair satisfies the involution property by construction
     let (lo, hi) = pair.t_range();

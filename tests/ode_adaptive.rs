@@ -5,7 +5,7 @@
 
 use faithful::analog::chain::InverterChain;
 use faithful::analog::characterize::{Integrator, SweepConfig};
-use faithful::analog::ode::{rk4, rk45, Rk45Options};
+use faithful::analog::ode::{rk45, rk4_with, Rk45Options};
 use faithful::analog::stimulus::Pulse;
 use faithful::analog::supply::VddSource;
 use faithful::analog::{SweepRunner, Waveform};
@@ -53,9 +53,8 @@ proptest! {
     ) {
         let f = |_t: f64, y: &[f64], dy: &mut [f64]| dy[0] = -rate * y[0];
         let steps = (t_end / 1e-4).ceil() as usize;
-        let reference = rk4(0.0, &[1.0], t_end / steps as f64, steps, f)
-            .last()
-            .unwrap()[0];
+        let mut reference = 0.0;
+        rk4_with(0.0, &[1.0], t_end / steps as f64, steps, f, |_k, _t, y| reference = y[0]);
         let (y, stats) = rk45(
             0.0,
             t_end,
@@ -80,8 +79,10 @@ proptest! {
             dy[1] = -omega * omega * y[0];
         };
         let steps = (t_end / 1e-4).ceil() as usize;
-        let reference = rk4(0.0, &[1.0, 0.0], t_end / steps as f64, steps, f);
-        let reference = reference.last().unwrap();
+        let mut reference = [0.0; 2];
+        rk4_with(0.0, &[1.0, 0.0], t_end / steps as f64, steps, f, |_k, _t, y| {
+            reference.copy_from_slice(y);
+        });
         let (y, _) = rk45(0.0, t_end, &[1.0, 0.0], &Rk45Options::default(), f, |_s| {}).unwrap();
         prop_assert!((y[0] - reference[0]).abs() < 1e-5, "{} vs {}", y[0], reference[0]);
         prop_assert!((y[1] - reference[1]).abs() < 1e-5, "{} vs {}", y[1], reference[1]);
