@@ -19,7 +19,8 @@
 //! trains into a 20k-gate random DAG behind η-noise channels, watching
 //! only `y`, on 2 workers — where each scenario touches a small part of
 //! the netlist, so per-scenario costs that scale with the netlist show
-//! up there first.
+//! up there first. The `dag20k_build` row next to it records the
+//! build of that netlist alone (recorded, not gated).
 //!
 //! Besides the criterion groups, the harness emits a machine-readable
 //! `BENCH_digital.json` baseline at the workspace root (override the
@@ -593,10 +594,8 @@ fn scale_tier() -> Vec<ScaleResult> {
         100_000,
         &chain_input,
         || {
-            ivl_circuit::generate::inverter_chain(100_000, || {
-                Box::new(InvolutionChannel::new(d.clone()))
-            })
-            .unwrap()
+            ivl_circuit::generate::inverter_chain(100_000, Box::new(InvolutionChannel::new(d)))
+                .unwrap()
         },
     ));
 
@@ -607,7 +606,7 @@ fn scale_tier() -> Vec<ScaleResult> {
             1_000_000,
             &grid_input,
             || {
-                ivl_circuit::generate::grid(1000, 1000, || Box::new(PureDelay::new(0.9).unwrap()))
+                ivl_circuit::generate::grid(1000, 1000, Box::new(PureDelay::new(0.9).unwrap()))
                     .unwrap()
             },
         ));
@@ -826,6 +825,12 @@ fn emit_baseline(test_mode: bool) {
         assert_eq!(result.digital().unwrap().failed, 0);
     });
     entries.push(("dag20k_sweep_2w".to_owned(), dag_t));
+    // recorded, not gated: the op's netlist build (and drop) alone
+    let experiment = Experiment::digital(spec.clone());
+    let build_t = median_secs(iters, || {
+        drop(experiment.build_circuit(&spec.topology).unwrap());
+    });
+    entries.push(("dag20k_build".to_owned(), build_t));
     let dag_result = Experiment::digital(spec).run().unwrap();
     let dag_digital = dag_result.digital().unwrap();
     sweep_health.push((

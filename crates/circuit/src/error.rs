@@ -57,6 +57,19 @@ pub enum CircuitError {
         /// The declared input count.
         arity: usize,
     },
+    /// A generated netlist is too large to build: more nodes or edges
+    /// than `u32` ids address, a fat tree beyond the depth cap, or a
+    /// reservation the allocator refused. Raised before the netlist is
+    /// built, so nothing of its size was allocated.
+    TooLarge {
+        /// What is too large: `"nodes"`, `"edges"` or `"fat_tree depth"`.
+        what: &'static str,
+        /// The requested amount.
+        requested: u64,
+        /// The largest supported amount; `None` when the allocator
+        /// refused the reservation.
+        limit: Option<u64>,
+    },
 }
 
 impl fmt::Display for CircuitError {
@@ -83,6 +96,16 @@ impl fmt::Display for CircuitError {
             CircuitError::BadArity { name, arity } => {
                 write!(f, "gate {name:?} cannot have {arity} inputs")
             }
+            CircuitError::TooLarge {
+                what,
+                requested,
+                limit: Some(limit),
+            } => write!(f, "{what} {requested} exceeds the limit of {limit}"),
+            CircuitError::TooLarge {
+                what,
+                requested,
+                limit: None,
+            } => write!(f, "cannot reserve memory for {requested} {what}"),
         }
     }
 }

@@ -8,8 +8,20 @@
 //! million-gate netlist costs a handful of large allocations rather
 //! than millions of small ones, and a clone-free `Arc` share between
 //! sweep workers stays cache-friendly.
+//!
+//! Names cost nothing per gate on a generated netlist: it stores its
+//! [naming scheme](crate::generate::Family) and resolves names
+//! arithmetically. A builder-made netlist keeps every name once, in one
+//! buffer, with a name-sorted index for lookup.
+//!
+//! Channels are stored as prototypes: a small table of channels plus
+//! one prototype index per edge (every edge of a generated netlist
+//! shares one prototype). A circuit is never simulated in place — run
+//! state lives in the [`Simulator`](crate::Simulator), which clones an
+//! edge's prototype on the edge's first feed.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::TryReserveError;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -19,6 +31,7 @@ use ivl_core::Bit;
 
 use crate::error::CircuitError;
 use crate::gate::GateKind;
+use crate::generate::Family;
 
 /// Identifier of a circuit node (input port, output port or gate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,15 +85,98 @@ pub(crate) enum NodeTag {
     Gate,
 }
 
+/// Prototype-index sentinel of a direct (channel-free) edge.
+pub(crate) const DIRECT: u32 = u32::MAX;
+
+/// The names of a builder-made netlist: every name once, concatenated
+/// in node order, plus a name-sorted id index for lookup.
+#[derive(Debug)]
+pub(crate) struct NameTable {
+    text: String,
+    /// Node `n`'s name is `text[bounds[n]..bounds[n + 1]]`.
+    bounds: Vec<usize>,
+    /// Node ids sorted by name (ties by id); filled by `index`.
+    sorted: Vec<u32>,
+}
+
+impl NameTable {
+    fn new() -> Self {
+        NameTable {
+            text: String::new(),
+            bounds: vec![0],
+            sorted: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.bounds.push(self.text.len());
+    }
+
+    fn get(&self, id: usize) -> &str {
+        &self.text[self.bounds[id]..self.bounds[id + 1]]
+    }
+
+    /// Builds the lookup index and returns the first node, in creation
+    /// order, whose name an earlier node already has.
+    #[allow(clippy::cast_possible_truncation)]
+    fn index(&mut self) -> Option<usize> {
+        let n = self.bounds.len() - 1;
+        let mut sorted: Vec<u32> = (0..n as u32).collect();
+        // stable: equal names keep ascending ids
+        sorted.sort_by(|&a, &b| self.get(a as usize).cmp(self.get(b as usize)));
+        let duplicate = sorted
+            .windows(2)
+            .filter(|w| self.get(w[0] as usize) == self.get(w[1] as usize))
+            .map(|w| w[1] as usize)
+            .min();
+        self.sorted = sorted;
+        duplicate
+    }
+
+    fn find(&self, name: &str) -> Option<NodeId> {
+        let i = self
+            .sorted
+            .partition_point(|&id| self.get(id as usize) < name);
+        let &id = self.sorted.get(i)?;
+        (self.get(id as usize) == name).then_some(NodeId(id))
+    }
+}
+
+/// How a netlist names its nodes: an interned table (builder-made) or
+/// a generator's closed-form scheme. Shared by `Arc` between the
+/// topology and every [`SimResult`](crate::SimResult) of its runs.
+#[derive(Debug)]
+pub(crate) enum Names {
+    Table(NameTable),
+    Generated(Family),
+}
+
+impl Names {
+    pub(crate) fn find(&self, name: &str) -> Option<NodeId> {
+        match self {
+            Names::Table(t) => t.find(name),
+            Names::Generated(f) => f.node_id(name),
+        }
+    }
+
+    /// The name of node `id`, which must exist.
+    pub(crate) fn name(&self, id: usize) -> Cow<'_, str> {
+        match self {
+            Names::Table(t) => Cow::Borrowed(t.get(id)),
+            Names::Generated(f) => f.node_name(id),
+        }
+    }
+}
+
 /// The immutable netlist of a [`Circuit`] in struct-of-arrays form:
 /// parallel per-node attribute vectors, parallel per-edge endpoint
-/// vectors, CSR fanout adjacency and the name index. Shared via `Arc`
-/// between every clone of a circuit (and hence between all
-/// scenario-sweep workers), so cloning a circuit copies only per-edge
-/// channel state — never the topology.
+/// vectors, CSR fanout adjacency, the names and each edge's prototype
+/// index. Shared via `Arc` between every clone of a circuit (and hence
+/// between all scenario-sweep workers).
 pub(crate) struct Topology {
+    pub(crate) names: Arc<Names>,
     // --- per node, indexed by NodeId ---
-    pub(crate) node_names: Vec<String>,
     pub(crate) node_tags: Vec<NodeTag>,
     /// Boolean function per node; a `Buf` placeholder for ports.
     pub(crate) gate_kinds: Vec<GateKind>,
@@ -97,6 +193,9 @@ pub(crate) struct Topology {
     pub(crate) edge_from: Vec<u32>,
     pub(crate) edge_to: Vec<u32>,
     pub(crate) edge_pin: Vec<u32>,
+    /// Index into the circuit's prototype table; [`DIRECT`] for a
+    /// direct connection.
+    pub(crate) edge_proto: Vec<u32>,
     // --- CSR fanout adjacency ---
     /// Node `n`'s outgoing edges are
     /// `out_edges[out_start[n]..out_start[n + 1]]`, in edge-creation
@@ -105,7 +204,6 @@ pub(crate) struct Topology {
     pub(crate) out_edges: Vec<u32>,
     /// Input-port node ids, ascending.
     pub(crate) input_ports: Vec<u32>,
-    pub(crate) names: Arc<HashMap<String, NodeId>>,
 }
 
 impl Topology {
@@ -141,12 +239,6 @@ impl Topology {
     }
 }
 
-// builder-internal representation before the topology/channel split
-enum Connection {
-    Direct,
-    Channel(Box<dyn SimChannel>),
-}
-
 /// Incremental circuit constructor.
 ///
 /// Nodes are created with [`input`](CircuitBuilder::input),
@@ -158,24 +250,28 @@ enum Connection {
 /// output port is driven by exactly one connection, and gates and
 /// channels alternate.
 ///
-/// Validation is incremental and scale-friendly: double driving is
-/// caught at connect time through an O(1) driven-pin set, and the
-/// final unconnected-pin sweep is a single O(nodes + edges) pass —
-/// no quadratic rescans, so million-gate netlists build in linear time.
+/// Validation is incremental and scale-friendly: a node's pins get
+/// their driven flags when the node is added, so double driving is
+/// caught at connect time in O(1), and the final unconnected-pin sweep
+/// is one scan of those flags — no quadratic rescans, so million-gate
+/// netlists build in linear time.
 pub struct CircuitBuilder {
-    node_names: Vec<String>,
+    names: Names,
     node_tags: Vec<NodeTag>,
     gate_kinds: Vec<GateKind>,
     node_arity: Vec<u32>,
     node_initial: Vec<Bit>,
+    /// Flattened-pin CSR offsets, one entry ahead of the nodes.
+    pin_start: Vec<u32>,
+    /// Per flattened pin: whether a connection drives it.
+    pin_driven: Vec<bool>,
     edge_from: Vec<u32>,
     edge_to: Vec<u32>,
     edge_pin: Vec<u32>,
-    conns: Vec<Connection>,
-    names: HashMap<String, NodeId>,
-    /// `(to, pin)` pairs already driven — O(1) double-driver checks.
-    driven: HashSet<(u32, u32)>,
-    deferred_error: Option<CircuitError>,
+    edge_proto: Vec<u32>,
+    protos: Vec<Box<dyn SimChannel>>,
+    /// The first bad arity, with the node it was declared on.
+    bad_arity: Option<(usize, CircuitError)>,
 }
 
 impl CircuitBuilder {
@@ -183,36 +279,80 @@ impl CircuitBuilder {
     #[must_use]
     pub fn new() -> Self {
         CircuitBuilder {
-            node_names: Vec::new(),
+            names: Names::Table(NameTable::new()),
             node_tags: Vec::new(),
             gate_kinds: Vec::new(),
             node_arity: Vec::new(),
             node_initial: Vec::new(),
+            pin_start: vec![0],
+            pin_driven: Vec::new(),
             edge_from: Vec::new(),
             edge_to: Vec::new(),
             edge_pin: Vec::new(),
-            conns: Vec::new(),
-            names: HashMap::new(),
-            driven: HashSet::new(),
-            deferred_error: None,
+            edge_proto: Vec::new(),
+            protos: Vec::new(),
+            bad_arity: None,
         }
+    }
+
+    /// A builder for a netlist of `family` whose channel edges all
+    /// share `prototype`, with room for exactly `nodes` nodes and at
+    /// most `edges` edges (and as many pins) reserved up front. Node
+    /// names come from the family's scheme, so the ones passed to
+    /// [`input`](CircuitBuilder::input) and
+    /// [`output`](CircuitBuilder::output) are not stored.
+    pub(crate) fn generated(
+        family: Family,
+        prototype: Box<dyn SimChannel>,
+        nodes: u32,
+        edges: u32,
+    ) -> Result<Self, CircuitError> {
+        let mut b = CircuitBuilder::new();
+        b.names = Names::Generated(family);
+        b.protos.push(prototype);
+        let refused = |what: &'static str, requested: u32| {
+            move |_: TryReserveError| CircuitError::TooLarge {
+                what,
+                requested: u64::from(requested),
+                limit: None,
+            }
+        };
+        let (n, e) = (nodes as usize, edges as usize);
+        let node_err = refused("nodes", nodes);
+        b.node_tags.try_reserve_exact(n).map_err(node_err)?;
+        b.gate_kinds.try_reserve_exact(n).map_err(node_err)?;
+        b.node_arity.try_reserve_exact(n).map_err(node_err)?;
+        b.node_initial.try_reserve_exact(n).map_err(node_err)?;
+        b.pin_start.try_reserve_exact(n).map_err(node_err)?;
+        let edge_err = refused("edges", edges);
+        b.pin_driven.try_reserve_exact(e).map_err(edge_err)?;
+        b.edge_from.try_reserve_exact(e).map_err(edge_err)?;
+        b.edge_to.try_reserve_exact(e).map_err(edge_err)?;
+        b.edge_pin.try_reserve_exact(e).map_err(edge_err)?;
+        b.edge_proto.try_reserve_exact(e).map_err(edge_err)?;
+        Ok(b)
     }
 
     fn add_node(
         &mut self,
-        name: &str,
+        name: Option<&str>,
         tag: NodeTag,
         gate_kind: GateKind,
         arity: u32,
         initial: Bit,
     ) -> NodeId {
         let id = NodeId(u32::try_from(self.node_tags.len()).expect("more than u32::MAX nodes"));
-        if self.names.insert(name.to_owned(), id).is_some() && self.deferred_error.is_none() {
-            self.deferred_error = Some(CircuitError::DuplicateName {
-                name: name.to_owned(),
-            });
+        match &mut self.names {
+            Names::Table(t) => t.push(name.expect("builder-made nodes are named")),
+            Names::Generated(family) => {
+                debug_assert!(name.is_none_or(|n| family.node_id(n) == Some(id)));
+            }
         }
-        self.node_names.push(name.to_owned());
+        let pins = self.pin_start[self.pin_start.len() - 1]
+            .checked_add(arity)
+            .expect("more than u32::MAX input pins");
+        self.pin_start.push(pins);
+        self.pin_driven.resize(pins as usize, false);
         self.node_tags.push(tag);
         self.gate_kinds.push(gate_kind);
         self.node_arity.push(arity);
@@ -222,12 +362,12 @@ impl CircuitBuilder {
 
     /// Adds an input port.
     pub fn input(&mut self, name: &str) -> NodeId {
-        self.add_node(name, NodeTag::Input, GateKind::Buf, 0, Bit::Zero)
+        self.add_node(Some(name), NodeTag::Input, GateKind::Buf, 0, Bit::Zero)
     }
 
     /// Adds an output port.
     pub fn output(&mut self, name: &str) -> NodeId {
-        self.add_node(name, NodeTag::Output, GateKind::Buf, 1, Bit::Zero)
+        self.add_node(Some(name), NodeTag::Output, GateKind::Buf, 1, Bit::Zero)
     }
 
     /// Adds a gate with the kind's default arity.
@@ -244,17 +384,37 @@ impl CircuitBuilder {
         initial: Bit,
         arity: usize,
     ) -> NodeId {
-        if !kind.supports_arity(arity) && self.deferred_error.is_none() {
-            self.deferred_error = Some(CircuitError::BadArity {
-                name: name.to_owned(),
-                arity,
-            });
+        if !kind.supports_arity(arity) && self.bad_arity.is_none() {
+            self.bad_arity = Some((
+                self.node_tags.len(),
+                CircuitError::BadArity {
+                    name: name.to_owned(),
+                    arity,
+                },
+            ));
         }
         let arity = u32::try_from(arity).expect("gate arity exceeds u32::MAX");
-        self.add_node(name, NodeTag::Gate, kind, arity, initial)
+        self.add_node(Some(name), NodeTag::Gate, kind, arity, initial)
     }
 
-    fn check_endpoints(&self, from: NodeId, to: NodeId, pin: usize) -> Result<(), CircuitError> {
+    /// Adds a gate of a generated netlist, named by the family's scheme.
+    pub(crate) fn scheme_gate(&mut self, kind: GateKind, initial: Bit) -> NodeId {
+        let arity = u32::try_from(kind.default_arity()).expect("default arities are small");
+        self.add_node(None, NodeTag::Gate, kind, arity, initial)
+    }
+
+    /// The initial output value of node `id`, which must exist.
+    pub(crate) fn initial(&self, id: NodeId) -> Bit {
+        self.node_initial[id.index()]
+    }
+
+    fn name(&self, id: NodeId) -> String {
+        self.names.name(id.index()).into_owned()
+    }
+
+    /// Validates a connection and returns the flattened index of the
+    /// pin it drives.
+    fn check_endpoints(&self, from: NodeId, to: NodeId, pin: usize) -> Result<usize, CircuitError> {
         let from_tag = *self
             .node_tags
             .get(from.index())
@@ -267,40 +427,47 @@ impl CircuitBuilder {
             .ok_or(CircuitError::UnknownNode { index: to.index() })?;
         if from_tag == NodeTag::Output {
             return Err(CircuitError::WrongPortDirection {
-                name: self.node_names[from.index()].clone(),
+                name: self.name(from),
             });
         }
         if to_tag == NodeTag::Input {
             return Err(CircuitError::WrongPortDirection {
-                name: self.node_names[to.index()].clone(),
+                name: self.name(to),
             });
         }
         let arity = self.node_arity[to.index()] as usize;
         if pin >= arity {
             return Err(CircuitError::PinOutOfRange {
-                node: self.node_names[to.index()].clone(),
+                node: self.name(to),
                 pin,
                 arity,
             });
         }
-        #[allow(clippy::cast_possible_truncation)]
-        if self.driven.contains(&(to.0, pin as u32)) {
+        let flat = self.pin_start[to.index()] as usize + pin;
+        if self.pin_driven[flat] {
             return Err(CircuitError::PinAlreadyDriven {
-                node: self.node_names[to.index()].clone(),
+                node: self.name(to),
                 pin,
             });
         }
-        Ok(())
+        Ok(flat)
     }
 
     #[allow(clippy::cast_possible_truncation)]
-    fn push_edge(&mut self, from: NodeId, to: NodeId, pin: usize, conn: Connection) -> EdgeId {
+    fn push_edge(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        pin: usize,
+        flat: usize,
+        proto: u32,
+    ) -> EdgeId {
         let id = EdgeId(u32::try_from(self.edge_from.len()).expect("more than u32::MAX edges"));
         self.edge_from.push(from.0);
         self.edge_to.push(to.0);
         self.edge_pin.push(pin as u32);
-        self.driven.insert((to.0, pin as u32));
-        self.conns.push(conn);
+        self.edge_proto.push(proto);
+        self.pin_driven[flat] = true;
         id
     }
 
@@ -308,8 +475,8 @@ impl CircuitBuilder {
     ///
     /// Any [`OnlineChannel`](ivl_core::channel::OnlineChannel) that is
     /// also `Clone + Send` qualifies (the [`SimChannel`] blanket impl);
-    /// clonability lets [`Circuit`]s be duplicated across scenario-sweep
-    /// worker threads.
+    /// `channel` becomes the edge's prototype, which every simulator
+    /// over the circuit clones on the edge's first feed.
     ///
     /// # Errors
     ///
@@ -325,16 +492,14 @@ impl CircuitBuilder {
     where
         C: SimChannel + 'static,
     {
-        self.check_endpoints(from, to, pin)?;
-        Ok(self.push_edge(from, to, pin, Connection::Channel(Box::new(channel))))
+        self.connect_boxed(from, to, pin, Box::new(channel))
     }
 
     /// Connects `from` to pin `pin` of `to` through an already-boxed
     /// channel — the dynamic-dispatch twin of
-    /// [`connect`](CircuitBuilder::connect), for callers that source
-    /// channels from a factory (the parametric topology
-    /// [`generate`](crate::generate) functions, spec-driven netlists).
-    /// Avoids wrapping the box in a second box.
+    /// [`connect`](CircuitBuilder::connect), for callers that build
+    /// channels at run time (spec-driven netlists). Avoids wrapping the
+    /// box in a second box.
     ///
     /// # Errors
     ///
@@ -346,8 +511,22 @@ impl CircuitBuilder {
         pin: usize,
         channel: Box<dyn SimChannel>,
     ) -> Result<EdgeId, CircuitError> {
-        self.check_endpoints(from, to, pin)?;
-        Ok(self.push_edge(from, to, pin, Connection::Channel(channel)))
+        let flat = self.check_endpoints(from, to, pin)?;
+        let proto = u32::try_from(self.protos.len()).expect("more than u32::MAX channels");
+        self.protos.push(channel);
+        Ok(self.push_edge(from, to, pin, flat, proto))
+    }
+
+    /// Connects `from` to pin `pin` of `to` through the generated
+    /// netlist's shared prototype.
+    pub(crate) fn connect_shared(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        pin: usize,
+    ) -> Result<EdgeId, CircuitError> {
+        let flat = self.check_endpoints(from, to, pin)?;
+        Ok(self.push_edge(from, to, pin, flat, 0))
     }
 
     /// Connects `from` to pin `pin` of `to` with zero delay. At least one
@@ -363,16 +542,16 @@ impl CircuitBuilder {
         to: NodeId,
         pin: usize,
     ) -> Result<EdgeId, CircuitError> {
-        self.check_endpoints(from, to, pin)?;
+        let flat = self.check_endpoints(from, to, pin)?;
         if self.node_tags[from.index()] == NodeTag::Gate
             && self.node_tags[to.index()] == NodeTag::Gate
         {
             return Err(CircuitError::DirectBetweenGates {
-                from: self.node_names[from.index()].clone(),
-                to: self.node_names[to.index()].clone(),
+                from: self.name(from),
+                to: self.name(to),
             });
         }
-        Ok(self.push_edge(from, to, pin, Connection::Direct))
+        Ok(self.push_edge(from, to, pin, flat, DIRECT))
     }
 
     /// Validates and finalizes the circuit.
@@ -380,41 +559,36 @@ impl CircuitBuilder {
     /// # Errors
     ///
     /// Returns the first well-formedness violation: duplicate names, bad
-    /// gate arities, or unconnected gate pins / output ports.
+    /// gate arities (whichever was declared first), or unconnected gate
+    /// pins / output ports.
     #[allow(clippy::cast_possible_truncation)]
-    pub fn build(self) -> Result<Circuit, CircuitError> {
-        if let Some(err) = self.deferred_error {
-            return Err(err);
-        }
-        let n = self.node_tags.len();
-        // flattened-pin CSR offsets (inputs contribute 0 pins)
-        let mut pin_start = Vec::with_capacity(n + 1);
-        pin_start.push(0u32);
-        let mut total = 0u32;
-        for &a in &self.node_arity {
-            total = total.checked_add(a).expect("more than u32::MAX input pins");
-            pin_start.push(total);
+    pub fn build(mut self) -> Result<Circuit, CircuitError> {
+        let duplicate = match &mut self.names {
+            Names::Table(t) => t.index(),
+            Names::Generated(_) => None,
+        };
+        match (duplicate, self.bad_arity.take()) {
+            (Some(d), arity) if arity.as_ref().is_none_or(|(n, _)| d < *n) => {
+                return Err(CircuitError::DuplicateName {
+                    name: self.name(NodeId(d as u32)),
+                });
+            }
+            (_, Some((_, err))) => return Err(err),
+            _ => {}
         }
         // every gate pin and output port must be driven (exactly once —
-        // double driving was rejected at connect time): one linear mark
-        // pass over the edges, one linear sweep over the pins
-        let mut pin_driven = vec![false; total as usize];
-        for (i, &to) in self.edge_to.iter().enumerate() {
-            pin_driven[(pin_start[to as usize] + self.edge_pin[i]) as usize] = true;
-        }
-        for (node, &arity) in self.node_arity.iter().enumerate() {
-            let base = pin_start[node];
-            for pin in 0..arity {
-                if !pin_driven[(base + pin) as usize] {
-                    return Err(CircuitError::UnconnectedPin {
-                        node: self.node_names[node].clone(),
-                        pin: pin as usize,
-                    });
-                }
-            }
+        // double driving was rejected at connect time)
+        if let Some(flat) = self.pin_driven.iter().position(|&d| !d) {
+            let flat = flat as u32;
+            let node = self.pin_start.partition_point(|&s| s <= flat) - 1;
+            return Err(CircuitError::UnconnectedPin {
+                node: self.name(NodeId(node as u32)),
+                pin: (flat - self.pin_start[node]) as usize,
+            });
         }
         // CSR fanout adjacency by counting sort: preserves edge-creation
         // order within each source node
+        let n = self.node_tags.len();
         let e = self.edge_from.len();
         let mut out_start = vec![0u32; n + 1];
         for &f in &self.edge_from {
@@ -432,31 +606,23 @@ impl CircuitBuilder {
         let input_ports = (0..n as u32)
             .filter(|&i| self.node_tags[i as usize] == NodeTag::Input)
             .collect();
-        let channels = self
-            .conns
-            .into_iter()
-            .map(|c| match c {
-                Connection::Direct => None,
-                Connection::Channel(ch) => Some(ch),
-            })
-            .collect();
         Ok(Circuit {
             topo: Arc::new(Topology {
-                node_names: self.node_names,
+                names: Arc::new(self.names),
                 node_tags: self.node_tags,
                 gate_kinds: self.gate_kinds,
                 node_arity: self.node_arity,
                 node_initial: self.node_initial,
-                pin_start,
+                pin_start: self.pin_start,
                 edge_from: self.edge_from,
                 edge_to: self.edge_to,
                 edge_pin: self.edge_pin,
+                edge_proto: self.edge_proto,
                 out_start,
                 out_edges,
                 input_ports,
-                names: Arc::new(self.names),
             }),
-            channels,
+            protos: self.protos,
         })
     }
 }
@@ -479,27 +645,27 @@ impl fmt::Debug for CircuitBuilder {
 /// A validated circuit, ready to simulate.
 ///
 /// A circuit is two layers: an immutable, `Arc`-shared netlist (flat
-/// node-attribute arrays, edge endpoints, CSR adjacency, name index)
-/// and per-instance channel state (`Box<dyn SimChannel>` per channel
-/// edge, `None` for direct connections). Cloning deep-copies only the
-/// channels — their single-history and noise/RNG state is what makes
-/// clones simulate independently — while every clone keeps pointing at
-/// the *same* netlist allocation. This is what lets the parallel
+/// node-attribute arrays, edge endpoints, CSR adjacency, names, each
+/// edge's prototype index) and a table of prototype channels — one per
+/// channel edge of a builder-made circuit, a single shared one for a
+/// generated netlist. A circuit is never simulated in place: run state
+/// lives in the [`Simulator`](crate::Simulator), which clones an edge's
+/// prototype on the edge's first feed. Cloning a circuit therefore
+/// copies only the prototype table, while every clone keeps pointing at
+/// the *same* netlist allocation — which is what lets the parallel
 /// [`ScenarioRunner`](crate::ScenarioRunner) hand each worker its own
-/// circuit without duplicating a million-gate topology per worker.
+/// simulator without duplicating a million-gate topology per worker.
 pub struct Circuit {
     pub(crate) topo: Arc<Topology>,
-    /// Mutable per-edge channel state; `None` for direct connections.
-    /// Indexed by [`EdgeId`], in lockstep with the topology's edge
-    /// arrays.
-    pub(crate) channels: Vec<Option<Box<dyn SimChannel>>>,
+    /// Prototype channels, indexed by the topology's `edge_proto`.
+    pub(crate) protos: Vec<Box<dyn SimChannel>>,
 }
 
 impl Clone for Circuit {
     fn clone(&self) -> Self {
         Circuit {
             topo: Arc::clone(&self.topo),
-            channels: self.channels.clone(),
+            protos: self.protos.clone(),
         }
     }
 }
@@ -520,17 +686,19 @@ impl Circuit {
     /// Looks a node up by name.
     #[must_use]
     pub fn node(&self, name: &str) -> Option<NodeId> {
-        self.topo.names.get(name).copied()
+        self.topo.names.find(name)
     }
 
-    /// The node's name.
+    /// The node's name: borrowed from a builder-made circuit's name
+    /// table, rendered from a generated netlist's naming scheme.
     ///
     /// # Panics
     ///
     /// Panics if `id` does not belong to this circuit.
     #[must_use]
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.topo.node_names[id.index()]
+    pub fn node_name(&self, id: NodeId) -> Cow<'_, str> {
+        assert!(id.index() < self.node_count(), "unknown node id {}", id.0);
+        self.topo.names.name(id.index())
     }
 
     /// The node's kind, reconstructed from the packed attribute arrays.
@@ -545,8 +713,10 @@ impl Circuit {
 
     /// Names of every node (ports and gates), in creation order.
     #[must_use]
-    pub fn node_names(&self) -> Vec<&str> {
-        self.topo.node_names.iter().map(String::as_str).collect()
+    pub fn node_names(&self) -> Vec<Cow<'_, str>> {
+        (0..self.node_count())
+            .map(|i| self.topo.names.name(i))
+            .collect()
     }
 
     /// Names of all input ports, in creation order.
@@ -562,13 +732,18 @@ impl Circuit {
     }
 
     fn port_names(&self, tag: NodeTag) -> Vec<&str> {
-        self.topo
-            .node_tags
-            .iter()
-            .zip(&self.topo.node_names)
-            .filter(|(t, _)| **t == tag)
-            .map(|(_, n)| n.as_str())
-            .collect()
+        match &*self.topo.names {
+            // a generated netlist has exactly the ports `a` and `y`
+            Names::Generated(_) => vec![if tag == NodeTag::Input { "a" } else { "y" }],
+            Names::Table(t) => self
+                .topo
+                .node_tags
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| **t == tag)
+                .map(|(i, _)| t.get(i))
+                .collect(),
+        }
     }
 
     /// Source, target and pin of an edge.
@@ -595,28 +770,6 @@ impl Circuit {
         Arc::ptr_eq(&self.topo, &other.topo)
     }
 
-    /// Replaces the channel on an existing channel edge, keeping the
-    /// topology (endpoints, pin, ids) intact. This is how callers swap
-    /// an adversary/noise source into a prebuilt circuit without
-    /// rebuilding the netlist (e.g. the SPF circuit's per-run noise).
-    /// The channel lives outside the `Arc`-shared netlist, so the swap
-    /// touches one box pointer — no part of the topology is cloned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this circuit or refers to a
-    /// direct (channel-free) connection — a direct edge can never
-    /// legally carry a channel, because gates and channels alternate.
-    pub fn replace_channel(&mut self, id: EdgeId, channel: Box<dyn SimChannel>) {
-        let slot = &mut self.channels[id.index()];
-        assert!(
-            slot.is_some(),
-            "edge {} is a direct connection, not a channel",
-            id.0
-        );
-        *slot = Some(channel);
-    }
-
     /// Number of live circuit clones (including this one) sharing this
     /// circuit's topology allocation. Worker-pool tests use this to pin
     /// that discarded pools *join* their threads (each worker holds
@@ -630,15 +783,19 @@ impl Circuit {
     /// The lowest-index edge that carries a channel, if any.
     #[allow(clippy::cast_possible_truncation)]
     pub(crate) fn first_channel_edge(&self) -> Option<EdgeId> {
-        self.channels
+        self.topo
+            .edge_proto
             .iter()
-            .position(Option::is_some)
+            .position(|&p| p != DIRECT)
             .map(|i| EdgeId(i as u32))
     }
 
-    /// A fresh box of the channel on `id`, if `id` carries one.
+    /// A fresh box of the prototype on `id`, if `id` carries a channel.
     pub(crate) fn clone_channel(&self, id: EdgeId) -> Option<Box<dyn SimChannel>> {
-        self.channels.get(id.index()).and_then(Clone::clone)
+        match *self.topo.edge_proto.get(id.index())? {
+            DIRECT => None,
+            p => Some(self.protos[p as usize].clone()),
+        }
     }
 }
 

@@ -10,14 +10,17 @@
 //! (one worker runs inline, on the calling thread), and every worker
 //! borrows a warm [`Simulator`] from a stash the runner keeps between
 //! runs. Simulators are cloned from the runner's own circuit, so every
-//! copy `Arc`-shares the immutable netlist topology — the only
-//! per-worker state is the mutable channel boxes (single-history +
-//! noise RNG) and the simulator's per-run working memory, which stays
-//! warm scenario after scenario and sweep after sweep. A scenario costs
-//! O(activity), not O(netlist) (see [`Simulator`]'s run lifecycle). A
-//! 10k-scenario sweep therefore performs zero per-scenario allocation
-//! and holds one working copy of the channels per worker — all
-//! `Arc`-sharing a single topology no matter the worker count.
+//! copy `Arc`-shares the immutable netlist topology and copies only the
+//! prototype-channel table (one channel for a generated netlist). The
+//! per-worker state is the channels the worker has fed so far
+//! (single-history + noise RNG, cloned from their prototypes on first
+//! feed) and the simulator's per-run working memory, which stays warm
+//! scenario after scenario and sweep after sweep. A scenario costs
+//! O(activity), not O(netlist) (see [`Simulator`]'s run lifecycle), and
+//! so does a new worker. A 10k-scenario sweep therefore performs zero
+//! per-scenario allocation and holds, per worker, only the channels its
+//! scenarios reach — all `Arc`-sharing a single topology no matter the
+//! worker count.
 //!
 //! Work is distributed dynamically: workers pull fixed-size index
 //! chunks from a shared atomic cursor, so a scenario that simulates 100×
@@ -254,7 +257,7 @@ pub enum FaultKind {
     /// [`ScenarioRunner::with_scenario_timeout`]; capped defensively at
     /// 30 s otherwise).
     Stall,
-    /// Swap the first channel of the worker's circuit for one that
+    /// Swap the first channel of the worker's simulator for one that
     /// reports an impossible pairwise cancellation, yielding a
     /// deterministic [`SimError::CancellationMismatch`]; the original
     /// channel is restored afterwards.
@@ -852,8 +855,9 @@ impl ScenarioRunner {
         }
     }
 
-    /// A simulator over a lean clone of the runner's circuit (topology
-    /// `Arc`-shared, channel state copied), wired to `cancel`.
+    /// A simulator over a clone of the runner's circuit (topology
+    /// `Arc`-shared, prototypes copied, no channel fed yet), wired to
+    /// `cancel`.
     fn new_sim(&self, cancel: &Arc<AtomicBool>) -> Simulator {
         let circuit = self.circuit().clone();
         let mut sim = Simulator::new(circuit).with_max_events(self.max_events);
@@ -888,8 +892,8 @@ impl ScenarioRunner {
                 catch_panic(|| self.run_with_fault(sim, supervisor, idx, scenario, fault, attempt));
             supervisor.end();
             let result = outcome.unwrap_or_else(|message| {
-                // the panic may have left the simulator (or its channel
-                // boxes) inconsistent — rebuild it
+                // the panic may have left the simulator (or its
+                // channels) inconsistent — rebuild it
                 *sim = self.new_sim(&supervisor.cancel);
                 Err(SimError::ScenarioPanicked { message })
             });

@@ -20,6 +20,13 @@
 //! O(netlist) — in the paper's regime of short glitch trains into a
 //! large netlist, most of the netlist is never touched.
 //!
+//! Channel run state lives in the simulator, not in the [`Circuit`]:
+//! the circuit holds prototype channels, and each edge's slot stays
+//! empty until the edge's first feed clones its prototype into it. A
+//! never-fed channel is identical to its prototype, so this is
+//! indistinguishable from cloning every channel at build time, and a
+//! fresh simulator over a large netlist costs nothing per channel.
+//!
 //! Recording is selective: by default every node and edge gets a
 //! waveform recorder (bit-identical to the historical behaviour), but a
 //! [watch set](Simulator::set_watch) restricts recorders to the named
@@ -36,7 +43,7 @@
 //! docs). Its pop order is the total `(time, seq)` order, so runs are
 //! deterministic.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,7 +52,7 @@ use ivl_core::channel::{FeedEffect, OnlineChannel as _, SimChannel};
 use ivl_core::{Bit, Signal, SignalBuilder, Transition};
 
 use crate::error::SimError;
-use crate::graph::{Circuit, EdgeId, NodeId, NodeTag, Topology};
+use crate::graph::{Circuit, EdgeId, Names, NodeId, NodeTag, Topology, DIRECT};
 use crate::queue::{EventKey, EventQueue};
 
 /// Generation-stamped handle to a slot in the [`EventPool`].
@@ -431,6 +438,8 @@ impl NoiseSeed {
 /// Scheduling front-end over the pool/queue/pending queues; split out of
 /// `run` so the borrow checker sees disjoint state.
 struct Queue<'a> {
+    protos: &'a [Box<dyn SimChannel>],
+    edge_proto: &'a [u32],
     pool: &'a mut EventPool,
     queue: &'a mut EventQueue,
     edge_pending: &'a mut [VecDeque<EventId>],
@@ -447,9 +456,11 @@ impl Queue<'_> {
     /// Sends transition `tr` into `edge`: scheduled as-is on a direct
     /// connection, fed to the channel otherwise. The edge's first send
     /// in a run clears the pending handles the previous run left and
-    /// resets (and, after a `reseed_noise`, reseeds) its channel. `now`
-    /// is the current simulation time (`None` during pre-scheduling of
-    /// input-port signals, when causality cannot be violated).
+    /// resets (and, after a `reseed_noise`, reseeds) its channel — on
+    /// the edge's first send ever, after cloning the channel from its
+    /// prototype into the empty slot. `now` is the current simulation
+    /// time (`None` during pre-scheduling of input-port signals, when
+    /// causality cannot be violated).
     fn send(
         &mut self,
         edge: usize,
@@ -460,7 +471,9 @@ impl Queue<'_> {
         if self.edge_seen[edge] != self.run {
             self.edge_seen[edge] = self.run;
             self.edge_pending[edge].clear();
-            if let Some(ch) = channel {
+            let proto = self.edge_proto[edge];
+            if proto != DIRECT {
+                let ch = channel.get_or_insert_with(|| self.protos[proto as usize].clone());
                 ch.reset();
                 self.noise.apply(edge, &mut **ch);
             }
@@ -559,9 +572,11 @@ struct Watch {
 
 /// Event-driven simulator over a [`Circuit`].
 ///
-/// Owns the circuit (and hence the channels' adversary/noise state).
-/// Typical use: [`set_input`](Simulator::set_input) for every input port,
-/// then [`run`](Simulator::run).
+/// Owns the circuit and the channels' run state (single-history and
+/// adversary/noise state), one slot per edge, each filled from the
+/// edge's prototype on its first feed. Typical use:
+/// [`set_input`](Simulator::set_input) for every input port, then
+/// [`run`](Simulator::run).
 ///
 /// # Run lifecycle and state reuse
 ///
@@ -586,10 +601,7 @@ struct Watch {
 /// [`ScenarioRunner`](crate::ScenarioRunner) does per scenario). The
 /// reseed is applied to each channel on its first feed after the call,
 /// which is indistinguishable from reseeding all channels at once
-/// because a channel's noise is only drawn when it is fed. Channel
-/// state read back through [`circuit`](Simulator::circuit) reflects
-/// this: a channel the last run did not feed still holds its older
-/// history and seed.
+/// because a channel's noise is only drawn when it is fed.
 ///
 /// # Memory-bounded recording
 ///
@@ -603,6 +615,9 @@ struct Watch {
 /// is *kept* differs.
 pub struct Simulator {
     circuit: Circuit,
+    /// Per-edge channel run state; `None` until the edge's first feed
+    /// (and forever on a direct connection).
+    channels: Vec<Option<Box<dyn SimChannel>>>,
     /// One signal per input port, in `Topology::input_ports` order.
     inputs: Vec<Signal>,
     max_events: usize,
@@ -622,8 +637,11 @@ impl Simulator {
             applied: vec![0; circuit.edge_count()],
             ..NoiseSeed::default()
         };
+        let mut channels = Vec::new();
+        channels.resize_with(circuit.edge_count(), || None);
         Simulator {
             circuit,
+            channels,
             inputs,
             max_events: 10_000_000,
             state: SimState::default(),
@@ -634,15 +652,26 @@ impl Simulator {
         }
     }
 
-    /// Replaces the channel on `edge` (which must be a channel edge).
-    /// The circuit topology is untouched, so recorded state and node
-    /// ids stay valid.
+    /// Replaces the channel on `edge` (which must be a channel edge)
+    /// for this simulator's later runs. This is how callers swap an
+    /// adversary/noise source into a prebuilt circuit without
+    /// rebuilding the netlist (e.g. the SPF circuit's per-run noise):
+    /// it writes the edge's slot, so the circuit — topology and
+    /// prototypes — is untouched, and recorded state and node ids stay
+    /// valid.
     ///
     /// # Panics
     ///
-    /// Panics if `edge` is out of range or is a direct connection.
+    /// Panics if `edge` is out of range or is a direct connection — a
+    /// direct edge can never legally carry a channel, because gates and
+    /// channels alternate.
     pub fn replace_channel(&mut self, edge: EdgeId, channel: Box<dyn SimChannel>) {
-        self.circuit.replace_channel(edge, channel);
+        assert!(
+            self.circuit.topo.edge_proto[edge.index()] != DIRECT,
+            "edge {} is a direct connection, not a channel",
+            edge.0
+        );
+        self.channels[edge.index()] = Some(channel);
         // the new channel keeps its own seed, exactly as if the latest
         // reseed had been applied to the channel it replaces
         self.noise.applied[edge.index()] = self.noise.generation;
@@ -756,7 +785,8 @@ impl Simulator {
         self.cancel = flag;
     }
 
-    /// The circuit under simulation.
+    /// The circuit under simulation. Its channels are the prototypes;
+    /// run state lives in the simulator.
     #[must_use]
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
@@ -836,12 +866,12 @@ impl Simulator {
         let cancel = self.cancel.clone();
         let cap = self.transition_cap.unwrap_or(usize::MAX);
 
-        // split the circuit into disjoint borrows so the hot loops
-        // index the flat topology arrays directly: the Arc-shared
-        // topology is read-only, only the channel boxes are mutated
-        let Circuit { topo, channels } = &mut self.circuit;
+        // split the simulator into disjoint borrows so the hot loops
+        // index the flat topology arrays directly: the circuit is
+        // read-only, only the channel slots are mutated
+        let Circuit { topo, protos } = &self.circuit;
         let topo = &**topo;
-        let channels = channels.as_mut_slice();
+        let channels = self.channels.as_mut_slice();
         let inputs = &self.inputs;
         let state = &mut self.state;
         state.prepare(topo, inputs, self.watch.as_ref());
@@ -864,6 +894,8 @@ impl Simulator {
         let node_slot = base.node_slot.as_slice();
 
         let mut queue = Queue {
+            protos,
+            edge_proto: &topo.edge_proto,
             pool,
             queue: event_queue,
             edge_pending: edge_pending.as_mut_slice(),
@@ -1046,14 +1078,16 @@ impl Simulator {
 }
 
 impl Clone for Simulator {
-    /// Clones the circuit — `Arc`-sharing the topology and deep-copying
-    /// only the per-edge channel state — the inputs and any reseed not
-    /// yet applied; the clone starts with fresh, empty per-run state.
+    /// Clones the circuit (`Arc`-sharing the topology, copying the
+    /// prototype table), the channels fed so far, the inputs and any
+    /// reseed not yet applied; the clone starts with fresh, empty
+    /// per-run state.
     /// Watch set and transition cap carry over (the watch `Arc` is
     /// shared, not deep-copied).
     fn clone(&self) -> Self {
         Simulator {
             circuit: self.circuit.clone(),
+            channels: self.channels.clone(),
             inputs: self.inputs.clone(),
             max_events: self.max_events,
             state: SimState::default(),
@@ -1091,7 +1125,7 @@ pub(crate) fn split_mix64(mut z: u64) -> u64 {
 /// edge queries return the zero signal.
 #[derive(Debug, Clone)]
 pub struct SimResult {
-    names: Arc<HashMap<String, NodeId>>,
+    names: Arc<Names>,
     /// Sorted watched node ids; `None` = full recording. `node_signals`
     /// is indexed by position in this list when present, by raw node id
     /// otherwise.
@@ -1122,13 +1156,9 @@ impl SimResult {
     /// and [`SimError::NotWatched`] if the run recorded selectively and
     /// the node was not watched.
     pub fn signal(&self, name: &str) -> Result<&Signal, SimError> {
-        let id = self
-            .names
-            .get(name)
-            .copied()
-            .ok_or_else(|| SimError::UnknownNode {
-                name: name.to_owned(),
-            })?;
+        let id = self.names.find(name).ok_or_else(|| SimError::UnknownNode {
+            name: name.to_owned(),
+        })?;
         self.slot(id)
             .map(|s| &self.node_signals[s])
             .ok_or_else(|| SimError::NotWatched {
@@ -1163,13 +1193,9 @@ impl SimResult {
     /// Returns [`SimError::UnknownNode`] if the name does not resolve
     /// and [`SimError::NotWatched`] if the node was not watched.
     pub fn take_signal(&mut self, name: &str) -> Result<Signal, SimError> {
-        let id = self
-            .names
-            .get(name)
-            .copied()
-            .ok_or_else(|| SimError::UnknownNode {
-                name: name.to_owned(),
-            })?;
+        let id = self.names.find(name).ok_or_else(|| SimError::UnknownNode {
+            name: name.to_owned(),
+        })?;
         match self.slot(id) {
             Some(s) => Ok(std::mem::replace(&mut self.node_signals[s], Signal::zero())),
             None => Err(SimError::NotWatched {

@@ -1,25 +1,39 @@
-//! Allocation behaviour of the reused simulator state: after a warmup
-//! run, repeated runs on a ≥1k-gate inverter chain must hit an
-//! allocation steady state — the event pool, heap, pending queues and
-//! recorders are all recycled, so the only per-run allocations are the
-//! exact-sized signal copies in the returned `SimResult`.
+//! Allocation behaviour of netlists and of the reused simulator state.
 //!
-//! Keep this file to a single test: the counting allocator is global.
+//! After a warmup run, repeated runs on a ≥1k-gate inverter chain must
+//! hit an allocation steady state — the event pool, heap, pending
+//! queues and recorders are all recycled, so the only per-run
+//! allocations are the exact-sized signal copies in the returned
+//! `SimResult`. A generated netlist costs a fixed number of
+//! allocations whatever its size — to build, to clone, and to start
+//! simulating — and a size it cannot address is refused before
+//! anything is allocated.
+//!
+//! The counting allocator counts per thread, so the tests here may run
+//! in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ivl_circuit::{CircuitBuilder, GateKind, Simulator};
-use ivl_core::channel::PureDelay;
-use ivl_core::{Bit, Signal};
+use ivl_circuit::{generate, Circuit, CircuitBuilder, CircuitError, GateKind, Simulator};
+use ivl_core::channel::{FeedEffect, OnlineChannel, PureDelay, SimChannel};
+use ivl_core::{Bit, Signal, Transition};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    // the thread-local may already be gone while a thread shuts down
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -36,10 +50,103 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Runs `f` and returns the allocations it made on this thread.
 fn alloc_calls<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = ALLOC_CALLS.with(Cell::get);
     let r = f();
-    (ALLOC_CALLS.load(Ordering::Relaxed) - before, r)
+    (ALLOC_CALLS.with(Cell::get) - before, r)
+}
+
+fn pure() -> Box<dyn SimChannel> {
+    PureDelay::new(0.5).unwrap().clone_box()
+}
+
+#[test]
+fn generated_netlists_cost_the_same_allocations_at_any_size() {
+    let build = |gates| alloc_calls(|| generate::random_dag(gates, 1, pure()).unwrap());
+    let (small_build, small) = build(2_000);
+    let (large_build, large) = build(20_000);
+    assert_eq!(
+        small_build, large_build,
+        "building a random_dag must not allocate per gate"
+    );
+
+    let (small_clone, _) = alloc_calls(|| small.clone());
+    let (large_clone, _) = alloc_calls(|| large.clone());
+    assert_eq!(
+        small_clone, large_clone,
+        "cloning a circuit must not copy per-edge channels"
+    );
+}
+
+/// Counts the channels materialized from it: every clone.
+static MATERIALIZED: AtomicUsize = AtomicUsize::new(0);
+
+struct Materialized(PureDelay);
+
+impl Clone for Materialized {
+    fn clone(&self) -> Self {
+        MATERIALIZED.fetch_add(1, Ordering::Relaxed);
+        Materialized(self.0.clone())
+    }
+}
+
+impl OnlineChannel for Materialized {
+    fn feed(&mut self, input: Transition) -> FeedEffect {
+        self.0.feed(input)
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+#[test]
+fn channels_are_materialized_on_first_feed_only() {
+    let prototype = Box::new(Materialized(PureDelay::new(0.5).unwrap()));
+    let circuit = generate::random_dag(2_000, 1, prototype).unwrap();
+    let edges = circuit.edge_count();
+    let mut sim = Simulator::new(circuit).with_watch(["y"]).unwrap();
+
+    // an idle run on a fresh simulator feeds, and so clones, nothing
+    sim.run(100.0).unwrap();
+    assert_eq!(MATERIALIZED.load(Ordering::Relaxed), 0);
+
+    // a pulse materializes exactly the channels it reaches, once each
+    sim.set_input("a", Signal::pulse(1.0, 3.0).unwrap())
+        .unwrap();
+    sim.run(100.0).unwrap();
+    let fed = MATERIALIZED.load(Ordering::Relaxed);
+    assert!(fed > 0 && fed < edges, "{fed} of {edges} channels");
+    sim.run(100.0).unwrap();
+    assert_eq!(MATERIALIZED.load(Ordering::Relaxed), fed);
+}
+
+/// A generator with its size arguments applied.
+type Generator = fn(Box<dyn SimChannel>) -> Result<Circuit, CircuitError>;
+
+#[test]
+fn oversized_generators_fail_typed_before_allocating() {
+    let cases: [(&str, Generator); 5] = [
+        ("nodes", |c| generate::inverter_chain(u32::MAX, c)),
+        ("nodes", |c| generate::random_dag(u32::MAX, 0, c)),
+        ("nodes", |c| generate::grid(100_000, 100_000, c)),
+        ("edges", |c| generate::grid(65_536, 65_535, c)),
+        ("fat_tree depth", |c| generate::fat_tree(25, c)),
+    ];
+    for (what, generator) in cases {
+        let prototype = pure();
+        let (calls, result) = alloc_calls(|| generator(prototype));
+        assert!(
+            matches!(result, Err(CircuitError::TooLarge { what: w, .. }) if w == what),
+            "expected TooLarge {what}, got {result:?}"
+        );
+        assert_eq!(calls, 0, "{what}: refused after allocating");
+    }
+    assert_eq!(
+        generate::fat_tree(25, pure()).unwrap_err().to_string(),
+        "fat_tree depth 25 exceeds the limit of 24"
+    );
 }
 
 #[test]

@@ -19,8 +19,7 @@ use ivl_core::delay::ExpChannel;
 use ivl_core::noise::{EtaBounds, UniformNoise};
 use ivl_core::{Bit, Signal, Transition};
 
-/// Per-channel call counts, keyed by the order the factory built the
-/// channel in.
+/// Per-channel call counts, keyed by the id of the channel.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Calls {
     feeds: usize,
@@ -32,6 +31,8 @@ struct Calls {
 #[derive(Default)]
 struct Probe {
     calls: Mutex<HashMap<usize, Calls>>,
+    /// The last channel id handed out.
+    ids: AtomicUsize,
     /// Total feeds across all channels; when it reaches `trip_at`, the
     /// `cancel` flag is raised (0 = disarmed).
     feeds: AtomicUsize,
@@ -50,11 +51,23 @@ impl Probe {
 }
 
 /// Wraps a channel and counts the calls the simulator makes on it.
-#[derive(Clone)]
+/// Every clone draws a fresh id from the probe, so an id names one
+/// materialized channel: a simulator clones an edge's prototype into
+/// the edge's slot on its first feed.
 struct Counting {
     id: usize,
     inner: Box<dyn SimChannel>,
     probe: Arc<Probe>,
+}
+
+impl Clone for Counting {
+    fn clone(&self) -> Self {
+        Counting {
+            id: self.probe.ids.fetch_add(1, Ordering::Relaxed) + 1,
+            inner: self.inner.clone(),
+            probe: Arc::clone(&self.probe),
+        }
+    }
 }
 
 impl OnlineChannel for Counting {
@@ -87,20 +100,12 @@ impl OnlineChannel for Counting {
 fn counted_dag(probe: &Arc<Probe>) -> Circuit {
     let d = ExpChannel::new(1.0, 0.5, 0.5).unwrap();
     let bounds = EtaBounds::new(0.02, 0.02).unwrap();
-    let mut next_id = 0;
-    generate::random_dag(2000, 3, || -> Box<dyn SimChannel> {
-        next_id += 1;
-        Box::new(Counting {
-            id: next_id,
-            inner: Box::new(EtaInvolutionChannel::new(
-                d.clone(),
-                bounds,
-                UniformNoise::new(0),
-            )),
-            probe: Arc::clone(probe),
-        })
-    })
-    .unwrap()
+    let prototype = Counting {
+        id: 0,
+        inner: Box::new(EtaInvolutionChannel::new(d, bounds, UniformNoise::new(0))),
+        probe: Arc::clone(probe),
+    };
+    generate::random_dag(2000, 3, Box::new(prototype)).unwrap()
 }
 
 /// `n` glitches near the channel's cancellation threshold, starting

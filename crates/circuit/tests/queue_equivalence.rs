@@ -17,9 +17,7 @@
 use ivl_circuit::{
     generate, Circuit, CircuitBuilder, GateKind, Scenario, ScenarioRunner, SimResult, Simulator,
 };
-use ivl_core::channel::{
-    EtaInvolutionChannel, InertialDelay, InvolutionChannel, PureDelay, SimChannel,
-};
+use ivl_core::channel::{EtaInvolutionChannel, InertialDelay, InvolutionChannel, PureDelay};
 use ivl_core::delay::ExpChannel;
 use ivl_core::noise::{EtaBounds, UniformNoise};
 use ivl_core::{Bit, Signal};
@@ -155,13 +153,11 @@ fn noisy_circuit() -> Circuit {
 fn noisy_dag() -> Circuit {
     let d = ExpChannel::new(1.0, 0.5, 0.5).unwrap();
     let bounds = EtaBounds::new(0.02, 0.02).unwrap();
-    generate::random_dag(2000, 7, || -> Box<dyn SimChannel> {
-        Box::new(EtaInvolutionChannel::new(
-            d.clone(),
-            bounds,
-            UniformNoise::new(0),
-        ))
-    })
+    generate::random_dag(
+        2000,
+        7,
+        Box::new(EtaInvolutionChannel::new(d, bounds, UniformNoise::new(0))),
+    )
     .unwrap()
 }
 
@@ -393,7 +389,7 @@ fn digest(mut h: u64, circuit: &Circuit, run: &SimResult) -> u64 {
         }
     }
     for name in circuit.node_names() {
-        let signal = run.signal(name).unwrap();
+        let signal = run.signal(&name).unwrap();
         eat(&mut h, name.as_bytes());
         eat(&mut h, &[u8::from(signal.initial().is_one())]);
         for tr in signal.transitions() {

@@ -183,7 +183,7 @@ proptest! {
 /// adjacency on a fanout-heavy topology.
 #[test]
 fn grid_selective_matches_full() {
-    let make = || ivl_circuit::generate::grid(6, 5, || PureDelay::new(0.9).unwrap().clone_box());
+    let make = || ivl_circuit::generate::grid(6, 5, PureDelay::new(0.9).unwrap().clone_box());
     let input = Signal::pulse_train([(0.0, 2.0), (6.0, 1.0), (11.0, 3.0)]).unwrap();
 
     let mut full = Simulator::new(make().unwrap());

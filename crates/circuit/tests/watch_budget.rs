@@ -44,7 +44,7 @@ fn alloc_calls<R>(f: impl FnOnce() -> R) -> (usize, R) {
 
 /// Steady-state allocations of a watched run on a `stages`-deep chain.
 fn steady_allocs(stages: u32) -> usize {
-    let channel = || PureDelay::new(0.01).unwrap().clone_box();
+    let channel = PureDelay::new(0.01).unwrap().clone_box();
     let circuit = generate::inverter_chain(stages, channel).unwrap();
 
     let mut sim = Simulator::new(circuit);

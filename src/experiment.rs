@@ -307,12 +307,10 @@ impl Experiment {
             }
             // generator topologies delegate to ivl_circuit::generate;
             // the registry builds one prototype channel (validating the
-            // spec's kind and params) and the generator clones it per
-            // edge — registry builds are deterministic functions of the
-            // params, so a clone is bitwise the same channel
+            // spec's kind and params) that every channel edge shares
             TopologySpec::InverterChain { stages, channel } => {
                 let proto = self.registry.build(&channel.kind, &channel.params)?;
-                Ok(generate::inverter_chain(*stages, || proto.clone())?)
+                Ok(generate::inverter_chain(*stages, proto)?)
             }
             TopologySpec::Grid2d {
                 width,
@@ -320,7 +318,7 @@ impl Experiment {
                 channel,
             } => {
                 let proto = self.registry.build(&channel.kind, &channel.params)?;
-                Ok(generate::grid(*width, *height, || proto.clone())?)
+                Ok(generate::grid(*width, *height, proto)?)
             }
             TopologySpec::RandomDag {
                 nodes,
@@ -328,13 +326,11 @@ impl Experiment {
                 channel,
             } => {
                 let proto = self.registry.build(&channel.kind, &channel.params)?;
-                Ok(generate::random_dag(*nodes, seed.unwrap_or(0), || {
-                    proto.clone()
-                })?)
+                Ok(generate::random_dag(*nodes, seed.unwrap_or(0), proto)?)
             }
             TopologySpec::FatTree { depth, channel } => {
                 let proto = self.registry.build(&channel.kind, &channel.params)?;
-                Ok(generate::fat_tree(*depth, || proto.clone())?)
+                Ok(generate::fat_tree(*depth, proto)?)
             }
         }
     }

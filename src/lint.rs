@@ -50,6 +50,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
+use ivl_circuit::generate::{Family, FAT_TREE_MAX_DEPTH};
 use ivl_core::channel::{apply_online, SimChannel};
 use ivl_core::delay::{check_involution, delta_min_of, DelayPair};
 use ivl_core::factory::{delay_pair_from, ChannelParams, ChannelRegistry, DelayFamily, ParamValue};
@@ -981,14 +982,14 @@ impl<'a, 's> Linter<'a, 's> {
                 self.generator_skeleton(&mut g, channel);
             }
             TopologySpec::FatTree { depth, channel } => {
-                if *depth > 24 {
+                if *depth > FAT_TREE_MAX_DEPTH {
                     self.push(
                         "IVL060",
                         Severity::Error,
                         self.spans.topology,
                         format!(
-                            "fat_tree depth {depth} exceeds the cap of 24 \
-                             (2^24 leaves ≈ 33M gates)"
+                            "fat_tree depth {depth} exceeds the cap of {FAT_TREE_MAX_DEPTH} \
+                             (2^{FAT_TREE_MAX_DEPTH} leaves ≈ 33M gates)"
                         ),
                     );
                 }
@@ -1478,52 +1479,23 @@ impl<'a, 's> Linter<'a, 's> {
 }
 
 /// Whether `name` names a node of the topology, without materializing
-/// it: netlists are scanned, generators use their closed-form naming
-/// scheme (`inv{i}` for chains, `g{x}_{y}` for grids, `n{i}` for
-/// random DAGs, `t{level}_{i}` for fat trees, plus the ports `a`/`y`).
+/// it: netlists are scanned, generators resolve the name through their
+/// closed-form naming scheme ([`Family::node_id`]).
 fn topology_has_node(topology: &TopologySpec, name: &str) -> bool {
-    let ports = name == "a" || name == "y";
-    match topology {
-        TopologySpec::Netlist(n) => n.nodes.iter().any(|node| match node {
-            NodeSpec::Input { name: n }
-            | NodeSpec::Output { name: n }
-            | NodeSpec::Gate { name: n, .. } => n == name,
-        }),
-        TopologySpec::InverterChain { stages, .. } => {
-            ports || canonical_index(name, "inv").is_some_and(|i| i < u64::from(*stages))
+    let family = match *topology {
+        TopologySpec::Netlist(ref n) => {
+            return n.nodes.iter().any(|node| match node {
+                NodeSpec::Input { name: n }
+                | NodeSpec::Output { name: n }
+                | NodeSpec::Gate { name: n, .. } => n == name,
+            })
         }
-        TopologySpec::Grid2d { width, height, .. } => {
-            ports
-                || canonical_pair(name, "g")
-                    .is_some_and(|(x, y)| x < u64::from(*width) && y < u64::from(*height))
-        }
-        TopologySpec::RandomDag { nodes, .. } => {
-            ports || canonical_index(name, "n").is_some_and(|i| i < u64::from(*nodes))
-        }
-        TopologySpec::FatTree { depth, .. } => {
-            ports
-                || canonical_pair(name, "t").is_some_and(|(level, i)| {
-                    level <= u64::from(*depth) && i < 1u64 << (u64::from(*depth) - level).min(63)
-                })
-        }
-    }
-}
-
-/// Parses `"{prefix}{i}"` where `i` is rendered canonically (no sign,
-/// no leading zeros), returning `i`.
-fn canonical_index(name: &str, prefix: &str) -> Option<u64> {
-    let digits = name.strip_prefix(prefix)?;
-    let i: u64 = digits.parse().ok()?;
-    (i.to_string() == digits).then_some(i)
-}
-
-/// Parses `"{prefix}{x}_{y}"` with canonically rendered coordinates.
-fn canonical_pair(name: &str, prefix: &str) -> Option<(u64, u64)> {
-    let rest = name.strip_prefix(prefix)?;
-    let (x, y) = rest.split_once('_')?;
-    let xv: u64 = x.parse().ok()?;
-    let yv: u64 = y.parse().ok()?;
-    (xv.to_string() == x && yv.to_string() == y).then_some((xv, yv))
+        TopologySpec::InverterChain { stages, .. } => Family::InverterChain { stages },
+        TopologySpec::Grid2d { width, height, .. } => Family::Grid { width, height },
+        TopologySpec::RandomDag { nodes, .. } => Family::RandomDag { nodes },
+        TopologySpec::FatTree { depth, .. } => Family::FatTree { depth },
+    };
+    family.node_id(name).is_some()
 }
 
 /// Rebuilds `eta` parameters with the pulse-extending adversary (and
