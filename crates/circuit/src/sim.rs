@@ -31,11 +31,11 @@
 //! waveform recorder (bit-identical to the historical behaviour), but a
 //! [watch set](Simulator::set_watch) restricts recorders to the named
 //! nodes, so a million-gate run holds recording memory proportional to
-//! the watched nodes — not the netlist. A
-//! [transition cap](Simulator::set_transition_cap) additionally bounds
-//! each recorder: the first `cap` transitions are kept, the rest are
-//! counted as [dropped](SimResult::dropped_transitions) instead of
-//! growing an unbounded `Vec`.
+//! the watched nodes — not the netlist. Each recorder's length is in
+//! turn bounded by the run's inputs and its scheduled-event budget
+//! ([`with_max_events`](Simulator::with_max_events)): apart from the
+//! t = 0 batch, every recorded transition is an input transition, a
+//! delivered event, or a gate change a delivered event caused.
 //!
 //! Pending events are ordered by one queue: a binary heap with lazy
 //! cancellation that counts its stale keys and compacts once they
@@ -171,19 +171,6 @@ impl EventPool {
 
 /// Slot sentinel: this node/edge has no recorder this run.
 const NO_REC: u32 = u32::MAX;
-
-/// Pushes `tr` onto a recorder unless the per-recorder transition cap
-/// is exhausted; capped pushes are counted instead of recorded, so the
-/// kept prefix still alternates and the caller can see how much was
-/// decimated.
-#[inline]
-fn record(rec: &mut SignalBuilder, tr: Transition, cap: usize, dropped: &mut usize, msg: &str) {
-    if rec.len() < cap {
-        rec.push(tr).expect(msg);
-    } else {
-        *dropped += 1;
-    }
-}
 
 /// The t = 0 state of a run: every node's initial value, every pin's
 /// value, the gates whose declared initial value disagrees with their
@@ -327,7 +314,6 @@ struct SimState {
     /// One recorder per edge under full recording, none under a watch
     /// set.
     edge_rec: Vec<SignalBuilder>,
-    dropped: usize,
     pool: EventPool,
     queue: EventQueue,
     edge_pending: Vec<VecDeque<EventId>>,
@@ -383,7 +369,6 @@ impl SimState {
                 self.edge_rec.clear();
             }
         }
-        self.dropped = 0;
         self.pool.clear();
         self.queue.clear();
 
@@ -608,11 +593,11 @@ struct Watch {
 /// By default every node and edge records its full waveform. On large
 /// netlists, [`set_watch`](Simulator::set_watch) restricts recording to
 /// the named nodes (recording memory ∝ watched nodes, not netlist
-/// size), and [`set_transition_cap`](Simulator::set_transition_cap)
-/// bounds each recorder to its first `cap` transitions, counting the
-/// overflow in [`SimResult::dropped_transitions`]. Neither knob changes
-/// what is *simulated* — event processing is bit-identical; only what
-/// is *kept* differs.
+/// size), and the scheduled-event budget
+/// ([`with_max_events`](Simulator::with_max_events)) bounds how long
+/// any recorded waveform can grow. A watch set does not change what is
+/// *simulated* — event processing is bit-identical; only what is *kept*
+/// differs.
 pub struct Simulator {
     circuit: Circuit,
     /// Per-edge channel run state; `None` until the edge's first feed
@@ -625,7 +610,6 @@ pub struct Simulator {
     noise: NoiseSeed,
     cancel: Option<Arc<AtomicBool>>,
     watch: Option<Watch>,
-    transition_cap: Option<usize>,
 }
 
 impl Simulator {
@@ -648,7 +632,6 @@ impl Simulator {
             noise,
             cancel: None,
             watch: None,
-            transition_cap: None,
         }
     }
 
@@ -757,22 +740,6 @@ impl Simulator {
         self.watch = None;
     }
 
-    /// Bounds every recorder to its first `cap` transitions; overflow
-    /// is counted in [`SimResult::dropped_transitions`] instead of
-    /// growing the transition vector. `None` (the default) records
-    /// everything. The kept prefix is exact — truncation, not
-    /// sampling — so S1-alternation of the recorded waveform holds.
-    pub fn set_transition_cap(&mut self, cap: Option<usize>) {
-        self.transition_cap = cap;
-    }
-
-    /// Consuming form of [`set_transition_cap`](Simulator::set_transition_cap).
-    #[must_use]
-    pub fn with_transition_cap(mut self, cap: usize) -> Self {
-        self.transition_cap = Some(cap);
-        self
-    }
-
     /// Attaches (or detaches) a cooperative cancellation flag.
     ///
     /// [`run`](Simulator::run) polls the flag once per event batch with
@@ -864,7 +831,6 @@ impl Simulator {
     #[allow(clippy::too_many_lines)]
     pub fn run(&mut self, horizon: f64) -> Result<SimResult, SimError> {
         let cancel = self.cancel.clone();
-        let cap = self.transition_cap.unwrap_or(usize::MAX);
 
         // split the simulator into disjoint borrows so the hot loops
         // index the flat topology arrays directly: the circuit is
@@ -883,7 +849,6 @@ impl Simulator {
             edge_seen,
             node_rec,
             edge_rec,
-            dropped,
             pool,
             queue: event_queue,
             edge_pending,
@@ -924,13 +889,9 @@ impl Simulator {
             let slot = node_slot[i];
             if slot != NO_REC {
                 for tr in signal {
-                    record(
-                        &mut node_rec[slot as usize],
-                        *tr,
-                        cap,
-                        dropped,
-                        "input signal is already validated",
-                    );
+                    node_rec[slot as usize]
+                        .push(*tr)
+                        .expect("input signal is already validated");
                 }
             }
         }
@@ -966,13 +927,8 @@ impl Simulator {
                     ch.discard_delivered(time);
                 }
                 if let Some(rec) = edge_rec.get_mut(edge_idx) {
-                    record(
-                        rec,
-                        Transition::new(time, value),
-                        cap,
-                        dropped,
-                        "channel outputs alternate and increase",
-                    );
+                    rec.push(Transition::new(time, value))
+                        .expect("channel outputs alternate and increase");
                 }
                 let to = topo.edge_to[edge_idx] as usize;
                 let pin = topo.edge_pin[edge_idx];
@@ -990,13 +946,9 @@ impl Simulator {
                             nodes.out_value[to] = value;
                             let slot = node_slot[to];
                             if slot != NO_REC {
-                                record(
-                                    &mut node_rec[slot as usize],
-                                    Transition::new(time, value),
-                                    cap,
-                                    dropped,
-                                    "output port deliveries alternate",
-                                );
+                                node_rec[slot as usize]
+                                    .push(Transition::new(time, value))
+                                    .expect("output port deliveries alternate");
                             }
                         }
                     }
@@ -1024,13 +976,9 @@ impl Simulator {
                 let tr = Transition::new(batch_time, new_value);
                 let slot = node_slot[i];
                 if slot != NO_REC {
-                    record(
-                        &mut node_rec[slot as usize],
-                        tr,
-                        cap,
-                        dropped,
-                        "gate output changes strictly after its previous change",
-                    );
+                    node_rec[slot as usize]
+                        .push(tr)
+                        .expect("gate output changes strictly after its previous change");
                 }
                 for &eid in topo.outgoing(i) {
                     let e = eid as usize;
@@ -1068,7 +1016,6 @@ impl Simulator {
             watched: self.watch.as_ref().map(|w| Arc::clone(&w.nodes)),
             node_signals,
             edge_signals,
-            dropped_transitions: *dropped,
             zero: Signal::zero(),
             horizon,
             processed_events: processed,
@@ -1082,8 +1029,8 @@ impl Clone for Simulator {
     /// prototype table), the channels fed so far, the inputs and any
     /// reseed not yet applied; the clone starts with fresh, empty
     /// per-run state.
-    /// Watch set and transition cap carry over (the watch `Arc` is
-    /// shared, not deep-copied).
+    /// The watch set carries over (its `Arc` is shared, not
+    /// deep-copied).
     fn clone(&self) -> Self {
         Simulator {
             circuit: self.circuit.clone(),
@@ -1094,7 +1041,6 @@ impl Clone for Simulator {
             noise: self.noise.clone(),
             cancel: None,
             watch: self.watch.clone(),
-            transition_cap: self.transition_cap,
         }
     }
 }
@@ -1132,7 +1078,6 @@ pub struct SimResult {
     watched: Option<Arc<Vec<NodeId>>>,
     node_signals: Vec<Signal>,
     edge_signals: Vec<Signal>,
-    dropped_transitions: usize,
     zero: Signal,
     horizon: f64,
     processed_events: usize,
@@ -1245,15 +1190,6 @@ impl SimResult {
     pub fn scheduled_events(&self) -> usize {
         self.scheduled_events
     }
-
-    /// Number of transitions the [transition
-    /// cap](Simulator::set_transition_cap) refused to record this run
-    /// (0 when uncapped or under the cap). The recorded waveforms are
-    /// exact prefixes; a non-zero count means tails were truncated.
-    #[must_use]
-    pub fn dropped_transitions(&self) -> usize {
-        self.dropped_transitions
-    }
 }
 
 #[cfg(test)]
@@ -1282,7 +1218,6 @@ mod tests {
         assert_eq!(run.signal("a").unwrap(), &s);
         assert_eq!(run.processed_events(), 2);
         assert_eq!(run.scheduled_events(), 2);
-        assert_eq!(run.dropped_transitions(), 0);
     }
 
     #[test]
@@ -1752,45 +1687,6 @@ mod tests {
         let run = sim.run(10.0).unwrap();
         // clear_watch restores full recording
         assert!(run.signal("a").is_ok());
-    }
-
-    #[test]
-    fn transition_cap_truncates_and_counts() {
-        // oscillator producing ~20 transitions at the OR gate; a cap of
-        // 4 must keep exactly the first 4 and count the rest
-        let mut b = CircuitBuilder::new();
-        let i = b.input("i");
-        let or = b.gate("or", GateKind::Or, Bit::Zero);
-        let y = b.output("y");
-        b.connect_direct(i, or, 0).unwrap();
-        b.connect(or, or, 1, pure(2.0)).unwrap();
-        b.connect(or, y, 0, pure(0.5)).unwrap();
-        let build_input = Signal::pulse(0.0, 0.5).unwrap();
-
-        let mut uncapped = Simulator::new({
-            let mut b2 = CircuitBuilder::new();
-            let i = b2.input("i");
-            let or = b2.gate("or", GateKind::Or, Bit::Zero);
-            let y = b2.output("y");
-            b2.connect_direct(i, or, 0).unwrap();
-            b2.connect(or, or, 1, pure(2.0)).unwrap();
-            b2.connect(or, y, 0, pure(0.5)).unwrap();
-            b2.build().unwrap()
-        });
-        uncapped.set_input("i", build_input.clone()).unwrap();
-        let full = uncapped.run(20.5).unwrap();
-        let full_or = full.signal("or").unwrap().clone();
-        assert!(full_or.len() > 4);
-
-        let mut sim = Simulator::new(b.build().unwrap()).with_transition_cap(4);
-        sim.set_input("i", build_input).unwrap();
-        let run = sim.run(20.5).unwrap();
-        let capped = run.signal("or").unwrap();
-        assert_eq!(capped.len(), 4);
-        assert_eq!(capped.transitions(), &full_or.transitions()[..4]);
-        assert!(run.dropped_transitions() > 0);
-        // event processing itself is unaffected by the cap
-        assert_eq!(run.processed_events(), full.processed_events());
     }
 
     #[test]

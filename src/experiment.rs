@@ -157,8 +157,7 @@ impl Experiment {
     }
 
     /// Installs a deterministic [`FaultPlan`] for digital sweeps (chaos
-    /// testing). Fault indices refer to spec scenario order. Takes
-    /// precedence over the `IVL_FAULT_SEED` environment knob.
+    /// testing). Fault indices refer to spec scenario order.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
@@ -186,9 +185,8 @@ impl Experiment {
 
     /// Overrides what the lint pre-flight does with its findings.
     ///
-    /// Unset, [`run`](Experiment::run) honours the `IVL_LINT`
-    /// environment knob (`off`, `warn`, `deny`) and otherwise denies
-    /// specs with `Error`-severity diagnostics.
+    /// Unset, [`run`](Experiment::run) denies specs with
+    /// `Error`-severity diagnostics.
     #[must_use]
     pub fn with_lint(mut self, mode: crate::lint::LintConfig) -> Self {
         self.lint = Some(mode);
@@ -213,7 +211,7 @@ impl Experiment {
     /// A static lint pass runs first: specs with `Error`-severity
     /// diagnostics are rejected as [`Error::Lint`] before a single
     /// event is scheduled, unless [`with_lint`](Experiment::with_lint)
-    /// or `IVL_LINT` loosen the mode.
+    /// turns it off.
     ///
     /// # Errors
     ///
@@ -222,20 +220,10 @@ impl Experiment {
     /// into [`Error`].
     pub fn run(&self) -> Result<ExperimentResult, Error> {
         use crate::lint::LintConfig;
-        let mode = self
-            .lint
-            .or_else(LintConfig::from_env)
-            .unwrap_or(LintConfig::Deny);
-        if mode != LintConfig::Off {
+        if self.lint.unwrap_or(LintConfig::Deny) == LintConfig::Deny {
             let report = self.lint_report();
-            match mode {
-                LintConfig::Deny if report.has_errors() => {
-                    return Err(Error::Lint(report));
-                }
-                LintConfig::Warn if !report.is_clean() => {
-                    eprintln!("{report}");
-                }
-                _ => {}
+            if report.has_errors() {
+                return Err(Error::Lint(report));
             }
         }
         match &self.spec.workload {
@@ -365,10 +353,6 @@ impl Experiment {
         if let Some(t) = self.timeout {
             runner = runner.with_scenario_timeout(t);
         }
-        let fault = self
-            .fault
-            .clone()
-            .or_else(|| fault_plan_from_env(d.scenarios.len()));
 
         let total = d.scenarios.len();
         let mut records: Vec<Option<ScenarioRecord>> = Vec::new();
@@ -420,7 +404,7 @@ impl Experiment {
             }
             // faults are planned in global scenario indices; remap the
             // slice this batch executes
-            if let Some(plan) = &fault {
+            if let Some(plan) = &self.fault {
                 let mut local = FaultPlan::new();
                 for (pos, &gi) in batch.iter().enumerate() {
                     if let Some((_, kind)) = plan.faults().iter().find(|(fi, _)| *fi == gi) {
@@ -547,7 +531,6 @@ impl Experiment {
                 }
             }
         }
-        write_quarantine_files(&quarantine)?;
         let failed = failures.len();
         let stats_out = d.outputs.stats.then(|| stats.clone());
         Ok(ExperimentResult::Digital(DigitalResult {
@@ -810,17 +793,6 @@ struct ScenarioRecord {
     retries: u32,
 }
 
-/// Builds a seeded [`FaultPlan`] from `IVL_FAULT_SEED`, if set.
-///
-/// This is the CI chaos hook: when the variable holds a `u64`, three
-/// distinct scenario indices derived from the seed get a panic, a
-/// budget-exhaustion and a stall fault. Unset (the normal case) means
-/// no injection.
-fn fault_plan_from_env(scenarios: usize) -> Option<FaultPlan> {
-    let seed = std::env::var("IVL_FAULT_SEED").ok()?.parse::<u64>().ok()?;
-    Some(FaultPlan::seeded(seed, scenarios))
-}
-
 /// Repackages scenario `index` of sweep `d` as a standalone replayable
 /// spec: same topology, inputs and seed; `workers = 1`; `on_failure =
 /// abort`; and — for budget exhaustion — the exceeded budget.
@@ -837,35 +809,6 @@ fn quarantine_spec(d: &DigitalSpec, index: usize, cause: &SimError) -> String {
     };
     q.outputs = d.outputs.clone();
     ExperimentSpec::digital(q).to_string()
-}
-
-/// Writes each quarantined spec into `IVL_FAULT_QUARANTINE_DIR` (when
-/// set) as `quarantine_NNNN_<label>.spec`.
-fn write_quarantine_files(quarantine: &[QuarantinedScenario]) -> Result<(), Error> {
-    let Some(dir) = std::env::var_os("IVL_FAULT_QUARANTINE_DIR") else {
-        return Ok(());
-    };
-    if quarantine.is_empty() {
-        return Ok(());
-    }
-    let dir = PathBuf::from(dir);
-    std::fs::create_dir_all(&dir).map_err(|e| {
-        Error::Checkpoint(CheckpointError::new(e.to_string()).at_path(dir.display().to_string()))
-    })?;
-    for q in quarantine {
-        let label: String = q
-            .label
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
-        let path = dir.join(format!("quarantine_{:04}_{label}.spec", q.index));
-        std::fs::write(&path, &q.spec).map_err(|e| {
-            Error::Checkpoint(
-                CheckpointError::new(e.to_string()).at_path(path.display().to_string()),
-            )
-        })?;
-    }
-    Ok(())
 }
 
 // ======================================================================
@@ -964,9 +907,7 @@ impl DigitalResult {
 /// The spec keeps the sweep's topology and the failing scenario's
 /// inputs and seed, pins `workers = 1` and `on_failure = abort`, and —
 /// for budget exhaustion — carries the exceeded `max_events` budget, so
-/// running it reproduces the failure in isolation. When the
-/// `IVL_FAULT_QUARANTINE_DIR` environment variable is set, each spec is
-/// also written there as `quarantine_NNNN_<label>.spec`.
+/// running it reproduces the failure in isolation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantinedScenario {
     /// The scenario's index within the sweep.

@@ -60,8 +60,7 @@ pub use experiment::{
     QuarantinedScenario, SpfResult,
 };
 pub use lint::{
-    lint, lint_for_service, lint_text, lint_text_for_service, Diagnostic, LintConfig, LintReport,
-    Severity,
+    lint, lint_text, lint_text_for_service, Diagnostic, LintConfig, LintReport, Severity,
 };
 pub use spec::{
     AnalogSpec, AnalogTask, ChainSpec, ChannelRunSpec, ChannelSpec, DelaySpec, DigitalSpec,

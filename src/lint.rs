@@ -43,9 +43,8 @@
 //! | `IVL062` | error | watched node name not present in the (generated) topology |
 //!
 //! [`Experiment::run`](crate::Experiment::run) runs the linter as a
-//! pre-flight: `Error`-severity diagnostics deny the run by default;
-//! [`LintConfig`] (or the `IVL_LINT=off|warn|deny` environment knob)
-//! overrides that.
+//! pre-flight: `Error`-severity diagnostics deny the run by default,
+//! and [`LintConfig::Off`] skips the pass.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -165,27 +164,10 @@ impl fmt::Display for LintReport {
 pub enum LintConfig {
     /// Skip the pre-flight entirely.
     Off,
-    /// Run the linter and print a non-clean report to stderr, but never
-    /// refuse to run.
-    Warn,
     /// Refuse to run a spec with `Error`-severity findings (the
     /// default).
     #[default]
     Deny,
-}
-
-impl LintConfig {
-    /// Reads the `IVL_LINT` environment knob (`off`, `warn` or `deny`);
-    /// `None` for unset or unrecognized values.
-    #[must_use]
-    pub fn from_env() -> Option<LintConfig> {
-        match std::env::var("IVL_LINT").ok()?.as_str() {
-            "off" => Some(LintConfig::Off),
-            "warn" => Some(LintConfig::Warn),
-            "deny" => Some(LintConfig::Deny),
-            _ => None,
-        }
-    }
 }
 
 /// Lints a (typically programmatically built) spec.
@@ -210,24 +192,16 @@ pub fn lint_text(text: &str, registry: &ChannelRegistry) -> Result<LintReport, S
     Ok(Linter::new(registry, spans).run(&spec))
 }
 
-/// Lints a spec *as the experiment service would before running it*.
+/// Parses a spec document and lints it *as the experiment service
+/// would before running it*, attaching line/column spans.
 ///
-/// This is the same pass set as [`lint`], plus service-context
+/// This is the same pass set as [`lint_text`], plus service-context
 /// diagnostics for fields the daemon overrides server-side — today
 /// `IVL050` (info) when a spec requests `workers = n`, which
 /// `faithful-serve` ignores in favor of its own shared pool sizing.
 /// Results are unaffected (sweeps are bit-identical across worker
 /// counts), so the finding is informational, but clients should not be
 /// silently surprised that the knob did nothing.
-#[must_use]
-pub fn lint_for_service(spec: &ExperimentSpec, registry: &ChannelRegistry) -> LintReport {
-    Linter::new(registry, SpecSpans::default())
-        .for_service()
-        .run(spec)
-}
-
-/// Parses a spec document and lints it in service context (see
-/// [`lint_for_service`]), attaching line/column spans.
 ///
 /// # Errors
 ///
@@ -811,20 +785,8 @@ impl<'a, 's> Linter<'a, 's> {
             return;
         };
         let deterministic = g.edges.iter().all(|e| {
-            let Some(ci) = e.channel else {
-                return true; // direct connection
-            };
-            let c = self.channels[ci].spec;
-            if !matches!(
-                c.kind.as_str(),
-                "pure" | "inertial" | "ddm" | "involution" | "eta"
-            ) {
-                return false; // custom kind: assume stochastic
-            }
-            !matches!(
-                c.params.text_or("noise", "zero"),
-                Ok("uniform" | "gaussian")
-            )
+            e.channel
+                .is_none_or(|ci| !self.channels[ci].spec.is_stochastic())
         });
         if deterministic {
             self.push(

@@ -91,7 +91,8 @@ pub struct ServeSummary {
     pub connections: u64,
     /// Jobs executed to completion (cache misses that ran).
     pub jobs: u64,
-    /// Submissions answered from the cache.
+    /// Submissions answered from the cache (the same count as
+    /// `cache.hits`).
     pub cache_hits: u64,
     /// Submissions rejected because the daemon was shutting down.
     pub rejected: u64,
@@ -226,7 +227,6 @@ struct Shared {
     cache: Mutex<ResultCache>,
     connections: AtomicU64,
     jobs: AtomicU64,
-    cache_hits: AtomicU64,
     rejected: AtomicU64,
     errors: AtomicU64,
 }
@@ -290,7 +290,6 @@ impl Server {
                 cache: Mutex::new(cache),
                 connections: AtomicU64::new(0),
                 jobs: AtomicU64::new(0),
-                cache_hits: AtomicU64::new(0),
                 rejected: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
             }),
@@ -368,13 +367,14 @@ impl Server {
         for w in pool {
             let _ = w.join();
         }
+        let cache = self.shared.cache.lock().expect("cache lock").counters();
         ServeSummary {
             connections: self.shared.connections.load(Ordering::SeqCst),
             jobs: self.shared.jobs.load(Ordering::SeqCst),
-            cache_hits: self.shared.cache_hits.load(Ordering::SeqCst),
+            cache_hits: cache.hits,
             rejected: self.shared.rejected.load(Ordering::SeqCst),
             errors: self.shared.errors.load(Ordering::SeqCst),
-            cache: self.shared.cache.lock().expect("cache lock").counters(),
+            cache,
         }
     }
 }
@@ -492,7 +492,6 @@ fn handle_submit(
         .expect("cache lock")
         .get(hash, &canonical)
     {
-        shared.cache_hits.fetch_add(1, Ordering::SeqCst);
         let _ = tx.send(Frame::Result {
             id,
             cached: true,
@@ -628,23 +627,10 @@ fn topology_stochastic(topology: &TopologySpec) -> bool {
         TopologySpec::InverterChain { channel, .. }
         | TopologySpec::Grid2d { channel, .. }
         | TopologySpec::RandomDag { channel, .. }
-        | TopologySpec::FatTree { channel, .. } => channel_stochastic(channel),
+        | TopologySpec::FatTree { channel, .. } => channel.is_stochastic(),
         TopologySpec::Netlist(n) => n
             .edges
             .iter()
-            .any(|e| e.channel.as_ref().is_some_and(channel_stochastic)),
+            .any(|e| e.channel.as_ref().is_some_and(ChannelSpec::is_stochastic)),
     }
-}
-
-fn channel_stochastic(c: &ChannelSpec) -> bool {
-    if !matches!(
-        c.kind.as_str(),
-        "pure" | "inertial" | "ddm" | "involution" | "eta"
-    ) {
-        return true; // custom kind: conservatively assume stochastic
-    }
-    matches!(
-        c.params.text_or("noise", "zero"),
-        Ok("uniform" | "gaussian")
-    )
 }

@@ -164,6 +164,22 @@ impl ChannelSpec {
             }
         }
     }
+
+    /// `true` when the channel may draw random noise, so its output
+    /// depends on the seed it runs under: a custom kind (conservatively
+    /// assumed stochastic) or `noise = uniform | gaussian`.
+    pub(crate) fn is_stochastic(&self) -> bool {
+        if !matches!(
+            self.kind.as_str(),
+            "pure" | "inertial" | "ddm" | "involution" | "eta"
+        ) {
+            return true;
+        }
+        matches!(
+            self.params.text_or("noise", "zero"),
+            Ok("uniform" | "gaussian")
+        )
+    }
 }
 
 /// Apply one channel to one input signal.

@@ -2,9 +2,10 @@
 //! deterministic fault injection, scenario supervision, quarantine
 //! replay, and checkpoint/resume bit-identity.
 //!
-//! Tests that run sweeps *without* wanting injected faults pin an empty
-//! [`FaultPlan`] explicitly, so the suite stays hermetic when CI runs it
-//! under the `IVL_FAULT_SEED` chaos matrix.
+//! CI runs this suite under an `IVL_FAULT_SEED` chaos matrix. The
+//! library itself reads no environment variable: only
+//! `env_seeded_fault_plan_is_survived` reads the seed, and it hands the
+//! derived [`FaultPlan`] to the facade explicitly.
 
 use std::time::Duration;
 
@@ -166,27 +167,10 @@ fn quarantine_specs_replay_standalone() {
     }
 }
 
-#[test]
-fn quarantine_dir_env_writes_replayable_spec_files() {
-    let dir = std::env::temp_dir().join(format!("faithful_quarantine_{}", std::process::id()));
-    std::env::set_var("IVL_FAULT_QUARANTINE_DIR", &dir);
-    let run = run_digital(
-        Experiment::digital(chaos_spec(40, 2))
-            .with_fault_plan(FaultPlan::new().with_fault(7, FaultKind::Panic)),
-    );
-    std::env::remove_var("IVL_FAULT_QUARANTINE_DIR");
-    assert_eq!(run.failed, 1);
-    let path = dir.join("quarantine_0007_s7.spec");
-    let text = std::fs::read_to_string(&path).expect("quarantine file written");
-    assert_eq!(text, run.quarantine[0].spec);
-    text.parse::<ExperimentSpec>().expect("file parses");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// The CI chaos matrix runs this binary with `IVL_FAULT_SEED` set; the
-/// facade then derives a seeded plan (panic + budget exhaustion +
-/// stall) and the sweep must still complete under `skip` with exactly
-/// the derived failures. Without the variable this is a no-op.
+/// test derives a seeded plan (panic + budget exhaustion + stall) from
+/// it, and the sweep must still complete under `skip` with exactly the
+/// derived failures. Without the variable this is a no-op.
 #[test]
 fn env_seeded_fault_plan_is_survived() {
     let Some(seed) = std::env::var("IVL_FAULT_SEED")
@@ -199,6 +183,7 @@ fn env_seeded_fault_plan_is_survived() {
     let expected = FaultPlan::seeded(seed, scenarios);
     let run = run_digital(
         Experiment::digital(chaos_spec(scenarios, 2))
+            .with_fault_plan(expected.clone())
             .with_scenario_timeout(Duration::from_millis(300)),
     );
     let mut want: Vec<usize> = expected.faults().iter().map(|(i, _)| *i).collect();

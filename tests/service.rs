@@ -10,7 +10,8 @@ use std::thread;
 use std::time::Duration;
 
 use faithful::service::{
-    render_result, ServeConfig, ServeSummary, ServedErrorKind, Server, ServiceClient, ServiceHandle,
+    render_result, ServeConfig, ServeSummary, ServedErrorKind, ServedResult, Server, ServiceClient,
+    ServiceHandle,
 };
 use faithful::Experiment;
 
@@ -374,6 +375,57 @@ fn deeply_nested_spec_is_refused_and_the_daemon_stays_up() {
         .unwrap();
     assert!(term.success());
     assert!(daemon.wait().unwrap().success());
+}
+
+/// What a spec does depends only on the spec: the fault-injection seed
+/// the chaos matrix sets for its own test binary must not leak into a
+/// daemon started under it. With two scenarios, `FaultPlan::seeded`
+/// would plan a panic and a budget exhaustion (no stall), so a daemon
+/// that honoured the variable would answer — and cache — a faulted
+/// sweep.
+#[cfg(unix)]
+#[test]
+fn fault_seed_in_the_daemon_environment_changes_nothing() {
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_faithful-serve"))
+        .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+        .env("IVL_FAULT_SEED", "1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn faithful-serve");
+    let mut stdout = BufReader::new(daemon.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("faithful-serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
+        .to_owned();
+
+    let spec = digital_spec(41).replace(
+        "    ] }\n  ];",
+        "    ] },\n    scenario { label = \"second\"; seed = 42; inputs = [\n      \
+         drive { port = \"a\"; signal = pulse { at = 2.0; width = 5.0 } }\n    ] }\n  ];",
+    );
+    assert_eq!(spec.matches("scenario {").count(), 2, "{spec}");
+    let mut client = ServiceClient::connect(addr.as_str()).unwrap();
+    let served = client.run_one(&spec).unwrap();
+    // stop the daemon before asserting, so a failure leaves no process
+    let term = Command::new("kill")
+        .args(["-TERM", &daemon.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(term.success());
+    assert!(daemon.wait().unwrap().success());
+
+    let Ok(ServedResult::Digital {
+        completed, failed, ..
+    }) = served.reply
+    else {
+        panic!("expected a digital result, got {:?}", served.reply);
+    };
+    assert_eq!((completed, failed), (2, 0));
+    assert_eq!(served.payload, in_process(&spec));
 }
 
 #[cfg(unix)]
