@@ -52,7 +52,9 @@ use crate::supply::VddSource;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
-    workers: usize,
+    /// `None` until set: as many workers as the machine advertises,
+    /// probed when asked for.
+    workers: Option<usize>,
 }
 
 impl Default for SweepRunner {
@@ -65,21 +67,23 @@ impl SweepRunner {
     /// Creates a runner with as many workers as the machine advertises.
     #[must_use]
     pub fn new() -> Self {
-        let workers = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        SweepRunner { workers }
+        SweepRunner { workers: None }
     }
 
     /// Sets the number of worker threads (clamped to ≥ 1).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.workers = Some(workers.max(1));
         self
     }
 
     /// The configured worker count.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
+        // the probe reads cgroup files, so it is made only when needed
+        self.workers.unwrap_or_else(|| {
+            thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
     }
 
     /// Sweeps pulse widths and collects `(T, δ)` samples for the
@@ -184,7 +188,7 @@ impl SweepRunner {
         T: Send,
         F: Fn(usize) -> Result<T, Error> + Sync,
     {
-        let mut workers = vec![(); self.workers.min(jobs)];
+        let mut workers = vec![(); self.workers().min(jobs)];
         fan_out(&mut workers, jobs, &AtomicBool::new(false), |(), index| {
             catch_panic(|| job(index))
                 .unwrap_or_else(|message| Err(Error::WorkerPanic { index, message }))

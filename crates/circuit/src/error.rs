@@ -127,11 +127,15 @@ pub enum SimError {
         name: String,
     },
     /// A channel scheduled an output transition at or before the current
-    /// simulation time, or cancelled an already delivered one. The
+    /// simulation time, or earlier than an output it still has pending
+    /// on the same edge, or cancelled an already delivered one. The
     /// mathematical channel function is non-causal at this point (e.g.
-    /// η⁻ too large), so event-driven simulation cannot proceed.
+    /// η⁻ too large), or the channel breaks the rule that its pending
+    /// outputs stay in time order, so event-driven simulation cannot
+    /// proceed.
     CausalityViolation {
-        /// Simulation time at which the violation occurred.
+        /// Simulation time at which the violation occurred: the time of
+        /// the transition fed to the channel.
         time: f64,
         /// The offending edge (for diagnosis).
         edge: usize,

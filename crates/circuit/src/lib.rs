@@ -14,9 +14,10 @@
 //! SPF circuit of Fig. 5 is a fed-back OR gate. The simulator feeds each
 //! channel its input transitions in time order and honours the pairwise
 //! non-FIFO cancellation semantics of `ivl-core`, including *unscheduling*
-//! pending output events that a later input transition cancels — via a
-//! slab event pool with generation-stamped ids, so a mismatched
-//! cancellation is a hard error rather than silent corruption.
+//! pending output events that a later input transition cancels — each
+//! edge's pending events form a time-ordered list whose tail a cancel
+//! must name exactly, so a mismatched cancellation is a hard error
+//! rather than silent corruption.
 //!
 //! For Monte-Carlo batteries, [`ScenarioRunner`] fans scenarios (input
 //! signals plus noise seeds) across worker threads, each simulating its

@@ -550,7 +550,9 @@ pub struct ScenarioRunner {
     circuit: Mutex<Circuit>,
     horizon: f64,
     max_events: usize,
-    workers: usize,
+    /// `None` until set: as many workers as the machine advertises,
+    /// probed when a run starts.
+    workers: Option<usize>,
     policy: FailurePolicy,
     timeout: Option<Duration>,
     fault: Option<FaultPlan>,
@@ -565,12 +567,11 @@ impl ScenarioRunner {
     /// workers as the machine advertises.
     #[must_use]
     pub fn new(circuit: Circuit, horizon: f64) -> Self {
-        let workers = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         ScenarioRunner {
             circuit: Mutex::new(circuit),
             horizon,
             max_events: 10_000_000,
-            workers,
+            workers: None,
             policy: FailurePolicy::default(),
             timeout: None,
             fault: None,
@@ -583,9 +584,18 @@ impl ScenarioRunner {
     /// warm simulators.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.workers = Some(workers.max(1));
         self.drop_stash();
         self
+    }
+
+    /// The configured worker count; unset, the machine's advertised
+    /// parallelism (a probe that reads cgroup files, so it is made only
+    /// when needed).
+    fn workers(&self) -> usize {
+        self.workers.unwrap_or_else(|| {
+            thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
     }
 
     /// Caps scheduled events per scenario run (see
@@ -722,7 +732,7 @@ impl ScenarioRunner {
             stash.clear();
             stash
         });
-        let workers = self.workers.min(n);
+        let workers = self.workers().min(n);
         while stash.len() < workers {
             stash.push(self.new_worker());
         }
@@ -962,7 +972,7 @@ impl fmt::Debug for ScenarioRunner {
             .field("circuit", &self.circuit)
             .field("horizon", &self.horizon)
             .field("max_events", &self.max_events)
-            .field("workers", &self.workers)
+            .field("workers", &self.workers())
             .field("policy", &self.policy)
             .field("timeout", &self.timeout)
             .field("warm_simulators", &warm)

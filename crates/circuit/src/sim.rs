@@ -2,17 +2,22 @@
 //!
 //! # Architecture
 //!
-//! Pending output transitions live in a slab [`EventPool`]: a slot vector
-//! plus a free list. Every event handle is a generation-stamped
-//! [`EventId`], so cancelling (the channels' pairwise non-FIFO rule)
-//! invalidates exactly the intended event — a stale handle (delivered,
-//! cancelled, or reused slot) is detected by generation mismatch instead
-//! of silently corrupting the waveform.
+//! Each edge keeps its pending output transitions as a doubly linked
+//! list in `(time, seq)` order. Built-in channels only ever append a
+//! later output or cancel the last one (the channels' pairwise non-FIFO
+//! rule), so a list is only appended to, cancelled at its tail and
+//! delivered at its head. The records of every list live in one
+//! [`Slab`] per simulator, with a free list: a run holds one record per
+//! pending event and no edge owns a heap allocation. A cancel is
+//! checked against the edge's tail (time and value), so a misbehaving
+//! channel cannot silently cancel the wrong event, and a channel that
+//! schedules an output earlier than one it still has pending on the
+//! same edge is refused rather than reordered.
 //!
-//! All per-run working memory (pin values, recorders, the pool, the
+//! All per-run working memory (pin values, recorders, the slab, the
 //! event queue, the dirty set) is owned by a [`SimState`] that the
 //! [`Simulator`] reuses across [`run`](Simulator::run) calls: after the
-//! first run the hot loop performs no pool/recorder allocations — only
+//! first run the hot loop performs no slab/recorder allocations — only
 //! the returned [`SimResult`]'s signals are freshly allocated. That state
 //! is restored lazily: per-node and per-edge state carries a run stamp
 //! and is reset from a cached t = 0 baseline on its first touch in a
@@ -20,12 +25,16 @@
 //! O(netlist) — in the paper's regime of short glitch trains into a
 //! large netlist, most of the netlist is never touched.
 //!
-//! Channel run state lives in the simulator, not in the [`Circuit`]:
-//! the circuit holds prototype channels, and each edge's slot stays
-//! empty until the edge's first feed clones its prototype into it. A
-//! never-fed channel is identical to its prototype, so this is
-//! indistinguishable from cloning every channel at build time, and a
-//! fresh simulator over a large netlist costs nothing per channel.
+//! Per-edge run state lives in the simulator, not in the [`Circuit`],
+//! and only for the edges fed so far: every edge has a 4-byte index into
+//! a table of [`Fed`] entries, 0 until the edge's first feed (or a
+//! [`replace_channel`](Simulator::replace_channel)) creates its entry.
+//! The entry holds the edge's channel — cloned from the circuit's
+//! prototype on that first feed — its run stamp, its reseed generation
+//! and the ends of its pending list. A never-fed channel is identical
+//! to its prototype, so this is indistinguishable from cloning every
+//! channel at build time, and a worker's memory follows the edges its
+//! scenarios reach, not the netlist.
 //!
 //! Recording is selective: by default every node and edge gets a
 //! waveform recorder (bit-identical to the historical behaviour), but a
@@ -37,13 +46,12 @@
 //! t = 0 batch, every recorded transition is an input transition, a
 //! delivered event, or a gate change a delivered event caused.
 //!
-//! Pending events are ordered by one queue: a binary heap with lazy
-//! cancellation that counts its stale keys and compacts once they
-//! outnumber the live ones (see the [`queue`](crate::queue) module
-//! docs). Its pop order is the total `(time, seq)` order, so runs are
-//! deterministic.
+//! Pending events are ordered by one queue of list heads: a binary heap
+//! with lazy cancellation that counts its stale keys and compacts once
+//! they outnumber the live ones (see the [`queue`](crate::queue) module
+//! docs). Its pop order is the total `(time, seq)` order over every
+//! pending event, so runs are deterministic.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -55,117 +63,193 @@ use crate::error::SimError;
 use crate::graph::{Circuit, EdgeId, Names, NodeId, NodeTag, Topology, DIRECT};
 use crate::queue::{EventKey, EventQueue};
 
-/// Generation-stamped handle to a slot in the [`EventPool`].
-///
-/// The generation makes dangling references detectable: once a slot is
-/// released (its event delivered or cancelled) its generation is bumped,
-/// and any heap key or pending-queue entry still holding the old
-/// generation no longer resolves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct EventId {
-    slot: u32,
-    gen: u32,
-}
+/// The null link: no record, or an empty list.
+const NIL: u32 = u32::MAX;
 
-#[cfg(test)]
-impl EventId {
-    /// A generation-0 handle whose slot is `n` (truncated to 32 bits).
-    pub(crate) fn for_test(n: u64) -> Self {
-        EventId {
-            slot: n as u32,
-            gen: 0,
-        }
-    }
-
-    /// The slot number of the handle.
-    pub(crate) fn test_slot(self) -> u64 {
-        u64::from(self.slot)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Slot {
-    gen: u32,
-    live: bool,
+/// One pending output transition: a node of its edge's list.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
     time: f64,
+    /// The schedule sequence number, unique in a run: the queue's
+    /// tie-break and the identity its head keys are checked against.
+    seq: u64,
     value: Bit,
-    edge: u32,
+    /// Neighbours in the edge's list (`NIL` at the ends); `next` also
+    /// chains the free list.
+    prev: u32,
+    next: u32,
 }
 
-/// Slab event pool with a free list. Slots are recycled, so a run's
-/// memory high-water mark is the maximum number of *simultaneously
-/// pending* events, not the total event count.
-#[derive(Debug, Default)]
-struct EventPool {
-    slots: Vec<Slot>,
-    free: Vec<u32>,
+/// Slab of [`Pending`] records with an intrusive free list. Records are
+/// recycled, so a run's memory high-water mark is the maximum number of
+/// *simultaneously pending* events, not the total event count.
+#[derive(Debug)]
+struct Slab {
+    records: Vec<Pending>,
+    /// Head of the free list, chained through `Pending::next`.
+    free: u32,
+    /// Number of records in use.
+    live: usize,
 }
 
-impl EventPool {
+impl Default for Slab {
+    fn default() -> Self {
+        Slab {
+            records: Vec::new(),
+            free: NIL,
+            live: 0,
+        }
+    }
+}
+
+impl Slab {
     fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
+        self.records.clear();
+        self.free = NIL;
+        self.live = 0;
     }
 
-    fn alloc(&mut self, time: f64, edge: usize, value: Bit) -> EventId {
-        if let Some(slot) = self.free.pop() {
-            let s = &mut self.slots[slot as usize];
-            s.live = true;
-            s.time = time;
-            s.value = value;
-            s.edge = edge as u32;
-            EventId { slot, gen: s.gen }
+    fn alloc(&mut self, record: Pending) -> u32 {
+        self.live += 1;
+        if self.free == NIL {
+            let i = u32::try_from(self.records.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("event slab exceeds u32 records");
+            self.records.push(record);
+            i
         } else {
-            let slot = u32::try_from(self.slots.len()).expect("event pool exceeds u32 slots");
-            self.slots.push(Slot {
-                gen: 0,
-                live: true,
-                time,
-                value,
-                edge: edge as u32,
-            });
-            EventId { slot, gen: 0 }
+            let i = self.free;
+            let slot = &mut self.records[i as usize];
+            self.free = slot.next;
+            *slot = record;
+            i
         }
     }
 
-    /// The slot for `id`, or `None` if the id is stale (its event was
-    /// delivered or cancelled, and the slot possibly reused).
-    fn get(&self, id: EventId) -> Option<&Slot> {
-        self.slots
-            .get(id.slot as usize)
-            .filter(|s| s.live && s.gen == id.gen)
+    fn release(&mut self, i: u32) {
+        self.live -= 1;
+        self.records[i as usize].next = self.free;
+        self.free = i;
     }
 
-    /// Whether `id` still names a pending event.
-    fn is_live(&self, id: EventId) -> bool {
-        self.get(id).is_some()
+    /// Whether `key` names the current head of its entry's list.
+    fn is_head(&self, entries: &[Fed], key: &EventKey) -> bool {
+        let head = entries[key.entry as usize].head;
+        head != NIL && self.records[head as usize].seq == key.seq
     }
 
-    /// Number of pending events.
-    fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// Releases the slot for `id` and returns its payload in one slot
-    /// access, or `None` (no mutation) if the id is stale. The
-    /// generation bump makes every outstanding handle to this event
-    /// stale. The single random access matters: on large workloads a
-    /// pool lookup is a cache miss, and a check plus a release would
-    /// pay it twice per event.
-    fn take(&mut self, id: EventId) -> Option<(f64, Bit, usize)> {
-        let s = self.slots.get_mut(id.slot as usize)?;
-        if !(s.live && s.gen == id.gen) {
+    /// Unlinks the head of `fed`'s list if `key` names it, in the single
+    /// record access that checks it, and returns the delivered
+    /// `(time, value)` plus the key of the list's new head. `None` (no
+    /// mutation) for a stale key.
+    fn take_head(
+        &mut self,
+        fed: &mut Fed,
+        key: &EventKey,
+    ) -> Option<((f64, Bit), Option<EventKey>)> {
+        let head = fed.head;
+        let record = *self.records.get(head as usize)?;
+        if record.seq != key.seq {
             return None;
         }
-        s.live = false;
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(id.slot);
-        Some((s.time, s.value, s.edge as usize))
+        self.release(head);
+        fed.head = record.next;
+        let next = if record.next == NIL {
+            fed.tail = NIL;
+            None
+        } else {
+            let n = &mut self.records[record.next as usize];
+            n.prev = NIL;
+            Some(EventKey {
+                time: n.time,
+                seq: n.seq,
+                ..*key
+            })
+        };
+        Some(((record.time, record.value), next))
     }
 
-    /// Number of slots ever allocated (the pool's high-water mark).
+    /// Number of records ever allocated since the run began (the slab's
+    /// high-water mark).
     fn capacity(&self) -> usize {
-        self.slots.len()
+        self.records.len()
+    }
+}
+
+/// Run state of one fed edge.
+struct Fed {
+    /// The edge's channel; `None` on a direct connection.
+    channel: Option<Box<dyn SimChannel>>,
+    /// Run stamp: equal to the current run once the edge's list was
+    /// emptied and its channel reset in it.
+    seen: u32,
+    /// The reseed generation whose seed the channel holds.
+    applied: u32,
+    /// Ends of the edge's pending list (`NIL` when empty).
+    head: u32,
+    tail: u32,
+}
+
+/// Run state for the edges fed so far: a 4-byte index per edge and one
+/// [`Fed`] entry per fed edge.
+struct FedEdges {
+    /// Per edge: 1 + its entry's index, 0 = never fed.
+    index: Vec<u32>,
+    entries: Vec<Fed>,
+}
+
+impl FedEdges {
+    fn new(edges: usize) -> Self {
+        FedEdges {
+            index: vec![0; edges],
+            entries: Vec::new(),
+        }
+    }
+
+    /// The entry of `edge`, created with `channel()` if the edge has
+    /// none yet.
+    fn open(
+        &mut self,
+        edge: usize,
+        channel: impl FnOnce() -> Option<Box<dyn SimChannel>>,
+    ) -> usize {
+        match self.index[edge] {
+            0 => {
+                self.entries.push(Fed {
+                    channel: channel(),
+                    seen: 0,
+                    applied: 0,
+                    head: NIL,
+                    tail: NIL,
+                });
+                // at most one entry per edge, and edge ids fit in u32
+                self.index[edge] = self.entries.len() as u32;
+                self.entries.len() - 1
+            }
+            i => i as usize - 1,
+        }
+    }
+}
+
+impl Clone for FedEdges {
+    /// Copies the channels and reseed generations; the run stamps are
+    /// cleared, because a clone starts its own run count.
+    fn clone(&self) -> Self {
+        FedEdges {
+            index: self.index.clone(),
+            entries: self
+                .entries
+                .iter()
+                .map(|fed| Fed {
+                    channel: fed.channel.clone(),
+                    seen: 0,
+                    applied: fed.applied,
+                    head: NIL,
+                    tail: NIL,
+                })
+                .collect(),
+        }
     }
 }
 
@@ -295,51 +379,52 @@ impl Nodes {
 /// Per-run working memory, reused across [`Simulator::run`] calls.
 ///
 /// `prepare` costs O(inputs + watched), not O(netlist) (full recording
-/// still resets one recorder per node and edge): node and edge state
-/// is stamped with the run and restored on first touch, so after a
-/// warmup run repeated simulations allocate nothing here and touch only
-/// what the stimulus reaches. A run that fails part-way needs no
+/// still resets one recorder per node and edge): node and fed-edge
+/// state is stamped with the run and restored on first touch, so after
+/// a warmup run repeated simulations allocate nothing here and touch
+/// only what the stimulus reaches. A run that fails part-way needs no
 /// clean-up: the next run's stamp makes everything it left behind
 /// stale.
 #[derive(Debug, Default)]
 struct SimState {
     base: Baseline,
-    /// The current run's stamp (see [`Nodes::seen`] and `edge_seen`).
+    /// The current run's stamp (see [`Nodes::seen`] and [`Fed::seen`]).
     run: u32,
     nodes: Nodes,
-    /// Run stamp per edge: equal to the current run once the edge's
-    /// pending queue was cleared and its channel reset in it.
-    edge_seen: Vec<u32>,
     node_rec: Vec<SignalBuilder>,
     /// One recorder per edge under full recording, none under a watch
     /// set.
     edge_rec: Vec<SignalBuilder>,
-    pool: EventPool,
+    slab: Slab,
     queue: EventQueue,
-    edge_pending: Vec<VecDeque<EventId>>,
     dirty: Vec<usize>,
     dirty_scratch: Vec<usize>,
 }
 
 impl SimState {
-    fn prepare(&mut self, topo: &Topology, inputs: &[Signal], watch: Option<&Watch>) {
+    fn prepare(
+        &mut self,
+        topo: &Topology,
+        inputs: &[Signal],
+        watch: Option<&Watch>,
+        edges: &mut FedEdges,
+    ) {
         if !self.base.matches(inputs, watch) {
             self.base.rebuild(topo, inputs, watch);
             let n_nodes = topo.node_count();
-            let n_edges = topo.edge_count();
             self.nodes.seen.resize(n_nodes, 0);
             self.nodes.pins.resize(self.base.pins.len(), Bit::Zero);
             self.nodes.out_value.resize(n_nodes, Bit::Zero);
             self.nodes.dirty_flag.resize(n_nodes, false);
-            self.edge_seen.resize(n_edges, 0);
-            self.edge_pending.resize_with(n_edges, VecDeque::new);
         }
-        // a new stamp makes every node and edge stale; on wrap-around,
-        // clear the stamps so no old one can collide with it
+        // a new stamp makes every node and fed edge stale; on
+        // wrap-around, clear the stamps so no old one can collide with it
         self.run = self.run.wrapping_add(1);
         if self.run == 0 {
             self.nodes.seen.fill(0);
-            self.edge_seen.fill(0);
+            for fed in &mut edges.entries {
+                fed.seen = 0;
+            }
             self.run = 1;
         }
 
@@ -369,7 +454,7 @@ impl SimState {
                 self.edge_rec.clear();
             }
         }
-        self.pool.clear();
+        self.slab.clear();
         self.queue.clear();
 
         // the t = 0 batch starts from the inconsistent gates; a gate
@@ -393,26 +478,29 @@ struct NoiseSeed {
     /// Number of `reseed_noise` calls so far (0 = never reseeded).
     generation: u32,
     seed: u64,
-    /// Per edge: the generation whose seed the edge's channel holds.
-    applied: Vec<u32>,
 }
 
 impl NoiseSeed {
-    fn set(&mut self, seed: u64) {
+    /// Takes `seed` as the latest; on wrap-around of the generation,
+    /// first marks every fed edge as holding no reseed.
+    fn set(&mut self, seed: u64, edges: &mut FedEdges) {
         if self.generation == u32::MAX {
-            self.applied.fill(0);
+            for fed in &mut edges.entries {
+                fed.applied = 0;
+            }
             self.generation = 0;
         }
         self.generation += 1;
         self.seed = seed;
     }
 
-    /// Reseeds `channel` (on `edge`) unless it already holds the
-    /// latest seed. The per-edge derivation mixes the edge index in, so
-    /// distinct channels draw decorrelated streams.
-    fn apply(&mut self, edge: usize, channel: &mut dyn SimChannel) {
-        if self.applied[edge] != self.generation {
-            self.applied[edge] = self.generation;
+    /// Reseeds `channel` (on `edge`, holding generation `applied`)
+    /// unless it already holds the latest seed. The per-edge derivation
+    /// mixes the edge index in, so distinct channels draw decorrelated
+    /// streams.
+    fn apply(&self, edge: usize, applied: &mut u32, channel: &mut dyn SimChannel) {
+        if *applied != self.generation {
+            *applied = self.generation;
             channel.reseed(split_mix64(
                 self.seed ^ (edge as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ));
@@ -420,17 +508,16 @@ impl NoiseSeed {
     }
 }
 
-/// Scheduling front-end over the pool/queue/pending queues; split out of
-/// `run` so the borrow checker sees disjoint state.
+/// Scheduling front-end over the fed edges, the slab and the queue;
+/// split out of `run` so the borrow checker sees disjoint state.
 struct Queue<'a> {
     protos: &'a [Box<dyn SimChannel>],
     edge_proto: &'a [u32],
-    pool: &'a mut EventPool,
+    edges: &'a mut FedEdges,
+    slab: &'a mut Slab,
     queue: &'a mut EventQueue,
-    edge_pending: &'a mut [VecDeque<EventId>],
-    edge_seen: &'a mut [u32],
     run: u32,
-    noise: &'a mut NoiseSeed,
+    noise: &'a NoiseSeed,
     seq: u64,
     scheduled: usize,
     cancelled: usize,
@@ -440,42 +527,56 @@ struct Queue<'a> {
 impl Queue<'_> {
     /// Sends transition `tr` into `edge`: scheduled as-is on a direct
     /// connection, fed to the channel otherwise. The edge's first send
-    /// in a run clears the pending handles the previous run left and
-    /// resets (and, after a `reseed_noise`, reseeds) its channel — on
-    /// the edge's first send ever, after cloning the channel from its
-    /// prototype into the empty slot. `now` is the current simulation
-    /// time (`None` during pre-scheduling of input-port signals, when
-    /// causality cannot be violated).
-    fn send(
-        &mut self,
-        edge: usize,
-        channel: &mut Option<Box<dyn SimChannel>>,
-        tr: Transition,
-        now: Option<f64>,
-    ) -> Result<(), SimError> {
-        if self.edge_seen[edge] != self.run {
-            self.edge_seen[edge] = self.run;
-            self.edge_pending[edge].clear();
-            let proto = self.edge_proto[edge];
-            if proto != DIRECT {
-                let ch = channel.get_or_insert_with(|| self.protos[proto as usize].clone());
+    /// ever creates its entry, cloning the channel from its prototype;
+    /// its first send in a run empties the list the previous run left
+    /// and resets (and, after a `reseed_noise`, reseeds) its channel.
+    /// `now` is the current simulation time (`None` during
+    /// pre-scheduling of input-port signals, when an output cannot land
+    /// in the past).
+    fn send(&mut self, edge: usize, tr: Transition, now: Option<f64>) -> Result<(), SimError> {
+        let (protos, proto) = (self.protos, self.edge_proto[edge]);
+        let i = self.edges.open(edge, || {
+            (proto != DIRECT).then(|| protos[proto as usize].clone())
+        });
+        let fed = &mut self.edges.entries[i];
+        if fed.seen != self.run {
+            fed.seen = self.run;
+            fed.head = NIL;
+            fed.tail = NIL;
+            if let Some(ch) = &mut fed.channel {
                 ch.reset();
-                self.noise.apply(edge, &mut **ch);
+                self.noise.apply(edge, &mut fed.applied, &mut **ch);
             }
         }
-        match channel {
-            None => self.schedule(edge, tr),
-            Some(ch) => {
-                let effect = ch.feed(tr);
-                self.apply(edge, effect, now)
+        let Some(ch) = &mut fed.channel else {
+            return self.schedule(i, edge, tr);
+        };
+        match ch.feed(tr) {
+            FeedEffect::Scheduled(out) => {
+                // an output in the past, or before one still pending on
+                // this edge, would break the (time, seq) order
+                let tail = fed.tail;
+                if now.is_some_and(|now| out.time <= now)
+                    || (tail != NIL && out.time < self.slab.records[tail as usize].time)
+                {
+                    return Err(SimError::CausalityViolation {
+                        time: tr.time,
+                        edge,
+                    });
+                }
+                self.schedule(i, edge, out)
             }
+            FeedEffect::CancelledPair { cancelled } => self.cancel(i, edge, cancelled),
+            FeedEffect::Dropped => Ok(()),
         }
     }
 
-    /// Schedules a transition on `edge`, charging it against the event
-    /// budget — cancel-heavy churn is bounded even if nothing is ever
-    /// delivered.
-    fn schedule(&mut self, edge: usize, tr: Transition) -> Result<(), SimError> {
+    /// Appends a transition to the list of `edge` (entry `i`), charging
+    /// it against the event budget — cancel-heavy churn is bounded even
+    /// if nothing is ever delivered. A list that was empty pushes its
+    /// new head's key.
+    #[allow(clippy::cast_possible_truncation)]
+    fn schedule(&mut self, i: usize, edge: usize, tr: Transition) -> Result<(), SimError> {
         self.scheduled += 1;
         if self.scheduled > self.max_events {
             return Err(SimError::MaxEventsExceeded {
@@ -483,66 +584,67 @@ impl Queue<'_> {
                 time: tr.time,
             });
         }
-        let id = self.pool.alloc(tr.time, edge, tr.value);
-        self.queue.push(EventKey {
+        let fed = &mut self.edges.entries[i];
+        let record = self.slab.alloc(Pending {
             time: tr.time,
             seq: self.seq,
-            id,
+            value: tr.value,
+            prev: fed.tail,
+            next: NIL,
         });
+        if fed.tail == NIL {
+            fed.head = record;
+            // entry and edge indices fit in u32, as the topology's do
+            self.queue.push(EventKey {
+                time: tr.time,
+                seq: self.seq,
+                entry: i as u32,
+                edge: edge as u32,
+            });
+        } else {
+            self.slab.records[fed.tail as usize].next = record;
+        }
+        fed.tail = record;
         self.seq += 1;
-        self.edge_pending[edge].push_back(id);
         Ok(())
     }
 
-    /// Applies a channel feed effect for `edge`; `now` is the current
-    /// simulation time (`None` during pre-scheduling of input-port
-    /// signals, when causality cannot be violated).
-    fn apply(&mut self, edge: usize, effect: FeedEffect, now: Option<f64>) -> Result<(), SimError> {
-        match effect {
-            FeedEffect::Scheduled(tr) => {
-                if let Some(now) = now {
-                    if tr.time <= now {
-                        return Err(SimError::CausalityViolation { time: now, edge });
-                    }
-                }
-                self.schedule(edge, tr)
-            }
-            FeedEffect::CancelledPair { cancelled } => {
-                let Some(id) = self.edge_pending[edge].pop_back() else {
-                    return Err(SimError::CancellationMismatch {
-                        edge,
-                        pending: None,
-                        cancelled: cancelled.time,
-                    });
-                };
-                // generation mismatch ⇒ the event was already delivered
-                // (or cancelled): refusing here is what keeps a
-                // misbehaving channel from corrupting the waveform.
-                let Some(slot) = self.pool.get(id) else {
-                    return Err(SimError::CancellationMismatch {
-                        edge,
-                        pending: None,
-                        cancelled: cancelled.time,
-                    });
-                };
-                if slot.time != cancelled.time || slot.value != cancelled.value {
-                    return Err(SimError::CancellationMismatch {
-                        edge,
-                        pending: Some(slot.time),
-                        cancelled: cancelled.time,
-                    });
-                }
-                self.pool.take(id);
-                self.cancelled += 1;
-                // the queue key stays behind as a stale key
-                let pool = &*self.pool;
-                if self.queue.cancel(|id| pool.is_live(id)) {
-                    debug_assert_eq!(self.queue.len(), pool.live());
-                }
-                Ok(())
-            }
-            FeedEffect::Dropped => Ok(()),
+    /// Cancels the tail of the list of `edge` (entry `i`), which must be
+    /// exactly the transition the channel names. Only a cancel that
+    /// empties the list leaves a stale key in the queue.
+    fn cancel(&mut self, i: usize, edge: usize, cancelled: Transition) -> Result<(), SimError> {
+        let fed = &mut self.edges.entries[i];
+        // an empty list ⇒ the event was already delivered (or
+        // cancelled): refusing here is what keeps a misbehaving channel
+        // from corrupting the waveform
+        let Some(&record) = self.slab.records.get(fed.tail as usize) else {
+            return Err(SimError::CancellationMismatch {
+                edge,
+                pending: None,
+                cancelled: cancelled.time,
+            });
+        };
+        if record.time != cancelled.time || record.value != cancelled.value {
+            return Err(SimError::CancellationMismatch {
+                edge,
+                pending: Some(record.time),
+                cancelled: cancelled.time,
+            });
         }
+        self.slab.release(fed.tail);
+        self.cancelled += 1;
+        fed.tail = record.prev;
+        if record.prev != NIL {
+            self.slab.records[record.prev as usize].next = NIL;
+            return Ok(());
+        }
+        fed.head = NIL;
+        // the head's key stays behind as a stale key
+        let (slab, entries) = (&*self.slab, &self.edges.entries);
+        if self.queue.cancel(|k| slab.is_head(entries, k)) {
+            debug_assert!(self.queue.len() <= slab.live);
+        }
+        Ok(())
     }
 }
 
@@ -557,9 +659,10 @@ struct Watch {
 
 /// Event-driven simulator over a [`Circuit`].
 ///
-/// Owns the circuit and the channels' run state (single-history and
-/// adversary/noise state), one slot per edge, each filled from the
-/// edge's prototype on its first feed. Typical use:
+/// Owns the circuit and the run state of the edges fed so far: each
+/// channel's single-history and adversary/noise state, cloned from the
+/// edge's prototype on its first feed, and its pending events. Typical
+/// use:
 /// [`set_input`](Simulator::set_input) for every input port, then
 /// [`run`](Simulator::run).
 ///
@@ -570,11 +673,13 @@ struct Watch {
 /// whose declared initial value disagrees with their inputs) is
 /// computed once and reused until an input port's initial bit or the
 /// watch set changes. Each run then restores only the nodes, pins and
-/// pending queues it touches, on first touch, and evaluates at t = 0
-/// only the inconsistent gates plus those the t = 0 deliveries dirty,
-/// in ascending node order. A channel's single-history state is reset
-/// on its first feed in a run. After a warmup run, repeated runs
-/// perform no further pool/recorder allocations; only the returned
+/// edge lists it touches, on first touch, and evaluates at t = 0 only
+/// the inconsistent gates plus those the t = 0 deliveries dirty, in
+/// ascending node order. A channel's single-history state is reset on
+/// its first feed in a run. Memory follows the same rule: an edge costs
+/// a 4-byte index until it is first fed, then one table entry, and a
+/// pending event costs one slab record. After a warmup run, repeated
+/// runs perform no further slab/recorder allocations; only the returned
 /// [`SimResult`] is freshly allocated. Results are bit-identical to
 /// rebuilding all of that state eagerly before every run, including
 /// after a run that returned an error.
@@ -600,9 +705,8 @@ struct Watch {
 /// differs.
 pub struct Simulator {
     circuit: Circuit,
-    /// Per-edge channel run state; `None` until the edge's first feed
-    /// (and forever on a direct connection).
-    channels: Vec<Option<Box<dyn SimChannel>>>,
+    /// Run state of the edges fed so far (channels included).
+    edges: FedEdges,
     /// One signal per input port, in `Topology::input_ports` order.
     inputs: Vec<Signal>,
     max_events: usize,
@@ -617,19 +721,13 @@ impl Simulator {
     #[must_use]
     pub fn new(circuit: Circuit) -> Self {
         let inputs = vec![Signal::zero(); circuit.topo.input_ports.len()];
-        let noise = NoiseSeed {
-            applied: vec![0; circuit.edge_count()],
-            ..NoiseSeed::default()
-        };
-        let mut channels = Vec::new();
-        channels.resize_with(circuit.edge_count(), || None);
         Simulator {
+            edges: FedEdges::new(circuit.edge_count()),
             circuit,
-            channels,
             inputs,
             max_events: 10_000_000,
             state: SimState::default(),
-            noise,
+            noise: NoiseSeed::default(),
             cancel: None,
             watch: None,
         }
@@ -639,9 +737,9 @@ impl Simulator {
     /// for this simulator's later runs. This is how callers swap an
     /// adversary/noise source into a prebuilt circuit without
     /// rebuilding the netlist (e.g. the SPF circuit's per-run noise):
-    /// it writes the edge's slot, so the circuit — topology and
-    /// prototypes — is untouched, and recorded state and node ids stay
-    /// valid.
+    /// it writes the edge's entry (creating it if the edge was never
+    /// fed), so the circuit — topology and prototypes — is untouched,
+    /// and recorded state and node ids stay valid.
     ///
     /// # Panics
     ///
@@ -654,10 +752,12 @@ impl Simulator {
             "edge {} is a direct connection, not a channel",
             edge.0
         );
-        self.channels[edge.index()] = Some(channel);
+        let i = self.edges.open(edge.index(), || None);
+        let fed = &mut self.edges.entries[i];
+        fed.channel = Some(channel);
         // the new channel keeps its own seed, exactly as if the latest
         // reseed had been applied to the channel it replaces
-        self.noise.applied[edge.index()] = self.noise.generation;
+        fed.applied = self.noise.generation;
     }
 
     /// Caps the number of *scheduled* events per run (guards against
@@ -802,16 +902,16 @@ impl Simulator {
     /// itself is O(1): each channel takes the seed on its first feed
     /// afterwards (see the run lifecycle above).
     pub fn reseed_noise(&mut self, seed: u64) {
-        self.noise.set(seed);
+        self.noise.set(seed, &mut self.edges);
     }
 
-    /// High-water mark of the internal event pool: the largest number of
-    /// simultaneously pending events any run has needed so far. Stable
-    /// across repeated runs of the same workload — the pool recycles
-    /// slots instead of growing.
+    /// High-water mark of the internal event slab: the largest number
+    /// of simultaneously pending events the latest run needed. Stable
+    /// across repeated runs of the same workload — the slab recycles
+    /// records instead of growing.
     #[must_use]
     pub fn event_pool_capacity(&self) -> usize {
-        self.state.pool.capacity()
+        self.state.slab.capacity()
     }
 
     /// Runs the simulation up to and including time `horizon`.
@@ -823,7 +923,8 @@ impl Simulator {
     ///
     /// Returns [`SimError::CausalityViolation`] if a channel's output
     /// would land in the simulation's past (adversary bounds too large
-    /// for event-driven evaluation),
+    /// for event-driven evaluation) or before an output the channel
+    /// still has pending,
     /// [`SimError::CancellationMismatch`] if a channel cancels a
     /// transition that does not match the pending event on its edge, and
     /// [`SimError::MaxEventsExceeded`] if the scheduled-event budget runs
@@ -834,24 +935,21 @@ impl Simulator {
 
         // split the simulator into disjoint borrows so the hot loops
         // index the flat topology arrays directly: the circuit is
-        // read-only, only the channel slots are mutated
+        // read-only, only the fed edges are mutated
         let Circuit { topo, protos } = &self.circuit;
         let topo = &**topo;
-        let channels = self.channels.as_mut_slice();
         let inputs = &self.inputs;
         let state = &mut self.state;
-        state.prepare(topo, inputs, self.watch.as_ref());
+        state.prepare(topo, inputs, self.watch.as_ref(), &mut self.edges);
 
         let SimState {
             base,
             run,
             nodes,
-            edge_seen,
             node_rec,
             edge_rec,
-            pool,
+            slab,
             queue: event_queue,
-            edge_pending,
             dirty,
             dirty_scratch,
         } = state;
@@ -861,12 +959,11 @@ impl Simulator {
         let mut queue = Queue {
             protos,
             edge_proto: &topo.edge_proto,
-            pool,
+            edges: &mut self.edges,
+            slab,
             queue: event_queue,
-            edge_pending: edge_pending.as_mut_slice(),
-            edge_seen: edge_seen.as_mut_slice(),
             run,
-            noise: &mut self.noise,
+            noise: &self.noise,
             seq: 0,
             scheduled: 0,
             cancelled: 0,
@@ -882,7 +979,7 @@ impl Simulator {
             for &eid in topo.outgoing(i) {
                 let e = eid as usize;
                 for tr in signal {
-                    queue.send(e, &mut channels[e], *tr, None)?;
+                    queue.send(e, *tr, None)?;
                 }
             }
             // record the input signal itself
@@ -915,15 +1012,14 @@ impl Simulator {
             // deliver every still-live event at batch_time: the whole
             // same-timestamp batch lands in the dirty set before any
             // gate is re-evaluated
-            while let Some((key, (time, value, edge_idx))) = queue
-                .queue
-                .pop_at_or_before(batch_time, |key| Some((*key, queue.pool.take(key.id)?)))
-            {
-                if queue.edge_pending[edge_idx].front() == Some(&key.id) {
-                    queue.edge_pending[edge_idx].pop_front();
-                }
+            while let Some((key, (time, value))) = queue.queue.pop_at_or_before(batch_time, |key| {
+                let fed = &mut queue.edges.entries[key.entry as usize];
+                let (taken, next) = queue.slab.take_head(fed, key)?;
+                Some(((*key, taken), next))
+            }) {
+                let edge_idx = key.edge as usize;
                 processed += 1;
-                if let Some(ch) = &mut channels[edge_idx] {
+                if let Some(ch) = &mut queue.edges.entries[key.entry as usize].channel {
                     ch.discard_delivered(time);
                 }
                 if let Some(rec) = edge_rec.get_mut(edge_idx) {
@@ -982,13 +1078,15 @@ impl Simulator {
                 }
                 for &eid in topo.outgoing(i) {
                     let e = eid as usize;
-                    queue.send(e, &mut channels[e], tr, Some(batch_time))?;
+                    queue.send(e, tr, Some(batch_time))?;
                 }
             }
             dirty_scratch.clear();
 
             // next batch: earliest remaining live event
-            let next = queue.queue.peek(|id| queue.pool.is_live(id));
+            let next = queue
+                .queue
+                .peek(|key| queue.slab.is_head(&queue.edges.entries, key));
             match next.map(|key| key.time) {
                 Some(t) if t <= horizon => {
                     if t > batch_time {
@@ -1006,9 +1104,9 @@ impl Simulator {
         // pending beyond the horizon
         debug_assert_eq!(
             scheduled_events,
-            processed + queue.cancelled + queue.queue.live()
+            processed + queue.cancelled + queue.slab.live
         );
-        debug_assert_eq!(queue.queue.live(), queue.pool.live());
+        debug_assert!(queue.queue.live() <= queue.slab.live);
         let node_signals: Vec<Signal> = node_rec.iter().map(SignalBuilder::snapshot).collect();
         let edge_signals: Vec<Signal> = edge_rec.iter().map(SignalBuilder::snapshot).collect();
         Ok(SimResult {
@@ -1034,7 +1132,7 @@ impl Clone for Simulator {
     fn clone(&self) -> Self {
         Simulator {
             circuit: self.circuit.clone(),
-            channels: self.channels.clone(),
+            edges: self.edges.clone(),
             inputs: self.inputs.clone(),
             max_events: self.max_events,
             state: SimState::default(),
@@ -1562,8 +1660,8 @@ mod tests {
 
     #[test]
     fn event_pool_capacity_is_stable_across_runs() {
-        // the pool recycles slots: repeated identical runs must not grow
-        // the slab
+        // the slab recycles records: repeated identical runs must not
+        // grow it
         let mut b = CircuitBuilder::new();
         let i = b.input("i");
         let or = b.gate("or", GateKind::Or, Bit::Zero);

@@ -1,22 +1,23 @@
 //! Allocation behaviour of netlists and of the reused simulator state.
 //!
 //! After a warmup run, repeated runs on a ≥1k-gate inverter chain must
-//! hit an allocation steady state — the event pool, heap, pending
-//! queues and recorders are all recycled, so the only per-run
+//! hit an allocation steady state — the event slab, the heap, the
+//! fed-edge table and the recorders are all recycled, so the only per-run
 //! allocations are the exact-sized signal copies in the returned
 //! `SimResult`. A generated netlist costs a fixed number of
 //! allocations whatever its size — to build, to clone, and to start
 //! simulating — and a size it cannot address is refused before
-//! anything is allocated.
+//! anything is allocated. A simulator's memory follows the edges a run
+//! feeds: an edge no run reaches costs a 4-byte index.
 //!
-//! The counting allocator counts per thread, so the tests here may run
-//! in parallel.
+//! The counting allocator counts calls and requested bytes per thread,
+//! so the tests here may run in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ivl_circuit::{generate, Circuit, CircuitBuilder, CircuitError, GateKind, Simulator};
+use ivl_circuit::{generate, Circuit, CircuitBuilder, CircuitError, GateKind, NodeId, Simulator};
 use ivl_core::channel::{FeedEffect, OnlineChannel, PureDelay, SimChannel};
 use ivl_core::{Bit, Signal, Transition};
 
@@ -24,16 +25,19 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_call() {
-    // the thread-local may already be gone while a thread shuts down
+/// Counts one call requesting `bytes`.
+fn count_call(bytes: usize) {
+    // the thread-locals may already be gone while a thread shuts down
     let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_call();
+        count_call(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -42,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_call();
+        count_call(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -55,6 +59,14 @@ fn alloc_calls<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOC_CALLS.with(Cell::get);
     let r = f();
     (ALLOC_CALLS.with(Cell::get) - before, r)
+}
+
+/// Runs `f` and returns the bytes its allocations requested on this
+/// thread (a reallocation counts its new size).
+fn alloc_bytes<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = ALLOC_BYTES.with(Cell::get);
+    let r = f();
+    (ALLOC_BYTES.with(Cell::get) - before, r)
 }
 
 fn pure() -> Box<dyn SimChannel> {
@@ -120,6 +132,59 @@ fn channels_are_materialized_on_first_feed_only() {
     assert!(fed > 0 && fed < edges, "{fed} of {edges} channels");
     sim.run(100.0).unwrap();
     assert_eq!(MATERIALIZED.load(Ordering::Relaxed), fed);
+}
+
+/// `len` buffers named `{prefix}{i}` after `from`: a direct connection
+/// into the first, pure delays between the rest. Returns the last.
+fn buffer_chain(b: &mut CircuitBuilder, from: NodeId, prefix: &str, len: usize) -> NodeId {
+    let mut prev = from;
+    for i in 0..len {
+        let g = b.gate(&format!("{prefix}{i}"), GateKind::Buf, Bit::Zero);
+        if i == 0 {
+            b.connect_direct(prev, g, 0).unwrap();
+        } else {
+            b.connect(prev, g, 0, PureDelay::new(0.5).unwrap()).unwrap();
+        }
+        prev = g;
+    }
+    prev
+}
+
+/// `a` drives a short buffer chain to `y`; `b`, never set, drives
+/// `undriven` more buffers that no run reaches.
+fn driven_plus_undriven(undriven: usize) -> Circuit {
+    let mut b = CircuitBuilder::new();
+    let a = b.input("a");
+    let y = b.output("y");
+    let last = buffer_chain(&mut b, a, "d", 8);
+    b.connect(last, y, 0, PureDelay::new(0.5).unwrap()).unwrap();
+    let idle = b.input("b");
+    buffer_chain(&mut b, idle, "u", undriven);
+    b.build().unwrap()
+}
+
+#[test]
+fn worker_memory_follows_the_edges_a_run_feeds() {
+    // a fresh simulator watching `y`, run once: every byte it requests
+    // for an edge or node the stimulus never reaches shows up in the
+    // growth from 10k to 100k undriven gates
+    let bytes = |undriven| {
+        let circuit = driven_plus_undriven(undriven);
+        let (bytes, run) = alloc_bytes(|| {
+            let mut sim = Simulator::new(circuit).with_watch(["y"]).unwrap();
+            sim.set_input("a", Signal::pulse_train([(1.0, 3.0), (8.0, 3.0)]).unwrap())
+                .unwrap();
+            sim.run(1e3).unwrap()
+        });
+        assert_eq!(run.signal("y").unwrap().len(), 4, "the pulses reach y");
+        bytes
+    };
+    let (small, large) = (bytes(10_000), bytes(100_000));
+    let per_gate = large.saturating_sub(small) as f64 / 90_000.0;
+    assert!(
+        per_gate <= 24.0,
+        "{per_gate:.1} bytes per undriven gate ({small} at 10k, {large} at 100k)"
+    );
 }
 
 /// A generator with its size arguments applied.

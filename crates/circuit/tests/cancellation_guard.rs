@@ -1,4 +1,4 @@
-//! Regression tests for the generation-stamped cancellation guard.
+//! Regression tests for the cancellation and order guards.
 //!
 //! The pre-slab simulator verified a channel's `CancelledPair` only with
 //! a `debug_assert_eq!` on the cancelled time: in a **release** build a
@@ -6,7 +6,10 @@
 //! event on the edge — whatever it was — and the run completed with a
 //! corrupted waveform. These tests drive deliberately misbehaving
 //! channels through the public API and demand a hard [`SimError`]; they
-//! fail on the old simulator when compiled with `--release`.
+//! fail on the old simulator when compiled with `--release`. The same
+//! holds for a channel that schedules an output earlier than one it
+//! still has pending: the simulator refuses it instead of reordering
+//! the edge's events.
 
 use ivl_circuit::{CircuitBuilder, GateKind, SimError, Simulator};
 use ivl_core::channel::{FeedEffect, OnlineChannel};
@@ -149,4 +152,48 @@ fn well_behaved_cancellation_still_works() {
     let run = sim.run(100.0).unwrap();
     assert!(run.signal("y").unwrap().is_zero());
     assert!(run.scheduled_events() > run.processed_events());
+}
+
+/// Schedules its first output at t = 5 and its second at t = 3, without
+/// cancelling the first.
+#[derive(Debug, Clone)]
+struct OutOfOrder {
+    fed: usize,
+}
+
+impl OnlineChannel for OutOfOrder {
+    fn feed(&mut self, input: Transition) -> FeedEffect {
+        self.fed += 1;
+        let at = if self.fed == 1 { 5.0 } else { 3.0 };
+        FeedEffect::Scheduled(Transition::new(at, input.value))
+    }
+
+    fn reset(&mut self) {
+        self.fed = 0;
+    }
+}
+
+#[test]
+fn output_before_a_pending_one_is_a_hard_error() {
+    for watched in [false, true] {
+        let mut b = CircuitBuilder::new();
+        let a = b.input("a");
+        let g = b.gate("buf", GateKind::Buf, Bit::Zero);
+        let y = b.output("y");
+        b.connect_direct(a, g, 0).unwrap();
+        b.connect(g, y, 0, OutOfOrder { fed: 0 }).unwrap();
+        let mut sim = Simulator::new(b.build().unwrap());
+        if watched {
+            sim.set_watch(["y"]).unwrap();
+        }
+        // the rise at 0 schedules t = 5; the fall at 1 schedules t = 3,
+        // which lies in the future but before the pending rise
+        sim.set_input("a", Signal::pulse(0.0, 1.0).unwrap())
+            .unwrap();
+        let res = sim.run(100.0);
+        assert!(
+            matches!(res, Err(SimError::CausalityViolation { time, .. }) if time == 1.0),
+            "watched = {watched}: {res:?}"
+        );
+    }
 }
