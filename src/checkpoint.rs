@@ -24,10 +24,10 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use ivl_core::{Bit, Signal};
+use ivl_core::Signal;
 
-use crate::error::{CheckpointError, SpecError};
-use crate::spec::{as_f64, Fields};
+use crate::error::CheckpointError;
+use crate::spec::{field, named_sigs_from_value, named_sigs_to_value, Fields};
 use crate::value::{parse_document, render_document, Value};
 
 /// Version tag of the checkpoint sidecar schema (inside the `faithful/1`
@@ -56,30 +56,6 @@ pub(crate) struct CheckpointState {
     pub(crate) done: BTreeMap<usize, DoneScenario>,
 }
 
-fn field(name: &str, value: Value) -> (String, Value) {
-    (name.to_owned(), value)
-}
-
-fn signal_to_value(name: &str, signal: &Signal) -> Value {
-    Value::node(
-        "sig",
-        vec![
-            field("name", Value::str(name)),
-            field("initial", Value::bool(signal.initial() == Bit::One)),
-            field(
-                "times",
-                Value::list(
-                    signal
-                        .transitions()
-                        .iter()
-                        .map(|t| Value::num(t.time))
-                        .collect(),
-                ),
-            ),
-        ],
-    )
-}
-
 /// Renders the checkpoint as a versioned `faithful/1` document.
 pub(crate) fn render(state: &CheckpointState) -> String {
     let done = state
@@ -93,15 +69,7 @@ pub(crate) fn render(state: &CheckpointState) -> String {
                     field("label", Value::str(d.label.clone())),
                     field("processed", Value::int(d.processed)),
                     field("scheduled", Value::int(d.scheduled)),
-                    field(
-                        "signals",
-                        Value::list(
-                            d.signals
-                                .iter()
-                                .map(|(n, s)| signal_to_value(n, s))
-                                .collect(),
-                        ),
-                    ),
+                    field("signals", named_sigs_to_value(&d.signals)),
                 ],
             )
         })
@@ -119,64 +87,38 @@ pub(crate) fn render(state: &CheckpointState) -> String {
     render_document(&root)
 }
 
-fn from_spec_err(e: SpecError) -> CheckpointError {
-    CheckpointError::new(e.to_string())
-}
-
 /// Parses a checkpoint document.
 pub(crate) fn parse(text: &str) -> Result<CheckpointState, CheckpointError> {
-    let value = parse_document(text).map_err(from_spec_err)?;
-    let mut f = Fields::of(value, "checkpoint").map_err(from_spec_err)?;
-    f.expect_tag(&["checkpoint"]).map_err(from_spec_err)?;
-    let version = f.u64("version").map_err(from_spec_err)?;
+    let value = parse_document(text)?;
+    let mut f = Fields::of(value, "checkpoint")?;
+    f.expect_tag(&["checkpoint"])?;
+    let version = f.u64("version")?;
     if version != CHECKPOINT_VERSION {
         return Err(CheckpointError::new(format!(
             "unsupported checkpoint version {version} (this build reads version \
              {CHECKPOINT_VERSION})"
         )));
     }
-    let total = usize::try_from(f.u64("total").map_err(from_spec_err)?)
+    let total = usize::try_from(f.u64("total")?)
         .map_err(|_| CheckpointError::new("field \"total\" out of range"))?;
-    let retried = f.u64("retried").map_err(from_spec_err)?;
-    let spec_text = f.string("spec").map_err(from_spec_err)?;
+    let retried = f.u64("retried")?;
+    let spec_text = f.string("spec")?;
     let mut done = BTreeMap::new();
-    for item in f.list("done").map_err(from_spec_err)? {
-        let mut df = Fields::of(item, "done").map_err(from_spec_err)?;
-        df.expect_tag(&["done"]).map_err(from_spec_err)?;
-        let index = usize::try_from(df.u64("index").map_err(from_spec_err)?)
+    for item in f.list("done")? {
+        let mut df = Fields::of(item, "done")?;
+        df.expect_tag(&["done"])?;
+        let index = usize::try_from(df.u64("index")?)
             .map_err(|_| CheckpointError::new("scenario index out of range"))?;
         if index >= total {
             return Err(CheckpointError::new(format!(
                 "completed scenario index {index} exceeds the sweep's total of {total}"
             )));
         }
-        let label = df.string("label").map_err(from_spec_err)?;
-        let processed = df.u64("processed").map_err(from_spec_err)?;
-        let scheduled = df.u64("scheduled").map_err(from_spec_err)?;
-        let mut signals = Vec::new();
-        for sv in df.list("signals").map_err(from_spec_err)? {
-            let mut sf = Fields::of(sv, "sig").map_err(from_spec_err)?;
-            sf.expect_tag(&["sig"]).map_err(from_spec_err)?;
-            let name = sf.string("name").map_err(from_spec_err)?;
-            let initial = if sf.bool("initial").map_err(from_spec_err)? {
-                Bit::One
-            } else {
-                Bit::Zero
-            };
-            let times = sf
-                .list("times")
-                .map_err(from_spec_err)?
-                .iter()
-                .map(|v| as_f64(v, "sig", "times"))
-                .collect::<Result<Vec<f64>, _>>()
-                .map_err(from_spec_err)?;
-            sf.finish().map_err(from_spec_err)?;
-            let signal = Signal::from_times(initial, &times).map_err(|e| {
-                CheckpointError::new(format!("invalid persisted signal {name:?}: {e}"))
-            })?;
-            signals.push((name, signal));
-        }
-        df.finish().map_err(from_spec_err)?;
+        let label = df.string("label")?;
+        let processed = df.u64("processed")?;
+        let scheduled = df.u64("scheduled")?;
+        let signals = named_sigs_from_value(df.list("signals")?)?;
+        df.finish()?;
         let duplicate = done
             .insert(
                 index,
@@ -194,7 +136,7 @@ pub(crate) fn parse(text: &str) -> Result<CheckpointState, CheckpointError> {
             )));
         }
     }
-    f.finish().map_err(from_spec_err)?;
+    f.finish()?;
     Ok(CheckpointState {
         spec_text,
         total,
@@ -224,6 +166,7 @@ pub(crate) fn write_atomic(path: &Path, state: &CheckpointState) -> Result<(), C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivl_core::Bit;
 
     fn sample_state() -> CheckpointState {
         let mut done = BTreeMap::new();

@@ -127,6 +127,12 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+impl From<SpecError> for CheckpointError {
+    fn from(e: SpecError) -> Self {
+        CheckpointError::new(e.to_string())
+    }
+}
+
 /// Everything that can go wrong running an experiment through the
 /// facade, in one matchable type.
 ///

@@ -50,7 +50,10 @@
 //! On SIGTERM (or [`ServiceHandle::shutdown`]) the daemon stops
 //! accepting connections, rejects *new* submissions with a typed
 //! `shutdown` error, drains every already-accepted job, flushes the
-//! replies, and only then exits: no accepted job is ever lost.
+//! replies, and only then exits: no accepted job is ever lost. Each
+//! reply frame must be written within a fixed deadline (5 s): a peer
+//! that does not read for that long is disconnected and loses its
+//! remaining replies, so it cannot hold up the drain.
 //!
 //! ```no_run
 //! use faithful::service::{ServeConfig, Server, ServiceClient};

@@ -5,13 +5,19 @@
 //!
 //! * one **accept loop** ([`Server::run`]) spawning a reader thread and
 //!   a writer thread per connection;
-//! * one **shared job pool** of `workers` executor threads pulling from
-//!   a bounded queue — `queue_capacity` jobs deep, and a submission
-//!   *blocks* once it is full, so backpressure propagates through TCP
-//!   to fast clients instead of ballooning memory;
-//! * a **per-connection concurrency gate**: at most `per_connection`
-//!   jobs of one connection in flight at a time, so one aggressive
-//!   pipeliner cannot monopolize the pool.
+//! * one **shared job pool** of `workers` executor threads pulling cache
+//!   misses from a `sync_channel` of `queue_capacity` jobs; a reader
+//!   *blocks* while it is full;
+//! * **one gate slot per reply**: a connection has `per_connection`
+//!   slots. The reader takes one for every submission before parsing it
+//!   (hits, spec errors and shutdown rejections too); the slot travels
+//!   with the reply and is freed when the writer takes the reply off its
+//!   channel. So a connection buffers at most `per_connection + 1`
+//!   replies plus one inbound frame (≤ 64 MiB), one pipeliner cannot
+//!   monopolize the pool, and a client that stops reading stalls its own
+//!   reader, which TCP pushes back to the client. Pool workers never
+//!   block on a socket, and a reply not written within `WRITE_DEADLINE`
+//!   drops the connection along with the replies still queued for it.
 //!
 //! Submitted specs are parsed, canonicalized, answered from the
 //! [`ResultCache`] when possible, and otherwise lint-preflighted and
@@ -24,12 +30,12 @@
 //! with typed `shutdown` errors, drains every accepted job, and joins
 //! everything before [`Server::run`] returns its [`ServeSummary`].
 
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ivl_core::exec::catch_panic;
 use ivl_core::factory::ChannelRegistry;
@@ -44,6 +50,10 @@ use crate::spec::{fnv1a_64, ChannelSpec, ExperimentSpec, TopologySpec, WorkloadS
 /// How often idle connection readers wake to check for shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(150);
 
+/// How long the writer may spend on one reply frame, first byte to
+/// last; a peer that does not read for this long is disconnected.
+const WRITE_DEADLINE: Duration = Duration::from_secs(5);
+
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -52,10 +62,13 @@ pub struct ServeConfig {
     pub addr: String,
     /// Executor threads in the shared job pool (clamped to ≥ 1).
     pub workers: usize,
-    /// Bounded job-queue depth; submissions block (backpressure) when
-    /// the queue is full.
+    /// Depth of the pool's job queue (cache misses waiting for a
+    /// worker, clamped to ≥ 1); a connection reader blocks
+    /// (backpressure) while it is full.
     pub queue_capacity: usize,
-    /// Maximum in-flight jobs per connection.
+    /// Replies queued per connection, hits and errors included (clamped
+    /// to ≥ 1). A submission waits for a slot before it is parsed; the
+    /// slot is freed when the connection's writer takes the reply.
     pub per_connection: usize,
     /// In-memory result cache bound, in entries.
     pub cache_entries: usize,
@@ -103,7 +116,7 @@ pub struct ServeSummary {
 }
 
 // ======================================================================
-// Bounded job queue
+// Jobs and replies
 // ======================================================================
 
 struct Job {
@@ -115,63 +128,15 @@ struct Job {
     hash: u64,
     cacheable: bool,
     spec: ExperimentSpec,
-    reply: mpsc::Sender<Frame>,
-    _guard: GateGuard,
+    reply: mpsc::Sender<Reply>,
+    slot: GateGuard,
 }
 
-struct JobQueue {
-    state: Mutex<(VecDeque<Box<Job>>, bool)>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl JobQueue {
-    fn new(capacity: usize) -> Self {
-        JobQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Blocks while the queue is full; `Err(job)` once closed.
-    fn push(&self, job: Box<Job>) -> Result<(), Box<Job>> {
-        let mut s = self.state.lock().expect("queue lock");
-        loop {
-            if s.1 {
-                return Err(job);
-            }
-            if s.0.len() < self.capacity {
-                s.0.push_back(job);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            s = self.not_full.wait(s).expect("queue lock");
-        }
-    }
-
-    /// Blocks while empty; `None` once closed *and* drained.
-    fn pop(&self) -> Option<Box<Job>> {
-        let mut s = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(job) = s.0.pop_front() {
-                self.not_full.notify_one();
-                return Some(job);
-            }
-            if s.1 {
-                return None;
-            }
-            s = self.not_empty.wait(s).expect("queue lock");
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("queue lock").1 = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
+/// One reply on its way to the connection's writer, holding the gate
+/// slot its request was admitted under until the writer takes it.
+struct Reply {
+    frame: Frame,
+    slot: GateGuard,
 }
 
 // ======================================================================
@@ -212,8 +177,11 @@ struct GateGuard(Arc<Gate>);
 impl Drop for GateGuard {
     fn drop(&mut self) {
         let mut n = self.0.count.lock().expect("gate lock");
+        // only the connection's reader waits, and only on a full gate
+        if *n == self.0.cap {
+            self.0.cv.notify_one();
+        }
         *n = n.saturating_sub(1);
-        self.0.cv.notify_all();
     }
 }
 
@@ -223,7 +191,6 @@ impl Drop for GateGuard {
 
 struct Shared {
     shutdown: AtomicBool,
-    queue: JobQueue,
     cache: Mutex<ResultCache>,
     connections: AtomicU64,
     jobs: AtomicU64,
@@ -237,6 +204,7 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     workers: usize,
+    queue_capacity: usize,
     per_connection: usize,
 }
 
@@ -286,7 +254,6 @@ impl Server {
             addr,
             shared: Arc::new(Shared {
                 shutdown: AtomicBool::new(false),
-                queue: JobQueue::new(config.queue_capacity),
                 cache: Mutex::new(cache),
                 connections: AtomicU64::new(0),
                 jobs: AtomicU64::new(0),
@@ -294,6 +261,7 @@ impl Server {
                 errors: AtomicU64::new(0),
             }),
             workers: config.workers.max(1),
+            queue_capacity: config.queue_capacity.max(1),
             per_connection: config.per_connection,
         })
     }
@@ -320,16 +288,23 @@ impl Server {
     /// accepted job and returns the lifetime summary.
     #[must_use = "the summary says what the daemon did"]
     pub fn run(self) -> ServeSummary {
+        let (jobs, queue) = mpsc::sync_channel::<Box<Job>>(self.queue_capacity);
+        let queue = Arc::new(Mutex::new(queue));
         let mut pool = Vec::with_capacity(self.workers);
         for i in 0..self.workers {
+            let queue = Arc::clone(&queue);
             let shared = Arc::clone(&self.shared);
             pool.push(
                 std::thread::Builder::new()
                     .name(format!("ivl-serve-worker-{i}"))
                     .spawn(move || {
                         let registry = ChannelRegistry::with_builtins();
-                        while let Some(job) = shared.queue.pop() {
-                            process(&job, &registry, &shared);
+                        loop {
+                            // the lock guard ends with this statement, so
+                            // workers wait on the queue, not on each other
+                            let next = queue.lock().expect("job queue lock").recv();
+                            let Ok(job) = next else { break };
+                            process(*job, &registry, &shared);
                         }
                     })
                     .expect("spawn worker thread"),
@@ -348,12 +323,13 @@ impl Server {
                 }
             };
             let shared = Arc::clone(&self.shared);
+            let jobs = jobs.clone();
             let n = shared.connections.fetch_add(1, Ordering::SeqCst);
             let per_connection = self.per_connection;
             conns.push(
                 std::thread::Builder::new()
                     .name(format!("ivl-serve-conn-{n}"))
-                    .spawn(move || serve_connection(stream, &shared, per_connection))
+                    .spawn(move || serve_connection(stream, &jobs, &shared, per_connection))
                     .expect("spawn connection thread"),
             );
         }
@@ -361,9 +337,9 @@ impl Server {
         for c in conns {
             let _ = c.join();
         }
-        // All readers are gone, so nothing can push any more: close the
-        // queue and let the pool drain what is left.
-        self.shared.queue.close();
+        // All readers are gone, so nothing can submit any more: dropping
+        // the last sender lets the pool drain what is left and exit.
+        drop(jobs);
         for w in pool {
             let _ = w.join();
         }
@@ -383,7 +359,43 @@ impl Server {
 // Connection handling
 // ======================================================================
 
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, per_connection: usize) {
+/// A socket writer that gives up once `by` has passed, however the
+/// frame was split into partial writes (`SO_SNDTIMEO` alone restarts on
+/// every call).
+struct DeadlineWriter<'a> {
+    stream: &'a TcpStream,
+    by: Instant,
+}
+
+impl Write for DeadlineWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let left = self.by.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_write_timeout(Some(left))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Writes one frame within [`WRITE_DEADLINE`].
+fn write_frame(stream: &TcpStream, frame: &Frame) -> io::Result<()> {
+    frame.write_to(&mut DeadlineWriter {
+        stream,
+        by: Instant::now() + WRITE_DEADLINE,
+    })
+}
+
+fn serve_connection(
+    stream: TcpStream,
+    jobs: &mpsc::SyncSender<Box<Job>>,
+    shared: &Arc<Shared>,
+    per_connection: usize,
+) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
         return;
@@ -391,22 +403,25 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, per_connection: usi
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let (tx, rx) = mpsc::channel::<Frame>();
+    let (tx, rx) = mpsc::channel::<Reply>();
     let writer = std::thread::Builder::new()
         .name("ivl-serve-writer".to_owned())
         .spawn(move || {
-            let mut w = std::io::BufWriter::new(write_half);
             let hello = Frame::Hello {
                 greeting: GREETING.to_owned(),
             };
-            if hello.write_to(&mut w).is_err() {
-                return;
+            let mut written = write_frame(&write_half, &hello);
+            while written.is_ok() {
+                let Ok(Reply { frame, slot }) = rx.recv() else {
+                    return;
+                };
+                drop(slot);
+                written = write_frame(&write_half, &frame);
             }
-            while let Ok(frame) = rx.recv() {
-                if frame.write_to(&mut w).is_err() {
-                    break;
-                }
-            }
+            // A failed or overdue write drops the connection: the reader
+            // sees EOF, and the replies still queued are discarded with
+            // `rx`, freeing their slots.
+            let _ = write_half.shutdown(Shutdown::Both);
         })
         .expect("spawn writer thread");
 
@@ -414,94 +429,87 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, per_connection: usi
     // buffered: a frame arrives in one read, not three
     let mut stream = std::io::BufReader::new(stream);
     loop {
-        match Frame::read_from(&mut stream) {
-            Err(_) => {
-                // Framing violation: answer typed (request id unknown —
-                // 0 by convention) and hang up; resync is impossible.
-                let _ = tx.send(Frame::Error {
-                    id: 0,
-                    text: render_error(
-                        ServedErrorKind::Protocol,
-                        "malformed frame; closing the connection",
-                        &[],
-                    ),
-                });
+        let violation = match Frame::read_from(&mut stream) {
+            Ok(ReadOutcome::Frame(Frame::Submit { id, spec })) => {
+                if handle_submit(id, spec, gate.acquire(), &tx, jobs, shared) {
+                    continue;
+                }
                 break;
             }
-            Ok(ReadOutcome::Eof) => break,
             Ok(ReadOutcome::Idle) => {
                 if shared.shutdown.load(Ordering::SeqCst) && gate.in_flight() == 0 {
                     break;
                 }
+                continue;
             }
-            Ok(ReadOutcome::Frame(Frame::Submit { id, spec })) => {
-                handle_submit(id, spec, &tx, &gate, shared);
-            }
+            Ok(ReadOutcome::Eof) => break,
+            Err(_) => "malformed frame; closing the connection",
             Ok(ReadOutcome::Frame(_)) => {
-                let _ = tx.send(Frame::Error {
-                    id: 0,
-                    text: render_error(
-                        ServedErrorKind::Protocol,
-                        "unexpected frame type from a client; closing the connection",
-                        &[],
-                    ),
-                });
-                break;
+                "unexpected frame type from a client; closing the connection"
             }
-        }
+        };
+        // Protocol violation: answer typed (request id unknown — 0 by
+        // convention) and hang up; resync is impossible.
+        let _ = tx.send(Reply {
+            frame: error_frame(0, ServedErrorKind::Protocol, violation),
+            slot: gate.acquire(),
+        });
+        break;
     }
     drop(tx);
     let _ = writer.join();
 }
 
+/// A typed error reply without diagnostics.
+fn error_frame(id: u64, kind: ServedErrorKind, message: &str) -> Frame {
+    Frame::Error {
+        id,
+        text: render_error(kind, message, &[]),
+    }
+}
+
+/// Answers one submission admitted under `slot` from the cache, with a
+/// typed error, or via the pool; `false` once the writer or pool is gone.
 fn handle_submit(
     id: u64,
     text: String,
-    tx: &mpsc::Sender<Frame>,
-    gate: &Arc<Gate>,
+    slot: GateGuard,
+    tx: &mpsc::Sender<Reply>,
+    jobs: &mpsc::SyncSender<Box<Job>>,
     shared: &Arc<Shared>,
-) {
+) -> bool {
+    let reply = |frame, slot| tx.send(Reply { frame, slot }).is_ok();
     if shared.shutdown.load(Ordering::SeqCst) {
         shared.rejected.fetch_add(1, Ordering::SeqCst);
-        let _ = tx.send(Frame::Error {
-            id,
-            text: render_error(
-                ServedErrorKind::Shutdown,
-                "the daemon is draining and no longer accepts jobs",
-                &[],
-            ),
-        });
-        return;
+        let message = "the daemon is draining and no longer accepts jobs";
+        return reply(error_frame(id, ServedErrorKind::Shutdown, message), slot);
     }
     let spec: ExperimentSpec = match text.parse() {
         Ok(spec) => spec,
         Err(e) => {
             shared.errors.fetch_add(1, Ordering::SeqCst);
-            let _ = tx.send(Frame::Error {
-                id,
-                text: render_error(ServedErrorKind::Spec, &e.to_string(), &[]),
-            });
-            return;
+            return reply(error_frame(id, ServedErrorKind::Spec, &e.to_string()), slot);
         }
     };
     let canonical = spec.to_string();
     let hash = fnv1a_64(canonical.as_bytes());
-    if let Some(result) = shared
+    let hit = shared
         .cache
         .lock()
         .expect("cache lock")
-        .get(hash, &canonical)
-    {
-        let _ = tx.send(Frame::Result {
-            id,
-            cached: true,
-            text: result,
-        });
-        return;
+        .get(hash, &canonical);
+    if let Some(text) = hit {
+        return reply(
+            Frame::Result {
+                id,
+                cached: true,
+                text,
+            },
+            slot,
+        );
     }
-    // Admission: first the per-connection gate, then the bounded pool
-    // queue. Both block — that *is* the backpressure.
-    let guard = gate.acquire();
+    // A miss goes to the pool; the send blocks while its queue is full,
+    // which is the backpressure.
     let job = Box::new(Job {
         id,
         cacheable: replayable(&spec),
@@ -510,59 +518,18 @@ fn handle_submit(
         spec,
         text,
         reply: tx.clone(),
-        _guard: guard,
+        slot,
     });
-    if let Err(job) = shared.queue.push(job) {
-        shared.rejected.fetch_add(1, Ordering::SeqCst);
-        let _ = tx.send(Frame::Error {
-            id: job.id,
-            text: render_error(
-                ServedErrorKind::Shutdown,
-                "the daemon is draining and no longer accepts jobs",
-                &[],
-            ),
-        });
-    }
+    jobs.send(job).is_ok()
 }
 
 // ======================================================================
 // Job execution
 // ======================================================================
 
-fn process(job: &Job, registry: &ChannelRegistry, shared: &Arc<Shared>) {
-    // Lint preflight over the wire: reject Error-severity findings as a
-    // typed error carrying every diagnostic (spans point into the
-    // submitted text, not the canonical rendering).
-    match lint_text_for_service(&job.text, registry) {
-        Ok(report) => {
-            if report.has_errors() {
-                shared.errors.fetch_add(1, Ordering::SeqCst);
-                let _ = job.reply.send(Frame::Error {
-                    id: job.id,
-                    text: render_error(
-                        ServedErrorKind::Lint,
-                        "rejected by the lint preflight",
-                        report.diagnostics(),
-                    ),
-                });
-                return;
-            }
-        }
-        Err(e) => {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-            let _ = job.reply.send(Frame::Error {
-                id: job.id,
-                text: render_error(ServedErrorKind::Spec, &e.to_string(), &[]),
-            });
-            return;
-        }
-    }
-    let mut spec = job.spec.clone();
-    override_workers(&mut spec);
-    let experiment = Experiment::new(spec).with_lint(LintConfig::Off);
-    match catch_panic(|| experiment.run()) {
-        Ok(Ok(result)) => {
-            let rendered = render_result(&result);
+fn process(job: Job, registry: &ChannelRegistry, shared: &Arc<Shared>) {
+    let frame = match run_job(job.id, &job.text, job.spec, registry) {
+        Ok(rendered) => {
             if job.cacheable {
                 shared.cache.lock().expect("cache lock").insert(
                     job.hash,
@@ -571,29 +538,54 @@ fn process(job: &Job, registry: &ChannelRegistry, shared: &Arc<Shared>) {
                 );
             }
             shared.jobs.fetch_add(1, Ordering::SeqCst);
-            let _ = job.reply.send(Frame::Result {
+            Frame::Result {
                 id: job.id,
                 cached: false,
                 text: rendered,
-            });
+            }
         }
-        Ok(Err(e)) => {
+        Err(error) => {
             shared.errors.fetch_add(1, Ordering::SeqCst);
-            let _ = job.reply.send(Frame::Error {
-                id: job.id,
-                text: render_error(ServedErrorKind::Run, &e.to_string(), &[]),
-            });
+            error
         }
+    };
+    let _ = job.reply.send(Reply {
+        frame,
+        slot: job.slot,
+    });
+}
+
+/// Lint-preflights and runs one job: its rendered result, or the typed
+/// error reply.
+fn run_job(
+    id: u64,
+    text: &str,
+    mut spec: ExperimentSpec,
+    registry: &ChannelRegistry,
+) -> Result<String, Frame> {
+    // Lint preflight over the wire: reject Error-severity findings as a
+    // typed error carrying every diagnostic (spans point into the
+    // submitted text, not the canonical rendering).
+    let report = lint_text_for_service(text, registry)
+        .map_err(|e| error_frame(id, ServedErrorKind::Spec, &e.to_string()))?;
+    if report.has_errors() {
+        return Err(Frame::Error {
+            id,
+            text: render_error(
+                ServedErrorKind::Lint,
+                "rejected by the lint preflight",
+                report.diagnostics(),
+            ),
+        });
+    }
+    override_workers(&mut spec);
+    let experiment = Experiment::new(spec).with_lint(LintConfig::Off);
+    match catch_panic(|| experiment.run()) {
+        Ok(Ok(result)) => Ok(render_result(&result)),
+        Ok(Err(e)) => Err(error_frame(id, ServedErrorKind::Run, &e.to_string())),
         Err(message) => {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-            let _ = job.reply.send(Frame::Error {
-                id: job.id,
-                text: render_error(
-                    ServedErrorKind::Internal,
-                    &format!("worker panicked: {message}"),
-                    &[],
-                ),
-            });
+            let message = format!("worker panicked: {message}");
+            Err(error_frame(id, ServedErrorKind::Internal, &message))
         }
     }
 }

@@ -14,57 +14,20 @@
 
 use ivl_analog::characterize::{DelaySample, DeviationSample};
 use ivl_circuit::SweepStats;
-use ivl_core::{Bit, Edge, Signal};
+use ivl_core::{Edge, Signal};
 
 use crate::error::SpecError;
 use crate::experiment::{AnalogResult, ExperimentResult};
 use crate::lint::{Diagnostic, Severity};
-use crate::spec::{as_f64, as_text, as_u64, Fields};
+use crate::spec::{
+    as_f64, as_text, as_u64, field, named_sigs_from_value, named_sigs_to_value, sig_from_value,
+    sig_to_value, Fields,
+};
 use crate::value::{parse_document, render_document, Value, ValueKind};
 
-fn field(name: &str, value: Value) -> (String, Value) {
-    (name.to_owned(), value)
-}
-
 // ======================================================================
-// Signals
+// Edges
 // ======================================================================
-
-fn signal_value(name: Option<&str>, s: &Signal) -> Value {
-    let mut fields = Vec::with_capacity(3);
-    if let Some(n) = name {
-        fields.push(field("name", Value::str(n)));
-    }
-    fields.push(field("initial", Value::bool(s.initial() == Bit::One)));
-    fields.push(field(
-        "times",
-        Value::list(s.transitions().iter().map(|t| Value::num(t.time)).collect()),
-    ));
-    Value::node("sig", fields)
-}
-
-fn signal_from_value(value: Value) -> Result<(Option<String>, Signal), SpecError> {
-    let mut f = Fields::of(value, "sig")?;
-    f.expect_tag(&["sig"])?;
-    let name = match f.take("name") {
-        Some(v) => Some(as_text(&v, "sig", "name")?),
-        None => None,
-    };
-    let initial = if f.bool("initial")? {
-        Bit::One
-    } else {
-        Bit::Zero
-    };
-    let times = f
-        .list("times")?
-        .iter()
-        .map(|v| as_f64(v, "sig", "times"))
-        .collect::<Result<Vec<f64>, _>>()?;
-    f.finish()?;
-    let signal = Signal::from_times(initial, &times)
-        .map_err(|e| SpecError::new(format!("invalid served signal: {e}")))?;
-    Ok((name, signal))
-}
 
 fn edge_word(edge: Edge) -> Value {
     Value::word(match edge {
@@ -98,7 +61,7 @@ fn result_to_value(result: &ExperimentResult) -> Value {
     match result {
         ExperimentResult::Channel(c) => {
             fields.push(field("workload", Value::word("channel")));
-            fields.push(field("output", signal_value(None, &c.output)));
+            fields.push(field("output", sig_to_value(None, &c.output)));
         }
         ExperimentResult::Digital(d) => {
             fields.push(field("workload", Value::word("digital")));
@@ -113,15 +76,7 @@ fn result_to_value(result: &ExperimentResult) -> Value {
                         .map(|o| {
                             let mut of = vec![
                                 field("label", Value::str(o.label.clone())),
-                                field(
-                                    "signals",
-                                    Value::list(
-                                        o.signals
-                                            .iter()
-                                            .map(|(n, s)| signal_value(Some(n), s))
-                                            .collect(),
-                                    ),
-                                ),
+                                field("signals", named_sigs_to_value(&o.signals)),
                             ];
                             if let Some(vcd) = &o.vcd {
                                 of.push(field("vcd", Value::str(vcd.clone())));
@@ -255,9 +210,9 @@ fn result_to_value(result: &ExperimentResult) -> Value {
                     Value::node(
                         "run",
                         vec![
-                            field("or", signal_value(None, &run.or_signal)),
-                            field("feedback", signal_value(None, &run.feedback_signal)),
-                            field("output", signal_value(None, &run.output)),
+                            field("or", sig_to_value(None, &run.or_signal)),
+                            field("feedback", sig_to_value(None, &run.feedback_signal)),
+                            field("output", sig_to_value(None, &run.output)),
                             field("events", Value::int(run.events as u64)),
                         ],
                     ),
@@ -390,7 +345,7 @@ pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
     let workload = as_text(&f.req("workload")?, "result", "workload")?;
     let result = match workload.as_str() {
         "channel" => {
-            let (_, output) = signal_from_value(f.req("output")?)?;
+            let (_, output) = sig_from_value(f.req("output")?)?;
             ServedResult::Channel { output }
         }
         "digital" => {
@@ -402,13 +357,7 @@ pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
                 let mut of = Fields::of(v, "outcome")?;
                 of.expect_tag(&["outcome"])?;
                 let label = of.string("label")?;
-                let mut signals = Vec::new();
-                for sv in of.list("signals")? {
-                    let (name, signal) = signal_from_value(sv)?;
-                    let name = name
-                        .ok_or_else(|| SpecError::new("outcome signal is missing its port name"))?;
-                    signals.push((name, signal));
-                }
+                let signals = named_sigs_from_value(of.list("signals")?)?;
                 let vcd = of
                     .take("vcd")
                     .map(|v| as_text(&v, "outcome", "vcd"))
@@ -519,9 +468,9 @@ pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
                     let mut rf = Fields::of(v, "run")?;
                     rf.expect_tag(&["run"])?;
                     let run = ServedRun {
-                        or_signal: signal_from_value(rf.req("or")?)?.1,
-                        feedback_signal: signal_from_value(rf.req("feedback")?)?.1,
-                        output: signal_from_value(rf.req("output")?)?.1,
+                        or_signal: sig_from_value(rf.req("or")?)?.1,
+                        feedback_signal: sig_from_value(rf.req("feedback")?)?.1,
+                        output: sig_from_value(rf.req("output")?)?.1,
                         events: rf.u64("events")?,
                     };
                     rf.finish()?;

@@ -25,6 +25,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use ivl_core::factory::{ChannelParams, ParamValue};
+use ivl_core::{Bit, Signal};
 
 use crate::error::SpecError;
 use crate::value::{parse_document, render_document, Value, ValueKind};
@@ -247,8 +248,7 @@ impl SignalSpec {
     /// # Errors
     ///
     /// Propagates the signal constructor's validation errors.
-    pub fn build(&self) -> Result<ivl_core::Signal, ivl_core::Error> {
-        use ivl_core::{Bit, Signal};
+    pub fn build(&self) -> Result<Signal, ivl_core::Error> {
         match self {
             SignalSpec::Zero => Ok(Signal::zero()),
             SignalSpec::Pulse { at, width } => Signal::pulse(*at, *width),
@@ -1129,10 +1129,6 @@ fn node(tag: &str, fields: Vec<(String, Value)>) -> Value {
     Value::node(tag, fields)
 }
 
-fn field(name: &str, value: Value) -> (String, Value) {
-    (name.to_owned(), value)
-}
-
 impl ExperimentSpec {
     pub(crate) fn to_value(&self) -> Value {
         match &self.workload {
@@ -1684,6 +1680,64 @@ impl Fields {
         }
         Ok(())
     }
+}
+
+pub(crate) fn field(name: &str, value: Value) -> (String, Value) {
+    (name.to_owned(), value)
+}
+
+/// Encodes a signal as the `sig { name; initial; times }` node shared by
+/// result documents and checkpoints (`name` only when given).
+pub(crate) fn sig_to_value(name: Option<&str>, signal: &Signal) -> Value {
+    let times = signal.transitions().iter().map(|t| Value::num(t.time));
+    let fields = [
+        name.map(|n| field("name", Value::str(n))),
+        Some(field("initial", Value::bool(signal.initial() == Bit::One))),
+        Some(field("times", Value::list(times.collect()))),
+    ];
+    Value::node("sig", fields.into_iter().flatten().collect())
+}
+
+/// Decodes a [`sig_to_value`] node.
+pub(crate) fn sig_from_value(value: Value) -> Result<(Option<String>, Signal), SpecError> {
+    let mut f = Fields::of(value, "sig")?;
+    f.expect_tag(&["sig"])?;
+    let name = f
+        .take("name")
+        .map(|v| as_text(&v, "sig", "name"))
+        .transpose()?;
+    let initial = Bit::from(f.bool("initial")?);
+    let times = f
+        .list("times")?
+        .iter()
+        .map(|v| as_f64(v, "sig", "times"))
+        .collect::<Result<Vec<f64>, _>>()?;
+    let span = f.span;
+    f.finish()?;
+    let signal = Signal::from_times(initial, &times)
+        .map_err(|e| SpecError::new(format!("sig: invalid signal: {e}")).at(span))?;
+    Ok((name, signal))
+}
+
+/// Encodes `(name, signal)` pairs as a list of named `sig` nodes.
+pub(crate) fn named_sigs_to_value(signals: &[(String, Signal)]) -> Value {
+    Value::list(
+        signals
+            .iter()
+            .map(|(n, s)| sig_to_value(Some(n), s))
+            .collect(),
+    )
+}
+
+/// Decodes a [`named_sigs_to_value`] list; every `sig` must be named.
+pub(crate) fn named_sigs_from_value(
+    values: Vec<Value>,
+) -> Result<Vec<(String, Signal)>, SpecError> {
+    let named = |v| match sig_from_value(v)? {
+        (Some(name), signal) => Ok((name, signal)),
+        (None, _) => Err(SpecError::new("sig: missing field \"name\"")),
+    };
+    values.into_iter().map(named).collect()
 }
 
 pub(crate) fn as_f64(v: &Value, tag: &str, name: &str) -> Result<f64, SpecError> {

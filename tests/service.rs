@@ -1,13 +1,16 @@
 //! End-to-end tests of the experiment service: golden bit-identity
 //! between served and in-process results, cache semantics, typed error
 //! frames, graceful drain (in-process and via SIGTERM against the real
-//! `faithful-serve` bin), and disk-cache persistence across restarts.
+//! `faithful-serve` bin), disk-cache persistence across restarts, and
+//! the bound on what a peer that does not read can make the daemon
+//! buffer.
 
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::process::{Command, Stdio};
+use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use faithful::service::{
     render_result, ServeConfig, ServeSummary, ServedErrorKind, ServedResult, Server, ServiceClient,
@@ -589,4 +592,200 @@ fn service_docs_are_pinned() {
     ] {
         assert!(readme.contains(needle), "README.md lost {needle:?}");
     }
+}
+
+// ======================================================================
+// Peers that do not read
+// ======================================================================
+
+/// The daemon's per-frame write deadline (`WRITE_DEADLINE` in
+/// `src/service/server.rs`).
+const WRITE_DEADLINE: Duration = Duration::from_secs(5);
+
+/// A write that makes no progress for this long counts as stalled.
+const STALL: Duration = Duration::from_secs(1);
+
+/// A flood that gets this many frames out without a stall is unbounded.
+const FLOOD_FRAMES: u64 = 20_000;
+
+const TAG_HELLO: u8 = 1;
+const TAG_SUBMIT: u8 = 2;
+const TAG_RESULT_CACHED: u8 = 4;
+
+/// The shipped sweep: a 730-byte spec with a 792-byte reply.
+const SHIPPED_SWEEP: &str = include_str!("../specs/digital_sweep.spec");
+
+fn submit_frame(id: u64, spec: &str) -> Vec<u8> {
+    let mut frame = vec![TAG_SUBMIT];
+    frame.extend_from_slice(&id.to_be_bytes());
+    frame.extend_from_slice(&u32::try_from(spec.len()).unwrap().to_be_bytes());
+    frame.extend_from_slice(spec.as_bytes());
+    frame
+}
+
+fn read_raw_frame(r: &mut impl Read) -> (u8, u64, Vec<u8>) {
+    let mut header = [0u8; 13];
+    r.read_exact(&mut header).expect("a complete frame header");
+    let id = u64::from_be_bytes(header[1..9].try_into().unwrap());
+    let len = u32::from_be_bytes(header[9..13].try_into().unwrap());
+    let mut payload = vec![0u8; len as usize];
+    r.read_exact(&mut payload)
+        .expect("a complete frame payload");
+    (header[0], id, payload)
+}
+
+/// A raw connection that resubmitted one spec without reading.
+struct Flood {
+    stream: TcpStream,
+    /// Frames started, with ids `0..started`.
+    started: u64,
+    /// The unwritten tail of the last started frame.
+    unsent: Vec<u8>,
+    /// Whether a write made no progress for [`STALL`].
+    stalled: bool,
+}
+
+/// Resubmits `spec` from a non-blocking socket and never reads, until a
+/// write stalls or [`FLOOD_FRAMES`] frames have gone out.
+fn flood(addr: SocketAddr, spec: &str) -> Flood {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nonblocking(true).unwrap();
+    let mut started = 0u64;
+    let mut unsent = Vec::new();
+    let mut progress = Instant::now();
+    loop {
+        if unsent.is_empty() {
+            if started == FLOOD_FRAMES {
+                break;
+            }
+            unsent = submit_frame(started, spec);
+            started += 1;
+        }
+        match (&stream).write(&unsent) {
+            Ok(n) => {
+                unsent.drain(..n);
+                progress = Instant::now();
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                if progress.elapsed() >= STALL {
+                    return Flood {
+                        stream,
+                        started,
+                        unsent,
+                        stalled: true,
+                    };
+                }
+                thread::sleep(Duration::from_millis(1));
+            }
+            Err(e) => panic!("flood write failed: {e}"),
+        }
+    }
+    Flood {
+        stream,
+        started,
+        unsent,
+        stalled: false,
+    }
+}
+
+fn stall_config() -> ServeConfig {
+    ServeConfig {
+        per_connection: 2,
+        ..ServeConfig::default()
+    }
+}
+
+#[test]
+fn a_client_that_does_not_read_cannot_grow_the_daemon() {
+    let (addr, handle, join) = start(stall_config());
+    let fresh = ServiceClient::connect(addr)
+        .unwrap()
+        .run_one(SHIPPED_SWEEP)
+        .unwrap();
+    assert!(fresh.reply.is_ok(), "{:?}", fresh.reply);
+
+    let flood = flood(addr, SHIPPED_SWEEP);
+    assert!(
+        flood.stalled,
+        "{} frames went out and no write stalled: the daemon buffers replies \
+         for a peer that does not read",
+        flood.started
+    );
+
+    // the stalled peer stalls only itself
+    let other = ServiceClient::connect(addr)
+        .unwrap()
+        .run_one(SHIPPED_SWEEP)
+        .unwrap();
+    assert!(other.cached);
+    assert_eq!(other.payload, fresh.payload);
+
+    // Read everything (finishing the torn frame alongside): every id
+    // gets exactly one byte-identical cache replay.
+    let Flood {
+        stream,
+        started,
+        unsent,
+        ..
+    } = flood;
+    stream.set_nonblocking(false).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut tail = stream.try_clone().unwrap();
+    let finish = thread::spawn(move || tail.write_all(&unsent));
+    let mut r = BufReader::new(&stream);
+    assert_eq!(read_raw_frame(&mut r).0, TAG_HELLO);
+    let mut seen = vec![false; usize::try_from(started).unwrap()];
+    for _ in 0..started {
+        let (tag, id, payload) = read_raw_frame(&mut r);
+        assert_eq!(tag, TAG_RESULT_CACHED, "id {id}");
+        let slot = &mut seen[usize::try_from(id).unwrap()];
+        assert!(!*slot, "id {id} answered twice");
+        *slot = true;
+        assert!(payload == fresh.payload.as_bytes(), "id {id} drifted");
+    }
+    finish.join().unwrap().unwrap();
+    handle.shutdown();
+    let summary = join.join().unwrap();
+    assert_eq!(summary.cache_hits, started + 1);
+    assert_eq!(summary.jobs, 1);
+}
+
+#[test]
+fn drain_completes_with_a_stalled_peer() {
+    let (addr, handle, join) = start(stall_config());
+    let fresh = ServiceClient::connect(addr)
+        .unwrap()
+        .run_one(SHIPPED_SWEEP)
+        .unwrap();
+    assert!(fresh.reply.is_ok(), "{:?}", fresh.reply);
+    let flood = flood(addr, SHIPPED_SWEEP);
+
+    // a hang fails the test instead of blocking it
+    let (done, drained) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = done.send(join.join());
+    });
+    let begun = Instant::now();
+    handle.shutdown();
+    let summary = drained
+        .recv_timeout(3 * WRITE_DEADLINE)
+        .unwrap_or_else(|_| {
+            panic!(
+                "Server::run did not return within {:?} of shutdown with a peer \
+                 that does not read ({} frames sent, stalled: {})",
+                3 * WRITE_DEADLINE,
+                flood.started,
+                flood.stalled
+            )
+        })
+        .unwrap();
+    eprintln!(
+        "drained in {:?} after {} frames (stalled: {})",
+        begun.elapsed(),
+        flood.started,
+        flood.stalled
+    );
+    assert_eq!(summary.jobs, 1);
 }
