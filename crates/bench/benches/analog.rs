@@ -9,7 +9,9 @@
 //! ~2.4 ms and measured thread-spawn overhead, which is how 4 workers
 //! came out *slower* than 1 in earlier baselines. The recorded
 //! `host_cpus` says how many cores the numbers were taken on. In
-//! `--test` mode (CI smoke) every measurement runs exactly once.
+//! `--test` mode (CI smoke) every measurement runs exactly once and the
+//! numbers go to `target/bench/BENCH_analog.json` instead, leaving the
+//! committed baseline alone.
 
 use std::time::Instant;
 
@@ -20,6 +22,7 @@ use ivl_analog::ode::Rk45Options;
 use ivl_analog::stimulus::Pulse;
 use ivl_analog::supply::VddSource;
 use ivl_analog::SweepRunner;
+use ivl_bench::Baseline;
 
 fn bench_chain_transient(c: &mut Criterion) {
     let mut group = c.benchmark_group("chain_transient");
@@ -134,7 +137,8 @@ fn median_secs<F: FnMut()>(iters: usize, mut f: F) -> f64 {
 
 /// Emits the `BENCH_analog.json` perf baseline: the RK4-vs-RK45 hot
 /// paths and the parallel sweep at 1/2/4/8 workers.
-fn emit_baseline(test_mode: bool) {
+fn emit_baseline(baseline: &Baseline) {
+    let test_mode = baseline.test_mode;
     let iters = if test_mode { 1 } else { 5 };
     let stim = Pulse::new(60.0, 80.0, 10.0, 1.0).unwrap();
     let vdd = VddSource::dc(1.0);
@@ -225,18 +229,7 @@ fn emit_baseline(test_mode: bool) {
     json.push_str("  }\n");
     json.push_str("}\n");
 
-    let dir = std::env::var_os("BENCH_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("workspace root exists")
-                .to_path_buf()
-        });
-    let path = dir.join("BENCH_analog.json");
-    std::fs::write(&path, json).expect("can write bench baseline");
-    println!("baseline written to {}", path.display());
+    baseline.write(&json);
     println!("speedup rk45 vs rk4: simulate {speedup_sim:.1}x, characterize {speedup_char:.1}x");
     for (workers, t) in &parallel_times {
         println!(
@@ -256,17 +249,7 @@ criterion_group!(
 
 fn main() {
     benches();
-    // only rewrite the tracked baseline on full, unfiltered runs (or
-    // CI's `--test` smoke); a name-filtered dev invocation should
-    // neither pay for the baseline suite nor clobber its numbers. A
-    // bare argument counts as a filter only when it does not directly
-    // follow a `--option` (which may be consuming it as a value).
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let filtered = args.iter().enumerate().any(|(i, a)| {
-        let follows_option = i > 0 && args[i - 1].starts_with("--");
-        !a.is_empty() && !a.starts_with("--") && !follows_option
-    });
-    if !filtered {
-        emit_baseline(args.iter().any(|a| a == "--test"));
+    if let Some(baseline) = Baseline::for_run("BENCH_analog.json") {
+        emit_baseline(&baseline);
     }
 }

@@ -28,7 +28,9 @@
 //! pipeline is tracked across PRs. The baseline records `host_cpus`
 //! (`available_parallelism`) — parallel speedups are only meaningful
 //! relative to the cores the recording host actually had. In `--test`
-//! mode (CI smoke) every measurement runs exactly once. With
+//! mode (CI smoke) every measurement runs exactly once and the numbers
+//! go to `target/bench/BENCH_digital.json` instead, so the smoke never
+//! rewrites the committed baseline its gates read. With
 //! `IVL_BENCH_CHECK=1` the harness exits non-zero if (a) — on hosts
 //! with ≥ 4 cores — the 4-worker `sweep_10k` fails to beat 1 worker,
 //! (b) a scale workload's peak RSS per gate grows more than 10% past
@@ -49,6 +51,7 @@ use faithful::{
     lint_text_for_service, ChannelSpec, DigitalSpec, Experiment, ExperimentSpec, FailurePolicySpec,
     LintConfig, NoiseSpec, OutputSelect, ScenarioSpec, SignalSpec, TopologySpec,
 };
+use ivl_bench::Baseline;
 use ivl_circuit::{
     Circuit, CircuitBuilder, GateKind, Scenario, ScenarioRunner, SimResult, Simulator, SweepResult,
 };
@@ -714,7 +717,8 @@ fn dag20k_sweep() -> DigitalSpec {
 /// the three workloads, the 64-scenario sweep at 1/2/4 workers, the
 /// facade-driven sweeps, and the `sweep_10k` scaling tier.
 #[allow(clippy::too_many_lines)]
-fn emit_baseline(test_mode: bool) {
+fn emit_baseline(baseline: &Baseline) {
+    let test_mode = baseline.test_mode;
     let iters = if test_mode { 1 } else { 5 };
     let sweep_circuit = pipeline_circuit(128);
     let scenarios = sweep_scenarios(64);
@@ -912,21 +916,10 @@ fn emit_baseline(test_mode: bool) {
     json.push_str("  }\n");
     json.push_str("}\n");
 
-    let dir = std::env::var_os("BENCH_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("workspace root exists")
-                .to_path_buf()
-        });
-    let path = dir.join("BENCH_digital.json");
     // the committed baseline feeds the peak-RSS regression gate, so it
-    // must be read before this run's numbers replace it
-    let prior_baseline = std::fs::read_to_string(&path).unwrap_or_default();
-    std::fs::write(&path, json).expect("can write bench baseline");
-    println!("baseline written to {}", path.display());
+    // must be read before a full run's numbers replace it
+    let prior_baseline = std::fs::read_to_string(&baseline.committed).unwrap_or_default();
+    baseline.write(&json);
     for (workers, t) in &sweep10k_times {
         println!("sweep_10k {workers}w: {t:.3}s ({:.2}x vs 1w)", base_10k / t);
     }
@@ -992,17 +985,7 @@ fn bench_check(sweep10k_circuit: &Circuit, sweep10k: &[Scenario], host_cpus: usi
 
 fn main() {
     benches();
-    // only rewrite the tracked baseline on full, unfiltered runs (or
-    // CI's `--test` smoke); a name-filtered dev invocation should
-    // neither pay for the baseline suite nor clobber its numbers. A
-    // bare argument counts as a filter only when it does not directly
-    // follow a `--option` (which may be consuming it as a value).
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let filtered = args.iter().enumerate().any(|(i, a)| {
-        let follows_option = i > 0 && args[i - 1].starts_with("--");
-        !a.is_empty() && !a.starts_with("--") && !follows_option
-    });
-    if !filtered {
-        emit_baseline(args.iter().any(|a| a == "--test"));
+    if let Some(baseline) = Baseline::for_run("BENCH_digital.json") {
+        emit_baseline(&baseline);
     }
 }

@@ -35,22 +35,88 @@ impl Series {
     }
 }
 
+/// The workspace root: two levels above this crate's manifest.
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root exists")
+        .to_path_buf()
+}
+
 /// Resolves the output directory for figure CSVs: `$FIGURES_DIR` or
 /// `figures/` under the workspace root (created if absent).
 #[must_use]
 pub fn figures_dir() -> PathBuf {
     let dir = std::env::var_os("FIGURES_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            // workspace root = two levels above this crate's manifest
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("workspace root exists")
-                .join("figures")
-        });
+        .map_or_else(|| workspace_root().join("figures"), PathBuf::from);
     fs::create_dir_all(&dir).expect("can create figures directory");
     dir
+}
+
+/// Where a bench harness reads and writes its JSON baseline
+/// (`BENCH_<suite>.json`), decided from the harness's arguments.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Baseline {
+    /// `--test` (the one-iteration smoke): every measurement runs once.
+    pub test_mode: bool,
+    /// The committed baseline the regression gates compare against:
+    /// the file in `$BENCH_DIR`, or at the workspace root.
+    pub committed: PathBuf,
+    /// Where this run's numbers go: the committed file on a full run,
+    /// `target/bench/` under the workspace root in `--test` mode, so a
+    /// smoke run never rewrites a tracked baseline with one-iteration
+    /// numbers.
+    pub output: PathBuf,
+}
+
+impl Baseline {
+    /// The baseline `file` of this bench run, or `None` on a
+    /// name-filtered run, which should neither pay for the baseline
+    /// suite nor clobber its numbers.
+    #[must_use]
+    pub fn for_run(file: &str) -> Option<Baseline> {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Baseline::from_args(file, &args)
+    }
+
+    /// [`for_run`](Baseline::for_run) over explicit arguments (without
+    /// the program name). A bare argument counts as a filter only when
+    /// it does not directly follow a `--option` that may be consuming it
+    /// as a value; cargo's own `--bench` and `--test` flags take none.
+    fn from_args(file: &str, args: &[String]) -> Option<Baseline> {
+        let takes_value = |o: &str| o.starts_with("--") && o != "--bench" && o != "--test";
+        let filtered = args.iter().enumerate().any(|(i, a)| {
+            let follows_option = i > 0 && takes_value(&args[i - 1]);
+            !a.is_empty() && !a.starts_with("--") && !follows_option
+        });
+        if filtered {
+            return None;
+        }
+        let test_mode = args.iter().any(|a| a == "--test");
+        let committed = std::env::var_os("BENCH_DIR")
+            .map_or_else(workspace_root, PathBuf::from)
+            .join(file);
+        let output = if test_mode {
+            workspace_root().join("target/bench").join(file)
+        } else {
+            committed.clone()
+        };
+        Some(Baseline {
+            test_mode,
+            committed,
+            output,
+        })
+    }
+
+    /// Writes this run's baseline JSON to [`output`](Baseline::output).
+    pub fn write(&self, json: &str) {
+        if let Some(dir) = self.output.parent() {
+            fs::create_dir_all(dir).expect("can create bench output directory");
+        }
+        fs::write(&self.output, json).expect("can write bench baseline");
+        println!("baseline written to {}", self.output.display());
+    }
 }
 
 /// Writes series as a long-format CSV (`series,x,y`) into
@@ -169,6 +235,26 @@ mod tests {
         assert!(content.contains("a,1,2"));
         std::env::remove_var("FIGURES_DIR");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn smoke_runs_write_under_target_and_filtered_runs_not_at_all() {
+        let args = |a: &[&str]| a.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
+        let smoke = Baseline::from_args("BENCH_x.json", &args(&["--bench", "--test"])).unwrap();
+        assert!(smoke.test_mode);
+        assert_eq!(
+            smoke.output,
+            workspace_root().join("target/bench/BENCH_x.json")
+        );
+        assert_ne!(smoke.output, smoke.committed);
+        let full = Baseline::from_args("BENCH_x.json", &args(&["--bench"])).unwrap();
+        assert!(!full.test_mode);
+        assert_eq!(full.output, full.committed);
+        // `cargo bench -- chain` runs the harness as `<bin> --bench chain`
+        let filtered = Baseline::from_args("BENCH_x.json", &args(&["--bench", "chain"]));
+        assert_eq!(filtered, None);
+        let valued = Baseline::from_args("BENCH_x.json", &args(&["--save-baseline", "x"]));
+        assert!(valued.is_some());
     }
 
     #[test]

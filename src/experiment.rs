@@ -35,8 +35,8 @@ use crate::checkpoint;
 use crate::error::{CheckpointError, Error, SpecError};
 use crate::spec::{
     AnalogSpec, AnalogTask, ChannelSpec, DelaySpec, DigitalSpec, ExperimentSpec, FailurePolicySpec,
-    GateKindSpec, IntegratorSpec, NodeSpec, NoiseSpec, Orientation, ReferenceSpec, SpfSpec,
-    SpfTask, TopologySpec, WorkloadSpec,
+    GateKindSpec, IntegratorSpec, NodeSpec, NoiseSpec, Orientation, ReferenceSpec, SpecSpans,
+    SpfSpec, SpfTask, TopologySpec, WorkloadSpec,
 };
 
 /// A ready-to-run experiment: a spec plus the channel registry used to
@@ -59,6 +59,9 @@ use crate::spec::{
 #[derive(Debug)]
 pub struct Experiment {
     spec: ExperimentSpec,
+    /// Where [`parse`](Experiment::parse) found the parts of the spec, so
+    /// lint diagnostics point into its text (empty otherwise).
+    spans: SpecSpans,
     registry: ChannelRegistry,
     lint: Option<crate::lint::LintConfig>,
     timeout: Option<Duration>,
@@ -74,6 +77,7 @@ impl Experiment {
     pub fn new(spec: ExperimentSpec) -> Self {
         Experiment {
             spec,
+            spans: SpecSpans::default(),
             registry: ChannelRegistry::with_builtins(),
             lint: None,
             timeout: None,
@@ -105,13 +109,19 @@ impl Experiment {
         Ok(experiment)
     }
 
-    /// Parses a serialized spec and wraps it.
+    /// Parses a serialized spec and wraps it. Lint diagnostics of the
+    /// experiment ([`lint_report`](Experiment::lint_report) and the
+    /// [`run`](Experiment::run) pre-flight) point into `text`.
     ///
     /// # Errors
     ///
     /// [`Error::Spec`] on parse failure.
     pub fn parse(text: &str) -> Result<Self, Error> {
-        Ok(Experiment::new(text.parse::<ExperimentSpec>()?))
+        let (spec, spans) = ExperimentSpec::parse_spanned(text)?;
+        Ok(Experiment {
+            spans,
+            ..Experiment::new(spec)
+        })
     }
 
     /// Convenience: a channel-application experiment.
@@ -201,9 +211,11 @@ impl Experiment {
 
     /// Lints the wrapped spec against this experiment's channel
     /// registry without running anything (see [`mod@crate::lint`]).
+    /// Diagnostics carry spans when the experiment was
+    /// [`parse`](Experiment::parse)d.
     #[must_use]
     pub fn lint_report(&self) -> crate::lint::LintReport {
-        crate::lint::lint(&self.spec, &self.registry)
+        crate::lint::lint_spanned(&self.spec, &self.spans, &self.registry, false)
     }
 
     /// Runs the experiment, dispatching on the workload kind.

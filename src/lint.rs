@@ -42,6 +42,10 @@
 //! | `IVL061` | warning | `random_dag` without an explicit seed (netlist not reproducible from the spec) |
 //! | `IVL062` | error | watched node name not present in the (generated) topology |
 //!
+//! Diagnostics on a parsed spec ([`lint_text`],
+//! [`Experiment::parse`](crate::Experiment::parse)) carry the line and
+//! column the parser recorded for the part they point at.
+//!
 //! [`Experiment::run`](crate::Experiment::run) runs the linter as a
 //! pre-flight: `Error`-severity diagnostics deny the run by default,
 //! and [`LintConfig::Off`] skips the pass.
@@ -59,10 +63,9 @@ use ivl_core::Signal;
 use crate::error::{Span, SpecError};
 use crate::spec::{
     channel_to_value, AnalogSpec, ChannelSpec, DelaySpec, DigitalSpec, ExperimentSpec,
-    FailurePolicySpec, GateKindSpec, NodeSpec, ReferenceSpec, ScenarioSpec, SignalSpec, SpfSpec,
-    SpfTask, TopologySpec, WorkloadSpec,
+    FailurePolicySpec, GateKindSpec, NodeSpec, ReferenceSpec, ScenarioSpec, SignalSpec, SpecSpans,
+    SpfSpec, SpfTask, TopologySpec, WorkloadSpec,
 };
-use crate::value::{parse_document, Value, ValueKind};
 
 /// How bad a [`Diagnostic`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -175,33 +178,33 @@ pub enum LintConfig {
 /// Diagnostics carry no spans; parse via [`lint_text`] to get locations.
 #[must_use]
 pub fn lint(spec: &ExperimentSpec, registry: &ChannelRegistry) -> LintReport {
-    Linter::new(registry, SpecSpans::default()).run(spec)
+    lint_spanned(spec, &SpecSpans::default(), registry, false)
 }
 
 /// Parses a spec document and lints it, attaching line/column spans to
-/// the diagnostics.
+/// the diagnostics. The spans are the ones the parse recorded as it read
+/// each field, so they point at the text exactly as written.
 ///
 /// # Errors
 ///
 /// [`SpecError`] when the text does not parse as a spec at all (lint
 /// needs a structurally valid document to work on).
 pub fn lint_text(text: &str, registry: &ChannelRegistry) -> Result<LintReport, SpecError> {
-    let value = parse_document(text)?;
-    let spans = SpecSpans::extract(&value);
-    let spec = ExperimentSpec::from_value(value)?;
-    Ok(Linter::new(registry, spans).run(&spec))
+    lint_parsed(text, registry, false)
 }
 
 /// Parses a spec document and lints it *as the experiment service
 /// would before running it*, attaching line/column spans.
 ///
-/// This is the same pass set as [`lint_text`], plus service-context
-/// diagnostics for fields the daemon overrides server-side — today
-/// `IVL050` (info) when a spec requests `workers = n`, which
-/// `faithful-serve` ignores in favor of its own shared pool sizing.
-/// Results are unaffected (sweeps are bit-identical across worker
-/// counts), so the finding is informational, but clients should not be
-/// silently surprised that the knob did nothing.
+/// This is the same parse and pass set as [`lint_text`], plus
+/// service-context diagnostics for fields the daemon overrides
+/// server-side — today `IVL050` (info) when a spec requests
+/// `workers = n`, which `faithful-serve` ignores in favor of its own
+/// shared pool sizing. Results are unaffected (sweeps are bit-identical
+/// across worker counts), so the finding is informational, but clients
+/// should not be silently surprised that the knob did nothing. The
+/// daemon itself lints the spec it parsed at admission, with that
+/// parse's spans, rather than parsing the text again.
 ///
 /// # Errors
 ///
@@ -210,123 +213,39 @@ pub fn lint_text_for_service(
     text: &str,
     registry: &ChannelRegistry,
 ) -> Result<LintReport, SpecError> {
-    let value = parse_document(text)?;
-    let spans = SpecSpans::extract(&value);
-    let spec = ExperimentSpec::from_value(value)?;
-    Ok(Linter::new(registry, spans).for_service().run(&spec))
+    lint_parsed(text, registry, true)
 }
 
-// ======================================================================
-// Span side-table
-// ======================================================================
-
-/// Spans harvested from the parsed [`Value`] tree, so diagnostics on the
-/// typed spec (which carries no spans) can still point into the text.
-#[derive(Debug, Default)]
-struct SpecSpans {
-    workload: Option<Span>,
-    nodes: Vec<Option<Span>>,
-    edges: Vec<Option<Span>>,
-    scenarios: Vec<Option<Span>>,
-    widths: Option<Span>,
-    horizon: Option<Span>,
-    workers: Option<Span>,
-    max_events: Option<Span>,
-    on_failure: Option<Span>,
-    delay: Option<Span>,
-    topology: Option<Span>,
-    watch: Vec<Option<Span>>,
-    /// Rendered channel spec text → span of its node in the document.
-    channels: HashMap<String, Span>,
+fn lint_parsed(
+    text: &str,
+    registry: &ChannelRegistry,
+    service: bool,
+) -> Result<LintReport, SpecError> {
+    let (spec, spans) = ExperimentSpec::parse_spanned(text)?;
+    Ok(lint_spanned(&spec, &spans, registry, service))
 }
 
-impl SpecSpans {
-    fn extract(value: &Value) -> SpecSpans {
-        let mut spans = SpecSpans {
-            workload: value.span(),
-            ..SpecSpans::default()
-        };
-        spans.collect_channels(value);
-        let ValueKind::Node(_, fields) = value.kind() else {
-            return spans;
-        };
-        for (name, v) in fields {
-            match name.as_str() {
-                "topology" => {
-                    spans.topology = v.span();
-                    spans.collect_topology(v);
-                }
-                "scenarios" => spans.scenarios = list_spans(v),
-                "outputs" => {
-                    if let ValueKind::Node(_, of) = v.kind() {
-                        if let Some((_, w)) = of.iter().find(|(n, _)| n == "watch") {
-                            spans.watch = list_spans(w);
-                        }
-                    }
-                }
-                "horizon" => spans.horizon = v.span(),
-                "workers" => spans.workers = v.span(),
-                "max_events" => spans.max_events = v.span(),
-                "on_failure" => spans.on_failure = v.span(),
-                "sweep" => {
-                    if let ValueKind::Node(_, sf) = v.kind() {
-                        if let Some((_, w)) = sf.iter().find(|(n, _)| n == "widths") {
-                            spans.widths = w.span();
-                        }
-                    }
-                }
-                "delay" => spans.delay = v.span(),
-                _ => {}
-            }
-        }
-        spans
-    }
-
-    fn collect_topology(&mut self, v: &Value) {
-        let ValueKind::Node(_, fields) = v.kind() else {
-            return;
-        };
-        for (name, fv) in fields {
-            match name.as_str() {
-                "nodes" => self.nodes = list_spans(fv),
-                "edges" => self.edges = list_spans(fv),
-                _ => {}
-            }
-        }
-    }
-
-    /// Every node reached through a field named `channel` is a channel
-    /// spec; key by its canonical rendering (which is what the typed
-    /// spec re-renders to, so lookups match exactly).
-    fn collect_channels(&mut self, v: &Value) {
-        match v.kind() {
-            ValueKind::Node(_, fields) => {
-                for (name, fv) in fields {
-                    if name == "channel"
-                        && matches!(fv.kind(), ValueKind::Node(..) | ValueKind::Word(_))
-                    {
-                        if let Some(span) = fv.span() {
-                            self.channels.entry(fv.to_string()).or_insert(span);
-                        }
-                    }
-                    self.collect_channels(fv);
-                }
-            }
-            ValueKind::List(items) => {
-                for item in items {
-                    self.collect_channels(item);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-fn list_spans(v: &Value) -> Vec<Option<Span>> {
-    match v.kind() {
-        ValueKind::List(items) => items.iter().map(Value::span).collect(),
-        _ => Vec::new(),
-    }
+/// Lints `spec` with the spans its parse recorded (the empty table for a
+/// built spec); `service` adds the service-context diagnostics
+/// (`IVL050`).
+pub(crate) fn lint_spanned(
+    spec: &ExperimentSpec,
+    spans: &SpecSpans,
+    registry: &ChannelRegistry,
+    service: bool,
+) -> LintReport {
+    let linter = Linter {
+        registry,
+        spans,
+        diagnostics: Vec::new(),
+        channels: Vec::new(),
+        channel_ids: HashMap::new(),
+        probe_cache: HashMap::new(),
+        probes_left: PROBE_BUDGET,
+        truncated: false,
+        service,
+    };
+    linter.run(spec)
 }
 
 // ======================================================================
@@ -357,6 +276,7 @@ struct ChannelFacts {
 /// verified and built for probing once, however many edges carry it.
 struct InternedChannel<'s> {
     spec: &'s ChannelSpec,
+    /// Where its first occurrence is written.
     span: Option<Span>,
     /// Set once the verification pass has run on this channel.
     facts: Option<ChannelFacts>,
@@ -368,7 +288,7 @@ struct InternedChannel<'s> {
 
 struct Linter<'a, 's> {
     registry: &'a ChannelRegistry,
-    spans: SpecSpans,
+    spans: &'a SpecSpans,
     diagnostics: Vec<Diagnostic>,
     channels: Vec<InternedChannel<'s>>,
     /// Canonical rendering → index into `channels`.
@@ -383,25 +303,6 @@ struct Linter<'a, 's> {
 }
 
 impl<'a, 's> Linter<'a, 's> {
-    fn new(registry: &'a ChannelRegistry, spans: SpecSpans) -> Self {
-        Linter {
-            registry,
-            spans,
-            diagnostics: Vec::new(),
-            channels: Vec::new(),
-            channel_ids: HashMap::new(),
-            probe_cache: HashMap::new(),
-            probes_left: PROBE_BUDGET,
-            truncated: false,
-            service: false,
-        }
-    }
-
-    fn for_service(mut self) -> Self {
-        self.service = true;
-        self
-    }
-
     fn push(
         &mut self,
         code: &'static str,
@@ -420,7 +321,7 @@ impl<'a, 's> Linter<'a, 's> {
     fn run(mut self, spec: &'s ExperimentSpec) -> LintReport {
         match &spec.workload {
             WorkloadSpec::Channel(c) => {
-                let ci = self.intern(&c.channel);
+                let ci = self.intern(&c.channel, self.spans.channel);
                 self.check_channel(ci);
                 self.check_signal(&c.input, "input", self.spans.workload);
             }
@@ -495,10 +396,11 @@ impl<'a, 's> Linter<'a, 's> {
     // Pass 2: channel-parameter verification
     // ------------------------------------------------------------------
 
-    /// The index of `c` in the channel table, adding it on first sight.
-    /// Specs are told apart by their canonical rendering, so equal specs
-    /// written out separately (on different edges) share one entry.
-    fn intern(&mut self, c: &'s ChannelSpec) -> usize {
+    /// The index of `c` in the channel table, adding it (written at
+    /// `span`) on first sight. Specs are told apart by their canonical
+    /// rendering, so equal specs written out separately (on different
+    /// edges) share one entry, which points at the first of them.
+    fn intern(&mut self, c: &'s ChannelSpec, span: Option<Span>) -> usize {
         let key = channel_to_value(c).to_string();
         if let Some(&ci) = self.channel_ids.get(&key) {
             return ci;
@@ -506,7 +408,7 @@ impl<'a, 's> Linter<'a, 's> {
         let ci = self.channels.len();
         self.channels.push(InternedChannel {
             spec: c,
-            span: self.spans.channels.get(&key).copied(),
+            span,
             facts: None,
             probe: None,
         });
@@ -675,7 +577,7 @@ impl<'a, 's> Linter<'a, 's> {
             .map(|n| n.name.as_str())
             .collect();
         for (i, s) in d.scenarios.iter().enumerate() {
-            let span = self.spans.scenarios.get(i).copied().flatten();
+            let span = nth(&self.spans.scenarios, i);
             if !labels.insert(&s.label) {
                 self.push(
                     "IVL038",
@@ -705,13 +607,7 @@ impl<'a, 's> Linter<'a, 's> {
         // is decided without materializing the netlist.
         for (i, name) in d.outputs.watch.iter().enumerate() {
             if !topology_has_node(&d.topology, name) {
-                let span = self
-                    .spans
-                    .watch
-                    .get(i)
-                    .copied()
-                    .flatten()
-                    .or(self.spans.topology);
+                let span = nth(&self.spans.watch, i).or(self.spans.topology);
                 self.push(
                     "IVL062",
                     Severity::Error,
@@ -757,10 +653,7 @@ impl<'a, 's> Linter<'a, 's> {
                 floor += signal.transitions().len() as u64 * fanout;
             }
             if floor > budget {
-                let span = self
-                    .spans
-                    .max_events
-                    .or_else(|| self.spans.scenarios.get(i).copied().flatten());
+                let span = self.spans.max_events.or(nth(&self.spans.scenarios, i));
                 self.push(
                     "IVL040",
                     Severity::Warning,
@@ -809,7 +702,7 @@ impl<'a, 's> Linter<'a, 's> {
             TopologySpec::Netlist(n) => {
                 let mut by_name: HashMap<&str, usize> = HashMap::new();
                 for (i, node) in n.nodes.iter().enumerate() {
-                    let span = self.spans.nodes.get(i).copied().flatten();
+                    let span = nth(&self.spans.nodes, i);
                     let (name, kind) = match node {
                         NodeSpec::Input { name } => (name, GKind::Input),
                         NodeSpec::Output { name } => (name, GKind::Output),
@@ -835,7 +728,11 @@ impl<'a, 's> Linter<'a, 's> {
                     });
                 }
                 for (i, e) in n.edges.iter().enumerate() {
-                    let span = self.spans.edges.get(i).copied().flatten();
+                    let span = nth(&self.spans.edges, i);
+                    // interned in document order, dangling edges included,
+                    // so a shared channel points at its first occurrence
+                    let channel_span = nth(&self.spans.edge_channels, i);
+                    let channel = e.channel.as_ref().map(|c| self.intern(c, channel_span));
                     let from = by_name.get(e.from.as_str()).copied();
                     let to = by_name.get(e.to.as_str()).copied();
                     for (end, node) in [("from", &e.from), ("to", &e.to)] {
@@ -849,7 +746,6 @@ impl<'a, 's> Linter<'a, 's> {
                         }
                     }
                     if let (Some(from), Some(to)) = (from, to) {
-                        let channel = e.channel.as_ref().map(|c| self.intern(c));
                         g.edges.push(GEdge {
                             from,
                             to,
@@ -877,7 +773,7 @@ impl<'a, 's> Linter<'a, 's> {
                     kind: GKind::Output,
                     span: None,
                 });
-                let ci = self.intern(channel);
+                let ci = self.intern(channel, self.spans.channel);
                 let span = self.channels[ci].span;
                 for i in 0..=*stages as usize {
                     g.edges.push(GEdge {
@@ -980,7 +876,7 @@ impl<'a, 's> Linter<'a, 's> {
             kind: GKind::Output,
             span: None,
         });
-        let ci = self.intern(channel);
+        let ci = self.intern(channel, self.spans.channel);
         let span = self.channels[ci].span;
         g.edges.push(GEdge {
             from: 0,
@@ -1438,6 +1334,11 @@ impl<'a, 's> Linter<'a, 's> {
             .iter()
             .any(|d| d.severity == Severity::Error && d.span == span)
     }
+}
+
+/// The span of item `i` of a spanned list (none for a built spec).
+fn nth(spans: &[Option<Span>], i: usize) -> Option<Span> {
+    spans.get(i).copied().flatten()
 }
 
 /// Whether `name` names a node of the topology, without materializing

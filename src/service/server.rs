@@ -19,9 +19,9 @@
 //!   block on a socket, and a reply not written within `WRITE_DEADLINE`
 //!   drops the connection along with the replies still queued for it.
 //!
-//! Submitted specs are parsed, canonicalized, answered from the
-//! [`ResultCache`] when possible, and otherwise lint-preflighted and
-//! run through the [`Experiment`] facade with per-spec `workers`
+//! Submitted specs are parsed once, canonicalized, answered from the
+//! [`ResultCache`] when possible, and otherwise lint-preflighted (with
+//! the spans of that one parse) and run through the [`Experiment`] facade with per-spec `workers`
 //! overridden to 1 — parallelism comes from the pool, not from inside
 //! a job (and results are unaffected; that is lint `IVL050`'s story).
 //!
@@ -44,8 +44,8 @@ use super::cache::{CacheCounters, ResultCache};
 use super::protocol::{Frame, ReadOutcome, GREETING};
 use super::wire::{render_error, render_result, ServedErrorKind};
 use crate::experiment::Experiment;
-use crate::lint::{lint_text_for_service, LintConfig};
-use crate::spec::{fnv1a_64, ChannelSpec, ExperimentSpec, TopologySpec, WorkloadSpec};
+use crate::lint::{lint_spanned, LintConfig};
+use crate::spec::{fnv1a_64, ChannelSpec, ExperimentSpec, SpecSpans, TopologySpec, WorkloadSpec};
 
 /// How often idle connection readers wake to check for shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(150);
@@ -121,8 +121,9 @@ pub struct ServeSummary {
 
 struct Job {
     id: u64,
-    /// The submitted text, verbatim (lint spans point into it).
-    text: String,
+    /// Where the submission's parse found each part of the text (lint
+    /// spans point into the text as submitted).
+    spans: SpecSpans,
     /// The canonical rendering (the cache key's preimage).
     canonical: String,
     hash: u64,
@@ -484,8 +485,8 @@ fn handle_submit(
         let message = "the daemon is draining and no longer accepts jobs";
         return reply(error_frame(id, ServedErrorKind::Shutdown, message), slot);
     }
-    let spec: ExperimentSpec = match text.parse() {
-        Ok(spec) => spec,
+    let (spec, spans) = match ExperimentSpec::parse_spanned(&text) {
+        Ok(parsed) => parsed,
         Err(e) => {
             shared.errors.fetch_add(1, Ordering::SeqCst);
             return reply(error_frame(id, ServedErrorKind::Spec, &e.to_string()), slot);
@@ -516,7 +517,7 @@ fn handle_submit(
         canonical,
         hash,
         spec,
-        text,
+        spans,
         reply: tx.clone(),
         slot,
     });
@@ -528,7 +529,7 @@ fn handle_submit(
 // ======================================================================
 
 fn process(job: Job, registry: &ChannelRegistry, shared: &Arc<Shared>) {
-    let frame = match run_job(job.id, &job.text, job.spec, registry) {
+    let frame = match run_job(job.id, job.spec, &job.spans, registry) {
         Ok(rendered) => {
             if job.cacheable {
                 shared.cache.lock().expect("cache lock").insert(
@@ -559,15 +560,14 @@ fn process(job: Job, registry: &ChannelRegistry, shared: &Arc<Shared>) {
 /// error reply.
 fn run_job(
     id: u64,
-    text: &str,
     mut spec: ExperimentSpec,
+    spans: &SpecSpans,
     registry: &ChannelRegistry,
 ) -> Result<String, Frame> {
     // Lint preflight over the wire: reject Error-severity findings as a
     // typed error carrying every diagnostic (spans point into the
     // submitted text, not the canonical rendering).
-    let report = lint_text_for_service(text, registry)
-        .map_err(|e| error_frame(id, ServedErrorKind::Spec, &e.to_string()))?;
+    let report = lint_spanned(&spec, spans, registry, true);
     if report.has_errors() {
         return Err(Frame::Error {
             id,

@@ -27,7 +27,7 @@ use std::str::FromStr;
 use ivl_core::factory::{ChannelParams, ParamValue};
 use ivl_core::{Bit, Signal};
 
-use crate::error::SpecError;
+use crate::error::{Span, SpecError};
 use crate::value::{parse_document, render_document, Value, ValueKind};
 
 /// A complete, serializable description of one experiment.
@@ -1579,10 +1579,12 @@ fn noise_to_value(n: NoiseSpec) -> Value {
 /// A consuming reader over one node's fields with contextual errors.
 ///
 /// Carries the node's span so every error it raises points back into
-/// the spec text when the value was parsed rather than built.
+/// the spec text when the value was parsed rather than built, and hands
+/// out a field's span ([`span_of`](Fields::span_of)) for the reader to
+/// record in [`SpecSpans`] as it consumes the field.
 pub(crate) struct Fields {
     pub(crate) tag: String,
-    pub(crate) span: Option<crate::error::Span>,
+    pub(crate) span: Option<Span>,
     fields: Vec<(String, Option<Value>)>,
 }
 
@@ -1618,6 +1620,12 @@ impl Fields {
             ))
             .at(self.span))
         }
+    }
+
+    /// The span of field `name`, if it is present and not yet taken.
+    fn span_of(&self, name: &str) -> Option<Span> {
+        let (_, v) = self.fields.iter().find(|(n, v)| n == name && v.is_some())?;
+        v.as_ref()?.span()
     }
 
     pub(crate) fn take(&mut self, name: &str) -> Option<Value> {
@@ -1784,18 +1792,56 @@ pub(crate) fn as_text(v: &Value, tag: &str, name: &str) -> Result<String, SpecEr
     }
 }
 
+/// Where the parts of a parsed spec that lint diagnostics point at sit
+/// in its text. [`ExperimentSpec::parse_spanned`] records each span as
+/// it consumes the field, so the table cannot drift from the parser; a
+/// built spec has the empty table. List entries are indexed like the
+/// spec's lists.
+#[derive(Debug, Default)]
+pub(crate) struct SpecSpans {
+    pub(crate) workload: Option<Span>,
+    pub(crate) topology: Option<Span>,
+    pub(crate) nodes: Vec<Option<Span>>,
+    pub(crate) edges: Vec<Option<Span>>,
+    /// Edge *i*'s channel, when it has one.
+    pub(crate) edge_channels: Vec<Option<Span>>,
+    /// The channel workload's channel, or the topology generator's.
+    pub(crate) channel: Option<Span>,
+    pub(crate) scenarios: Vec<Option<Span>>,
+    pub(crate) watch: Vec<Option<Span>>,
+    pub(crate) horizon: Option<Span>,
+    pub(crate) workers: Option<Span>,
+    pub(crate) max_events: Option<Span>,
+    pub(crate) on_failure: Option<Span>,
+    pub(crate) widths: Option<Span>,
+    pub(crate) delay: Option<Span>,
+}
+
+fn item_spans(items: &[Value]) -> Vec<Option<Span>> {
+    items.iter().map(Value::span).collect()
+}
+
 impl ExperimentSpec {
-    pub(crate) fn from_value(value: Value) -> Result<Self, SpecError> {
+    /// Parses a spec document, recording the [`SpecSpans`] of the parse.
+    pub(crate) fn parse_spanned(text: &str) -> Result<(Self, SpecSpans), SpecError> {
+        let mut spans = SpecSpans::default();
+        let spec = Self::from_value(parse_document(text)?, &mut spans)?;
+        Ok((spec, spans))
+    }
+
+    fn from_value(value: Value, sp: &mut SpecSpans) -> Result<Self, SpecError> {
         let mut f = Fields::of(value, "workload")?;
+        sp.workload = f.span;
         let workload = match f.tag.as_str() {
             "channel" => {
+                sp.channel = f.span_of("channel");
                 let channel = channel_from_value(f.req("channel")?)?;
                 let input = signal_from_value(f.req("input")?)?;
                 WorkloadSpec::Channel(ChannelRunSpec { channel, input })
             }
-            "digital" => WorkloadSpec::Digital(digital_from_fields(&mut f)?),
-            "analog" => WorkloadSpec::Analog(analog_from_fields(&mut f)?),
-            "spf" => WorkloadSpec::Spf(spf_from_fields(&mut f)?),
+            "digital" => WorkloadSpec::Digital(digital_from_fields(&mut f, sp)?),
+            "analog" => WorkloadSpec::Analog(analog_from_fields(&mut f, sp)?),
+            "spf" => WorkloadSpec::Spf(spf_from_fields(&mut f, sp)?),
             other => {
                 return Err(SpecError::new(format!(
                     "unknown workload kind {other:?} (expected channel, digital, analog or spf)"
@@ -1881,14 +1927,18 @@ fn signal_from_value(value: Value) -> Result<SignalSpec, SpecError> {
     Ok(spec)
 }
 
-fn digital_from_fields(f: &mut Fields) -> Result<DigitalSpec, SpecError> {
-    let topology = topology_from_value(f.req("topology")?)?;
+fn digital_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<DigitalSpec, SpecError> {
+    sp.topology = f.span_of("topology");
+    let topology = topology_from_value(f.req("topology")?, sp)?;
+    sp.horizon = f.span_of("horizon");
     let horizon = f.f64("horizon")?;
+    sp.max_events = f.span_of("max_events");
     let max_events = f
         .take("max_events")
         .map(|v| as_u64(&v, "digital", "max_events"))
         .transpose()?;
-    let workers = take_workers(f)?;
+    let workers = take_workers(f, sp)?;
+    sp.on_failure = f.span_of("on_failure");
     let on_failure = match f.take("on_failure") {
         None => FailurePolicySpec::default(),
         Some(v) => {
@@ -1910,8 +1960,9 @@ fn digital_from_fields(f: &mut Fields) -> Result<DigitalSpec, SpecError> {
             p
         }
     };
-    let scenarios = f
-        .list("scenarios")?
+    let scenarios = f.list("scenarios")?;
+    sp.scenarios = item_spans(&scenarios);
+    let scenarios = scenarios
         .into_iter()
         .map(scenario_from_value)
         .collect::<Result<Vec<_>, _>>()?;
@@ -1928,10 +1979,13 @@ fn digital_from_fields(f: &mut Fields) -> Result<DigitalSpec, SpecError> {
                 Some(v) => {
                     let span = v.span();
                     match v.into_kind() {
-                        ValueKind::List(items) => items
-                            .iter()
-                            .map(|v| as_text(v, "outputs", "watch"))
-                            .collect::<Result<Vec<_>, _>>()?,
+                        ValueKind::List(items) => {
+                            sp.watch = item_spans(&items);
+                            items
+                                .iter()
+                                .map(|v| as_text(v, "outputs", "watch"))
+                                .collect::<Result<Vec<_>, _>>()?
+                        }
                         other => {
                             return Err(SpecError::new(format!(
                                 "outputs: field \"watch\" must be a list, found {}",
@@ -1963,7 +2017,8 @@ fn digital_from_fields(f: &mut Fields) -> Result<DigitalSpec, SpecError> {
     })
 }
 
-fn take_workers(f: &mut Fields) -> Result<Option<u32>, SpecError> {
+fn take_workers(f: &mut Fields, sp: &mut SpecSpans) -> Result<Option<u32>, SpecError> {
+    sp.workers = f.span_of("workers");
     f.take("workers")
         .map(|v| {
             let w = as_u64(&v, &f.tag, "workers")?;
@@ -1974,19 +2029,22 @@ fn take_workers(f: &mut Fields) -> Result<Option<u32>, SpecError> {
         .transpose()
 }
 
-fn topology_from_value(value: Value) -> Result<TopologySpec, SpecError> {
+fn topology_from_value(value: Value, sp: &mut SpecSpans) -> Result<TopologySpec, SpecError> {
     let mut f = Fields::of(value, "topology")?;
+    // a generator's channel; a netlist has none at this level
+    sp.channel = f.span_of("channel");
     let t = match f.tag.as_str() {
         "netlist" => {
-            let nodes = f
-                .list("nodes")?
+            let nodes = f.list("nodes")?;
+            sp.nodes = item_spans(&nodes);
+            let nodes = nodes
                 .into_iter()
                 .map(node_from_value)
                 .collect::<Result<Vec<_>, _>>()?;
             let edges = f
                 .list("edges")?
                 .into_iter()
-                .map(edge_from_value)
+                .map(|e| edge_from_value(e, sp))
                 .collect::<Result<Vec<_>, _>>()?;
             TopologySpec::Netlist(NetlistSpec { nodes, edges })
         }
@@ -2081,9 +2139,11 @@ fn gate_kind_from_value(value: Value) -> Result<GateKindSpec, SpecError> {
     Ok(k)
 }
 
-fn edge_from_value(value: Value) -> Result<EdgeSpec, SpecError> {
+fn edge_from_value(value: Value, sp: &mut SpecSpans) -> Result<EdgeSpec, SpecError> {
+    sp.edges.push(value.span());
     let mut f = Fields::of(value, "edge")?;
     f.expect_tag(&["edge"])?;
+    sp.edge_channels.push(f.span_of("channel"));
     let e = EdgeSpec {
         from: f.string("from")?,
         to: f.string("to")?,
@@ -2119,7 +2179,7 @@ fn scenario_from_value(value: Value) -> Result<ScenarioSpec, SpecError> {
     })
 }
 
-fn analog_from_fields(f: &mut Fields) -> Result<AnalogSpec, SpecError> {
+fn analog_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<AnalogSpec, SpecError> {
     let mut cf = Fields::of(f.req("chain")?, "chain")?;
     cf.expect_tag(&["chain"])?;
     let chain = ChainSpec {
@@ -2150,6 +2210,7 @@ fn analog_from_fields(f: &mut Fields) -> Result<AnalogSpec, SpecError> {
 
     let mut wf = Fields::of(f.req("sweep")?, "sweep")?;
     wf.expect_tag(&["sweep"])?;
+    sp.widths = wf.span_of("widths");
     let widths = wf
         .list("widths")?
         .iter()
@@ -2214,7 +2275,7 @@ fn analog_from_fields(f: &mut Fields) -> Result<AnalogSpec, SpecError> {
     };
     tf.finish()?;
 
-    let workers = take_workers(f)?;
+    let workers = take_workers(f, sp)?;
     Ok(AnalogSpec {
         chain,
         supply,
@@ -2273,7 +2334,8 @@ fn samples_from_value(value: Value) -> Result<Vec<(f64, f64)>, SpecError> {
         .collect()
 }
 
-fn spf_from_fields(f: &mut Fields) -> Result<SpfSpec, SpecError> {
+fn spf_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<SpfSpec, SpecError> {
+    sp.delay = f.span_of("delay");
     let mut df = Fields::of(f.req("delay")?, "delay")?;
     let delay = match df.tag.as_str() {
         "exp" => DelaySpec::Exp {
@@ -2359,6 +2421,6 @@ impl FromStr for ExperimentSpec {
     type Err = SpecError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        ExperimentSpec::from_value(parse_document(s)?)
+        Self::parse_spanned(s).map(|(spec, _)| spec)
     }
 }

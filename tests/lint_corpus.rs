@@ -106,6 +106,85 @@ fn diagnostic_spans_point_into_the_text() {
     assert_eq!((span.line, span.column), (3, 13));
 }
 
+/// The rendered `line:col: severity[code]: message` report of `text`
+/// (`-` where a diagnostic has no span).
+fn render_report(report: &faithful::LintReport) -> String {
+    let mut out = String::new();
+    for d in report.diagnostics() {
+        let at = d
+            .span
+            .map_or_else(|| "-".to_owned(), |s| format!("{}:{}", s.line, s.column));
+        out.push_str(&format!(
+            "{at}: {}[{}]: {}\n",
+            d.severity, d.code, d.message
+        ));
+    }
+    out
+}
+
+#[test]
+fn lint_output_matches_the_golden_file() {
+    let registry = registry();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["tests/lint_corpus", "specs"] {
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            files.push(format!("{dir}/{name}"));
+        }
+    }
+    files.sort();
+    let mut actual = String::new();
+    for file in &files {
+        let text = std::fs::read_to_string(root.join(file)).unwrap();
+        // the service context adds IVL050 to the plain pass set
+        let report =
+            lint_text_for_service(&text, &registry).unwrap_or_else(|e| panic!("{file}: {e}"));
+        actual.push_str(&format!("== {file}\n{}", render_report(&report)));
+    }
+    let golden = std::fs::read_to_string(root.join("tests/lint_golden.txt")).unwrap();
+    assert!(
+        actual == golden,
+        "lint output drifted from tests/lint_golden.txt; actual:\n{actual}"
+    );
+}
+
+#[test]
+fn a_quoted_channel_parameter_keeps_its_span() {
+    // the spans come from the parse, not from matching re-rendered
+    // channel text, so `"exp"` (which renders as the word `exp`) points
+    // at its channel like the unquoted spelling does
+    for delay in ["exp", "\"exp\""] {
+        let text = format!(
+            "faithful/1 channel {{\n  channel = eta {{ delay = {delay}; tau = 1.0; t_p = 0.5; \
+             v_th = 0.5; minus = 0.4; plus = 0.4 }};\n  input = zero;\n}}\n"
+        );
+        let report = lint_text(&text, &registry()).unwrap();
+        let hit = report
+            .diagnostics()
+            .iter()
+            .find(|d| d.code == "IVL011")
+            .unwrap_or_else(|| panic!("delay = {delay}: no IVL011 in {report}"));
+        let span = hit.span.unwrap_or_else(|| panic!("delay = {delay}: {hit}"));
+        assert_eq!((span.line, span.column), (2, 13), "delay = {delay}");
+    }
+}
+
+#[test]
+fn parsed_experiments_lint_with_spans() {
+    let experiment = Experiment::parse(&corpus("unknown_kind.spec")).unwrap();
+    let at = |report: &faithful::LintReport| {
+        let d = &report.diagnostics()[0];
+        assert_eq!(d.code, "IVL030");
+        d.span.map(|s| (s.line, s.column))
+    };
+    assert_eq!(at(&experiment.lint_report()), Some((3, 13)));
+    let Err(Error::Lint(report)) = experiment.run() else {
+        panic!("expected Error::Lint");
+    };
+    assert_eq!(at(&report), Some((3, 13)));
+}
+
 #[test]
 fn constraint_c_violation_is_rejected_by_run_before_any_event() {
     let err = Experiment::parse(&corpus("constraint_c_violation.spec"))
