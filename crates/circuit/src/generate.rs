@@ -182,8 +182,11 @@ impl Family {
         Some(NodeId(gate as u32 + 2))
     }
 
-    /// The name of node `id`, which must exist.
-    pub(crate) fn node_name(&self, id: usize) -> Cow<'static, str> {
+    /// The name of node `id`, which must exist: [`node_id`](Family::node_id)
+    /// resolves the name back to `id`. For an id the family does not
+    /// have, the name is unspecified and the call may panic.
+    #[must_use]
+    pub fn node_name(&self, id: usize) -> Cow<'static, str> {
         let gate = match id {
             0 => return Cow::Borrowed("a"),
             1 => return Cow::Borrowed("y"),

@@ -63,7 +63,7 @@ pub struct Experiment {
     /// lint diagnostics point into its text (empty otherwise).
     spans: SpecSpans,
     registry: ChannelRegistry,
-    lint: Option<crate::lint::LintConfig>,
+    lint: crate::lint::LintConfig,
     timeout: Option<Duration>,
     fault: Option<FaultPlan>,
     checkpoint: Option<PathBuf>,
@@ -79,7 +79,7 @@ impl Experiment {
             spec,
             spans: SpecSpans::default(),
             registry: ChannelRegistry::with_builtins(),
-            lint: None,
+            lint: crate::lint::LintConfig::default(),
             timeout: None,
             fault: None,
             checkpoint: None,
@@ -199,7 +199,7 @@ impl Experiment {
     /// `Error`-severity diagnostics.
     #[must_use]
     pub fn with_lint(mut self, mode: crate::lint::LintConfig) -> Self {
-        self.lint = Some(mode);
+        self.lint = mode;
         self
     }
 
@@ -231,8 +231,7 @@ impl Experiment {
     /// validation and simulation errors of the selected layer, unified
     /// into [`Error`].
     pub fn run(&self) -> Result<ExperimentResult, Error> {
-        use crate::lint::LintConfig;
-        if self.lint.unwrap_or(LintConfig::Deny) == LintConfig::Deny {
+        if self.lint == crate::lint::LintConfig::Deny {
             let report = self.lint_report();
             if report.has_errors() {
                 return Err(Error::Lint(report));
@@ -345,6 +344,7 @@ impl Experiment {
         // the signals each scenario materializes: output ports first
         // (the historical behaviour, so existing results stay
         // byte-identical), then watched non-port nodes in spec order
+        let ports = output_names.len();
         let mut collect_names = output_names;
         for name in &d.outputs.watch {
             if !collect_names.iter().any(|n| n == name) {
@@ -495,7 +495,8 @@ impl Experiment {
                 None => {
                     stats.processed_events += record.processed;
                     stats.scheduled_events += record.scheduled;
-                    for (_, signal) in &record.signals {
+                    // the statistics cover output ports only
+                    for (_, signal) in record.signals.iter().take(ports) {
                         stats.absorb_signal(signal);
                     }
                     let vcd = if d.outputs.vcd {

@@ -42,6 +42,11 @@
 //! | `IVL061` | warning | `random_dag` without an explicit seed (netlist not reproducible from the spec) |
 //! | `IVL062` | error | watched node name not present in the (generated) topology |
 //!
+//! A generated topology is never built: lint reads it through
+//! [`Family`], the generators' own numbering and naming, so its cost
+//! does not grow with the generator's size, and every node a diagnostic
+//! names exists in the generated netlist.
+//!
 //! Diagnostics on a parsed spec ([`lint_text`],
 //! [`Experiment::parse`](crate::Experiment::parse)) carry the line and
 //! column the parser recorded for the part they point at.
@@ -50,7 +55,8 @@
 //! pre-flight: `Error`-severity diagnostics deny the run by default,
 //! and [`LintConfig::Off`] skips the pass.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use ivl_circuit::generate::{Family, FAT_TREE_MAX_DEPTH};
@@ -242,6 +248,7 @@ pub(crate) fn lint_spanned(
         channel_ids: HashMap::new(),
         probe_cache: HashMap::new(),
         probes_left: PROBE_BUDGET,
+        walks: 0,
         truncated: false,
         service,
     };
@@ -293,9 +300,12 @@ struct Linter<'a, 's> {
     channels: Vec<InternedChannel<'s>>,
     /// Canonical rendering → index into `channels`.
     channel_ids: HashMap<String, usize>,
-    /// `(channel index, width bits)` → surviving output width.
-    probe_cache: HashMap<(usize, u64), Option<f64>>,
+    /// `(channel index, width bits)` → (surviving output width, the
+    /// last hazard-pass walk that fed the width).
+    probe_cache: HashMap<(usize, u64), (Option<f64>, usize)>,
     probes_left: usize,
+    /// Hazard-pass walks started so far; the current one's number.
+    walks: usize,
     truncated: bool,
     /// Lint for the experiment service: adds diagnostics about fields
     /// the daemon overrides server-side (`IVL050`).
@@ -561,21 +571,17 @@ impl<'a, 's> Linter<'a, 's> {
         self.check_workers(d.workers);
 
         let graph = self.extract_graph(&d.topology);
-        for edge in &graph.edges {
-            if let Some(ci) = edge.channel {
-                self.check_channel(ci);
-            }
+        for ci in 0..self.channels.len() {
+            self.check_channel(ci);
         }
         let scc = graph.sccs();
-        self.graph_pass(&graph, &scc);
+        // generators are acyclic and wire every gate (IVL060 when gateless)
+        if graph.family.is_none() {
+            self.graph_pass(&graph, &scc);
+        }
 
         let mut labels: HashSet<&str> = HashSet::new();
-        let input_names: HashSet<&str> = graph
-            .nodes
-            .iter()
-            .filter(|n| n.kind == GKind::Input)
-            .map(|n| n.name.as_str())
-            .collect();
+        let inputs = graph.inputs();
         for (i, s) in d.scenarios.iter().enumerate() {
             let span = nth(&self.spans.scenarios, i);
             if !labels.insert(&s.label) {
@@ -587,7 +593,7 @@ impl<'a, 's> Linter<'a, 's> {
                 );
             }
             for (port, sig) in &s.inputs {
-                if !input_names.contains(port.as_str()) {
+                if !inputs.contains_key(port.as_str()) {
                     self.push(
                         "IVL033",
                         Severity::Error,
@@ -602,11 +608,9 @@ impl<'a, 's> Linter<'a, 's> {
             }
         }
 
-        // IVL062: a watched node must exist in the topology. Generator
-        // node names follow a closed-form naming scheme, so membership
-        // is decided without materializing the netlist.
+        // IVL062: a watched node must exist in the topology
         for (i, name) in d.outputs.watch.iter().enumerate() {
-            if !topology_has_node(&d.topology, name) {
+            if !graph.has_node(name) {
                 let span = nth(&self.spans.watch, i).or(self.spans.topology);
                 self.push(
                     "IVL062",
@@ -617,9 +621,9 @@ impl<'a, 's> Linter<'a, 's> {
             }
         }
 
-        self.hazard_pass(&graph, &scc, &d.scenarios);
+        self.hazard_pass(&graph, &scc, &inputs, &d.scenarios);
         self.budget_pass(&graph, d);
-        self.retry_pass(&graph, d);
+        self.retry_pass(d);
     }
 
     /// `IVL040`: per scenario, every input transition fed into a direct
@@ -673,14 +677,11 @@ impl<'a, 's> Linter<'a, 's> {
     /// deterministic the retries can only reproduce the failure.
     /// Channels of unknown (custom) kinds are conservatively assumed
     /// stochastic, so they never trigger this warning.
-    fn retry_pass(&mut self, g: &Graph, d: &DigitalSpec) {
+    fn retry_pass(&mut self, d: &DigitalSpec) {
         let FailurePolicySpec::Retry { attempts } = d.on_failure else {
             return;
         };
-        let deterministic = g.edges.iter().all(|e| {
-            e.channel
-                .is_none_or(|ci| !self.channels[ci].spec.is_stochastic())
-        });
+        let deterministic = self.channels.iter().all(|c| !c.spec.is_stochastic());
         if deterministic {
             self.push(
                 "IVL041",
@@ -746,150 +747,77 @@ impl<'a, 's> Linter<'a, 's> {
                         }
                     }
                     if let (Some(from), Some(to)) = (from, to) {
-                        g.edges.push(GEdge {
-                            from,
-                            to,
-                            channel,
-                            span,
-                        });
+                        g.edge(from, to, channel, 1, span);
                     }
                 }
             }
-            TopologySpec::InverterChain { stages, channel } => {
-                g.nodes.push(GNode {
-                    name: "a".to_owned(),
-                    kind: GKind::Input,
-                    span: None,
-                });
-                for i in 0..*stages {
-                    g.nodes.push(GNode {
-                        name: format!("inv{i}"),
-                        kind: GKind::Gate,
-                        span: None,
-                    });
-                }
-                g.nodes.push(GNode {
-                    name: "y".to_owned(),
-                    kind: GKind::Output,
-                    span: None,
-                });
-                let ci = self.intern(channel, self.spans.channel);
-                let span = self.channels[ci].span;
-                for i in 0..=*stages as usize {
-                    g.edges.push(GEdge {
-                        from: i,
-                        to: i + 1,
-                        // the first hop is a direct connection, matching
-                        // how the facade builds the chain
-                        channel: (i > 0).then_some(ci),
-                        span,
-                    });
-                }
-            }
-            // scale generators (grid, random_dag, fat_tree) are acyclic
-            // and fully connected by construction, so instead of
-            // synthesizing up to a million nodes the lint graph is a
-            // 3-node skeleton `a → gate → y` that exercises every
-            // channel/stimulus pass exactly once (the input hop is
-            // direct, matching how the generators wire their first
-            // gate). Generator *parameters* are checked here (IVL060,
-            // IVL061); watch-name membership is checked formulaically
-            // in `lint_digital` (IVL062).
-            TopologySpec::Grid2d {
-                width,
-                height,
-                channel,
-            } => {
-                if *width == 0 || *height == 0 {
-                    self.push(
-                        "IVL060",
-                        Severity::Error,
-                        self.spans.topology,
-                        format!(
-                            "grid generator has zero size ({width} × {height}): \
-                             no gate drives the output port"
-                        ),
-                    );
-                }
-                self.generator_skeleton(&mut g, channel);
-            }
-            TopologySpec::RandomDag {
-                nodes,
-                seed,
-                channel,
-            } => {
-                if *nodes == 0 {
-                    self.push(
-                        "IVL060",
-                        Severity::Error,
-                        self.spans.topology,
-                        "random_dag generator has zero gates: no gate drives the output port"
-                            .to_owned(),
-                    );
-                }
-                if seed.is_none() {
-                    self.push(
-                        "IVL061",
-                        Severity::Warning,
-                        self.spans.topology,
-                        "random_dag without a seed defaults to 0 — state the seed so the \
-                         netlist is reproducible from the spec alone"
-                            .to_owned(),
-                    );
-                }
-                self.generator_skeleton(&mut g, channel);
-            }
-            TopologySpec::FatTree { depth, channel } => {
-                if *depth > FAT_TREE_MAX_DEPTH {
-                    self.push(
-                        "IVL060",
-                        Severity::Error,
-                        self.spans.topology,
-                        format!(
-                            "fat_tree depth {depth} exceeds the cap of {FAT_TREE_MAX_DEPTH} \
-                             (2^{FAT_TREE_MAX_DEPTH} leaves ≈ 33M gates)"
-                        ),
-                    );
-                }
-                self.generator_skeleton(&mut g, channel);
-            }
+            _ => self.stand_in(&mut g, topology),
         }
         g.index();
         g
     }
 
-    /// The 3-node stand-in graph for a scale generator: input `"a"`
-    /// directly into one gate, one generator channel to output `"y"`.
-    fn generator_skeleton(&mut self, g: &mut Graph, channel: &'s ChannelSpec) {
-        g.nodes.push(GNode {
-            name: "a".to_owned(),
-            kind: GKind::Input,
-            span: None,
-        });
-        g.nodes.push(GNode {
-            name: "g".to_owned(),
-            kind: GKind::Gate,
-            span: None,
-        });
-        g.nodes.push(GNode {
-            name: "y".to_owned(),
-            kind: GKind::Output,
-            span: None,
-        });
+    /// Lint's model of a generated netlist, whatever its size: the ports
+    /// and gate 0, numbered and named as [`Family`] does, and wired as the
+    /// generator wires them. `a` drives gate 0 directly, and gate 0 drives
+    /// `y` through the channel, which on a chain stands for its `stages`
+    /// channels in series. A zero-stage chain is `a → y` through one
+    /// channel; a generator without gates (IVL060) leaves the ports unwired.
+    fn stand_in(&mut self, g: &mut Graph, topology: &'s TopologySpec) {
+        let (family, channel) = generated(topology).expect("a generated topology");
+        let degenerate = match *topology {
+            TopologySpec::Grid2d { width, height, .. } if width == 0 || height == 0 => {
+                Some(format!(
+                    "grid generator has zero size ({width} × {height}): \
+                     no gate drives the output port"
+                ))
+            }
+            TopologySpec::RandomDag { nodes: 0, .. } => Some(
+                "random_dag generator has zero gates: no gate drives the output port".to_owned(),
+            ),
+            TopologySpec::FatTree { depth, .. } if depth > FAT_TREE_MAX_DEPTH => Some(format!(
+                "fat_tree depth {depth} exceeds the cap of {FAT_TREE_MAX_DEPTH} \
+                 (2^{FAT_TREE_MAX_DEPTH} leaves ≈ 33M gates)"
+            )),
+            _ => None,
+        };
+        let wired = degenerate.is_none();
+        if let Some(message) = degenerate {
+            self.push("IVL060", Severity::Error, self.spans.topology, message);
+        }
+        if let TopologySpec::RandomDag { seed: None, .. } = topology {
+            self.push(
+                "IVL061",
+                Severity::Warning,
+                self.spans.topology,
+                "random_dag without a seed defaults to 0 — state the seed so the \
+                 netlist is reproducible from the spec alone"
+                    .to_owned(),
+            );
+        }
         let ci = self.intern(channel, self.spans.channel);
         let span = self.channels[ci].span;
-        g.edges.push(GEdge {
-            from: 0,
-            to: 1,
-            channel: None,
-            span,
-        });
-        g.edges.push(GEdge {
-            from: 1,
-            to: 2,
-            channel: Some(ci),
-            span,
-        });
+        // node ids are the family's: `a` = 0, `y` = 1, gate 0 = 2
+        let (gate, repeat) = match family {
+            Family::InverterChain { stages } => (stages > 0, stages),
+            _ => (wired, 1),
+        };
+        let kinds = [GKind::Input, GKind::Output, GKind::Gate];
+        for (id, kind) in kinds.into_iter().take(2 + usize::from(gate)).enumerate() {
+            let name = family.node_name(id).into_owned();
+            g.nodes.push(GNode {
+                name,
+                kind,
+                span: None,
+            });
+        }
+        g.family = Some(family);
+        if gate {
+            g.edge(0, 2, None, 1, span);
+            g.edge(2, 1, Some(ci), repeat, span);
+        } else if wired {
+            g.edge(0, 1, Some(ci), 1, span);
+        }
     }
 
     fn check_gate_kind(&mut self, kind: &GateKindSpec, span: Option<Span>) {
@@ -912,7 +840,7 @@ impl<'a, 's> Linter<'a, 's> {
     fn graph_pass(&mut self, g: &Graph, scc: &Sccs) {
         // dangling / undriven / unreachable nodes
         for (i, node) in g.nodes.iter().enumerate() {
-            let (ins, outs) = (g.in_degree[i], g.out_degree[i]);
+            let (ins, outs) = (g.in_degree[i], g.out_edges[i].len());
             match node.kind {
                 GKind::Input if outs == 0 => self.push(
                     "IVL003",
@@ -1043,30 +971,20 @@ impl<'a, 's> Linter<'a, 's> {
 
     // ---- pass 3: stimulus hazard analysis ----
 
-    fn hazard_pass(&mut self, g: &Graph, scc: &Sccs, scenarios: &[ScenarioSpec]) {
+    fn hazard_pass(
+        &mut self,
+        g: &Graph,
+        scc: &Sccs,
+        inputs: &HashMap<&str, usize>,
+        scenarios: &[ScenarioSpec],
+    ) {
         let order = g.topo_order(&scc.on_cycle);
-        // every driven port resolved in one scan (node names are unique
-        // in the lint graph)
-        let mut ports: HashMap<&str, Option<usize>> = scenarios
-            .iter()
-            .flat_map(|s| s.inputs.iter().map(|(port, _)| (port.as_str(), None)))
-            .collect();
-        let mut unresolved = ports.len();
-        for (i, node) in g.nodes.iter().enumerate() {
-            if unresolved == 0 {
-                break;
-            }
-            if let Some(slot @ None) = ports.get_mut(node.name.as_str()) {
-                *slot = Some(i);
-                unresolved -= 1;
-            }
-        }
-        // edge index -> (first scenario label, death count)
-        let mut deaths: HashMap<usize, (String, usize)> = HashMap::new();
+        // (edge index, channel copy) -> (first scenario label, death count)
+        let mut deaths: BTreeMap<(usize, u32), (String, usize)> = BTreeMap::new();
         for s in scenarios {
             let mut width: Vec<Option<f64>> = vec![None; g.nodes.len()];
             for (port, sig) in &s.inputs {
-                if let Some(idx) = ports[port.as_str()] {
+                if let Some(&idx) = inputs.get(port.as_str()) {
                     if let Some(w) = min_pulse_width(sig) {
                         width[idx] = Some(w);
                     }
@@ -1083,26 +1001,27 @@ impl<'a, 's> Linter<'a, 's> {
                         continue;
                     }
                     let w_out = match e.channel {
-                        None => Some(w),
-                        Some(ci) => self.pulse_response(ci, w),
+                        None => w,
+                        Some(ci) => match self.walk(ci, w, e.repeat) {
+                            Ok(Some(w_out)) => w_out,
+                            Ok(None) => continue,
+                            Err(copy) => {
+                                deaths
+                                    .entry((ei, copy))
+                                    .and_modify(|(_, n)| *n += 1)
+                                    .or_insert_with(|| (s.label.clone(), 1));
+                                continue;
+                            }
+                        },
                     };
-                    let Some(w_out) = w_out else { continue };
-                    if w_out <= DEAD_WIDTH {
-                        deaths
-                            .entry(ei)
-                            .and_modify(|(_, n)| *n += 1)
-                            .or_insert_with(|| (s.label.clone(), 1));
-                        continue;
-                    }
                     let slot = &mut width[e.to];
                     *slot = Some(slot.map_or(w_out, |prev| prev.min(w_out)));
                 }
             }
         }
-        let mut dead_edges: Vec<(usize, (String, usize))> = deaths.into_iter().collect();
-        dead_edges.sort_by_key(|(ei, _)| *ei);
-        for (ei, (label, n)) in dead_edges {
+        for ((ei, copy), (label, n)) in deaths {
             let e = &g.edges[ei];
+            let (from, to) = g.hop(e, copy);
             let more = if n > 1 {
                 format!(" (and {} more scenario(s))", n - 1)
             } else {
@@ -1114,34 +1033,56 @@ impl<'a, 's> Linter<'a, 's> {
                 e.span,
                 format!(
                     "scenario {label:?}: stimulus provably cancels in the channel \
-                     {:?} -> {:?}{more}",
-                    g.nodes[e.from].name, g.nodes[e.to].name
+                     {from:?} -> {to:?}{more}"
                 ),
             );
         }
+    }
+
+    /// Walks a pulse of `width` through `repeat` copies of channel `ci`
+    /// in series, `w ← pulse_response(w)`: `Err(k)` when copy `k` cancels
+    /// it, else the width leaving the last copy, or `None` at a probe it
+    /// cannot make or a width it fed before (from there the walk only
+    /// repeats). Every step but the last reads a distinct probe, so a
+    /// walk takes at most `PROBE_BUDGET + 1` steps, however long the chain.
+    fn walk(&mut self, ci: usize, mut width: f64, repeat: u32) -> Result<Option<f64>, u32> {
+        self.walks += 1;
+        for copy in 0..repeat {
+            match self.pulse_response(ci, width) {
+                None => return Ok(None),
+                Some(w) if w <= DEAD_WIDTH => return Err(copy),
+                Some(w) => width = w,
+            }
+        }
+        Ok(Some(width))
     }
 
     /// The surviving output pulse width for an isolated input pulse of
     /// `width` through this channel, probed against the pulse-extending
     /// adversary for `eta` channels (so a death is a death under *every*
     /// admissible noise sequence). `None` when the channel cannot be
-    /// probed or the budget ran out.
+    /// probed, the budget ran out, or the current walk fed this width
+    /// before.
     fn pulse_response(&mut self, ci: usize, width: f64) -> Option<f64> {
         if !(width.is_finite() && width > 0.0) {
             return None;
         }
         let key = (ci, width.to_bits());
-        if let Some(cached) = self.probe_cache.get(&key) {
-            return *cached;
+        if let Some((out, walk)) = self.probe_cache.get_mut(&key) {
+            if *walk == self.walks {
+                return None;
+            }
+            *walk = self.walks;
+            return *out;
         }
         if self.probes_left == 0 {
             self.truncated = true;
             return None;
         }
         self.probes_left -= 1;
-        let result = self.probe_once(ci, width);
-        self.probe_cache.insert(key, result);
-        result
+        let out = self.probe_once(ci, width);
+        self.probe_cache.insert(key, (out, self.walks));
+        out
     }
 
     fn probe_once(&mut self, ci: usize, width: f64) -> Option<f64> {
@@ -1341,24 +1282,26 @@ fn nth(spans: &[Option<Span>], i: usize) -> Option<Span> {
     spans.get(i).copied().flatten()
 }
 
-/// Whether `name` names a node of the topology, without materializing
-/// it: netlists are scanned, generators resolve the name through their
-/// closed-form naming scheme ([`Family::node_id`]).
-fn topology_has_node(topology: &TopologySpec, name: &str) -> bool {
-    let family = match *topology {
-        TopologySpec::Netlist(ref n) => {
-            return n.nodes.iter().any(|node| match node {
-                NodeSpec::Input { name: n }
-                | NodeSpec::Output { name: n }
-                | NodeSpec::Gate { name: n, .. } => n == name,
-            })
-        }
-        TopologySpec::InverterChain { stages, .. } => Family::InverterChain { stages },
-        TopologySpec::Grid2d { width, height, .. } => Family::Grid { width, height },
-        TopologySpec::RandomDag { nodes, .. } => Family::RandomDag { nodes },
-        TopologySpec::FatTree { depth, .. } => Family::FatTree { depth },
-    };
-    family.node_id(name).is_some()
+/// The generator family of a generated topology, with the channel its
+/// channel edges share; `None` for an explicit netlist.
+fn generated(topology: &TopologySpec) -> Option<(Family, &ChannelSpec)> {
+    use TopologySpec as T;
+    Some(match *topology {
+        T::Netlist(_) => return None,
+        T::InverterChain {
+            stages,
+            ref channel,
+        } => (Family::InverterChain { stages }, channel),
+        T::Grid2d {
+            width,
+            height,
+            ref channel,
+        } => (Family::Grid { width, height }, channel),
+        T::RandomDag {
+            nodes, ref channel, ..
+        } => (Family::RandomDag { nodes }, channel),
+        T::FatTree { depth, ref channel } => (Family::FatTree { depth }, channel),
+    })
 }
 
 /// Rebuilds `eta` parameters with the pulse-extending adversary (and
@@ -1420,17 +1363,21 @@ struct GEdge {
     to: usize,
     /// Index into the linter's channel table; `None` for a direct wire.
     channel: Option<usize>,
+    /// Copies of the channel in series: a chain stand-in's last edge
+    /// carries all `stages` of them, every other edge one.
+    repeat: u32,
     span: Option<Span>,
 }
 
 #[derive(Default)]
 struct Graph {
+    /// The generator a stand-in graph models (`None` for a netlist);
+    /// its node ids are the family's, and so are the names.
+    family: Option<Family>,
     nodes: Vec<GNode>,
     edges: Vec<GEdge>,
     out_edges: Vec<Vec<usize>>,
     in_degree: Vec<usize>,
-    out_degree: Vec<usize>,
-    self_loop: Vec<bool>,
 }
 
 /// Strongly connected components of a [`Graph`].
@@ -1444,28 +1391,68 @@ struct Sccs {
 }
 
 impl Graph {
+    fn edge(
+        &mut self,
+        from: usize,
+        to: usize,
+        channel: Option<usize>,
+        repeat: u32,
+        span: Option<Span>,
+    ) {
+        self.edges.push(GEdge {
+            from,
+            to,
+            channel,
+            repeat,
+            span,
+        });
+    }
+
+    /// The names of the nodes copy `copy` of `e`'s channel joins: on a
+    /// chain stand-in, copy `k` runs from gate `k` to gate `k + 1`, the
+    /// last one into the output port.
+    fn hop(&self, e: &GEdge, copy: u32) -> (Cow<'_, str>, Cow<'_, str>) {
+        let from = e.from + copy as usize;
+        let to = if copy + 1 == e.repeat { e.to } else { from + 1 };
+        let name = |v: usize| match self.family {
+            Some(family) => family.node_name(v),
+            None => Cow::Borrowed(self.nodes[v].name.as_str()),
+        };
+        (name(from), name(to))
+    }
+
     fn index(&mut self) {
         self.out_edges = vec![Vec::new(); self.nodes.len()];
         self.in_degree = vec![0; self.nodes.len()];
-        self.out_degree = vec![0; self.nodes.len()];
-        self.self_loop = vec![false; self.nodes.len()];
         for (i, e) in self.edges.iter().enumerate() {
             self.out_edges[e.from].push(i);
-            self.out_degree[e.from] += 1;
             self.in_degree[e.to] += 1;
-            self.self_loop[e.from] |= e.from == e.to;
         }
+    }
+
+    /// Whether `name` names a node of the linted topology, without
+    /// materializing a generated one: a generator resolves the name
+    /// through its naming scheme ([`Family::node_id`]).
+    fn has_node(&self, name: &str) -> bool {
+        match self.family {
+            Some(family) => family.node_id(name).is_some(),
+            None => self.nodes.iter().any(|n| n.name == name),
+        }
+    }
+
+    /// Input port name → node index.
+    fn inputs(&self) -> HashMap<&str, usize> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.kind == GKind::Input)
+            .map(|(i, n)| (n.name.as_str(), i))
+            .collect()
     }
 
     fn reachable_from_inputs(&self) -> Vec<bool> {
         let mut seen = vec![false; self.nodes.len()];
-        let mut stack: Vec<usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.kind == GKind::Input)
-            .map(|(i, _)| i)
-            .collect();
+        let mut stack: Vec<usize> = self.inputs().into_values().collect();
         for &i in &stack {
             seen[i] = true;
         }
@@ -1539,7 +1526,8 @@ impl Graph {
             .iter()
             .map(|&id| {
                 let members = &components[id];
-                members.len() > 1 || self.self_loop[members[0]]
+                let v = members[0];
+                members.len() > 1 || self.out_edges[v].iter().any(|&ei| self.edges[ei].to == v)
             })
             .collect();
         Sccs {

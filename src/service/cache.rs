@@ -21,8 +21,9 @@ use std::path::{Path, PathBuf};
 use crate::spec::Fields;
 use crate::value::{parse_document, render_document, Value};
 
-/// Schema version of on-disk cache entries.
-const DISK_VERSION: u64 = 1;
+/// Schema version of on-disk cache entries. Version 2: digital
+/// statistics cover output ports only, not watched internal nodes.
+const DISK_VERSION: u64 = 2;
 
 struct Entry {
     spec: String,

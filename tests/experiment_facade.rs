@@ -208,6 +208,38 @@ fn digital_output_selection_controls_materialization() {
 }
 
 #[test]
+fn watching_an_internal_node_leaves_the_port_statistics_alone() {
+    let run = |watch: &[&str]| {
+        let spec = DigitalSpec::new(
+            TopologySpec::Grid2d {
+                width: 4,
+                height: 4,
+                channel: ChannelSpec::pure(1.0),
+            },
+            50.0,
+        )
+        .with_scenario(ScenarioSpec::new("s").with_input("a", SignalSpec::pulse(1.0, 6.0)))
+        .with_outputs(OutputSelect {
+            signals: true,
+            stats: true,
+            vcd: false,
+            watch: watch.iter().map(|&n| n.to_owned()).collect(),
+        });
+        let result = Experiment::digital(spec).run().unwrap();
+        let digital = result.digital().unwrap();
+        (
+            digital.stats.clone().unwrap(),
+            digital.outcomes[0].signals.len(),
+        )
+    };
+    let (port, _) = run(&["y"]);
+    let (both, returned) = run(&["y", "g0_0"]);
+    assert_eq!(returned, 2, "g0_0 is still returned");
+    assert_eq!(port.output_transitions, 2, "{port:?}");
+    assert_eq!(both, port);
+}
+
+#[test]
 fn per_scenario_failures_surface_in_outcomes() {
     let spec = DigitalSpec::new(
         TopologySpec::InverterChain {

@@ -310,6 +310,123 @@ fn spf_filtered_input_is_ivl021() {
 }
 
 // ---------------------------------------------------------------------
+// Generated topologies: lint models them as `generate::Family` does
+// ---------------------------------------------------------------------
+
+/// The rendered diagnostics of `text`.
+fn rendered(text: &str) -> Vec<String> {
+    lint_text(text, &registry())
+        .unwrap()
+        .diagnostics()
+        .iter()
+        .map(ToString::to_string)
+        .collect()
+}
+
+#[test]
+fn a_zero_stage_chain_checks_its_one_channel() {
+    // the generator wires `a → y` through one channel, so a channel the
+    // factory rejects is IVL010 at every stage count, zero included
+    for stages in [0, 1] {
+        let text = format!(
+            "faithful/1 digital {{\n  topology = chain {{ stages = {stages}; \
+             channel = pure {{ }} }};\n  horizon = 10.0;\n  scenarios = [];\n}}\n"
+        );
+        assert_eq!(
+            rendered(&text),
+            [
+                "error[IVL010]: channel \"pure\": parameters rejected: invalid channel \
+              parameters: missing parameter \"delay\" (line 2, column 44)"
+            ],
+            "stages = {stages}"
+        );
+    }
+}
+
+#[test]
+fn ivl020_on_a_generator_quotes_nodes_the_generator_has() {
+    use faithful::circuit::generate::Family;
+    let dead = corpus("dead_stimulus.spec");
+    for (topology, family) in [
+        (
+            "grid { width = 4; height = 4;",
+            Family::Grid {
+                width: 4,
+                height: 4,
+            },
+        ),
+        (
+            "random_dag { nodes = 9; seed = 3;",
+            Family::RandomDag { nodes: 9 },
+        ),
+        ("fat_tree { depth = 2;", Family::FatTree { depth: 2 }),
+    ] {
+        let text = dead.replace("chain {\n    stages = 4;", topology);
+        let report = lint_text(&text, &registry()).unwrap();
+        let hit = report
+            .diagnostics()
+            .iter()
+            .find(|d| d.code == "IVL020")
+            .unwrap_or_else(|| panic!("{topology} no IVL020 in {report}"));
+        let hop = hit.message.split("channel ").nth(1).unwrap();
+        let names: Vec<&str> = hop.split('"').skip(1).step_by(2).collect();
+        assert_eq!(names.len(), 2, "{hit}");
+        for name in names {
+            assert!(
+                family.node_id(name).is_some(),
+                "{topology} {name:?} is no node of {family:?}: {hit}"
+            );
+        }
+    }
+}
+
+/// A chain of `stages` involution channels under four pulses: 0.85 and
+/// 0.9 die in the second channel, 1.15 in the third, and 3.0 shrinks
+/// until the twentieth cancels it.
+fn shrinking_chain(stages: u32) -> String {
+    let mut text = format!(
+        "faithful/1 digital {{\n  topology = chain {{\n    stages = {stages};\n    \
+         channel = involution {{ delay = exp; tau = 1.0; t_p = 0.5; v_th = 0.5 }};\n  }};\n  \
+         horizon = 50.0;\n  scenarios = [\n"
+    );
+    for (label, width) in [("s1", 0.85), ("s2", 1.15), ("s3", 0.9), ("s4", 3.0)] {
+        text.push_str(&format!(
+            "    scenario {{ label = \"{label}\"; inputs = [ drive {{ port = \"a\"; \
+             signal = pulse {{ at = 1.0; width = {width} }} }} ] }},\n"
+        ));
+    }
+    text.push_str("  ];\n}\n");
+    text
+}
+
+#[test]
+fn a_pulse_that_dies_deep_in_a_chain_names_its_stage() {
+    let dies = |label: &str, hop: &str, more: &str| {
+        format!(
+            "warning[IVL020]: scenario \"{label}\": stimulus provably cancels in the channel \
+             {hop}{more} (line 4, column 15)"
+        )
+    };
+    let s1 = dies("s1", "\"inv1\" -> \"inv2\"", " (and 1 more scenario(s))");
+    assert_eq!(
+        rendered(&shrinking_chain(3)),
+        [s1.clone(), dies("s2", "\"inv2\" -> \"y\"", "")]
+    );
+    assert_eq!(
+        rendered(&shrinking_chain(12)),
+        [s1.clone(), dies("s2", "\"inv2\" -> \"inv3\"", "")]
+    );
+    assert_eq!(
+        rendered(&shrinking_chain(100_000)),
+        [
+            s1,
+            dies("s2", "\"inv2\" -> \"inv3\"", ""),
+            dies("s4", "\"inv19\" -> \"inv20\"", ""),
+        ]
+    );
+}
+
+// ---------------------------------------------------------------------
 // The CLI
 // ---------------------------------------------------------------------
 

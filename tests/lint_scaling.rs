@@ -1,6 +1,9 @@
-//! The lint preflight does work linear in nodes + edges, with a fixed
-//! cost per *distinct* channel spec: each one is verified once and
-//! built once for probing, however many edges carry it and however
+//! The lint preflight does work linear in nodes + edges on an explicit
+//! netlist, and work independent of size on a generated topology, which
+//! it reads through the generator's `Family` instead of building it. A
+//! chain's stages cost at most one hazard-walk step per distinct probe.
+//! Each *distinct* channel spec has a fixed cost: it is verified once
+//! and built once for probing, however many edges carry it and however
 //! many pulse widths the scenarios probe it with. The probe budget
 //! counts distinct (channel, width) probes, where equal specs written
 //! out separately are one channel.

@@ -431,6 +431,101 @@ fn fault_seed_in_the_daemon_environment_changes_nothing() {
     assert_eq!(served.payload, in_process(&spec));
 }
 
+/// A 4e9-stage chain: it fits `u32` node ids, but not memory.
+const HOSTILE_CHAIN: &str = "faithful/1 digital {\n  \
+    topology = chain { stages = 4000000000; channel = pure { delay = 1.0 } };\n  \
+    horizon = 10.0;\n  max_events = 1;\n  scenarios = [\n    \
+    scenario { label = \"s\"; inputs = [\n      \
+    drive { port = \"a\"; signal = pulse { at = 1.0; width = 2.0 } }\n    ] }\n  ];\n}\n";
+
+/// The address-space cap hostile specs run under, in KiB.
+const ADDRESS_SPACE_KIB: u32 = 2_000_000;
+
+/// `bin` with `args`, started by a shell that first caps the address
+/// space, so an allocation sized by the spec fails instead of growing
+/// toward the host's memory.
+#[cfg(unix)]
+fn capped(bin: &str, args: &[&str]) -> Command {
+    let mut cmd = Command::new("sh");
+    cmd.arg("-c")
+        .arg(format!("ulimit -v {ADDRESS_SPACE_KIB}; exec \"$0\" \"$@\""))
+        .arg(bin)
+        .args(args);
+    cmd
+}
+
+/// The spec lints and builds through closed forms: lint models the
+/// chain without a node per stage, the generator's reservation fails,
+/// and the daemon answers with a typed `run` error and keeps serving
+/// the connection.
+#[cfg(unix)]
+#[test]
+fn a_chain_too_large_for_memory_is_a_typed_error_under_an_address_space_cap() {
+    let mut daemon = capped(
+        env!("CARGO_BIN_EXE_faithful-serve"),
+        &["--addr", "127.0.0.1:0", "--workers", "1"],
+    )
+    .stdout(Stdio::piped())
+    .stderr(Stdio::null())
+    .spawn()
+    .expect("spawn faithful-serve");
+    let mut stdout = BufReader::new(daemon.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("faithful-serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
+        .to_owned();
+
+    let mut client = ServiceClient::connect(addr.as_str()).unwrap();
+    let hostile = client.run_one(HOSTILE_CHAIN);
+    let next = client.run_one(SHIPPED_SWEEP);
+    // stop the daemon before asserting, so a failure leaves no process
+    Command::new("kill")
+        .args(["-TERM", &daemon.id().to_string()])
+        .status()
+        .unwrap();
+    let status = daemon.wait().unwrap();
+
+    let err = hostile
+        .expect("a reply to the hostile spec")
+        .reply
+        .unwrap_err();
+    assert_eq!(err.kind, ServedErrorKind::Run, "{err}");
+    assert!(err.message.contains("4000000002 nodes"), "{err}");
+    let next = next.expect("a reply on the same connection");
+    assert!(next.reply.is_ok(), "{:?}", next.reply);
+    assert_eq!(next.payload, in_process(SHIPPED_SWEEP));
+    assert!(status.success(), "{status}");
+}
+
+/// `faithful-lint` under the same cap: the 4e9-stage chain reports what
+/// the 8-stage chain does.
+#[cfg(unix)]
+#[test]
+fn lint_reads_a_chain_too_large_for_memory_like_a_short_one() {
+    let dir = std::env::temp_dir().join(format!("faithful_lint_cap_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("chain.spec");
+    let lint = |text: &str| {
+        std::fs::write(&file, text).unwrap();
+        capped(
+            env!("CARGO_BIN_EXE_faithful-lint"),
+            &[file.to_str().unwrap()],
+        )
+        .output()
+        .unwrap()
+    };
+    let hostile = lint(HOSTILE_CHAIN);
+    let short = lint(&HOSTILE_CHAIN.replace("4000000000", "8"));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(hostile.status.code(), Some(0), "{hostile:?}");
+    let stdout = String::from_utf8(hostile.stdout).unwrap();
+    assert!(stdout.contains("warning[IVL040]"), "{stdout}");
+    assert_eq!(stdout, String::from_utf8(short.stdout).unwrap());
+}
+
 #[cfg(unix)]
 #[test]
 fn client_bin_reports_cache_hits_on_resubmission() {
