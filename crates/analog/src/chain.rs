@@ -121,6 +121,18 @@ impl ChainCrossings {
     }
 }
 
+/// An empty stage vector with room for exactly `n` stages, reserved in
+/// one allocation, so a chain too large for memory is a typed error
+/// instead of an aborting allocation somewhere in a doubling growth.
+fn reserve_stages(n: usize) -> Result<Vec<Inverter>, Error> {
+    let mut stages = Vec::new();
+    stages.try_reserve_exact(n).map_err(|_| Error::TooLarge {
+        what: "inverter stages",
+        requested: n,
+    })?;
+    Ok(stages)
+}
+
 impl InverterChain {
     /// Builds a chain from explicit stages.
     ///
@@ -145,11 +157,11 @@ impl InverterChain {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameter`] if `n == 0`.
+    /// Returns [`Error::InvalidParameter`] if `n == 0`, and
+    /// [`Error::TooLarge`] if `n` stages do not fit in memory.
     pub fn umc90_like(n: usize) -> Result<Self, Error> {
-        let stages = (0..n)
-            .map(|_| Inverter::umc90_like(5.0))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut stages = reserve_stages(n)?;
+        stages.resize(n, Inverter::umc90_like(5.0)?);
         InverterChain::new(stages)
     }
 
@@ -166,11 +178,10 @@ impl InverterChain {
     ///
     /// Returns [`Error::InvalidParameter`] if `factor ≤ 0`.
     pub fn scaled_width(&self, factor: f64) -> Result<Self, Error> {
-        let stages = self
-            .stages
-            .iter()
-            .map(|s| s.scaled_width(factor))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut stages = reserve_stages(self.stages.len())?;
+        for s in &self.stages {
+            stages.push(s.scaled_width(factor)?);
+        }
         InverterChain::new(stages)
     }
 
@@ -531,6 +542,14 @@ mod tests {
         let c = InverterChain::umc90_like(7).unwrap();
         assert_eq!(c.stages().len(), 7);
         assert!(InverterChain::umc90_like(0).is_err());
+        // more stages than an address space holds: refused, not aborted
+        assert_eq!(
+            InverterChain::umc90_like(usize::MAX).unwrap_err(),
+            Error::TooLarge {
+                what: "inverter stages",
+                requested: usize::MAX
+            }
+        );
     }
 
     #[test]

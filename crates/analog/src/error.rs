@@ -48,6 +48,13 @@ pub enum Error {
         /// The panic payload, rendered to text.
         message: String,
     },
+    /// A structure too large to reserve memory for.
+    TooLarge {
+        /// What was being allocated.
+        what: &'static str,
+        /// How many were requested.
+        requested: usize,
+    },
     /// Propagated core error (e.g. invalid extracted signal).
     Core(ivl_core::Error),
 }
@@ -73,6 +80,9 @@ impl fmt::Display for Error {
             }
             Error::WorkerPanic { index, message } => {
                 write!(f, "sweep worker panicked on job {index}: {message}")
+            }
+            Error::TooLarge { what, requested } => {
+                write!(f, "cannot reserve memory for {requested} {what}")
             }
             Error::Core(e) => write!(f, "{e}"),
         }
@@ -118,6 +128,10 @@ mod tests {
             Error::WorkerPanic {
                 index: 3,
                 message: "boom".into(),
+            },
+            Error::TooLarge {
+                what: "inverter stages",
+                requested: 7,
             },
             Error::Core(ivl_core::Error::SolverFailed { what: "x" }),
         ];

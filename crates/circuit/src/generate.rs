@@ -142,6 +142,18 @@ impl Family {
         Ok((nodes, edges))
     }
 
+    /// How many gates the input port `a` drives through direct wires:
+    /// every leaf of a fat tree, gate 0 of any other family, none
+    /// without a gate or beyond the generators' limits.
+    #[must_use]
+    pub fn input_fanout(self) -> u64 {
+        match (self, self.gates()) {
+            (_, Ok(0) | Err(_)) => 0,
+            (Family::FatTree { depth }, Ok(_)) => 1 << depth,
+            (_, Ok(_)) => 1,
+        }
+    }
+
     /// The id of the node named `name` in the netlist this family
     /// generates, or `None` if there is no such node. Only canonical
     /// spellings resolve: `n01`, `n+1` and `g1_` do not. The ports `a`
@@ -451,6 +463,7 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::EdgeId;
     use crate::sim::Simulator;
     use ivl_core::channel::{PureDelay, SimChannel};
     use ivl_core::Signal;
@@ -584,6 +597,48 @@ mod tests {
                 assert_eq!(c.node_name(id), name.as_str());
             }
         }
+    }
+
+    #[test]
+    #[allow(clippy::cast_possible_truncation)]
+    fn input_fanout_counts_the_direct_wires_out_of_a() {
+        let cases = [
+            (
+                Family::InverterChain { stages: 0 },
+                inverter_chain(0, delay()),
+            ),
+            (
+                Family::InverterChain { stages: 5 },
+                inverter_chain(5, delay()),
+            ),
+            (
+                Family::Grid {
+                    width: 4,
+                    height: 3,
+                },
+                grid(4, 3, delay()),
+            ),
+            (Family::RandomDag { nodes: 40 }, random_dag(40, 3, delay())),
+            (Family::FatTree { depth: 3 }, fat_tree(3, delay())),
+        ];
+        for (family, circuit) in cases {
+            let c = circuit.unwrap();
+            let direct = (0..c.edge_count() as u32)
+                .map(EdgeId)
+                .filter(|&e| c.edge_endpoints(e).0 == INPUT && c.clone_channel(e).is_none())
+                .count();
+            assert_eq!(family.input_fanout(), direct as u64, "{family:?}");
+        }
+        assert_eq!(Family::FatTree { depth: 3 }.input_fanout(), 8);
+        assert_eq!(
+            Family::Grid {
+                width: 0,
+                height: 9
+            }
+            .input_fanout(),
+            0
+        );
+        assert_eq!(Family::FatTree { depth: 99 }.input_fanout(), 0);
     }
 
     #[test]

@@ -365,10 +365,12 @@ pub struct SweepStats {
 
 impl SweepStats {
     /// Folds one output-port signal into the aggregate (transition
-    /// count, pulse-width extrema, minimum period). Exposed so
-    /// checkpoint-resume can rebuild sweep statistics from persisted
-    /// per-scenario signals in exactly the order the runner would have
-    /// used — bit-identical merges depend on it.
+    /// count, pulse-width extrema, minimum period). Exposed so a caller
+    /// that keeps its own per-scenario records (the `faithful` facade
+    /// batches a checkpointed sweep and merges resumed scenarios) can
+    /// rebuild sweep statistics from their output-port signals in
+    /// exactly the order the runner would have used — bit-identical
+    /// merges depend on it.
     pub fn absorb_signal(&mut self, signal: &Signal) {
         self.output_transitions += signal.len() as u64;
         let stats = PulseStats::of(signal);
@@ -408,6 +410,24 @@ impl SweepResult {
     #[must_use]
     pub fn failures(&self) -> &[ScenarioFailure] {
         &self.failures
+    }
+
+    /// Consumes the sweep into one record per scenario, in the order
+    /// the scenarios were given: its label and run, or its entry of
+    /// [`failures`](SweepResult::failures). Signals move out with the
+    /// runs (see [`SimResult::take_signal`]), nothing is cloned.
+    pub fn into_results(
+        self,
+    ) -> impl Iterator<Item = (String, Result<SimResult, ScenarioFailure>)> {
+        let mut failures = self.failures.into_iter();
+        self.outcomes.into_iter().map(move |outcome| {
+            let result = outcome.result.map_err(|_| {
+                failures
+                    .next()
+                    .expect("one failure record per failed scenario")
+            });
+            (outcome.label, result)
+        })
     }
 
     /// Number of scenarios swept.
@@ -677,14 +697,6 @@ impl ScenarioRunner {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
-    }
-
-    /// Installs or clears the fault plan in place — the mutable twin of
-    /// [`with_fault_plan`](ScenarioRunner::with_fault_plan), for callers
-    /// that re-target the plan between runs (e.g. batch-local index
-    /// remapping). Per-run configuration: warm simulators are kept.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault = plan;
     }
 
     /// Sweeps `scenarios`, returning outcomes in input order plus

@@ -1,18 +1,23 @@
 //! Resumable sweep checkpoints: the versioned sidecar behind
 //! [`Experiment::resume`](crate::Experiment::resume).
 //!
-//! While a checkpointed digital sweep runs, the facade periodically
-//! writes a `faithful/1` **checkpoint document** next to the results:
-//! the full experiment spec (embedded verbatim, so the sidecar is
-//! self-contained), the total scenario count, and — for every scenario
-//! that has already completed successfully — its output-port signals
-//! and event counts. Failed scenarios are deliberately *not*
-//! checkpointed: a resumed run re-executes them, so transient failures
-//! get a second chance and deterministic ones re-surface.
+//! While a checkpointed digital sweep runs, the facade writes a
+//! `faithful/1` **checkpoint document** next to the results after every
+//! batch: the full experiment spec (embedded verbatim, so the sidecar
+//! is self-contained), the total scenario count, and — for every
+//! scenario that has already completed successfully — its
+//! [`DoneScenario`]: label, event counts and recorded signals (output
+//! ports first, then watched nodes). `DoneScenario` is also the
+//! facade's own success record for a scenario, so [`render`] writes the
+//! sidecar from the facade's records by reference. Failed scenarios
+//! are deliberately *not* checkpointed: a resumed run re-executes them,
+//! so transient failures get a second chance and deterministic ones
+//! re-surface.
 //!
-//! Resuming parses the sidecar, rebuilds the experiment from the
-//! embedded spec, skips every checkpointed scenario, and merges the
-//! persisted signals back into the final result and statistics. For
+//! Resuming parses the sidecar into a [`CheckpointState`], rebuilds the
+//! experiment from the embedded spec, skips every checkpointed
+//! scenario, and merges the persisted records back into the final
+//! result and statistics. For
 //! seeded scenarios the merged result is bit-identical to an
 //! uninterrupted run: signals round-trip exactly (`f64` times print via
 //! `{:?}`), and statistics are re-aggregated in scenario-index order
@@ -34,7 +39,8 @@ use crate::value::{parse_document, render_document, Value};
 /// document version).
 pub(crate) const CHECKPOINT_VERSION: u64 = 1;
 
-/// One successfully completed scenario, as persisted.
+/// One successfully completed scenario: the record a digital sweep
+/// keeps for it, and what the sidecar persists.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DoneScenario {
     pub(crate) label: String,
@@ -43,7 +49,8 @@ pub(crate) struct DoneScenario {
     pub(crate) signals: Vec<(String, Signal)>,
 }
 
-/// The persisted state of a partially completed sweep.
+/// A parsed sidecar: the persisted state of a partially completed
+/// sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CheckpointState {
     /// The experiment spec, embedded verbatim.
@@ -56,16 +63,22 @@ pub(crate) struct CheckpointState {
     pub(crate) done: BTreeMap<usize, DoneScenario>,
 }
 
-/// Renders the checkpoint as a versioned `faithful/1` document.
-pub(crate) fn render(state: &CheckpointState) -> String {
-    let done = state
-        .done
-        .iter()
+/// Renders a checkpoint as a versioned `faithful/1` document: the
+/// embedded spec text, the sweep's scenario count and retries so far,
+/// and every completed scenario by sweep index, in ascending order.
+pub(crate) fn render<'a>(
+    spec_text: &str,
+    total: usize,
+    retried: u64,
+    done: impl IntoIterator<Item = (usize, &'a DoneScenario)>,
+) -> String {
+    let done = done
+        .into_iter()
         .map(|(index, d)| {
             Value::node(
                 "done",
                 vec![
-                    field("index", Value::int(*index as u64)),
+                    field("index", Value::int(index as u64)),
                     field("label", Value::str(d.label.clone())),
                     field("processed", Value::int(d.processed)),
                     field("scheduled", Value::int(d.scheduled)),
@@ -78,9 +91,9 @@ pub(crate) fn render(state: &CheckpointState) -> String {
         "checkpoint",
         vec![
             field("version", Value::int(CHECKPOINT_VERSION)),
-            field("total", Value::int(state.total as u64)),
-            field("retried", Value::int(state.retried)),
-            field("spec", Value::str(state.spec_text.clone())),
+            field("total", Value::int(total as u64)),
+            field("retried", Value::int(retried)),
+            field("spec", Value::str(spec_text.to_owned())),
             field("done", Value::list(done)),
         ],
     );
@@ -152,13 +165,12 @@ pub(crate) fn read(path: &Path) -> Result<CheckpointState, CheckpointError> {
     parse(&text).map_err(|e| e.at_path(path.display().to_string()))
 }
 
-/// Writes a checkpoint atomically: render to `<path>.tmp`, then rename
-/// over `path`, so an interrupted write never truncates the previous
-/// complete checkpoint. Shares [`crate::atomicio::write_atomic`] with
-/// the experiment service's disk cache so both stores keep the same
-/// crash discipline.
-pub(crate) fn write_atomic(path: &Path, state: &CheckpointState) -> Result<(), CheckpointError> {
-    let text = render(state);
+/// Writes a rendered checkpoint atomically: to `<path>.tmp`, then
+/// renamed over `path`, so an interrupted write never truncates the
+/// previous complete checkpoint. Shares
+/// [`crate::atomicio::write_atomic`] with the experiment service's disk
+/// cache so both stores keep the same crash discipline.
+pub(crate) fn write_atomic(path: &Path, text: &str) -> Result<(), CheckpointError> {
     crate::atomicio::write_atomic(path, text.as_bytes())
         .map_err(|(e, at)| CheckpointError::new(e.to_string()).at_path(at.display().to_string()))
 }
@@ -167,6 +179,15 @@ pub(crate) fn write_atomic(path: &Path, state: &CheckpointState) -> Result<(), C
 mod tests {
     use super::*;
     use ivl_core::Bit;
+
+    fn render_state(state: &CheckpointState) -> String {
+        render(
+            &state.spec_text,
+            state.total,
+            state.retried,
+            state.done.iter().map(|(&i, d)| (i, d)),
+        )
+    }
 
     fn sample_state() -> CheckpointState {
         let mut done = BTreeMap::new();
@@ -202,22 +223,22 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_exactly() {
         let state = sample_state();
-        let text = render(&state);
+        let text = render_state(&state);
         let parsed = parse(&text).unwrap();
         assert_eq!(parsed, state);
         // and the rendering is stable
-        assert_eq!(render(&parsed), text);
+        assert_eq!(render_state(&parsed), text);
     }
 
     #[test]
     fn bad_documents_are_rejected_with_reasons() {
         assert!(parse("garbage").is_err());
         // wrong version
-        let text = render(&sample_state()).replace("version = 1", "version = 99");
+        let text = render_state(&sample_state()).replace("version = 1", "version = 99");
         let err = parse(&text).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
         // completed index out of range
-        let text = render(&sample_state()).replace("total = 5", "total = 1");
+        let text = render_state(&sample_state()).replace("total = 5", "total = 1");
         let err = parse(&text).unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
     }
@@ -227,7 +248,7 @@ mod tests {
         let state = sample_state();
         let path =
             std::env::temp_dir().join(format!("faithful_ckpt_test_{}.spec", std::process::id()));
-        write_atomic(&path, &state).unwrap();
+        write_atomic(&path, &render_state(&state)).unwrap();
         let read_back = read(&path).unwrap();
         assert_eq!(read_back, state);
         std::fs::remove_file(&path).ok();

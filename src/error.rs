@@ -168,7 +168,9 @@ pub enum Error {
     /// A spec parse/validation error.
     Spec(SpecError),
     /// A sweep stopped by the `abort` failure policy; carries the
-    /// failing scenario's index, label, seed and cause.
+    /// failing scenario's index in the spec, label, seed and cause, and
+    /// how many scenarios had completed (a checkpointed sweep counts
+    /// every batch, resumed scenarios included).
     Sweep(ivl_circuit::SweepAborted),
     /// A checkpoint sidecar could not be read, written or validated.
     Checkpoint(CheckpointError),

@@ -4,7 +4,6 @@
 //! pipeline or the SPF theory/circuit layer, behind one typed
 //! [`ExperimentResult`].
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -31,7 +30,7 @@ use ivl_core::noise::{
 use ivl_core::{Bit, Edge, Signal};
 use ivl_spf::{SpfCircuit, SpfRun, SpfTheory};
 
-use crate::checkpoint;
+use crate::checkpoint::{self, DoneScenario};
 use crate::error::{CheckpointError, Error, SpecError};
 use crate::spec::{
     AnalogSpec, AnalogTask, ChannelSpec, DelaySpec, DigitalSpec, ExperimentSpec, FailurePolicySpec,
@@ -367,7 +366,8 @@ impl Experiment {
         }
 
         let total = d.scenarios.len();
-        let mut records: Vec<Option<ScenarioRecord>> = Vec::new();
+        // one record per spec scenario: resumed or run, success or failure
+        let mut records: Vec<Option<Result<DoneScenario, ScenarioFailure>>> = Vec::new();
         records.resize_with(total, || None);
         let mut retried: u64 = 0;
 
@@ -381,16 +381,22 @@ impl Experiment {
             }
             retried = state.retried;
             for (&index, done) in &state.done {
-                records[index] = Some(ScenarioRecord {
-                    label: done.label.clone(),
-                    signals: done.signals.clone(),
-                    processed: done.processed,
-                    scheduled: done.scheduled,
-                    error: None,
-                    retries: 0,
-                });
+                records[index] = Some(Ok(done.clone()));
             }
         }
+
+        // the sidecar embeds the spec once per write; render it once
+        let spec_text = self.checkpoint.as_ref().map(|_| self.spec.to_string());
+        let persist = |records: &[Option<Result<DoneScenario, ScenarioFailure>>], retried| {
+            let (Some(path), Some(spec_text)) = (&self.checkpoint, &spec_text) else {
+                return Ok(());
+            };
+            let done = records.iter().enumerate().filter_map(|(i, r)| match r {
+                Some(Ok(done)) => Some((i, done)),
+                _ => None,
+            });
+            checkpoint::write_atomic(path, &checkpoint::render(spec_text, total, retried, done))
+        };
 
         let pending: Vec<usize> = (0..total).filter(|&i| records[i].is_none()).collect();
         // without a checkpoint sidecar there is nothing to persist
@@ -414,68 +420,54 @@ impl Experiment {
                 }
                 scenarios.push(sc);
             }
-            // faults are planned in global scenario indices; remap the
-            // slice this batch executes
+            // faults are planned in global scenario indices; the batch
+            // (ascending) runs them at their positions within it
             if let Some(plan) = &self.fault {
                 let mut local = FaultPlan::new();
-                for (pos, &gi) in batch.iter().enumerate() {
-                    if let Some((_, kind)) = plan.faults().iter().find(|(fi, _)| *fi == gi) {
+                for (i, kind) in plan.faults() {
+                    if let Ok(pos) = batch.binary_search(i) {
                         local = local.with_fault(pos, kind.clone());
                     }
                 }
-                runner.set_fault_plan(Some(local));
+                runner = runner.with_fault_plan(local);
             }
             let sweep = match runner.try_run(&scenarios) {
                 Ok(sweep) => sweep,
                 Err(mut aborted) => {
-                    // report the global index, and persist the completed
-                    // batches so resume() can pick the sweep back up
-                    // from here (the aborted batch itself re-runs)
+                    // report the global index and the whole sweep's
+                    // progress, and persist the completed batches so
+                    // resume() can pick the sweep back up from here
+                    // (the aborted batch itself re-runs)
                     aborted.failure.index = batch[aborted.failure.index];
-                    if let Some(path) = &self.checkpoint {
-                        self.write_checkpoint(path, total, retried, &records)?;
-                    }
+                    aborted.completed +=
+                        records.iter().filter(|r| matches!(r, Some(Ok(_)))).count();
+                    persist(&records, retried)?;
                     return Err(Error::Sweep(aborted));
                 }
             };
             retried += sweep.stats().retried;
-            for (pos, outcome) in sweep.outcomes().iter().enumerate() {
-                let record = match outcome.result() {
-                    Ok(run) => {
+            for (&index, (label, result)) in batch.iter().zip(sweep.into_results()) {
+                let record = match result {
+                    Ok(mut run) => {
                         let mut signals = Vec::with_capacity(collect_names.len());
                         for name in &collect_names {
-                            signals.push((name.clone(), run.signal(name)?.clone()));
+                            signals.push((name.clone(), run.take_signal(name)?));
                         }
-                        ScenarioRecord {
-                            label: outcome.label().to_owned(),
-                            signals,
+                        Ok(DoneScenario {
+                            label,
                             processed: run.processed_events() as u64,
                             scheduled: run.scheduled_events() as u64,
-                            error: None,
-                            retries: 0,
-                        }
+                            signals,
+                        })
                     }
-                    Err(e) => {
-                        let retries = sweep
-                            .failures()
-                            .iter()
-                            .find(|f| f.index == pos)
-                            .map_or(0, |f| f.retries);
-                        ScenarioRecord {
-                            label: outcome.label().to_owned(),
-                            signals: Vec::new(),
-                            processed: 0,
-                            scheduled: 0,
-                            error: Some(e.clone()),
-                            retries,
-                        }
+                    Err(mut failure) => {
+                        failure.index = index;
+                        Err(failure)
                     }
                 };
-                records[batch[pos]] = Some(record);
+                records[index] = Some(record);
             }
-            if let Some(path) = &self.checkpoint {
-                self.write_checkpoint(path, total, retried, &records)?;
-            }
+            persist(&records, retried)?;
         }
 
         // assemble in scenario-index order; statistics are re-aggregated
@@ -489,105 +481,60 @@ impl Experiment {
             retried,
             ..SweepStats::default()
         };
-        for (i, record) in records.into_iter().enumerate() {
-            let record = record.expect("every scenario was executed or resumed");
-            match record.error {
-                None => {
-                    stats.processed_events += record.processed;
-                    stats.scheduled_events += record.scheduled;
+        for record in records {
+            match record.expect("every scenario was executed or resumed") {
+                Ok(done) => {
+                    stats.processed_events += done.processed;
+                    stats.scheduled_events += done.scheduled;
                     // the statistics cover output ports only
-                    for (_, signal) in record.signals.iter().take(ports) {
+                    for (_, signal) in done.signals.iter().take(ports) {
                         stats.absorb_signal(signal);
                     }
                     let vcd = if d.outputs.vcd {
-                        let pairs: Vec<(&str, &Signal)> = record
-                            .signals
-                            .iter()
-                            .map(|(n, s)| (n.as_str(), s))
-                            .collect();
+                        let pairs: Vec<(&str, &Signal)> =
+                            done.signals.iter().map(|(n, s)| (n.as_str(), s)).collect();
                         Some(write_vcd(&pairs, "1ps", 0.001).map_err(SpecError::new)?)
                     } else {
                         None
                     };
-                    let signals = if d.outputs.signals {
-                        record.signals
-                    } else {
-                        Vec::new()
-                    };
                     outcomes.push(DigitalOutcome {
-                        label: record.label,
-                        signals,
+                        label: done.label,
+                        signals: if d.outputs.signals {
+                            done.signals
+                        } else {
+                            Vec::new()
+                        },
                         vcd,
                         error: None,
                     });
                 }
-                Some(cause) => {
+                Err(failure) => {
                     stats.failures += 1;
-                    failures.push(ScenarioFailure {
-                        index: i,
-                        label: record.label.clone(),
-                        seed: d.scenarios[i].seed,
-                        cause: cause.clone(),
-                        retries: record.retries,
-                    });
                     quarantine.push(QuarantinedScenario {
-                        index: i,
-                        label: record.label.clone(),
-                        spec: quarantine_spec(d, i, &cause),
+                        index: failure.index,
+                        label: failure.label.clone(),
+                        spec: quarantine_spec(d, failure.index, &failure.cause),
                     });
                     outcomes.push(DigitalOutcome {
-                        label: record.label,
+                        label: failure.label.clone(),
                         signals: Vec::new(),
                         vcd: None,
-                        error: Some(cause),
+                        error: Some(failure.cause.clone()),
                     });
+                    failures.push(failure);
                 }
             }
         }
         let failed = failures.len();
-        let stats_out = d.outputs.stats.then(|| stats.clone());
         Ok(ExperimentResult::Digital(DigitalResult {
             outcomes,
-            stats: stats_out,
+            stats: d.outputs.stats.then_some(stats),
             completed: total - failed,
             failed,
             retried,
             failures,
             quarantine,
         }))
-    }
-
-    fn write_checkpoint(
-        &self,
-        path: &Path,
-        total: usize,
-        retried: u64,
-        records: &[Option<ScenarioRecord>],
-    ) -> Result<(), Error> {
-        let mut done = BTreeMap::new();
-        for (i, record) in records.iter().enumerate() {
-            if let Some(record) = record {
-                if record.error.is_none() {
-                    done.insert(
-                        i,
-                        checkpoint::DoneScenario {
-                            label: record.label.clone(),
-                            processed: record.processed,
-                            scheduled: record.scheduled,
-                            signals: record.signals.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        let state = checkpoint::CheckpointState {
-            spec_text: self.spec.to_string(),
-            total,
-            retried,
-            done,
-        };
-        checkpoint::write_atomic(path, &state)?;
-        Ok(())
     }
 
     fn run_analog(&self, a: &AnalogSpec) -> Result<AnalogResult, Error> {
@@ -794,16 +741,6 @@ fn raw_samples(samples: &[(f64, f64)], edge: Edge) -> Vec<DelaySample> {
             edge,
         })
         .collect()
-}
-
-/// One scenario's result while a batched/resumable sweep is in flight.
-struct ScenarioRecord {
-    label: String,
-    signals: Vec<(String, Signal)>,
-    processed: u64,
-    scheduled: u64,
-    error: Option<SimError>,
-    retries: u32,
 }
 
 /// Repackages scenario `index` of sweep `d` as a standalone replayable

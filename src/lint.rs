@@ -629,17 +629,22 @@ impl<'a, 's> Linter<'a, 's> {
     /// `IVL040`: per scenario, every input transition fed into a direct
     /// (channel-less) outgoing edge is scheduled verbatim, so the
     /// scheduled-event count is provably at least
-    /// Σ_ports (transitions × direct out-edges). If that floor already
+    /// Σ_ports (transitions × direct out-edges); a generator's input
+    /// fanout comes from [`Family::input_fanout`] (every leaf of a fat
+    /// tree, one gate otherwise). If that floor already
     /// exceeds `max_events`, the scenario is guaranteed to die with
     /// `MaxEventsExceeded` before a single gate fires.
     fn budget_pass(&mut self, g: &Graph, d: &DigitalSpec) {
         let Some(budget) = d.max_events else {
             return;
         };
+        // a stand-in's one direct wire out of `a` stands for all of the
+        // generator's (every leaf of a fat tree)
+        let fanout = g.family.map_or(1, Family::input_fanout);
         let mut direct_out: HashMap<&str, u64> = HashMap::new();
         for e in &g.edges {
             if e.channel.is_none() && g.nodes[e.from].kind == GKind::Input {
-                *direct_out.entry(g.nodes[e.from].name.as_str()).or_insert(0) += 1;
+                *direct_out.entry(g.nodes[e.from].name.as_str()).or_insert(0) += fanout;
             }
         }
         if direct_out.is_empty() {

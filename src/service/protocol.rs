@@ -15,6 +15,9 @@ pub const GREETING: &str = "faithful-serve/1";
 /// hostile length prefix must not drive an unbounded allocation.
 pub(crate) const MAX_FRAME_LEN: u32 = 64 << 20;
 
+/// The most a frame's payload buffer holds before its bytes arrive.
+const FIRST_READ: usize = 64 << 10;
+
 const TAG_HELLO: u8 = 1;
 const TAG_SUBMIT: u8 = 2;
 const TAG_RESULT: u8 = 3;
@@ -130,8 +133,7 @@ impl Frame {
                 format!("frame length {len} exceeds the protocol limit of {MAX_FRAME_LEN}"),
             ));
         }
-        let mut payload = vec![0u8; len as usize];
-        read_full(r, &mut payload)?;
+        let payload = read_payload(r, len as usize)?;
         let text = String::from_utf8(payload).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8")
         })?;
@@ -155,6 +157,21 @@ impl Frame {
             )),
         }
     }
+}
+
+/// Reads a `len`-byte payload into a buffer that starts at
+/// [`FIRST_READ`] bytes and doubles only once it is full, so what a
+/// length prefix costs follows the bytes its peer has actually sent,
+/// and an ordinary frame is still one allocation.
+fn read_payload(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
+    let mut payload = vec![0u8; len.min(FIRST_READ)];
+    read_full(r, &mut payload)?;
+    while payload.len() < len {
+        let filled = payload.len();
+        payload.resize(len.min(2 * filled), 0);
+        read_full(r, &mut payload[filled..])?;
+    }
+    Ok(payload)
 }
 
 /// `read_exact` that rides out read timeouts and EINTR: a frame that
@@ -244,6 +261,48 @@ mod tests {
         cached.write_to(&mut b).unwrap();
         assert_ne!(a[0], b[0]);
         assert_eq!(a[1..], b[1..]);
+    }
+
+    /// Hands out at most `chunk` bytes per read, each after a timeout.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+        timed_out: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.timed_out = !self.timed_out;
+            if self.timed_out {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            let n = buf.len().min(self.chunk).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_payload_past_the_first_read_arrives_through_timeouts() {
+        let frame = Frame::Submit {
+            id: 4,
+            spec: "0123456789".repeat(FIRST_READ / 4),
+        };
+        let mut buf = Vec::new();
+        frame.write_to(&mut buf).unwrap();
+        let mut r = Trickle {
+            bytes: &buf[1..],
+            chunk: 4093,
+            timed_out: false,
+        };
+        // the tag byte is read first; a timeout there means idle
+        let tag = [buf[0]];
+        let mut tagged = tag.as_slice().chain(&mut r);
+        match Frame::read_from(&mut tagged).unwrap() {
+            ReadOutcome::Frame(back) => assert_eq!(back, frame),
+            other => panic!("expected a frame, got {other:?}"),
+        }
     }
 
     #[test]

@@ -193,6 +193,36 @@ fn env_seeded_fault_plan_is_survived() {
     assert_eq!(run.completed, scenarios - want.len());
 }
 
+/// A checkpointed sweep that aborts reports the whole sweep's progress,
+/// not only its last batch's: the same `completed` as the unbatched
+/// sweep. One worker, so no scenario after the panic runs.
+#[test]
+fn a_checkpointed_abort_counts_every_completed_batch() {
+    let spec = chaos_spec(6, 1).with_on_failure(FailurePolicySpec::Abort);
+    let path = std::env::temp_dir().join(format!(
+        "faithful_ckpt_abort_progress_{}.spec",
+        std::process::id()
+    ));
+    let abort = |experiment: Experiment| match experiment
+        .with_fault_plan(FaultPlan::new().with_fault(4, FaultKind::Panic))
+        .run()
+    {
+        Err(Error::Sweep(aborted)) => aborted,
+        other => panic!("expected Error::Sweep, got {other:?}"),
+    };
+    let unbatched = abort(Experiment::digital(spec.clone()));
+    let batched = abort(
+        Experiment::digital(spec)
+            .with_checkpoint(&path)
+            .with_checkpoint_every(2),
+    );
+    std::fs::remove_file(&path).ok();
+    for aborted in [unbatched, batched] {
+        assert_eq!(aborted.failure.index, 4);
+        assert_eq!(aborted.completed, 4, "{aborted}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -380,6 +380,33 @@ fn ivl020_on_a_generator_quotes_nodes_the_generator_has() {
     }
 }
 
+#[test]
+fn ivl040_counts_every_leaf_a_fat_tree_wires_to_its_input() {
+    // `a` drives all 16 leaves directly, so one pulse schedules 32
+    // events before any gate fires
+    let text = "faithful/1 digital {\n  topology = fat_tree { depth = 4; \
+                channel = pure { delay = 1.0 } };\n  horizon = 20.0;\n  max_events = 20;\n  \
+                scenarios = [ scenario { label = \"s\"; inputs = [ drive { port = \"a\"; \
+                signal = pulse { at = 1.0; width = 5.0 } } ] } ];\n}\n";
+    assert_eq!(
+        rendered(text),
+        [
+            "warning[IVL040]: scenario \"s\" schedules at least 32 events from its input \
+             stimuli alone, which already exceeds max_events = 20 (line 4, column 16)"
+        ]
+    );
+    let result = Experiment::parse(text).unwrap().run().unwrap();
+    let outcome = &result.digital().unwrap().outcomes[0];
+    assert!(
+        matches!(
+            outcome.error,
+            Some(faithful::circuit::SimError::MaxEventsExceeded { budget: 20, .. })
+        ),
+        "{:?}",
+        outcome.error
+    );
+}
+
 /// A chain of `stages` involution channels under four pulses: 0.85 and
 /// 0.9 die in the second channel, 1.15 in the third, and 3.0 shrinks
 /// until the twentieth cancels it.

@@ -7,7 +7,7 @@
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -454,13 +454,10 @@ fn capped(bin: &str, args: &[&str]) -> Command {
     cmd
 }
 
-/// The spec lints and builds through closed forms: lint models the
-/// chain without a node per stage, the generator's reservation fails,
-/// and the daemon answers with a typed `run` error and keeps serving
-/// the connection.
+/// A one-worker `faithful-serve` under the address-space cap, and the
+/// address it listens on.
 #[cfg(unix)]
-#[test]
-fn a_chain_too_large_for_memory_is_a_typed_error_under_an_address_space_cap() {
+fn capped_daemon() -> (Child, String) {
     let mut daemon = capped(
         env!("CARGO_BIN_EXE_faithful-serve"),
         &["--addr", "127.0.0.1:0", "--workers", "1"],
@@ -477,26 +474,97 @@ fn a_chain_too_large_for_memory_is_a_typed_error_under_an_address_space_cap() {
         .strip_prefix("faithful-serve: listening on ")
         .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
         .to_owned();
+    // keep the pipe open: the daemon reports its drain on stdout
+    daemon.stdout = Some(stdout.into_inner());
+    (daemon, addr)
+}
 
-    let mut client = ServiceClient::connect(addr.as_str()).unwrap();
-    let hostile = client.run_one(HOSTILE_CHAIN);
-    let next = client.run_one(SHIPPED_SWEEP);
-    // stop the daemon before asserting, so a failure leaves no process
+/// Sends SIGTERM and waits for the exit. Tests stop the daemon before
+/// asserting, so a failure leaves no process behind.
+#[cfg(unix)]
+fn terminate(mut daemon: Child) -> ExitStatus {
     Command::new("kill")
         .args(["-TERM", &daemon.id().to_string()])
         .status()
         .unwrap();
-    let status = daemon.wait().unwrap();
+    daemon.wait().unwrap()
+}
+
+/// Under the cap, `hostile` gets a typed `run` error whose message
+/// contains `names`, and the shipped sweep then gets its normal result
+/// on the same connection.
+#[cfg(unix)]
+fn assert_run_error_under_the_cap(hostile: &str, names: &str) {
+    let (daemon, addr) = capped_daemon();
+    let mut client = ServiceClient::connect(addr.as_str()).unwrap();
+    let hostile = client.run_one(hostile);
+    let next = client.run_one(SHIPPED_SWEEP);
+    let status = terminate(daemon);
 
     let err = hostile
         .expect("a reply to the hostile spec")
         .reply
         .unwrap_err();
     assert_eq!(err.kind, ServedErrorKind::Run, "{err}");
-    assert!(err.message.contains("4000000002 nodes"), "{err}");
+    assert!(err.message.contains(names), "{err}");
     let next = next.expect("a reply on the same connection");
     assert!(next.reply.is_ok(), "{:?}", next.reply);
     assert_eq!(next.payload, in_process(SHIPPED_SWEEP));
+    assert!(status.success(), "{status}");
+}
+
+/// The spec lints and builds through closed forms: lint models the
+/// chain without a node per stage, the generator's reservation fails,
+/// and the daemon answers with a typed `run` error and keeps serving
+/// the connection.
+#[cfg(unix)]
+#[test]
+fn a_chain_too_large_for_memory_is_a_typed_error_under_an_address_space_cap() {
+    assert_run_error_under_the_cap(HOSTILE_CHAIN, "4000000002 nodes");
+}
+
+/// The analog chain reserves its stages once, so a stage count that
+/// does not fit in memory is refused before anything grows.
+#[cfg(unix)]
+#[test]
+fn an_analog_chain_too_large_for_memory_is_a_typed_error_under_an_address_space_cap() {
+    let hostile = ANALOG_SPEC.replace("stages = 3", "stages = 4000000000");
+    assert_run_error_under_the_cap(&hostile, "4000000000 inverter stages");
+}
+
+/// Frame headers whose claimed lengths add up past the cap: each
+/// stalled connection claims a full 64 MiB payload and sends only its
+/// first bytes. The payload buffer grows as bytes arrive, so a fresh
+/// connection is still served.
+#[cfg(unix)]
+#[test]
+fn claimed_frame_lengths_cost_nothing_before_their_bytes_arrive() {
+    const MAX_FRAME_LEN: u32 = 64 << 20;
+    const STALLED: u64 = 40;
+    assert!(STALLED * u64::from(MAX_FRAME_LEN) > u64::from(ADDRESS_SPACE_KIB) * 1024);
+    let (daemon, addr) = capped_daemon();
+    let stalled: Vec<TcpStream> = (0..STALLED)
+        .map(|id| {
+            let mut stream = TcpStream::connect(addr.as_str()).unwrap();
+            let mut header = vec![TAG_SUBMIT];
+            header.extend_from_slice(&id.to_be_bytes());
+            header.extend_from_slice(&MAX_FRAME_LEN.to_be_bytes());
+            header.extend_from_slice(b"faithful/1");
+            stream.write_all(&header).unwrap();
+            stream
+        })
+        .collect();
+    // give every reader time to take its header
+    thread::sleep(Duration::from_millis(500));
+    let fresh = ServiceClient::connect(addr.as_str()).and_then(|mut c| c.run_one(SHIPPED_SWEEP));
+    // a started frame has no deadline: close the stalled sockets so the
+    // drain can finish
+    drop(stalled);
+    let status = terminate(daemon);
+
+    let fresh = fresh.expect("a reply on a fresh connection");
+    assert!(fresh.reply.is_ok(), "{:?}", fresh.reply);
+    assert_eq!(fresh.payload, in_process(SHIPPED_SWEEP));
     assert!(status.success(), "{status}");
 }
 
