@@ -911,7 +911,7 @@ impl ScenarioRunner {
         loop {
             supervisor.begin();
             let outcome =
-                catch_panic(|| self.run_with_fault(sim, supervisor, idx, scenario, fault, attempt));
+                catch_panic(|| self.run_with_fault(sim, supervisor, scenario, fault, attempt));
             supervisor.end();
             let result = outcome.unwrap_or_else(|message| {
                 // the panic may have left the simulator (or its
@@ -931,17 +931,21 @@ impl ScenarioRunner {
         &self,
         sim: &mut Simulator,
         supervisor: &Supervisor,
-        idx: usize,
         scenario: &Scenario,
         fault: Option<&FaultKind>,
         attempt: u32,
     ) -> Result<SimResult, SimError> {
         let horizon = self.horizon;
         match fault {
-            Some(FaultKind::Panic) => panic!("injected fault: panic at scenario {idx}"),
-            Some(FaultKind::Flaky { failures }) if attempt < *failures => {
-                panic!("injected fault: flaky panic at scenario {idx} (attempt {attempt})")
+            // named by label: the index is local to this run, which
+            // may be one batch of a longer sweep
+            Some(FaultKind::Panic) => {
+                panic!("injected fault: panic at scenario {:?}", scenario.label())
             }
+            Some(FaultKind::Flaky { failures }) if attempt < *failures => panic!(
+                "injected fault: flaky panic at scenario {:?} (attempt {attempt})",
+                scenario.label()
+            ),
             Some(FaultKind::Stall) => {
                 // block until the watchdog reclaims this worker (or the
                 // defensive cap expires); the cancelled flag then

@@ -298,8 +298,8 @@ struct Linter<'a, 's> {
     spans: &'a SpecSpans,
     diagnostics: Vec<Diagnostic>,
     channels: Vec<InternedChannel<'s>>,
-    /// Canonical rendering → index into `channels`.
-    channel_ids: HashMap<String, usize>,
+    /// Canonical key bytes → index into `channels`.
+    channel_ids: HashMap<Vec<u8>, usize>,
     /// `(channel index, width bits)` → (surviving output width, the
     /// last hazard-pass walk that fed the width).
     probe_cache: HashMap<(usize, u64), (Option<f64>, usize)>,
@@ -407,11 +407,12 @@ impl<'a, 's> Linter<'a, 's> {
     // ------------------------------------------------------------------
 
     /// The index of `c` in the channel table, adding it (written at
-    /// `span`) on first sight. Specs are told apart by their canonical
-    /// rendering, so equal specs written out separately (on different
-    /// edges) share one entry, which points at the first of them.
+    /// `span`) on first sight. Specs are told apart by the key bytes of
+    /// their canonical tree (equal exactly when their renderings are),
+    /// so equal specs written out separately (on different edges) share
+    /// one entry, which points at the first of them.
     fn intern(&mut self, c: &'s ChannelSpec, span: Option<Span>) -> usize {
-        let key = channel_to_value(c).to_string();
+        let key = channel_to_value(c).key_bytes();
         if let Some(&ci) = self.channel_ids.get(&key) {
             return ci;
         }

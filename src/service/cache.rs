@@ -1,10 +1,14 @@
 //! The content-addressed result cache: exact, bounded, optionally
 //! persistent.
 //!
-//! Keys are [`ExperimentSpec::canonical_hash`](crate::ExperimentSpec::canonical_hash)
-//! values; every entry also stores the canonical spec text it was
-//! computed for and a lookup verifies it, so a (vanishingly unlikely)
-//! 64-bit collision degrades to a miss, never to a wrong result.
+//! Entries are found by
+//! [`ExperimentSpec::canonical_hash`](crate::ExperimentSpec::canonical_hash)
+//! and guarded by the spec's key bytes
+//! ([`ExperimentSpec::cache_key`](crate::ExperimentSpec::cache_key), a
+//! binary encoding of its canonical tree): every entry stores the key it
+//! was computed for and a lookup compares it byte for byte, so a
+//! (vanishingly unlikely) 64-bit collision degrades to a miss, never to
+//! a wrong result. No lookup renders the spec's text.
 //!
 //! The in-memory store is an LRU bounded by **entry count and total
 //! bytes** — whichever cap is hit first evicts the least-recently-used
@@ -13,7 +17,11 @@
 //! atomic tmp+rename discipline as checkpoint sidecars
 //! ([`crate::atomicio`]), so a daemon killed mid-write leaves either
 //! the previous complete entry or none — a truncated or torn entry
-//! fails to parse and reads as a miss, never as corrupt data.
+//! fails to parse and reads as a miss, never as corrupt data. A disk
+//! entry is a `faithful/1 cached { version = 3; key = "<hex>"; result =
+//! "<document>"; }` document named `cache_<hash:016x>.spec`; an entry
+//! of any other version (version 2 stored the canonical spec text) is
+//! ignored, never misread.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -21,19 +29,19 @@ use std::path::{Path, PathBuf};
 use crate::spec::Fields;
 use crate::value::{parse_document, render_document, Value};
 
-/// Schema version of on-disk cache entries. Version 2: digital
-/// statistics cover output ports only, not watched internal nodes.
-const DISK_VERSION: u64 = 2;
+/// Schema version of on-disk cache entries. Version 3: an entry stores
+/// the spec's key bytes (hex), not its canonical text.
+const DISK_VERSION: u64 = 3;
 
 struct Entry {
-    spec: String,
+    key: Box<[u8]>,
     result: String,
     stamp: u64,
 }
 
 impl Entry {
     fn bytes(&self) -> usize {
-        self.spec.len() + self.result.len()
+        self.key.len() + self.result.len()
     }
 }
 
@@ -52,8 +60,10 @@ pub struct CacheCounters {
     pub disk_errors: u64,
 }
 
-/// A bounded LRU of rendered result documents keyed on canonical spec
-/// text, with optional write-through persistence.
+/// A bounded LRU of rendered result documents keyed on spec key bytes
+/// ([`ExperimentSpec::cache_key`](crate::ExperimentSpec::cache_key)),
+/// found by their hash and compared exactly, with optional
+/// write-through persistence.
 pub struct ResultCache {
     entries: HashMap<u64, Entry>,
     clock: u64,
@@ -66,7 +76,7 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// A memory-only cache holding at most `max_entries` entries and
-    /// `max_bytes` total bytes (specs + results). Either bound of 0
+    /// `max_bytes` total bytes (keys + results). Either bound of 0
     /// disables caching entirely.
     #[must_use]
     pub fn new(max_entries: usize, max_bytes: usize) -> Self {
@@ -108,14 +118,15 @@ impl ResultCache {
         self.dir.as_ref().map(|d| entry_path(d, hash))
     }
 
-    /// Looks up the result for `canonical_spec` (which must hash to
-    /// `hash`): memory first, then disk (promoting a disk hit into
-    /// memory). The stored spec text is compared before anything is
+    /// Looks up the result for `key` (which must hash to `hash`):
+    /// memory first, then disk (promoting a disk hit into memory). The
+    /// stored key is compared byte for byte before anything is
     /// returned, so a colliding hash is a miss.
-    pub fn get(&mut self, hash: u64, canonical_spec: &str) -> Option<String> {
+    pub fn get(&mut self, hash: u64, key: impl AsRef<[u8]>) -> Option<String> {
+        let key = key.as_ref();
         self.clock += 1;
         if let Some(e) = self.entries.get_mut(&hash) {
-            if e.spec == canonical_spec {
+            if *e.key == *key {
                 e.stamp = self.clock;
                 self.counters.hits += 1;
                 return Some(e.result.clone());
@@ -124,9 +135,9 @@ impl ResultCache {
             return None;
         }
         if let Some(dir) = &self.dir {
-            if let Some(result) = read_entry(&entry_path(dir, hash), canonical_spec) {
+            if let Some(result) = read_entry(&entry_path(dir, hash), key) {
                 self.counters.hits += 1;
-                self.install(hash, canonical_spec.to_owned(), result.clone(), false);
+                self.install(hash, key.into(), result.clone(), false);
                 return Some(result);
             }
         }
@@ -134,21 +145,21 @@ impl ResultCache {
         None
     }
 
-    /// Stores the rendered result for `canonical_spec`, evicting
-    /// least-recently-used entries past the bounds and writing through
-    /// to disk when configured.
-    pub fn insert(&mut self, hash: u64, canonical_spec: &str, result: String) {
+    /// Stores the rendered result for `key` (which must hash to
+    /// `hash`), evicting least-recently-used entries past the bounds and
+    /// writing through to disk when configured.
+    pub fn insert(&mut self, hash: u64, key: impl AsRef<[u8]>, result: String) {
         if self.max_entries == 0 || self.max_bytes == 0 {
             return;
         }
         self.clock += 1;
-        self.install(hash, canonical_spec.to_owned(), result, true);
+        self.install(hash, key.as_ref().into(), result, true);
     }
 
-    fn install(&mut self, hash: u64, spec: String, result: String, write_disk: bool) {
+    fn install(&mut self, hash: u64, key: Box<[u8]>, result: String, write_disk: bool) {
         if write_disk {
             if let Some(dir) = &self.dir {
-                let text = render_entry(&spec, &result);
+                let text = render_entry(&key, &result);
                 if crate::atomicio::write_atomic(&entry_path(dir, hash), text.as_bytes()).is_err() {
                     self.counters.disk_errors += 1;
                 }
@@ -158,7 +169,7 @@ impl ResultCache {
             self.total_bytes -= old.bytes();
         }
         let entry = Entry {
-            spec,
+            key,
             result,
             stamp: self.clock,
         };
@@ -196,7 +207,7 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Total bytes (specs + results) currently held in memory.
+    /// Total bytes (keys + results) currently held in memory.
     #[must_use]
     pub fn bytes(&self) -> usize {
         self.total_bytes
@@ -207,31 +218,42 @@ fn entry_path(dir: &Path, hash: u64) -> PathBuf {
     dir.join(format!("cache_{hash:016x}.spec"))
 }
 
-fn render_entry(spec: &str, result: &str) -> String {
+/// Lowercase hex, two digits a byte: how a disk entry stores its key.
+fn hex(bytes: &[u8]) -> String {
+    use std::fmt::Write;
+    bytes
+        .iter()
+        .fold(String::with_capacity(2 * bytes.len()), |mut s, b| {
+            let _ = write!(s, "{b:02x}");
+            s
+        })
+}
+
+fn render_entry(key: &[u8], result: &str) -> String {
     render_document(&Value::node(
         "cached",
         vec![
             ("version".to_owned(), Value::int(DISK_VERSION)),
-            ("spec".to_owned(), Value::str(spec)),
+            ("key".to_owned(), Value::str(hex(key))),
             ("result".to_owned(), Value::str(result)),
         ],
     ))
 }
 
 /// Reads and validates one disk entry; any parse failure, version
-/// mismatch or spec mismatch is a miss (`None`), never an error — torn
-/// or foreign files must not take the service down.
-fn read_entry(path: &Path, canonical_spec: &str) -> Option<String> {
+/// mismatch or key mismatch is a miss (`None`), never an error — torn,
+/// older or foreign files must not take the service down.
+fn read_entry(path: &Path, key: &[u8]) -> Option<String> {
     let text = std::fs::read_to_string(path).ok()?;
     let mut f = Fields::of(parse_document(&text).ok()?, "cached").ok()?;
     f.expect_tag(&["cached"]).ok()?;
     if f.u64("version").ok()? != DISK_VERSION {
         return None;
     }
-    let spec = f.string("spec").ok()?;
+    let stored = f.string("key").ok()?;
     let result = f.string("result").ok()?;
     f.finish().ok()?;
-    (spec == canonical_spec).then_some(result)
+    (stored == hex(key)).then_some(result)
 }
 
 #[cfg(test)]
@@ -313,6 +335,48 @@ mod tests {
             again.get(7, "faithful/1 spec").as_deref(),
             Some("faithful/1 result")
         );
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn an_older_disk_entry_is_a_miss_and_a_fresh_one_replays() {
+        let d = dir("v2");
+        let spec: crate::ExperimentSpec =
+            "faithful/1 channel { channel = pure { delay = 1.0 }; input = zero }"
+                .parse()
+                .unwrap();
+        let (hash, key) = (spec.canonical_hash(), spec.cache_key());
+        let mut c = ResultCache::new(10, 1 << 20).with_disk(&d).unwrap();
+        // a version-2 entry (canonical spec text, no key) at the path the
+        // new hash names
+        let old = render_document(&Value::node(
+            "cached",
+            vec![
+                ("version".to_owned(), Value::int(2)),
+                ("spec".to_owned(), Value::str(spec.to_string())),
+                ("result".to_owned(), Value::str("faithful/1 stale")),
+            ],
+        ));
+        let path = c.entry_path(hash).unwrap();
+        std::fs::write(&path, old).unwrap();
+        assert!(c.get(hash, &key).is_none());
+        assert_eq!(c.counters().misses, 1);
+
+        c.insert(hash, &key, "faithful/1 fresh".to_owned());
+        let mut restarted = ResultCache::new(10, 1 << 20).with_disk(&d).unwrap();
+        assert_eq!(
+            restarted.get(hash, &key).as_deref(),
+            Some("faithful/1 fresh")
+        );
+        // the entry names its key, and only that key reads it back
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            text.contains(&format!("version = {DISK_VERSION}")),
+            "{text}"
+        );
+        assert!(text.contains(&hex(&key)), "{text}");
+        let mut other = ResultCache::new(10, 1 << 20).with_disk(&d).unwrap();
+        assert!(other.get(hash, b"another key").is_none());
         std::fs::remove_dir_all(&d).ok();
     }
 

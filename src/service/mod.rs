@@ -14,13 +14,16 @@
 //! ## Exact result caching
 //!
 //! Because replay of a spec is bit-identical, a result cache keyed on
-//! the *canonical printed spec text* is exact, not approximate: results
-//! are cached content-addressed under
+//! the *canonical* spec is exact, not approximate: results are cached
+//! under [`ExperimentSpec::cache_key`](crate::ExperimentSpec::cache_key)
+//! (a binary encoding of the canonical tree, equal exactly when the
+//! canonical texts are equal, computed without rendering them), found by
+//! its stable hash
 //! [`ExperimentSpec::canonical_hash`](crate::ExperimentSpec::canonical_hash)
-//! (a stable FNV-1a over the `Display` form), so comment, whitespace
-//! and formatting variants of the same spec hit the same entry and a
-//! hot resubmission is a pure byte replay. The in-memory store is an
-//! LRU bounded by entry count *and* bytes ([`ResultCache`]); an
+//! and compared byte for byte. So comment, whitespace and formatting
+//! variants of the same spec hit the same entry, a hash collision is a
+//! miss, and a hot resubmission is a pure byte replay. The in-memory
+//! store is an LRU bounded by entry count *and* bytes ([`ResultCache`]); an
 //! optional on-disk store under `IVL_CACHE_DIR` persists entries across
 //! daemon restarts using the same atomic tmp+rename discipline as
 //! checkpoint sidecars. The only workloads never cached are digital

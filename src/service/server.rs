@@ -19,7 +19,8 @@
 //!   block on a socket, and a reply not written within `WRITE_DEADLINE`
 //!   drops the connection along with the replies still queued for it.
 //!
-//! Submitted specs are parsed once, canonicalized, answered from the
+//! Submitted specs are parsed once, keyed by the binary encoding of
+//! their canonical tree (no text is rendered), answered from the
 //! [`ResultCache`] when possible, and otherwise lint-preflighted (with
 //! the spans of that one parse) and run through the [`Experiment`] facade with per-spec `workers`
 //! overridden to 1 — parallelism comes from the pool, not from inside
@@ -45,7 +46,8 @@ use super::protocol::{Frame, ReadOutcome, GREETING};
 use super::wire::{render_error, render_result, ServedErrorKind};
 use crate::experiment::Experiment;
 use crate::lint::{lint_spanned, LintConfig};
-use crate::spec::{fnv1a_64, ChannelSpec, ExperimentSpec, SpecSpans, TopologySpec, WorkloadSpec};
+use crate::spec::{ChannelSpec, ExperimentSpec, SpecSpans, TopologySpec, WorkloadSpec};
+use crate::value::key_hash;
 
 /// How often idle connection readers wake to check for shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(150);
@@ -124,8 +126,8 @@ struct Job {
     /// Where the submission's parse found each part of the text (lint
     /// spans point into the text as submitted).
     spans: SpecSpans,
-    /// The canonical rendering (the cache key's preimage).
-    canonical: String,
+    /// The spec's cache key ([`ExperimentSpec::cache_key`]) and its hash.
+    key: Vec<u8>,
     hash: u64,
     cacheable: bool,
     spec: ExperimentSpec,
@@ -492,13 +494,9 @@ fn handle_submit(
             return reply(error_frame(id, ServedErrorKind::Spec, &e.to_string()), slot);
         }
     };
-    let canonical = spec.to_string();
-    let hash = fnv1a_64(canonical.as_bytes());
-    let hit = shared
-        .cache
-        .lock()
-        .expect("cache lock")
-        .get(hash, &canonical);
+    let key = spec.cache_key();
+    let hash = key_hash(&key);
+    let hit = shared.cache.lock().expect("cache lock").get(hash, &key);
     if let Some(text) = hit {
         return reply(
             Frame::Result {
@@ -514,7 +512,7 @@ fn handle_submit(
     let job = Box::new(Job {
         id,
         cacheable: replayable(&spec),
-        canonical,
+        key,
         hash,
         spec,
         spans,
@@ -534,7 +532,7 @@ fn process(job: Job, registry: &ChannelRegistry, shared: &Arc<Shared>) {
             if job.cacheable {
                 shared.cache.lock().expect("cache lock").insert(
                     job.hash,
-                    &job.canonical,
+                    &job.key,
                     rendered.clone(),
                 );
             }

@@ -28,7 +28,7 @@ use ivl_core::factory::{ChannelParams, ParamValue};
 use ivl_core::{Bit, Signal};
 
 use crate::error::{Span, SpecError};
-use crate::value::{parse_document, render_document, Value, ValueKind};
+use crate::value::{key_hash, parse_document, render_document, Value, ValueKind};
 
 /// A complete, serializable description of one experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -1077,36 +1077,38 @@ impl ExperimentSpec {
         ExperimentSpec::new(WorkloadSpec::Spf(spec))
     }
 
-    /// A stable content hash of the spec's *canonical* text form.
+    /// The spec's cache key: a compact binary encoding of its canonical
+    /// tree, equal for two specs exactly when their canonical texts
+    /// (`to_string()`) are equal, computed without rendering that text.
     ///
-    /// The hash is FNV-1a (64-bit) over the bytes of `self.to_string()`
-    /// — the canonical `faithful/1` rendering, which is byte-identical
-    /// for every text that parses to the same spec. Comments,
-    /// whitespace and formatting variants of one spec therefore hash to
-    /// the same value, which is exactly the contract the experiment
-    /// service's content-addressed result cache keys on: because
-    /// replay of a spec is bit-identical, equal hashes (verified
-    /// against the stored canonical text to rule out collisions) mean
-    /// reusable results.
+    /// Every text that parses to the same spec therefore has the same
+    /// key, whatever its comments, whitespace or formatting. The
+    /// encoding keeps apart what the text keeps apart: an integer from
+    /// a real (`1` vs `1.0`), `-0.0` from `0.0`, a word from a quoted
+    /// string. The experiment service's result cache compares these
+    /// bytes exactly, so a hash collision is a miss, never a wrong
+    /// result.
+    #[must_use]
+    pub fn cache_key(&self) -> Vec<u8> {
+        self.to_value().key_bytes()
+    }
+
+    /// A stable 64-bit hash of [`cache_key`](ExperimentSpec::cache_key).
     ///
-    /// Unlike `std::collections::hash_map::DefaultHasher`, this value
-    /// is stable across processes, platforms and releases of the spec
-    /// schema version, so it can name on-disk cache entries.
+    /// Comments, whitespace and formatting variants of one spec hash to
+    /// the same value, which is the contract the experiment service's
+    /// content-addressed result cache keys on: because replay of a spec
+    /// is bit-identical, equal keys mean reusable results. The hash
+    /// only picks the slot; the cache verifies the key bytes themselves.
+    ///
+    /// The key is hashed eight bytes at a time as little-endian words,
+    /// so unlike `std::collections::hash_map::DefaultHasher` this value
+    /// is stable across processes and platforms, and it names on-disk
+    /// cache entries.
     #[must_use]
     pub fn canonical_hash(&self) -> u64 {
-        fnv1a_64(self.to_string().as_bytes())
+        key_hash(&self.cache_key())
     }
-}
-
-/// FNV-1a, 64-bit: the offset-basis/prime pair from Fowler–Noll–Vo.
-/// Deliberately dependency-free and byte-order independent.
-pub(crate) fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 // ======================================================================

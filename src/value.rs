@@ -204,6 +204,92 @@ impl Value {
             }
         }
     }
+
+    /// A compact binary encoding of this tree, equal for two trees
+    /// exactly when their rendered texts are equal, so it can stand in
+    /// for the text as a cache key without rendering it.
+    ///
+    /// Each value starts with a tag byte for its kind, so `2` (`Int`)
+    /// and `2.0` (`Num`) differ. A real is its `f64::to_bits`, little
+    /// endian, with `-0.0` kept apart from `0.0` as `{:?}` keeps it.
+    /// Strings, words, lists and fields are length-prefixed. The two
+    /// shapes that render alike encode alike: an empty `Node(tag)` and
+    /// `Word(tag)` (both print `tag`), and a non-finite real and the
+    /// word it prints as (`inf`, `NaN`).
+    pub(crate) fn key_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(256);
+        self.encode(&mut out);
+        out
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        fn len(out: &mut Vec<u8>, n: usize) {
+            // LEB128: seven bits a byte, high bit set on all but the last
+            let mut n = n as u64;
+            while n >= 0x80 {
+                out.push((n as u8) | 0x80);
+                n >>= 7;
+            }
+            out.push(n as u8);
+        }
+        fn text(out: &mut Vec<u8>, tag: u8, s: &str) {
+            out.push(tag);
+            len(out, s.len());
+            out.extend_from_slice(s.as_bytes());
+        }
+        match &self.kind {
+            ValueKind::Num(v) if v.is_finite() => {
+                out.push(1);
+                out.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+            ValueKind::Num(v) => text(out, 3, &format!("{v:?}")),
+            ValueKind::Int(v) => {
+                out.push(2);
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            ValueKind::Word(w) => text(out, 3, w),
+            ValueKind::Node(tag, fields) if fields.is_empty() => text(out, 3, tag),
+            ValueKind::Str(s) => text(out, 4, s),
+            ValueKind::List(items) => {
+                out.push(5);
+                len(out, items.len());
+                for item in items {
+                    item.encode(out);
+                }
+            }
+            ValueKind::Node(tag, fields) => {
+                text(out, 6, tag);
+                len(out, fields.len());
+                for (name, value) in fields {
+                    len(out, name.len());
+                    out.extend_from_slice(name.as_bytes());
+                    value.encode(out);
+                }
+            }
+        }
+    }
+}
+
+/// A stable 64-bit hash of [`Value::key_bytes`] output: eight bytes at
+/// a time as explicit little-endian words, so every host computes the
+/// same value and it can name on-disk cache entries.
+pub(crate) fn key_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = 0xcbf2_9ce4_8422_2325 ^ bytes.len() as u64;
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("eight bytes")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = mix(h, u64::from_le_bytes(tail));
+    // the murmur3 finalizer spreads the last word over every bit
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// Writes `width` spaces.
@@ -724,5 +810,52 @@ mod tests {
         );
         assert_eq!(Value::bool(true), Value::word("true"));
         assert_eq!(Value::bool(false), Value::word("false"));
+        // ... and so is its key
+        assert_eq!(
+            Value::node("zero", vec![]).key_bytes(),
+            Value::word("zero").key_bytes()
+        );
+    }
+
+    #[test]
+    fn key_bytes_agree_with_the_rendering() {
+        let values = [
+            Value::num(2.0),
+            Value::int(2),
+            Value::num(0.0),
+            Value::num(-0.0),
+            Value::num(f64::INFINITY),
+            Value::word("inf"),
+            Value::num(f64::NAN),
+            Value::num(-f64::NAN),
+            Value::word("a"),
+            Value::str("a"),
+            Value::list(vec![]),
+            Value::list(vec![Value::word("a")]),
+            Value::list(vec![Value::word("a"), Value::word("b")]),
+            Value::node("a", vec![]),
+            Value::node("a", vec![("b".into(), Value::int(1))]),
+            Value::node("a", vec![("b".into(), Value::num(1.0))]),
+            Value::node("ab", vec![("c".into(), Value::int(1))]),
+        ];
+        for a in &values {
+            for b in &values {
+                let texts = a.to_string() == b.to_string();
+                assert_eq!(texts, a.key_bytes() == b.key_bytes(), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn key_hash_is_pinned() {
+        // names on-disk cache entries, so it may not change silently
+        assert_eq!(key_hash(b""), 0xd602_5a0a_43c0_936f, "{:#x}", key_hash(b""));
+        let key = Value::node("pulse", vec![("at".into(), Value::num(1.5))]).key_bytes();
+        assert_eq!(
+            key_hash(&key),
+            0xfdbf_0cc3_07f3_1567,
+            "{:#x}",
+            key_hash(&key)
+        );
     }
 }

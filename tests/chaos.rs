@@ -195,7 +195,8 @@ fn env_seeded_fault_plan_is_survived() {
 
 /// A checkpointed sweep that aborts reports the whole sweep's progress,
 /// not only its last batch's: the same `completed` as the unbatched
-/// sweep. One worker, so no scenario after the panic runs.
+/// sweep. One worker, so no scenario after the panic runs. The cause
+/// names the scenario the sweep failed at, not its place in a batch.
 #[test]
 fn a_checkpointed_abort_counts_every_completed_batch() {
     let spec = chaos_spec(6, 1).with_on_failure(FailurePolicySpec::Abort);
@@ -220,6 +221,8 @@ fn a_checkpointed_abort_counts_every_completed_batch() {
     for aborted in [unbatched, batched] {
         assert_eq!(aborted.failure.index, 4);
         assert_eq!(aborted.completed, 4, "{aborted}");
+        let cause = aborted.failure.cause.to_string();
+        assert!(cause.contains("\"s4\""), "{cause}");
     }
 }
 

@@ -374,6 +374,174 @@ proptest! {
             .map_err(|e| TestCaseError::Fail(format!("{e}\n---\n{variant}")))?;
         prop_assert_eq!(&spec, &reparsed, "---\n{}", variant);
         prop_assert_eq!(hash, reparsed.canonical_hash(), "---\n{}", variant);
+        prop_assert_eq!(spec.cache_key(), reparsed.cache_key(), "---\n{}", variant);
+    }
+
+    /// The cache key stands in for the canonical text: two specs have
+    /// equal keys exactly when their canonical texts are equal. Checked
+    /// on a pair of independent specs and on each spec against its text
+    /// mutants, which the parser sometimes folds back to the same spec
+    /// (`2` read as a real `2.0`, a quoted word read as a word) and
+    /// sometimes does not (`-0.0` vs `0.0`, `1` vs `1.0` as a channel
+    /// parameter).
+    #[test]
+    fn cache_keys_are_equal_exactly_when_canonical_texts_are(
+        seed in 0u64..u64::MAX,
+        other in 0u64..u64::MAX,
+    ) {
+        let spec = arb_spec(seed);
+        let text = spec.to_string();
+        let same = |a: &ExperimentSpec, b: &ExperimentSpec| {
+            let (texts, keys) = (a.to_string() == b.to_string(), a.cache_key() == b.cache_key());
+            if keys {
+                assert_eq!(a.canonical_hash(), b.canonical_hash());
+            }
+            (texts, keys)
+        };
+        let (texts, keys) = same(&spec, &arb_spec(other));
+        prop_assert_eq!(texts, keys, "seeds {} and {}", seed, other);
+        let rng = &mut StdRng::seed_from_u64(other);
+        for mutant in mutants(&text, rng) {
+            let Ok(back) = mutant.parse::<ExperimentSpec>() else {
+                continue;
+            };
+            let (texts, keys) = same(&spec, &back);
+            prop_assert_eq!(texts, keys, "---\n{}\n---\n{}", text, mutant);
+        }
+    }
+}
+
+/// Byte ranges `(start, end)` in a document.
+type Sites = Vec<(usize, usize)>;
+
+/// Byte ranges of the numeric literals and of the bare-word field values
+/// in a canonical document, outside quoted strings.
+fn literal_sites(text: &str) -> (Sites, Sites) {
+    let b = text.as_bytes();
+    let is_word = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    let (mut numbers, mut words) = (Vec::new(), Vec::new());
+    let mut i = 0;
+    while i < b.len() {
+        match b[i] {
+            b'"' => {
+                i += 1;
+                while b[i] != b'"' {
+                    i += if b[i] == b'\\' { 2 } else { 1 };
+                }
+                i += 1;
+            }
+            c if (c.is_ascii_digit() || c == b'-') && (i == 0 || !is_word(b[i - 1])) => {
+                let start = i;
+                i += 1;
+                while i < b.len()
+                    && (b[i].is_ascii_digit()
+                        || matches!(b[i], b'.' | b'e' | b'E')
+                        || (matches!(b[i], b'-' | b'+') && matches!(b[i - 1], b'e' | b'E')))
+                {
+                    i += 1;
+                }
+                numbers.push((start, i));
+            }
+            c if is_word(c) => {
+                let start = i;
+                while i < b.len() && is_word(b[i]) {
+                    i += 1;
+                }
+                if text[..start].ends_with("= ") && matches!(b.get(i), Some(b';' | b'\n')) {
+                    words.push((start, i));
+                }
+            }
+            _ => i += 1,
+        }
+    }
+    (numbers, words)
+}
+
+/// Up to four one-literal edits of `text`: a real's `.0` dropped, an
+/// integer given one, a sign flipped (`0.0` ↔ `-0.0`), a last digit
+/// bumped, or a bare word quoted. Some still parse, some do not.
+fn mutants(text: &str, rng: &mut StdRng) -> Vec<String> {
+    let (numbers, words) = literal_sites(text);
+    let mut out = Vec::new();
+    for _ in 0..4 {
+        let splice = |(start, end): (usize, usize), with: String| {
+            format!("{}{with}{}", &text[..start], &text[end..])
+        };
+        if !words.is_empty() && rng.gen_range(0..4u32) == 0 {
+            let site = words[rng.gen_range(0..words.len())];
+            out.push(splice(site, format!("\"{}\"", &text[site.0..site.1])));
+            continue;
+        }
+        let Some(&site) = numbers.get(rng.gen_range(0..numbers.len().max(1))) else {
+            break;
+        };
+        let n = &text[site.0..site.1];
+        let edited = match rng.gen_range(0..4u32) {
+            0 if n.ends_with(".0") && !n.contains(['e', 'E']) => n[..n.len() - 2].to_owned(),
+            1 if n.bytes().all(|c| c.is_ascii_digit()) => format!("{n}.0"),
+            2 => n
+                .strip_prefix('-')
+                .map_or_else(|| format!("-{n}"), str::to_owned),
+            _ => {
+                let last = n.len() - 1;
+                match n.as_bytes()[last] {
+                    d @ b'0'..=b'9' => format!("{}{}", &n[..last], (d - b'0' + 1) % 10),
+                    _ => continue,
+                }
+            }
+        };
+        out.push(splice(site, edited));
+    }
+    out
+}
+
+/// The pairs the cache key must get right, pinned: what the canonical
+/// text keeps apart gets distinct keys, what it folds gets equal ones.
+#[test]
+fn cache_keys_follow_the_canonical_text_on_the_edge_cases() {
+    let parse = |text: &str| -> ExperimentSpec {
+        text.parse().unwrap_or_else(|e| panic!("{e}\n---\n{text}"))
+    };
+    let doc = |channel: &str, input: &str| {
+        parse(&format!(
+            "faithful/1 channel {{ channel = {channel}; input = {input} }}"
+        ))
+    };
+    let pure = "pure { delay = 1.0 }";
+    let distinct = [
+        (
+            doc(pure, "pulse { at = -0.0; width = 2.0 }"),
+            doc(pure, "pulse { at = 0.0; width = 2.0 }"),
+        ),
+        (
+            doc("pure { delay = 1 }", "zero"),
+            doc("pure { delay = 1.0 }", "zero"),
+        ),
+    ];
+    for (a, b) in &distinct {
+        assert_ne!(a.to_string(), b.to_string());
+        assert_ne!(a.cache_key(), b.cache_key(), "---\n{a}---\n{b}");
+        assert_ne!(a.canonical_hash(), b.canonical_hash());
+    }
+    let reference = doc(pure, "pulse { at = 0.0; width = 2.0 }");
+    let equal = [
+        // an empty node and its bare word
+        (doc("fixed", "zero"), doc("fixed {}", "zero {}")),
+        // a comment and whitespace variant of one document
+        (
+            reference.clone(),
+            parse(
+                "# leading\nfaithful/1 channel {\n  # inline\n  input = pulse { width = 2.0; \
+                 at = 0.0 };\n\tchannel = pure{delay=1.0}\n}\n# trailing\n",
+            ),
+        ),
+        // a real written as an integer where the schema reads a real
+        (reference.clone(), doc(pure, "pulse { at = 0; width = 2 }")),
+    ];
+    for (a, b) in &equal {
+        assert_eq!(a.to_string(), b.to_string());
+        assert_eq!(a.cache_key(), b.cache_key(), "---\n{a}---\n{b}");
+        assert_eq!(a.canonical_hash(), b.canonical_hash());
     }
 }
 
