@@ -35,8 +35,9 @@
 //! with ≥ 4 cores — the 4-worker `sweep_10k` fails to beat 1 worker,
 //! (b) a scale workload's peak RSS per gate grows more than 10% past
 //! the committed baseline, or (c) in the service tier, the hot batch
-//! is under 10× the cold one's specs/sec or the lint preflight takes
-//! more than 30% of lint + simulate on one cold spec.
+//! is under 10× the cold one's specs/sec (the median of five
+//! alternated cold → hot rounds) or the lint preflight takes more than
+//! 30% of lint + simulate on one cold spec.
 //!
 //! Before timing anything the harness *verifies* that the scenario
 //! runner reproduces a serial single-simulator loop bit for bit on the
@@ -408,16 +409,23 @@ fn preflight_cost(test_mode: bool) -> (f64, f64) {
     (median(&mut lint_us), median(&mut sim_us))
 }
 
+/// Cold → hot rounds of the service tier. One pair of batches run back
+/// to back is at the mercy of whatever else the host runs at that
+/// moment; the median of several alternated rounds is not.
+const SERVICE_ROUNDS: u64 = 5;
+
 /// Runs the experiment-service tier: an in-process `faithful-serve`
-/// pool fed one batch of distinct specs over 4 pipelined connections,
-/// cold (every spec computed) then hot (pure cache replay), plus the
-/// in-process lint-vs-simulate split of one cold spec. Returns the
-/// recorded `(metric, value)` pairs; under `IVL_BENCH_CHECK` asserts
-/// the hot batch sustains >= 10x the cold specs/sec and the lint
-/// preflight takes at most 30% of lint + simulate.
+/// pool fed [`SERVICE_ROUNDS`] rounds, each a batch of distinct specs
+/// over 4 pipelined connections, cold (every spec computed) then hot
+/// (pure cache replay), plus the in-process lint-vs-simulate split of
+/// one cold spec. Every round draws fresh spec ids, so its cold batch
+/// stays all-miss. Returns the recorded `(metric, value)` pairs (the
+/// round of median hot/cold ratio, plus the minimum ratio); under
+/// `IVL_BENCH_CHECK` asserts the median round's hot batch sustains at
+/// least 10x the cold specs/sec and the lint preflight takes at most
+/// 30% of lint + simulate.
 fn service_tier(test_mode: bool) -> Vec<(String, f64)> {
     let batch = if test_mode { 256 } else { 1000 };
-    let specs: Vec<String> = (0..batch).map(service_spec).collect();
     let server = Server::bind(ServeConfig::default()).expect("bind service bench server");
     let addr = server.local_addr().expect("service bench addr").to_string();
     let handle = server.handle();
@@ -426,21 +434,42 @@ fn service_tier(test_mode: bool) -> Vec<(String, f64)> {
         connections: 4,
         pipeline: 32,
     };
-    let cold = run_batch(&addr, &specs, &options).expect("cold service batch");
-    assert!(cold.errors.is_empty(), "{:?}", cold.errors);
-    assert_eq!(cold.ok, specs.len());
-    assert_eq!(cold.cached, 0, "distinct cold specs cannot hit the cache");
-    let hot = run_batch(&addr, &specs, &options).expect("hot service batch");
-    assert_eq!(
-        hot.cached,
-        specs.len(),
-        "the hot batch must be pure cache replay"
-    );
+    let mut rounds = Vec::new();
+    for round in 0..SERVICE_ROUNDS {
+        let specs: Vec<String> = (round * batch..(round + 1) * batch)
+            .map(service_spec)
+            .collect();
+        let cold = run_batch(&addr, &specs, &options).expect("cold service batch");
+        assert!(cold.errors.is_empty(), "{:?}", cold.errors);
+        assert_eq!(cold.ok, specs.len());
+        assert_eq!(cold.cached, 0, "distinct cold specs cannot hit the cache");
+        let hot = run_batch(&addr, &specs, &options).expect("hot service batch");
+        assert_eq!(
+            hot.cached,
+            specs.len(),
+            "the hot batch must be pure cache replay"
+        );
+        let ratio = hot.specs_per_sec() / cold.specs_per_sec().max(1e-12);
+        println!(
+            "service round {round} ({batch} specs): cold {:.0} specs/sec (p50 {:.2}ms, \
+             p99 {:.2}ms), hot {:.0} specs/sec (p50 {:.2}ms, p99 {:.2}ms), {ratio:.1}x",
+            cold.specs_per_sec(),
+            cold.latency_ms(0.5).unwrap_or(0.0),
+            cold.latency_ms(0.99).unwrap_or(0.0),
+            hot.specs_per_sec(),
+            hot.latency_ms(0.5).unwrap_or(0.0),
+            hot.latency_ms(0.99).unwrap_or(0.0),
+        );
+        rounds.push((ratio, cold, hot));
+    }
     handle.shutdown();
     let summary = join.join().expect("service bench server");
-    assert_eq!(summary.jobs, specs.len() as u64);
+    assert_eq!(summary.jobs, SERVICE_ROUNDS * batch);
 
-    let ratio = hot.specs_per_sec() / cold.specs_per_sec().max(1e-12);
+    rounds.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let min_ratio = rounds[0].0;
+    let (ratio, cold, hot) = &rounds[rounds.len() / 2];
+    let ratio = *ratio;
     let (lint_us, simulate_us) = preflight_cost(test_mode);
     let lint_share = lint_us / (lint_us + simulate_us);
     println!(
@@ -448,24 +477,18 @@ fn service_tier(test_mode: bool) -> Vec<(String, f64)> {
          lint share {lint_share:.2}"
     );
     println!(
-        "service tier ({batch} specs): cold {:.0} specs/sec (p50 {:.2}ms, p99 {:.2}ms), \
-         hot {:.0} specs/sec (p50 {:.2}ms, p99 {:.2}ms), {ratio:.1}x",
-        cold.specs_per_sec(),
-        cold.latency_ms(0.5).unwrap_or(0.0),
-        cold.latency_ms(0.99).unwrap_or(0.0),
-        hot.specs_per_sec(),
-        hot.latency_ms(0.5).unwrap_or(0.0),
-        hot.latency_ms(0.99).unwrap_or(0.0),
+        "service tier: hot vs cold median {ratio:.1}x, minimum {min_ratio:.1}x \
+         over {SERVICE_ROUNDS} rounds"
     );
     if std::env::var_os("IVL_BENCH_CHECK").is_some() {
         assert!(
             ratio >= 10.0,
-            "regression gate: hot-cache service throughput only {ratio:.1}x cold \
-             (hot {:.0} vs cold {:.0} specs/sec)",
+            "regression gate: hot-cache service throughput only {ratio:.1}x cold in the \
+             median of {SERVICE_ROUNDS} rounds (hot {:.0} vs cold {:.0} specs/sec)",
             hot.specs_per_sec(),
             cold.specs_per_sec()
         );
-        println!("IVL_BENCH_CHECK passed: service hot vs cold = {ratio:.1}x");
+        println!("IVL_BENCH_CHECK passed: service hot vs cold = {ratio:.1}x (median)");
         assert!(
             lint_share <= 0.30,
             "regression gate: the lint preflight takes {lint_share:.2} of lint + simulate \
@@ -477,6 +500,7 @@ fn service_tier(test_mode: bool) -> Vec<(String, f64)> {
         ("cold_specs_per_sec".to_owned(), cold.specs_per_sec()),
         ("hot_specs_per_sec".to_owned(), hot.specs_per_sec()),
         ("hot_vs_cold".to_owned(), ratio),
+        ("hot_vs_cold_min".to_owned(), min_ratio),
         (
             "cold_p50_ms".to_owned(),
             cold.latency_ms(0.5).unwrap_or(0.0),

@@ -68,10 +68,11 @@ use ivl_core::Signal;
 
 use crate::error::{Span, SpecError};
 use crate::spec::{
-    channel_to_value, AnalogSpec, ChannelSpec, DelaySpec, DigitalSpec, ExperimentSpec,
-    FailurePolicySpec, GateKindSpec, NodeSpec, ReferenceSpec, ScenarioSpec, SignalSpec, SpecSpans,
-    SpfSpec, SpfTask, TopologySpec, WorkloadSpec,
+    AnalogSpec, ChannelSpec, DelaySpec, DigitalSpec, ExperimentSpec, FailurePolicySpec,
+    GateKindSpec, NodeSpec, ReferenceSpec, ScenarioSpec, SignalSpec, SpecSpans, SpfSpec, SpfTask,
+    TopologySpec, WorkloadSpec,
 };
+use crate::value::Walk;
 
 /// How bad a [`Diagnostic`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -407,12 +408,12 @@ impl<'a, 's> Linter<'a, 's> {
     // ------------------------------------------------------------------
 
     /// The index of `c` in the channel table, adding it (written at
-    /// `span`) on first sight. Specs are told apart by the key bytes of
-    /// their canonical tree (equal exactly when their renderings are),
-    /// so equal specs written out separately (on different edges) share
-    /// one entry, which points at the first of them.
+    /// `span`) on first sight. Specs are told apart by their key bytes,
+    /// written by walking the spec (equal exactly when their renderings
+    /// are), so equal specs written out separately (on different edges)
+    /// share one entry, which points at the first of them.
     fn intern(&mut self, c: &'s ChannelSpec, span: Option<Span>) -> usize {
-        let key = channel_to_value(c).key_bytes();
+        let key = c.key_bytes();
         if let Some(&ci) = self.channel_ids.get(&key) {
             return ci;
         }

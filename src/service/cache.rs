@@ -6,9 +6,11 @@
 //! and guarded by the spec's key bytes
 //! ([`ExperimentSpec::cache_key`](crate::ExperimentSpec::cache_key), a
 //! binary encoding of its canonical tree): every entry stores the key it
-//! was computed for and a lookup compares it byte for byte, so a
-//! (vanishingly unlikely) 64-bit collision degrades to a miss, never to
-//! a wrong result. No lookup renders the spec's text.
+//! was computed for and a lookup compares it byte for byte, so a hash
+//! collision never returns a wrong result. In memory, keys whose hashes
+//! collide are kept side by side; on disk they share one file name, so
+//! the later write replaces the earlier and a lookup of the earlier
+//! reads a miss. No lookup renders the spec's text.
 //!
 //! The in-memory store is an LRU bounded by **entry count and total
 //! bytes** — whichever cap is hit first evicts the least-recently-used
@@ -51,7 +53,7 @@ impl Entry {
 pub struct CacheCounters {
     /// Lookups answered from memory or disk.
     pub hits: u64,
-    /// Lookups that found nothing (or a hash collision).
+    /// Lookups that found nothing (or a disk entry of another key).
     pub misses: u64,
     /// Entries evicted to respect the entry/byte bounds.
     pub evictions: u64,
@@ -65,7 +67,10 @@ pub struct CacheCounters {
 /// found by their hash and compared exactly, with optional
 /// write-through persistence.
 pub struct ResultCache {
-    entries: HashMap<u64, Entry>,
+    /// Entries by key hash; keys whose hashes collide share a bucket.
+    entries: HashMap<u64, Vec<Entry>>,
+    /// Entries over all buckets.
+    len: usize,
     clock: u64,
     total_bytes: usize,
     max_entries: usize,
@@ -82,6 +87,7 @@ impl ResultCache {
     pub fn new(max_entries: usize, max_bytes: usize) -> Self {
         ResultCache {
             entries: HashMap::new(),
+            len: 0,
             clock: 0,
             total_bytes: 0,
             max_entries,
@@ -121,18 +127,19 @@ impl ResultCache {
     /// Looks up the result for `key` (which must hash to `hash`):
     /// memory first, then disk (promoting a disk hit into memory). The
     /// stored key is compared byte for byte before anything is
-    /// returned, so a colliding hash is a miss.
+    /// returned, so an entry of another key with the same hash is never
+    /// returned.
     pub fn get(&mut self, hash: u64, key: impl AsRef<[u8]>) -> Option<String> {
         let key = key.as_ref();
         self.clock += 1;
-        if let Some(e) = self.entries.get_mut(&hash) {
-            if *e.key == *key {
-                e.stamp = self.clock;
-                self.counters.hits += 1;
-                return Some(e.result.clone());
-            }
-            self.counters.misses += 1;
-            return None;
+        let found = self
+            .entries
+            .get_mut(&hash)
+            .and_then(|bucket| bucket.iter_mut().find(|e| *e.key == *key));
+        if let Some(e) = found {
+            e.stamp = self.clock;
+            self.counters.hits += 1;
+            return Some(e.result.clone());
         }
         if let Some(dir) = &self.dir {
             if let Some(result) = read_entry(&entry_path(dir, hash), key) {
@@ -165,8 +172,10 @@ impl ResultCache {
                 }
             }
         }
-        if let Some(old) = self.entries.remove(&hash) {
-            self.total_bytes -= old.bytes();
+        let bucket = self.entries.entry(hash).or_default();
+        if let Some(i) = bucket.iter().position(|e| e.key == key) {
+            self.total_bytes -= bucket.swap_remove(i).bytes();
+            self.len -= 1;
         }
         let entry = Entry {
             key,
@@ -174,23 +183,28 @@ impl ResultCache {
             stamp: self.clock,
         };
         self.total_bytes += entry.bytes();
-        self.entries.insert(hash, entry);
-        // Evict past either bound, never the entry just touched (a
+        bucket.push(entry);
+        self.len += 1;
+        // Evict past either bound, least recently used first. Every
+        // lookup and insert takes a fresh stamp, so the entry just
+        // touched holds the newest and is never the one evicted (a
         // single oversized result may transiently exceed max_bytes
         // rather than thrash).
-        while self.entries.len() > 1
-            && (self.entries.len() > self.max_entries || self.total_bytes > self.max_bytes)
-        {
-            let Some((&lru, _)) = self
+        while self.len > 1 && (self.len > self.max_entries || self.total_bytes > self.max_bytes) {
+            let (_, lru, i) = self
                 .entries
                 .iter()
-                .filter(|(k, _)| **k != hash)
-                .min_by_key(|(_, e)| e.stamp)
-            else {
-                break;
-            };
-            let removed = self.entries.remove(&lru).expect("lru key just found");
-            self.total_bytes -= removed.bytes();
+                .flat_map(|(&h, bucket)| {
+                    bucket.iter().enumerate().map(move |(i, e)| (e.stamp, h, i))
+                })
+                .min()
+                .expect("more than one entry is held");
+            let bucket = self.entries.get_mut(&lru).expect("lru bucket just found");
+            self.total_bytes -= bucket.swap_remove(i).bytes();
+            if bucket.is_empty() {
+                self.entries.remove(&lru);
+            }
+            self.len -= 1;
             self.counters.evictions += 1;
         }
     }
@@ -198,13 +212,13 @@ impl ResultCache {
     /// Number of entries currently in memory.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// `true` when no entries are in memory.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Total bytes (keys + results) currently held in memory.
@@ -298,6 +312,23 @@ mod tests {
         c.insert(42, "spec-a", "result-a".to_owned());
         assert!(c.get(42, "different-spec-same-hash").is_none());
         assert_eq!(c.get(42, "spec-a").as_deref(), Some("result-a"));
+        // a second key of the same hash is kept beside the first, and
+        // inserting a key again replaces only its own entry
+        c.insert(42, "spec-b", "result-b".to_owned());
+        c.insert(42, "spec-a", "result-a2".to_owned());
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(42, "spec-a").as_deref(), Some("result-a2"));
+        assert_eq!(c.get(42, "spec-b").as_deref(), Some("result-b"));
+        // eviction takes the least recently used of them, not the bucket
+        let mut c = ResultCache::new(2, 1 << 20);
+        c.insert(42, "spec-a", "result-a".to_owned());
+        c.insert(42, "spec-b", "result-b".to_owned());
+        assert!(c.get(42, "spec-a").is_some());
+        c.insert(7, "spec-c", "result-c".to_owned());
+        assert_eq!(c.len(), 2);
+        assert!(c.get(42, "spec-b").is_none());
+        assert!(c.get(42, "spec-a").is_some());
+        assert!(c.get(7, "spec-c").is_some());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::error::SpecError;
 use crate::experiment::{AnalogResult, ExperimentResult};
 use crate::lint::{Diagnostic, Severity};
 use crate::spec::{
-    as_f64, as_text, as_u64, field, named_sigs_from_value, named_sigs_to_value, sig_from_value,
+    as_f64, as_u64, field, into_text, named_sigs_from_value, named_sigs_to_value, sig_from_value,
     sig_to_value, Fields,
 };
 use crate::value::{parse_document, render_document, Value, ValueKind};
@@ -36,8 +36,8 @@ fn edge_word(edge: Edge) -> Value {
     })
 }
 
-fn edge_from_value(v: &Value) -> Result<Edge, SpecError> {
-    match as_text(v, "sample", "edge")?.as_str() {
+fn edge_from_value(v: Value) -> Result<Edge, SpecError> {
+    match into_text(v, "sample", "edge")?.as_str() {
         "rising" => Ok(Edge::Rising),
         "falling" => Ok(Edge::Falling),
         other => Err(SpecError::new(format!("unknown edge {other:?}"))),
@@ -342,7 +342,7 @@ pub struct ServedRun {
 pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
     let mut f = Fields::of(parse_document(text)?, "result")?;
     f.expect_tag(&["result"])?;
-    let workload = as_text(&f.req("workload")?, "result", "workload")?;
+    let workload = into_text(f.req("workload")?, "result", "workload")?;
     let result = match workload.as_str() {
         "channel" => {
             let (_, output) = sig_from_value(f.req("output")?)?;
@@ -360,11 +360,11 @@ pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
                 let signals = named_sigs_from_value(of.list("signals")?)?;
                 let vcd = of
                     .take("vcd")
-                    .map(|v| as_text(&v, "outcome", "vcd"))
+                    .map(|v| into_text(v, "outcome", "vcd"))
                     .transpose()?;
                 let error = of
                     .take("error")
-                    .map(|v| as_text(&v, "outcome", "error"))
+                    .map(|v| into_text(v, "outcome", "error"))
                     .transpose()?;
                 of.finish()?;
                 outcomes.push(ServedOutcome {
@@ -417,7 +417,7 @@ pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
             }
         }
         "analog" => {
-            let task = as_text(&f.req("task")?, "result", "task")?;
+            let task = into_text(f.req("task")?, "result", "task")?;
             let analog = match task.as_str() {
                 "samples" => AnalogResult::Samples(delay_samples_from(f.list("samples")?)?),
                 "characterization" => AnalogResult::Characterization {
@@ -432,7 +432,7 @@ pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
                         let sample = DeviationSample {
                             offset: sf.f64("offset")?,
                             deviation: sf.f64("deviation")?,
-                            edge: edge_from_value(&sf.req("edge")?)?,
+                            edge: edge_from_value(sf.req("edge")?)?,
                         };
                         sf.finish()?;
                         out.push(sample);
@@ -495,7 +495,7 @@ fn delay_samples_from(values: Vec<Value>) -> Result<Vec<DelaySample>, SpecError>
         let sample = DelaySample {
             offset: sf.f64("offset")?,
             delay: sf.f64("delay")?,
-            edge: edge_from_value(&sf.req("edge")?)?,
+            edge: edge_from_value(sf.req("edge")?)?,
         };
         sf.finish()?;
         out.push(sample);
@@ -636,7 +636,7 @@ pub(crate) fn render_error(
 pub fn parse_error(text: &str) -> Result<ServedError, SpecError> {
     let mut f = Fields::of(parse_document(text)?, "error")?;
     f.expect_tag(&["error"])?;
-    let kind_word = as_text(&f.req("kind")?, "error", "kind")?;
+    let kind_word = into_text(f.req("kind")?, "error", "kind")?;
     let kind = ServedErrorKind::from_word(&kind_word)
         .ok_or_else(|| SpecError::new(format!("unknown error kind {kind_word:?}")))?;
     let message = f.string("message")?;
@@ -651,7 +651,7 @@ pub fn parse_error(text: &str) -> Result<ServedError, SpecError> {
             let mut df = Fields::of(v, "diag")?;
             df.expect_tag(&["diag"])?;
             let code = df.string("code")?;
-            let severity_word = as_text(&df.req("severity")?, "diag", "severity")?;
+            let severity_word = into_text(df.req("severity")?, "diag", "severity")?;
             let severity = match severity_word.as_str() {
                 "info" => Severity::Info,
                 "warning" => Severity::Warning,

@@ -28,7 +28,7 @@ use ivl_core::factory::{ChannelParams, ParamValue};
 use ivl_core::{Bit, Signal};
 
 use crate::error::{Span, SpecError};
-use crate::value::{key_hash, parse_document, render_document, Value, ValueKind};
+use crate::value::{key_hash, parse_document, render_document, Sink, Value, ValueKind, Walk};
 
 /// A complete, serializable description of one experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -1079,7 +1079,13 @@ impl ExperimentSpec {
 
     /// The spec's cache key: a compact binary encoding of its canonical
     /// tree, equal for two specs exactly when their canonical texts
-    /// (`to_string()`) are equal, computed without rendering that text.
+    /// (`to_string()`) are equal.
+    ///
+    /// It is written by walking the spec once, the walk that also
+    /// builds the canonical tree behind `to_string()`, so neither the
+    /// text nor the tree is built for it. The bytes are those of the
+    /// tree's encoding, so keys and hashes stay what they were when the
+    /// key was taken from the built tree.
     ///
     /// Every text that parses to the same spec therefore has the same
     /// key, whatever its comments, whitespace or formatting. The
@@ -1090,6 +1096,15 @@ impl ExperimentSpec {
     /// result.
     #[must_use]
     pub fn cache_key(&self) -> Vec<u8> {
+        self.key_bytes()
+    }
+
+    /// The cache key computed the long way, by building the canonical
+    /// tree and encoding it: the reference that
+    /// [`cache_key`](ExperimentSpec::cache_key) is tested against.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn cache_key_via_tree(&self) -> Vec<u8> {
         self.to_value().key_bytes()
     }
 
@@ -1112,65 +1127,100 @@ impl ExperimentSpec {
 }
 
 // ======================================================================
-// Value conversion: spec -> tree
+// The canonical tree: one walk per spec type
 // ======================================================================
+//
+// A walk announces each node's field count before its fields, so the
+// count must match the fields it then writes, optional ones included;
+// the round-trip and key proptests in `tests/spec_roundtrip.rs` fail
+// when it does not.
 
-fn num(v: f64) -> Value {
-    Value::num(v)
+/// How many of `present` are set: the count of a node's optional fields.
+fn count(present: &[bool]) -> usize {
+    present.iter().filter(|&&p| p).count()
 }
 
-fn int(v: u64) -> Value {
-    Value::int(v)
+impl Walk for f64 {
+    fn walk(&self, s: &mut impl Sink) {
+        s.num(*self);
+    }
 }
 
-fn text(s: &str) -> Value {
-    Value::str(s)
+impl Walk for u64 {
+    fn walk(&self, s: &mut impl Sink) {
+        s.int(*self);
+    }
 }
 
-fn node(tag: &str, fields: Vec<(String, Value)>) -> Value {
-    Value::node(tag, fields)
+impl Walk for u32 {
+    fn walk(&self, s: &mut impl Sink) {
+        s.int(u64::from(*self));
+    }
 }
 
-impl ExperimentSpec {
-    pub(crate) fn to_value(&self) -> Value {
-        match &self.workload {
-            WorkloadSpec::Channel(c) => node(
-                "channel",
-                vec![
-                    field("channel", channel_to_value(&c.channel)),
-                    field("input", signal_to_value(&c.input)),
-                ],
-            ),
-            WorkloadSpec::Digital(d) => digital_to_value(d),
-            WorkloadSpec::Analog(a) => analog_to_value(a),
-            WorkloadSpec::Spf(s) => spf_to_value(s),
+/// Booleans are the words `true` and `false`.
+impl Walk for bool {
+    fn walk(&self, s: &mut impl Sink) {
+        s.word(if *self { "true" } else { "false" });
+    }
+}
+
+/// Names and labels are quoted strings.
+impl Walk for String {
+    fn walk(&self, s: &mut impl Sink) {
+        s.str(self);
+    }
+}
+
+/// A `[start, width]` pulse or an `[offset, delay]` sample.
+impl Walk for (f64, f64) {
+    fn walk(&self, s: &mut impl Sink) {
+        s.list(2);
+        s.num(self.0);
+        s.num(self.1);
+    }
+}
+
+impl<T: Walk> Walk for [T] {
+    fn walk(&self, s: &mut impl Sink) {
+        s.list(self.len());
+        for item in self {
+            item.walk(s);
         }
     }
 }
 
-pub(crate) fn channel_to_value(c: &ChannelSpec) -> Value {
-    let fields = c
-        .params
-        .entries()
-        .iter()
-        .map(|(name, value)| {
-            let v = match value {
-                ParamValue::Num(v) => num(*v),
-                ParamValue::Int(v) => int(*v),
-                ParamValue::Text(v) => {
-                    if is_word(v) {
-                        Value::word(v.clone())
-                    } else {
-                        Value::str(v.clone())
-                    }
-                }
+impl Walk for ExperimentSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        match &self.workload {
+            WorkloadSpec::Channel(c) => {
+                s.node("channel", 2);
+                s.entry("channel", &c.channel);
+                s.entry("input", &c.input);
+            }
+            WorkloadSpec::Digital(d) => d.walk(s),
+            WorkloadSpec::Analog(a) => a.walk(s),
+            WorkloadSpec::Spf(p) => p.walk(s),
+        }
+    }
+}
+
+impl Walk for ChannelSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        let params = self.params.entries();
+        s.node(&self.kind, params.len());
+        for (name, value) in params {
+            s.field(name);
+            match value {
+                ParamValue::Num(v) => s.num(*v),
+                ParamValue::Int(v) => s.int(*v),
+                ParamValue::Text(v) if is_word(v) => s.word(v),
+                ParamValue::Text(v) => s.str(v),
                 // future ParamValue variants degrade to their display form
-                other => Value::str(other.to_string()),
-            };
-            (name.clone(), v)
-        })
-        .collect();
-    Value::node(c.kind.clone(), fields)
+                other => s.str(&other.to_string()),
+            }
+        }
+    }
 }
 
 fn is_word(s: &str) -> bool {
@@ -1183,394 +1233,372 @@ fn is_word(s: &str) -> bool {
         && s != "false"
 }
 
-fn signal_to_value(s: &SignalSpec) -> Value {
-    match s {
-        SignalSpec::Zero => Value::word("zero"),
-        SignalSpec::Pulse { at, width } => node(
-            "pulse",
-            vec![field("at", num(*at)), field("width", num(*width))],
-        ),
-        SignalSpec::Train { pulses } => node(
-            "train",
-            vec![field(
-                "pulses",
-                Value::list(
-                    pulses
-                        .iter()
-                        .map(|(t, w)| Value::list(vec![num(*t), num(*w)]))
-                        .collect(),
-                ),
-            )],
-        ),
-        SignalSpec::Times { initial, times } => node(
-            "times",
-            vec![
-                field("initial", Value::bool(*initial)),
-                field("at", Value::list(times.iter().map(|t| num(*t)).collect())),
-            ],
-        ),
-    }
-}
-
-fn digital_to_value(d: &DigitalSpec) -> Value {
-    let mut fields = vec![
-        field("topology", topology_to_value(&d.topology)),
-        field("horizon", num(d.horizon)),
-    ];
-    if let Some(m) = d.max_events {
-        fields.push(field("max_events", int(m)));
-    }
-    if let Some(w) = d.workers {
-        fields.push(field("workers", int(u64::from(w))));
-    }
-    match d.on_failure {
-        FailurePolicySpec::Skip => {}
-        FailurePolicySpec::Abort => fields.push(field("on_failure", Value::word("abort"))),
-        FailurePolicySpec::Retry { attempts } => fields.push(field(
-            "on_failure",
-            node("retry", vec![field("attempts", int(u64::from(attempts)))]),
-        )),
-    }
-    fields.push(field(
-        "scenarios",
-        Value::list(d.scenarios.iter().map(scenario_to_value).collect()),
-    ));
-    let mut output_fields = vec![
-        field("signals", Value::bool(d.outputs.signals)),
-        field("stats", Value::bool(d.outputs.stats)),
-        field("vcd", Value::bool(d.outputs.vcd)),
-    ];
-    // emitted only when set, so specs predating the watch field
-    // round-trip byte-identically (stable canonical hashes)
-    if !d.outputs.watch.is_empty() {
-        output_fields.push(field(
-            "watch",
-            Value::list(d.outputs.watch.iter().map(|n| text(n)).collect()),
-        ));
-    }
-    fields.push(field("outputs", node("outputs", output_fields)));
-    node("digital", fields)
-}
-
-fn topology_to_value(t: &TopologySpec) -> Value {
-    match t {
-        TopologySpec::Netlist(n) => node(
-            "netlist",
-            vec![
-                field(
-                    "nodes",
-                    Value::list(n.nodes.iter().map(node_to_value).collect()),
-                ),
-                field(
-                    "edges",
-                    Value::list(n.edges.iter().map(edge_to_value).collect()),
-                ),
-            ],
-        ),
-        TopologySpec::InverterChain { stages, channel } => node(
-            "chain",
-            vec![
-                field("stages", int(u64::from(*stages))),
-                field("channel", channel_to_value(channel)),
-            ],
-        ),
-        TopologySpec::Grid2d {
-            width,
-            height,
-            channel,
-        } => node(
-            "grid",
-            vec![
-                field("width", int(u64::from(*width))),
-                field("height", int(u64::from(*height))),
-                field("channel", channel_to_value(channel)),
-            ],
-        ),
-        TopologySpec::RandomDag {
-            nodes,
-            seed,
-            channel,
-        } => {
-            let mut fields = vec![field("nodes", int(u64::from(*nodes)))];
-            if let Some(seed) = seed {
-                fields.push(field("seed", int(*seed)));
+impl Walk for SignalSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        match self {
+            SignalSpec::Zero => s.word("zero"),
+            SignalSpec::Pulse { at, width } => {
+                s.node("pulse", 2);
+                s.entry("at", at);
+                s.entry("width", width);
             }
-            fields.push(field("channel", channel_to_value(channel)));
-            node("random_dag", fields)
-        }
-        TopologySpec::FatTree { depth, channel } => node(
-            "fat_tree",
-            vec![
-                field("depth", int(u64::from(*depth))),
-                field("channel", channel_to_value(channel)),
-            ],
-        ),
-    }
-}
-
-fn node_to_value(n: &NodeSpec) -> Value {
-    match n {
-        NodeSpec::Input { name } => node("input", vec![field("name", text(name))]),
-        NodeSpec::Output { name } => node("output", vec![field("name", text(name))]),
-        NodeSpec::Gate {
-            name,
-            kind,
-            arity,
-            init,
-        } => {
-            let mut fields = vec![
-                field("name", text(name)),
-                field("kind", gate_kind_to_value(kind)),
-            ];
-            if let Some(a) = arity {
-                fields.push(field("arity", int(u64::from(*a))));
+            SignalSpec::Train { pulses } => {
+                s.node("train", 1);
+                s.entry("pulses", &pulses[..]);
             }
-            fields.push(field("init", Value::bool(*init)));
-            node("gate", fields)
+            SignalSpec::Times { initial, times } => {
+                s.node("times", 2);
+                s.entry("initial", initial);
+                s.entry("at", &times[..]);
+            }
         }
     }
 }
 
-fn gate_kind_to_value(k: &GateKindSpec) -> Value {
-    match k {
-        GateKindSpec::Buf => Value::word("buf"),
-        GateKindSpec::Not => Value::word("not"),
-        GateKindSpec::And => Value::word("and"),
-        GateKindSpec::Or => Value::word("or"),
-        GateKindSpec::Nand => Value::word("nand"),
-        GateKindSpec::Nor => Value::word("nor"),
-        GateKindSpec::Xor => Value::word("xor"),
-        GateKindSpec::Xnor => Value::word("xnor"),
-        GateKindSpec::Table { inputs, rows } => node(
-            "table",
-            vec![
-                field("inputs", int(u64::from(*inputs))),
-                field(
-                    "rows",
-                    Value::list(rows.iter().map(|b| int(u64::from(*b))).collect()),
-                ),
-            ],
-        ),
+impl Walk for DigitalSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        let optional = [
+            self.max_events.is_some(),
+            self.workers.is_some(),
+            self.on_failure != FailurePolicySpec::Skip,
+        ];
+        s.node("digital", 4 + count(&optional));
+        s.entry("topology", &self.topology);
+        s.entry("horizon", &self.horizon);
+        if let Some(m) = &self.max_events {
+            s.entry("max_events", m);
+        }
+        if let Some(w) = &self.workers {
+            s.entry("workers", w);
+        }
+        if self.on_failure != FailurePolicySpec::Skip {
+            s.entry("on_failure", &self.on_failure);
+        }
+        s.entry("scenarios", &self.scenarios[..]);
+        s.entry("outputs", &self.outputs);
     }
 }
 
-fn edge_to_value(e: &EdgeSpec) -> Value {
-    let mut fields = vec![
-        field("from", text(&e.from)),
-        field("to", text(&e.to)),
-        field("pin", int(u64::from(e.pin))),
-    ];
-    if let Some(c) = &e.channel {
-        fields.push(field("channel", channel_to_value(c)));
+/// `skip`, the default, is never written: [`DigitalSpec`] omits the
+/// field for it.
+impl Walk for FailurePolicySpec {
+    fn walk(&self, s: &mut impl Sink) {
+        match self {
+            FailurePolicySpec::Abort => s.word("abort"),
+            FailurePolicySpec::Skip => s.word("skip"),
+            FailurePolicySpec::Retry { attempts } => {
+                s.node("retry", 1);
+                s.entry("attempts", attempts);
+            }
+        }
     }
-    node("edge", fields)
 }
 
-fn scenario_to_value(s: &ScenarioSpec) -> Value {
-    let mut fields = vec![field("label", text(&s.label))];
-    if let Some(seed) = s.seed {
-        fields.push(field("seed", int(seed)));
+impl Walk for OutputSelect {
+    fn walk(&self, s: &mut impl Sink) {
+        // `watch` is written only when set, so specs predating it
+        // round-trip byte-identically (stable canonical hashes)
+        s.node("outputs", 3 + count(&[!self.watch.is_empty()]));
+        s.entry("signals", &self.signals);
+        s.entry("stats", &self.stats);
+        s.entry("vcd", &self.vcd);
+        if !self.watch.is_empty() {
+            s.entry("watch", &self.watch[..]);
+        }
     }
-    fields.push(field(
-        "inputs",
-        Value::list(
-            s.inputs
-                .iter()
-                .map(|(port, sig)| {
-                    node(
-                        "drive",
-                        vec![
-                            field("port", text(port)),
-                            field("signal", signal_to_value(sig)),
-                        ],
-                    )
-                })
-                .collect(),
-        ),
-    ));
-    node("scenario", fields)
 }
 
-fn analog_to_value(a: &AnalogSpec) -> Value {
-    let mut fields = vec![
-        field(
-            "chain",
-            node(
-                "chain",
-                vec![
-                    field("stages", int(u64::from(a.chain.stages))),
-                    field("width_scale", num(a.chain.width_scale)),
-                ],
-            ),
-        ),
-        field(
-            "supply",
-            match &a.supply {
-                SupplySpec::Dc { volts } => node("dc", vec![field("volts", num(*volts))]),
-                SupplySpec::Sine {
-                    nominal,
-                    amplitude,
-                    period,
-                    phase,
-                } => node(
-                    "sine",
-                    vec![
-                        field("nominal", num(*nominal)),
-                        field("amplitude", num(*amplitude)),
-                        field("period", num(*period)),
-                        field("phase", num(*phase)),
-                    ],
-                ),
-            },
-        ),
-        field(
-            "sweep",
-            node(
-                "sweep",
-                vec![
-                    field(
-                        "widths",
-                        Value::list(a.sweep.widths.iter().map(|w| num(*w)).collect()),
-                    ),
-                    field("settle", num(a.sweep.settle)),
-                    field("tail", num(a.sweep.tail)),
-                    field("dt", num(a.sweep.dt)),
-                    field("slew", num(a.sweep.slew)),
-                    field("stage", int(u64::from(a.sweep.stage))),
-                    field(
-                        "integrator",
-                        match a.sweep.integrator {
-                            IntegratorSpec::Rk4 => Value::word("rk4"),
-                            IntegratorSpec::Rk45 { rtol, atol } => node(
-                                "rk45",
-                                vec![field("rtol", num(rtol)), field("atol", num(atol))],
-                            ),
-                        },
-                    ),
-                ],
-            ),
-        ),
-        field(
-            "task",
-            match &a.task {
-                AnalogTask::Samples { inverted } => {
-                    node("samples", vec![field("inverted", Value::bool(*inverted))])
+impl Walk for TopologySpec {
+    fn walk(&self, s: &mut impl Sink) {
+        match self {
+            TopologySpec::Netlist(n) => {
+                s.node("netlist", 2);
+                s.entry("nodes", &n.nodes[..]);
+                s.entry("edges", &n.edges[..]);
+            }
+            TopologySpec::InverterChain { stages, channel } => {
+                s.node("chain", 2);
+                s.entry("stages", stages);
+                s.entry("channel", channel);
+            }
+            TopologySpec::Grid2d {
+                width,
+                height,
+                channel,
+            } => {
+                s.node("grid", 3);
+                s.entry("width", width);
+                s.entry("height", height);
+                s.entry("channel", channel);
+            }
+            TopologySpec::RandomDag {
+                nodes,
+                seed,
+                channel,
+            } => {
+                s.node("random_dag", 2 + count(&[seed.is_some()]));
+                s.entry("nodes", nodes);
+                if let Some(seed) = seed {
+                    s.entry("seed", seed);
                 }
-                AnalogTask::Characterize => Value::word("characterize"),
-                AnalogTask::Deviations {
-                    reference,
-                    orientation,
-                } => node(
-                    "deviations",
-                    vec![
-                        field("reference", reference_to_value(reference)),
-                        field(
-                            "orientation",
-                            Value::word(match orientation {
-                                Orientation::Both => "both",
-                                Orientation::Normal => "normal",
-                                Orientation::Inverted => "inverted",
-                            }),
-                        ),
-                    ],
-                ),
-            },
-        ),
-    ];
-    if let Some(w) = a.workers {
-        fields.push(field("workers", int(u64::from(w))));
-    }
-    node("analog", fields)
-}
-
-fn reference_to_value(r: &ReferenceSpec) -> Value {
-    match r {
-        ReferenceSpec::Exp { tau, t_p, v_th } => delay_exp_to_value(*tau, *t_p, *v_th),
-        ReferenceSpec::Rational { a, b, c } => delay_rational_to_value(*a, *b, *c),
-        ReferenceSpec::SelfEmpirical => Value::word("self_empirical"),
-        ReferenceSpec::Empirical { up, down } => node(
-            "empirical",
-            vec![
-                field("up", samples_to_value(up)),
-                field("down", samples_to_value(down)),
-            ],
-        ),
+                s.entry("channel", channel);
+            }
+            TopologySpec::FatTree { depth, channel } => {
+                s.node("fat_tree", 2);
+                s.entry("depth", depth);
+                s.entry("channel", channel);
+            }
+        }
     }
 }
 
-fn samples_to_value(samples: &[(f64, f64)]) -> Value {
-    Value::list(
-        samples
-            .iter()
-            .map(|(t, d)| Value::list(vec![num(*t), num(*d)]))
-            .collect(),
-    )
+impl Walk for NodeSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        match self {
+            NodeSpec::Input { name } => {
+                s.node("input", 1);
+                s.entry("name", name);
+            }
+            NodeSpec::Output { name } => {
+                s.node("output", 1);
+                s.entry("name", name);
+            }
+            NodeSpec::Gate {
+                name,
+                kind,
+                arity,
+                init,
+            } => {
+                s.node("gate", 3 + count(&[arity.is_some()]));
+                s.entry("name", name);
+                s.entry("kind", kind);
+                if let Some(a) = arity {
+                    s.entry("arity", a);
+                }
+                s.entry("init", init);
+            }
+        }
+    }
 }
 
-fn delay_exp_to_value(tau: f64, t_p: f64, v_th: f64) -> Value {
-    node(
-        "exp",
-        vec![
-            field("tau", num(tau)),
-            field("t_p", num(t_p)),
-            field("v_th", num(v_th)),
-        ],
-    )
+impl Walk for GateKindSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        match self {
+            GateKindSpec::Buf => s.word("buf"),
+            GateKindSpec::Not => s.word("not"),
+            GateKindSpec::And => s.word("and"),
+            GateKindSpec::Or => s.word("or"),
+            GateKindSpec::Nand => s.word("nand"),
+            GateKindSpec::Nor => s.word("nor"),
+            GateKindSpec::Xor => s.word("xor"),
+            GateKindSpec::Xnor => s.word("xnor"),
+            GateKindSpec::Table { inputs, rows } => {
+                s.node("table", 2);
+                s.entry("inputs", inputs);
+                s.field("rows");
+                s.list(rows.len());
+                for &row in rows {
+                    s.int(u64::from(row));
+                }
+            }
+        }
+    }
 }
 
-fn delay_rational_to_value(a: f64, b: f64, c: f64) -> Value {
-    node(
-        "rational",
-        vec![field("a", num(a)), field("b", num(b)), field("c", num(c))],
-    )
+impl Walk for EdgeSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("edge", 3 + count(&[self.channel.is_some()]));
+        s.entry("from", &self.from);
+        s.entry("to", &self.to);
+        s.entry("pin", &self.pin);
+        if let Some(c) = &self.channel {
+            s.entry("channel", c);
+        }
+    }
 }
 
-fn spf_to_value(s: &SpfSpec) -> Value {
-    node(
-        "spf",
-        vec![
-            field(
-                "delay",
-                match s.delay {
-                    DelaySpec::Exp { tau, t_p, v_th } => delay_exp_to_value(tau, t_p, v_th),
-                    DelaySpec::Rational { a, b, c } => delay_rational_to_value(a, b, c),
-                },
-            ),
-            field("eta_minus", num(s.eta_minus)),
-            field("eta_plus", num(s.eta_plus)),
-            field(
-                "task",
-                match &s.task {
-                    SpfTask::Theory => Value::word("theory"),
-                    SpfTask::Simulate {
-                        noise,
-                        input,
-                        horizon,
-                    } => node(
-                        "simulate",
-                        vec![
-                            field("noise", noise_to_value(*noise)),
-                            field("input", signal_to_value(input)),
-                            field("horizon", num(*horizon)),
-                        ],
-                    ),
-                },
-            ),
-        ],
-    )
+impl Walk for ScenarioSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("scenario", 2 + count(&[self.seed.is_some()]));
+        s.entry("label", &self.label);
+        if let Some(seed) = &self.seed {
+            s.entry("seed", seed);
+        }
+        s.field("inputs");
+        s.list(self.inputs.len());
+        for (port, signal) in &self.inputs {
+            s.node("drive", 2);
+            s.entry("port", port);
+            s.entry("signal", signal);
+        }
+    }
 }
 
-fn noise_to_value(n: NoiseSpec) -> Value {
-    match n {
-        NoiseSpec::Zero => Value::word("zero"),
-        NoiseSpec::WorstCase => Value::word("worst_case"),
-        NoiseSpec::Extending => Value::word("extending"),
-        NoiseSpec::Uniform { seed } => node("uniform", vec![field("seed", int(seed))]),
-        NoiseSpec::Gaussian { sigma, seed } => node(
-            "gaussian",
-            vec![field("sigma", num(sigma)), field("seed", int(seed))],
-        ),
-        NoiseSpec::Constant { shift } => node("constant", vec![field("shift", num(shift))]),
+impl Walk for AnalogSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("analog", 4 + count(&[self.workers.is_some()]));
+        s.field("chain");
+        s.node("chain", 2);
+        s.entry("stages", &self.chain.stages);
+        s.entry("width_scale", &self.chain.width_scale);
+        s.entry("supply", &self.supply);
+        s.entry("sweep", &self.sweep);
+        s.entry("task", &self.task);
+        if let Some(w) = &self.workers {
+            s.entry("workers", w);
+        }
+    }
+}
+
+impl Walk for SupplySpec {
+    fn walk(&self, s: &mut impl Sink) {
+        match self {
+            SupplySpec::Dc { volts } => {
+                s.node("dc", 1);
+                s.entry("volts", volts);
+            }
+            SupplySpec::Sine {
+                nominal,
+                amplitude,
+                period,
+                phase,
+            } => {
+                s.node("sine", 4);
+                s.entry("nominal", nominal);
+                s.entry("amplitude", amplitude);
+                s.entry("period", period);
+                s.entry("phase", phase);
+            }
+        }
+    }
+}
+
+impl Walk for SweepSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("sweep", 7);
+        s.entry("widths", &self.widths[..]);
+        s.entry("settle", &self.settle);
+        s.entry("tail", &self.tail);
+        s.entry("dt", &self.dt);
+        s.entry("slew", &self.slew);
+        s.entry("stage", &self.stage);
+        s.field("integrator");
+        match self.integrator {
+            IntegratorSpec::Rk4 => s.word("rk4"),
+            IntegratorSpec::Rk45 { rtol, atol } => {
+                s.node("rk45", 2);
+                s.entry("rtol", &rtol);
+                s.entry("atol", &atol);
+            }
+        }
+    }
+}
+
+impl Walk for AnalogTask {
+    fn walk(&self, s: &mut impl Sink) {
+        match self {
+            AnalogTask::Samples { inverted } => {
+                s.node("samples", 1);
+                s.entry("inverted", inverted);
+            }
+            AnalogTask::Characterize => s.word("characterize"),
+            AnalogTask::Deviations {
+                reference,
+                orientation,
+            } => {
+                s.node("deviations", 2);
+                s.entry("reference", reference);
+                s.field("orientation");
+                s.word(match orientation {
+                    Orientation::Both => "both",
+                    Orientation::Normal => "normal",
+                    Orientation::Inverted => "inverted",
+                });
+            }
+        }
+    }
+}
+
+impl Walk for ReferenceSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        match self {
+            ReferenceSpec::Exp { tau, t_p, v_th } => walk_exp(s, *tau, *t_p, *v_th),
+            ReferenceSpec::Rational { a, b, c } => walk_rational(s, *a, *b, *c),
+            ReferenceSpec::SelfEmpirical => s.word("self_empirical"),
+            ReferenceSpec::Empirical { up, down } => {
+                s.node("empirical", 2);
+                s.entry("up", &up[..]);
+                s.entry("down", &down[..]);
+            }
+        }
+    }
+}
+
+/// The `exp { tau; t_p; v_th }` node shared by SPF delays and analog
+/// references.
+fn walk_exp(s: &mut impl Sink, tau: f64, t_p: f64, v_th: f64) {
+    s.node("exp", 3);
+    s.entry("tau", &tau);
+    s.entry("t_p", &t_p);
+    s.entry("v_th", &v_th);
+}
+
+/// The `rational { a; b; c }` node shared by SPF delays and analog
+/// references.
+fn walk_rational(s: &mut impl Sink, a: f64, b: f64, c: f64) {
+    s.node("rational", 3);
+    s.entry("a", &a);
+    s.entry("b", &b);
+    s.entry("c", &c);
+}
+
+impl Walk for SpfSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("spf", 4);
+        s.field("delay");
+        match self.delay {
+            DelaySpec::Exp { tau, t_p, v_th } => walk_exp(s, tau, t_p, v_th),
+            DelaySpec::Rational { a, b, c } => walk_rational(s, a, b, c),
+        }
+        s.entry("eta_minus", &self.eta_minus);
+        s.entry("eta_plus", &self.eta_plus);
+        s.field("task");
+        match &self.task {
+            SpfTask::Theory => s.word("theory"),
+            SpfTask::Simulate {
+                noise,
+                input,
+                horizon,
+            } => {
+                s.node("simulate", 3);
+                s.entry("noise", noise);
+                s.entry("input", input);
+                s.entry("horizon", horizon);
+            }
+        }
+    }
+}
+
+impl Walk for NoiseSpec {
+    fn walk(&self, s: &mut impl Sink) {
+        match self {
+            NoiseSpec::Zero => s.word("zero"),
+            NoiseSpec::WorstCase => s.word("worst_case"),
+            NoiseSpec::Extending => s.word("extending"),
+            NoiseSpec::Uniform { seed } => {
+                s.node("uniform", 1);
+                s.entry("seed", seed);
+            }
+            NoiseSpec::Gaussian { sigma, seed } => {
+                s.node("gaussian", 2);
+                s.entry("sigma", sigma);
+                s.entry("seed", seed);
+            }
+            NoiseSpec::Constant { shift } => {
+                s.node("constant", 1);
+                s.entry("shift", shift);
+            }
+        }
     }
 }
 
@@ -1664,7 +1692,7 @@ impl Fields {
     }
 
     pub(crate) fn string(&mut self, name: &str) -> Result<String, SpecError> {
-        as_text(&self.req(name)?, &self.tag, name)
+        into_text(self.req(name)?, &self.tag, name)
     }
 
     pub(crate) fn list(&mut self, name: &str) -> Result<Vec<Value>, SpecError> {
@@ -1714,7 +1742,7 @@ pub(crate) fn sig_from_value(value: Value) -> Result<(Option<String>, Signal), S
     f.expect_tag(&["sig"])?;
     let name = f
         .take("name")
-        .map(|v| as_text(&v, "sig", "name"))
+        .map(|v| into_text(v, "sig", "name"))
         .transpose()?;
     let initial = Bit::from(f.bool("initial")?);
     let times = f
@@ -1783,14 +1811,16 @@ fn as_bool(v: &Value, tag: &str, name: &str) -> Result<bool, SpecError> {
     }
 }
 
-pub(crate) fn as_text(v: &Value, tag: &str, name: &str) -> Result<String, SpecError> {
-    match v.kind() {
-        ValueKind::Str(s) => Ok(s.clone()),
-        ValueKind::Word(w) => Ok(w.clone()),
-        _ => Err(
-            SpecError::new(format!("{tag}: field {name:?} must be a string, found {v}"))
-                .at(v.span()),
-        ),
+/// The text of a string or word, moved out of `v`.
+pub(crate) fn into_text(v: Value, tag: &str, name: &str) -> Result<String, SpecError> {
+    let span = v.span();
+    match v.into_kind() {
+        ValueKind::Str(s) | ValueKind::Word(s) => Ok(s),
+        other => Err(SpecError::new(format!(
+            "{tag}: field {name:?} must be a string, found {}",
+            Value::from(other)
+        ))
+        .at(span)),
     }
 }
 
@@ -1859,19 +1889,20 @@ impl ExperimentSpec {
 fn channel_from_value(value: Value) -> Result<ChannelSpec, SpecError> {
     let f = Fields::of(value, "channel")?;
     let mut params = ChannelParams::new();
-    for (name, v) in &f.fields {
-        let v = v.as_ref().expect("freshly constructed fields are present");
-        params = match v.kind() {
-            ValueKind::Num(x) => params.with_num(name.clone(), *x),
-            ValueKind::Int(x) => params.with_int(name.clone(), *x),
-            ValueKind::Word(w) => params.with_text(name.clone(), w.clone()),
-            ValueKind::Str(s) => params.with_text(name.clone(), s.clone()),
-            _ => {
+    for (name, v) in f.fields {
+        let v = v.expect("freshly constructed fields are present");
+        let span = v.span();
+        params = match v.into_kind() {
+            ValueKind::Num(x) => params.with_num(name, x),
+            ValueKind::Int(x) => params.with_int(name, x),
+            ValueKind::Word(text) | ValueKind::Str(text) => params.with_text(name, text),
+            other => {
                 return Err(SpecError::new(format!(
-                    "{}: channel parameter {name:?} must be scalar, found {v}",
-                    f.tag
+                    "{}: channel parameter {name:?} must be scalar, found {}",
+                    f.tag,
+                    Value::from(other)
                 ))
-                .at(v.span()))
+                .at(span))
             }
         };
     }
@@ -1984,8 +2015,8 @@ fn digital_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<DigitalSpec
                         ValueKind::List(items) => {
                             sp.watch = item_spans(&items);
                             items
-                                .iter()
-                                .map(|v| as_text(v, "outputs", "watch"))
+                                .into_iter()
+                                .map(|v| into_text(v, "outputs", "watch"))
                                 .collect::<Result<Vec<_>, _>>()?
                         }
                         other => {

@@ -24,6 +24,11 @@
 //! client, so deeper input is refused with a [`SpecError`] instead of
 //! exhausting the stack.
 //!
+//! A spec is not converted to this tree to be printed or keyed: each spec
+//! type describes itself once, in a [`Walk`], to a [`Sink`]. One sink
+//! builds the tree (for printing); the other writes the cache key
+//! straight from the walk, in the encoding of the tree it would build.
+//!
 //! Every parsed [`Value`] carries the [`Span`] of its first token, so
 //! validation errors raised long after lexing (unknown fields, type
 //! mismatches, lint diagnostics) can still point at a line and column.
@@ -204,73 +209,243 @@ impl Value {
             }
         }
     }
+}
 
-    /// A compact binary encoding of this tree, equal for two trees
-    /// exactly when their rendered texts are equal, so it can stand in
-    /// for the text as a cache key without rendering it.
-    ///
-    /// Each value starts with a tag byte for its kind, so `2` (`Int`)
-    /// and `2.0` (`Num`) differ. A real is its `f64::to_bits`, little
-    /// endian, with `-0.0` kept apart from `0.0` as `{:?}` keeps it.
-    /// Strings, words, lists and fields are length-prefixed. The two
-    /// shapes that render alike encode alike: an empty `Node(tag)` and
-    /// `Word(tag)` (both print `tag`), and a non-finite real and the
-    /// word it prints as (`inf`, `NaN`).
-    pub(crate) fn key_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        self.encode(&mut out);
-        out
+/// What a [`Walk`] describes itself to, one call per part of the tree,
+/// in document order: a node announces its field count and is followed
+/// by that many `field` + value pairs, a list announces its length and
+/// is followed by that many values.
+pub(crate) trait Sink {
+    /// A node `tag { … }` with `fields` fields (none: it prints `tag`).
+    fn node(&mut self, tag: &str, fields: usize);
+    /// The name of the current node's next field; its value follows.
+    fn field(&mut self, name: &str);
+    /// A real number.
+    fn num(&mut self, v: f64);
+    /// An integer.
+    fn int(&mut self, v: u64);
+    /// A bare word.
+    fn word(&mut self, w: &str);
+    /// A quoted string.
+    fn str(&mut self, s: &str);
+    /// A list of `len` items.
+    fn list(&mut self, len: usize);
+
+    /// `name = value` in the current node.
+    fn entry(&mut self, name: &str, value: &(impl Walk + ?Sized))
+    where
+        Self: Sized,
+    {
+        self.field(name);
+        value.walk(self);
+    }
+}
+
+/// Something with a canonical tree, described by one walk that either
+/// sink can follow: [`to_value`](Walk::to_value) builds the tree,
+/// [`key_bytes`](Walk::key_bytes) encodes it without building it.
+pub(crate) trait Walk {
+    /// Feeds this value's canonical tree to `sink`.
+    fn walk(&self, sink: &mut impl Sink);
+
+    /// The canonical tree.
+    fn to_value(&self) -> Value {
+        let mut tree = TreeSink::default();
+        self.walk(&mut tree);
+        tree.finish()
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        fn len(out: &mut Vec<u8>, n: usize) {
-            // LEB128: seven bits a byte, high bit set on all but the last
-            let mut n = n as u64;
-            while n >= 0x80 {
-                out.push((n as u8) | 0x80);
-                n >>= 7;
-            }
-            out.push(n as u8);
-        }
-        fn text(out: &mut Vec<u8>, tag: u8, s: &str) {
-            out.push(tag);
-            len(out, s.len());
-            out.extend_from_slice(s.as_bytes());
-        }
+    /// A compact binary encoding of the canonical tree, equal for two
+    /// trees exactly when their rendered texts are equal, so it can
+    /// stand in for the text as a cache key without rendering it (see
+    /// [`KeySink`]).
+    fn key_bytes(&self) -> Vec<u8> {
+        let mut key = KeySink(Vec::with_capacity(256));
+        self.walk(&mut key);
+        key.0
+    }
+}
+
+impl Walk for Value {
+    fn walk(&self, sink: &mut impl Sink) {
         match &self.kind {
-            ValueKind::Num(v) if v.is_finite() => {
-                out.push(1);
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            ValueKind::Num(v) => text(out, 3, &format!("{v:?}")),
-            ValueKind::Int(v) => {
-                out.push(2);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            ValueKind::Word(w) => text(out, 3, w),
-            ValueKind::Node(tag, fields) if fields.is_empty() => text(out, 3, tag),
-            ValueKind::Str(s) => text(out, 4, s),
+            ValueKind::Num(v) => sink.num(*v),
+            ValueKind::Int(v) => sink.int(*v),
+            ValueKind::Word(w) => sink.word(w),
+            ValueKind::Str(s) => sink.str(s),
             ValueKind::List(items) => {
-                out.push(5);
-                len(out, items.len());
+                sink.list(items.len());
                 for item in items {
-                    item.encode(out);
+                    item.walk(sink);
                 }
             }
             ValueKind::Node(tag, fields) => {
-                text(out, 6, tag);
-                len(out, fields.len());
+                sink.node(tag, fields.len());
                 for (name, value) in fields {
-                    len(out, name.len());
-                    out.extend_from_slice(name.as_bytes());
-                    value.encode(out);
+                    sink.entry(name, value);
                 }
             }
         }
     }
 }
 
-/// A stable 64-bit hash of [`Value::key_bytes`] output: eight bytes at
+/// The sink that builds the [`Value`] tree a walk describes. A node of
+/// no fields stays a `Node` (it is not folded into a `Word`), so the
+/// tree is exactly what the walk says.
+#[derive(Default)]
+struct TreeSink {
+    /// The lists and nodes open around the next value, each with the
+    /// number of values it still waits for.
+    open: Vec<(Value, usize)>,
+    done: Option<Value>,
+}
+
+impl TreeSink {
+    /// Places a finished value in the innermost open list or node,
+    /// closing every one it completes.
+    fn push(&mut self, mut value: Value) {
+        while let Some((open, left)) = self.open.last_mut() {
+            match &mut open.kind {
+                ValueKind::List(items) => items.push(value),
+                ValueKind::Node(_, fields) => {
+                    fields.last_mut().expect("a field was named").1 = value
+                }
+                _ => unreachable!("only lists and nodes are opened"),
+            }
+            *left -= 1;
+            if *left > 0 {
+                return;
+            }
+            value = self.open.pop().expect("a container is open").0;
+        }
+        debug_assert!(self.done.is_none(), "a walk describes one value");
+        self.done = Some(value);
+    }
+
+    /// Opens `container` for `len` values, or places it whole if empty.
+    fn open(&mut self, container: Value, len: usize) {
+        if len == 0 {
+            self.push(container);
+        } else {
+            self.open.push((container, len));
+        }
+    }
+
+    /// The tree, once the walk has described all of it.
+    fn finish(self) -> Value {
+        assert!(self.open.is_empty(), "a walk left a list or node open");
+        self.done.expect("a walk describes one value")
+    }
+}
+
+impl Sink for TreeSink {
+    fn node(&mut self, tag: &str, fields: usize) {
+        self.open(Value::node(tag, Vec::with_capacity(fields)), fields);
+    }
+
+    fn field(&mut self, name: &str) {
+        match self.open.last_mut().map(|(open, _)| &mut open.kind) {
+            // the placeholder is overwritten by the value that follows
+            Some(ValueKind::Node(_, fields)) => fields.push((name.to_owned(), Value::int(0))),
+            _ => panic!("field {name:?} outside a node"),
+        }
+    }
+
+    fn num(&mut self, v: f64) {
+        self.push(Value::num(v));
+    }
+
+    fn int(&mut self, v: u64) {
+        self.push(Value::int(v));
+    }
+
+    fn word(&mut self, w: &str) {
+        self.push(Value::word(w));
+    }
+
+    fn str(&mut self, s: &str) {
+        self.push(Value::str(s));
+    }
+
+    fn list(&mut self, len: usize) {
+        self.open(Value::list(Vec::with_capacity(len)), len);
+    }
+}
+
+/// The sink that writes the cache-key encoding of the tree a walk
+/// describes, without building the tree.
+///
+/// Each value starts with a tag byte for its kind, so `2` (`Int`) and
+/// `2.0` (`Num`) differ. A real is its `f64::to_bits`, little endian,
+/// with `-0.0` kept apart from `0.0` as `{:?}` keeps it. Words,
+/// strings, field names, lists and field counts are LEB128
+/// length-prefixed. The two shapes that render alike encode alike: an
+/// empty node and the bare word of its tag (both print `tag`), and a
+/// non-finite real and the word it prints as (`inf`, `NaN`).
+struct KeySink(Vec<u8>);
+
+impl KeySink {
+    /// LEB128: seven bits a byte, high bit set on all but the last.
+    fn len(&mut self, n: usize) {
+        let mut n = n as u64;
+        while n >= 0x80 {
+            self.0.push((n as u8) | 0x80);
+            n >>= 7;
+        }
+        self.0.push(n as u8);
+    }
+
+    fn text(&mut self, tag: u8, s: &str) {
+        self.0.push(tag);
+        self.len(s.len());
+        self.0.extend_from_slice(s.as_bytes());
+    }
+}
+
+impl Sink for KeySink {
+    fn node(&mut self, tag: &str, fields: usize) {
+        if fields == 0 {
+            self.text(3, tag);
+        } else {
+            self.text(6, tag);
+            self.len(fields);
+        }
+    }
+
+    fn field(&mut self, name: &str) {
+        self.len(name.len());
+        self.0.extend_from_slice(name.as_bytes());
+    }
+
+    fn num(&mut self, v: f64) {
+        if v.is_finite() {
+            self.0.push(1);
+            self.0.extend_from_slice(&v.to_bits().to_le_bytes());
+        } else {
+            self.text(3, &format!("{v:?}"));
+        }
+    }
+
+    fn int(&mut self, v: u64) {
+        self.0.push(2);
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn word(&mut self, w: &str) {
+        self.text(3, w);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.text(4, s);
+    }
+
+    fn list(&mut self, len: usize) {
+        self.0.push(5);
+        self.len(len);
+    }
+}
+
+/// A stable 64-bit hash of [`Walk::key_bytes`] output: eight bytes at
 /// a time as explicit little-endian words, so every host computes the
 /// same value and it can name on-disk cache entries.
 pub(crate) fn key_hash(bytes: &[u8]) -> u64 {

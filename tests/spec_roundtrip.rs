@@ -409,6 +409,23 @@ proptest! {
             prop_assert_eq!(texts, keys, "---\n{}\n---\n{}", text, mutant);
         }
     }
+
+    /// The key is written by walking the spec, not by encoding its
+    /// built canonical tree, and the two give the same bytes: for every
+    /// spec and for each of its text mutants that parses.
+    #[test]
+    fn cache_key_is_the_encoding_of_the_canonical_tree(seed in 0u64..u64::MAX) {
+        let spec = arb_spec(seed);
+        let text = spec.to_string();
+        prop_assert_eq!(spec.cache_key(), spec.cache_key_via_tree(), "---\n{}", text);
+        let rng = &mut StdRng::seed_from_u64(seed);
+        for mutant in mutants(&text, rng) {
+            let Ok(back) = mutant.parse::<ExperimentSpec>() else {
+                continue;
+            };
+            prop_assert_eq!(back.cache_key(), back.cache_key_via_tree(), "---\n{}", mutant);
+        }
+    }
 }
 
 /// Byte ranges `(start, end)` in a document.
@@ -542,6 +559,26 @@ fn cache_keys_follow_the_canonical_text_on_the_edge_cases() {
         assert_eq!(a.to_string(), b.to_string());
         assert_eq!(a.cache_key(), b.cache_key(), "---\n{a}---\n{b}");
         assert_eq!(a.canonical_hash(), b.canonical_hash());
+    }
+}
+
+/// The shipped specs' hashes name their on-disk cache entries, so they
+/// may not move: pinned to the values of the key taken from the built
+/// canonical tree, before the key was written by walking the spec.
+#[test]
+fn shipped_spec_hashes_are_pinned() {
+    let pinned = [
+        ("analog_characterize", 0x457e_d836_eefa_a79a),
+        ("channel_pulse", 0x800b_11f0_49af_6f70),
+        ("digital_sweep", 0x09ee_6d1b_241f_dfd2),
+        ("spf_theory", 0x4c0b_154c_f869_b066),
+    ];
+    for (name, hash) in pinned {
+        let path = format!("{}/specs/{name}.spec", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let spec: ExperimentSpec = text.parse().unwrap_or_else(|e| panic!("{path}: {e}"));
+        let got = spec.canonical_hash();
+        assert_eq!(got, hash, "{name}: {got:#018x}");
     }
 }
 
