@@ -8,8 +8,9 @@
 //! scenario that has already completed successfully — its
 //! [`DoneScenario`]: label, event counts and recorded signals (output
 //! ports first, then watched nodes). `DoneScenario` is also the
-//! facade's own success record for a scenario, so [`render`] writes the
-//! sidecar from the facade's records by reference. Failed scenarios
+//! facade's own success record for a scenario, so [`render`] walks the
+//! facade's records by reference into the text sink every document is
+//! written through. Failed scenarios
 //! are deliberately *not* checkpointed: a resumed run re-executes them,
 //! so transient failures get a second chance and deterministic ones
 //! re-surface.
@@ -32,8 +33,8 @@ use std::path::Path;
 use ivl_core::Signal;
 
 use crate::error::CheckpointError;
-use crate::spec::{field, named_sigs_from_value, named_sigs_to_value, Fields};
-use crate::value::{parse_document, render_document, Value};
+use crate::spec::{named_sigs_from_value, Fields};
+use crate::value::{parse_document, render_document, Sink, Walk};
 
 /// Version tag of the checkpoint sidecar schema (inside the `faithful/1`
 /// document version).
@@ -72,32 +73,41 @@ pub(crate) fn render<'a>(
     retried: u64,
     done: impl IntoIterator<Item = (usize, &'a DoneScenario)>,
 ) -> String {
-    let done = done
-        .into_iter()
-        .map(|(index, d)| {
-            Value::node(
-                "done",
-                vec![
-                    field("index", Value::int(index as u64)),
-                    field("label", Value::str(d.label.clone())),
-                    field("processed", Value::int(d.processed)),
-                    field("scheduled", Value::int(d.scheduled)),
-                    field("signals", named_sigs_to_value(&d.signals)),
-                ],
-            )
-        })
-        .collect();
-    let root = Value::node(
-        "checkpoint",
-        vec![
-            field("version", Value::int(CHECKPOINT_VERSION)),
-            field("total", Value::int(total as u64)),
-            field("retried", Value::int(retried)),
-            field("spec", Value::str(spec_text.to_owned())),
-            field("done", Value::list(done)),
-        ],
-    );
-    render_document(&root)
+    render_document(&Sidecar {
+        spec_text,
+        total,
+        retried,
+        done: done.into_iter().collect(),
+    })
+}
+
+/// What [`render`] writes.
+struct Sidecar<'a> {
+    spec_text: &'a str,
+    total: usize,
+    retried: u64,
+    done: Vec<(usize, &'a DoneScenario)>,
+}
+
+impl Walk for Sidecar<'_> {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("checkpoint", 5);
+        s.entry("version", &CHECKPOINT_VERSION);
+        s.entry("total", &self.total);
+        s.entry("retried", &self.retried);
+        s.field("spec");
+        s.str(self.spec_text);
+        s.field("done");
+        s.list(self.done.len(), false);
+        for (index, d) in &self.done {
+            s.node("done", 5);
+            s.entry("index", index);
+            s.entry("label", &d.label);
+            s.entry("processed", &d.processed);
+            s.entry("scheduled", &d.scheduled);
+            s.entry("signals", &d.signals[..]);
+        }
+    }
 }
 
 /// Parses a checkpoint document.

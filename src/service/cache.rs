@@ -20,20 +20,22 @@
 //! ([`crate::atomicio`]), so a daemon killed mid-write leaves either
 //! the previous complete entry or none — a truncated or torn entry
 //! fails to parse and reads as a miss, never as corrupt data. A disk
-//! entry is a `faithful/1 cached { version = 3; key = "<hex>"; result =
+//! entry is a `faithful/1 cached { version = 4; key = "<hex>"; result =
 //! "<document>"; }` document named `cache_<hash:016x>.spec`; an entry
-//! of any other version (version 2 stored the canonical spec text) is
-//! ignored, never misread.
+//! of any other version (version 2 stored the canonical spec text,
+//! version 3 was named by an older hash) is ignored, never misread.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use crate::spec::Fields;
-use crate::value::{parse_document, render_document, Value};
+use crate::value::{parse_document, render_document, Sink, Walk};
 
-/// Schema version of on-disk cache entries. Version 3: an entry stores
-/// the spec's key bytes (hex), not its canonical text.
-const DISK_VERSION: u64 = 3;
+/// Schema version of on-disk cache entries. Version 3 stored the spec's
+/// key bytes (hex) instead of its canonical text; version 4 keeps that
+/// layout but is named by the full-avalanche `canonical_hash`, so a
+/// version-3 file, named by the older hash, reads as a miss.
+const DISK_VERSION: u64 = 4;
 
 struct Entry {
     key: Box<[u8]>,
@@ -166,7 +168,7 @@ impl ResultCache {
     fn install(&mut self, hash: u64, key: Box<[u8]>, result: String, write_disk: bool) {
         if write_disk {
             if let Some(dir) = &self.dir {
-                let text = render_entry(&key, &result);
+                let text = render_document(&DiskEntry(&key, &result));
                 if crate::atomicio::write_atomic(&entry_path(dir, hash), text.as_bytes()).is_err() {
                     self.counters.disk_errors += 1;
                 }
@@ -243,15 +245,18 @@ fn hex(bytes: &[u8]) -> String {
         })
 }
 
-fn render_entry(key: &[u8], result: &str) -> String {
-    render_document(&Value::node(
-        "cached",
-        vec![
-            ("version".to_owned(), Value::int(DISK_VERSION)),
-            ("key".to_owned(), Value::str(hex(key))),
-            ("result".to_owned(), Value::str(result)),
-        ],
-    ))
+/// A disk entry of a key and its result document:
+/// `cached { version; key = "<hex>"; result }`.
+struct DiskEntry<'a>(&'a [u8], &'a str);
+
+impl Walk for DiskEntry<'_> {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("cached", 3);
+        s.entry("version", &DISK_VERSION);
+        s.entry("key", &hex(self.0));
+        s.field("result");
+        s.str(self.1);
+    }
 }
 
 /// Reads and validates one disk entry; any parse failure, version
@@ -371,6 +376,8 @@ mod tests {
 
     #[test]
     fn an_older_disk_entry_is_a_miss_and_a_fresh_one_replays() {
+        use crate::value::Value;
+
         let d = dir("v2");
         let spec: crate::ExperimentSpec =
             "faithful/1 channel { channel = pure { delay = 1.0 }; input = zero }"
@@ -378,20 +385,26 @@ mod tests {
                 .unwrap();
         let (hash, key) = (spec.canonical_hash(), spec.cache_key());
         let mut c = ResultCache::new(10, 1 << 20).with_disk(&d).unwrap();
-        // a version-2 entry (canonical spec text, no key) at the path the
-        // new hash names
-        let old = render_document(&Value::node(
-            "cached",
-            vec![
-                ("version".to_owned(), Value::int(2)),
-                ("spec".to_owned(), Value::str(spec.to_string())),
-                ("result".to_owned(), Value::str("faithful/1 stale")),
-            ],
-        ));
         let path = c.entry_path(hash).unwrap();
-        std::fs::write(&path, old).unwrap();
-        assert!(c.get(hash, &key).is_none());
-        assert_eq!(c.counters().misses, 1);
+        // a version-2 entry (canonical spec text, no key) and a version-3
+        // one (this very key) at the path the new hash names
+        let olds = [
+            ("spec", Value::int(2), Value::str(spec.to_string())),
+            ("key", Value::int(3), Value::str(hex(&key))),
+        ];
+        for (i, (name, version, stored)) in olds.into_iter().enumerate() {
+            let old = Value::node(
+                "cached",
+                vec![
+                    ("version".to_owned(), version),
+                    (name.to_owned(), stored),
+                    ("result".to_owned(), Value::str("faithful/1 stale")),
+                ],
+            );
+            std::fs::write(&path, render_document(&old)).unwrap();
+            assert!(c.get(hash, &key).is_none());
+            assert_eq!(c.counters().misses, i as u64 + 1);
+        }
 
         c.insert(hash, &key, "faithful/1 fresh".to_owned());
         let mut restarted = ResultCache::new(10, 1 << 20).with_disk(&d).unwrap();

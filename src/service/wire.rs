@@ -1,43 +1,34 @@
 //! Result and error documents on the wire.
 //!
-//! The service speaks `faithful/1` in both directions: responses are
-//! rendered as versioned value documents with the same printer the
-//! spec layer uses, so every finite `f64` (signal transition times,
-//! analog samples, theory quantities) round-trips *exactly* — which is
-//! what makes a served result byte-comparable to an in-process
+//! The service speaks `faithful/1` in both directions. A result or
+//! error document has one walk per part (signals, samples, outcomes,
+//! failures, quarantine, stats, theory, run, diagnostics), written
+//! through the text sink that writes specs, so every finite `f64`
+//! (signal transition times, analog samples, theory quantities)
+//! round-trips *exactly* — which is what makes a served result
+//! byte-comparable to an in-process
 //! [`Experiment::run`](crate::Experiment::run) and lets the cache
-//! replay stored bytes verbatim.
+//! replay stored bytes verbatim. No tree is built to write them; the
+//! parsed tree is only the reader's.
 //!
 //! [`render_result`] is the single serializer used by the daemon, the
 //! golden tests and the benchmark harness; [`parse_result`] is the
 //! typed client-side view.
 
 use ivl_analog::characterize::{DelaySample, DeviationSample};
-use ivl_circuit::SweepStats;
+use ivl_circuit::{ScenarioFailure, SweepStats};
 use ivl_core::{Edge, Signal};
+use ivl_spf::{SpfRun, SpfTheory};
 
 use crate::error::SpecError;
-use crate::experiment::{AnalogResult, ExperimentResult};
+use crate::experiment::{AnalogResult, DigitalOutcome, ExperimentResult, QuarantinedScenario};
 use crate::lint::{Diagnostic, Severity};
-use crate::spec::{
-    as_f64, as_u64, field, into_text, named_sigs_from_value, named_sigs_to_value, sig_from_value,
-    sig_to_value, Fields,
-};
-use crate::value::{parse_document, render_document, Value, ValueKind};
+use crate::spec::{named_sigs_from_value, sig_from_value, Fields};
+use crate::value::{count, parse_document, render_document, Sink, Value, ValueKind, Walk};
 
-// ======================================================================
-// Edges
-// ======================================================================
-
-fn edge_word(edge: Edge) -> Value {
-    Value::word(match edge {
-        Edge::Rising => "rising",
-        Edge::Falling => "falling",
-    })
-}
-
-fn edge_from_value(v: Value) -> Result<Edge, SpecError> {
-    match into_text(v, "sample", "edge")?.as_str() {
+/// A sample's `edge` field: the word `rising` or `falling`.
+fn edge_field(f: &mut Fields) -> Result<Edge, SpecError> {
+    match f.string("edge")?.as_str() {
         "rising" => Ok(Edge::Rising),
         "falling" => Ok(Edge::Falling),
         other => Err(SpecError::new(format!("unknown edge {other:?}"))),
@@ -53,192 +44,177 @@ fn edge_from_value(v: Value) -> Result<Edge, SpecError> {
 /// result always renders to the same bytes.
 #[must_use]
 pub fn render_result(result: &ExperimentResult) -> String {
-    render_document(&result_to_value(result))
+    render_document(result)
 }
 
-fn result_to_value(result: &ExperimentResult) -> Value {
-    let mut fields = Vec::new();
-    match result {
-        ExperimentResult::Channel(c) => {
-            fields.push(field("workload", Value::word("channel")));
-            fields.push(field("output", sig_to_value(None, &c.output)));
-        }
-        ExperimentResult::Digital(d) => {
-            fields.push(field("workload", Value::word("digital")));
-            fields.push(field("completed", Value::int(d.completed as u64)));
-            fields.push(field("failed", Value::int(d.failed as u64)));
-            fields.push(field("retried", Value::int(d.retried)));
-            fields.push(field(
-                "outcomes",
-                Value::list(
-                    d.outcomes
-                        .iter()
-                        .map(|o| {
-                            let mut of = vec![
-                                field("label", Value::str(o.label.clone())),
-                                field("signals", named_sigs_to_value(&o.signals)),
-                            ];
-                            if let Some(vcd) = &o.vcd {
-                                of.push(field("vcd", Value::str(vcd.clone())));
-                            }
-                            if let Some(e) = &o.error {
-                                of.push(field("error", Value::str(e.to_string())));
-                            }
-                            Value::node("outcome", of)
-                        })
-                        .collect(),
-                ),
-            ));
-            if let Some(s) = &d.stats {
-                let mut sf = vec![
-                    field("scenarios", Value::int(s.scenarios as u64)),
-                    field("failures", Value::int(s.failures as u64)),
-                    field("retried", Value::int(s.retried)),
-                    field("processed_events", Value::int(s.processed_events)),
-                    field("scheduled_events", Value::int(s.scheduled_events)),
-                    field("output_transitions", Value::int(s.output_transitions)),
-                ];
-                for (name, v) in [
-                    ("min_pulse_width", s.min_pulse_width),
-                    ("max_pulse_width", s.max_pulse_width),
-                    ("min_period", s.min_period),
-                ] {
-                    if let Some(v) = v {
-                        sf.push(field(name, Value::num(v)));
-                    }
-                }
-                fields.push(field("stats", Value::node("stats", sf)));
+impl Walk for ExperimentResult {
+    fn walk(&self, s: &mut impl Sink) {
+        match self {
+            ExperimentResult::Channel(c) => {
+                open_result(s, "channel", 2);
+                s.entry("output", &c.output);
             }
-            fields.push(field(
-                "failures",
-                Value::list(
-                    d.failures
-                        .iter()
-                        .map(|x| {
-                            let mut xf = vec![
-                                field("index", Value::int(x.index as u64)),
-                                field("label", Value::str(x.label.clone())),
-                            ];
-                            if let Some(seed) = x.seed {
-                                xf.push(field("seed", Value::int(seed)));
-                            }
-                            xf.push(field("retries", Value::int(u64::from(x.retries))));
-                            xf.push(field("cause", Value::str(x.cause.to_string())));
-                            Value::node("failure", xf)
-                        })
-                        .collect(),
-                ),
-            ));
-            fields.push(field(
-                "quarantine",
-                Value::list(
-                    d.quarantine
-                        .iter()
-                        .map(|q| {
-                            Value::node(
-                                "quarantined",
-                                vec![
-                                    field("index", Value::int(q.index as u64)),
-                                    field("label", Value::str(q.label.clone())),
-                                    field("spec", Value::str(q.spec.clone())),
-                                ],
-                            )
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        ExperimentResult::Analog(a) => {
-            fields.push(field("workload", Value::word("analog")));
-            match a {
-                AnalogResult::Samples(s) => {
-                    fields.push(field("task", Value::word("samples")));
-                    fields.push(field("samples", delay_samples_value(s)));
+            ExperimentResult::Digital(d) => {
+                open_result(s, "digital", 7 + count(&[d.stats.is_some()]));
+                s.entry("completed", &d.completed);
+                s.entry("failed", &d.failed);
+                s.entry("retried", &d.retried);
+                s.entry("outcomes", &d.outcomes[..]);
+                if let Some(stats) = &d.stats {
+                    s.entry("stats", stats);
                 }
-                AnalogResult::Characterization { up, down } => {
-                    fields.push(field("task", Value::word("characterization")));
-                    fields.push(field("up", delay_samples_value(up)));
-                    fields.push(field("down", delay_samples_value(down)));
-                }
-                AnalogResult::Deviations(d) => {
-                    fields.push(field("task", Value::word("deviations")));
-                    fields.push(field(
-                        "deviations",
-                        Value::list(
-                            d.iter()
-                                .map(|s| {
-                                    Value::node(
-                                        "sample",
-                                        vec![
-                                            field("offset", Value::num(s.offset)),
-                                            field("deviation", Value::num(s.deviation)),
-                                            field("edge", edge_word(s.edge)),
-                                        ],
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ));
-                }
+                s.entry("failures", &d.failures[..]);
+                s.entry("quarantine", &d.quarantine[..]);
             }
-        }
-        ExperimentResult::Spf(s) => {
-            fields.push(field("workload", Value::word("spf")));
-            let t = &s.theory;
-            fields.push(field(
-                "theory",
-                Value::node(
-                    "theory",
-                    vec![
-                        field("delta_min", Value::num(t.delta_min)),
-                        field("eta_minus", Value::num(t.eta_minus)),
-                        field("eta_plus", Value::num(t.eta_plus)),
-                        field("tau", Value::num(t.tau)),
-                        field("delta_bar", Value::num(t.delta_bar)),
-                        field("period", Value::num(t.period)),
-                        field("gamma", Value::num(t.gamma)),
-                        field("delta0_tilde", Value::num(t.delta0_tilde)),
-                        field("growth", Value::num(t.growth)),
-                        field("filter_bound", Value::num(t.filter_bound)),
-                        field("lock_bound", Value::num(t.lock_bound)),
-                    ],
-                ),
-            ));
-            if let Some(run) = &s.run {
-                fields.push(field(
-                    "run",
-                    Value::node(
-                        "run",
-                        vec![
-                            field("or", sig_to_value(None, &run.or_signal)),
-                            field("feedback", sig_to_value(None, &run.feedback_signal)),
-                            field("output", sig_to_value(None, &run.output)),
-                            field("events", Value::int(run.events as u64)),
-                        ],
-                    ),
-                ));
+            ExperimentResult::Analog(AnalogResult::Samples(samples)) => {
+                open_analog(s, "samples", 1);
+                s.entry("samples", &samples[..]);
+            }
+            ExperimentResult::Analog(AnalogResult::Characterization { up, down }) => {
+                open_analog(s, "characterization", 2);
+                s.entry("up", &up[..]);
+                s.entry("down", &down[..]);
+            }
+            ExperimentResult::Analog(AnalogResult::Deviations(deviations)) => {
+                open_analog(s, "deviations", 1);
+                s.entry("deviations", &deviations[..]);
+            }
+            ExperimentResult::Spf(p) => {
+                open_result(s, "spf", 2 + count(&[p.run.is_some()]));
+                s.entry("theory", &p.theory);
+                if let Some(run) = &p.run {
+                    s.entry("run", run);
+                }
             }
         }
     }
-    Value::node("result", fields)
 }
 
-fn delay_samples_value(samples: &[DelaySample]) -> Value {
-    Value::list(
-        samples
-            .iter()
-            .map(|s| {
-                Value::node(
-                    "sample",
-                    vec![
-                        field("offset", Value::num(s.offset)),
-                        field("delay", Value::num(s.delay)),
-                        field("edge", edge_word(s.edge)),
-                    ],
-                )
-            })
-            .collect(),
-    )
+/// Opens `result { workload = …; … }` of `fields` fields in all.
+fn open_result(s: &mut impl Sink, workload: &str, fields: usize) {
+    s.node("result", fields);
+    s.field("workload");
+    s.word(workload);
+}
+
+/// Opens an analog result of `task` and its `lists` sample lists.
+fn open_analog(s: &mut impl Sink, task: &str, lists: usize) {
+    open_result(s, "analog", 2 + lists);
+    s.field("task");
+    s.word(task);
+}
+
+impl Walk for DigitalOutcome {
+    fn walk(&self, s: &mut impl Sink) {
+        let optional = [self.vcd.is_some(), self.error.is_some()];
+        s.node("outcome", 2 + count(&optional));
+        s.entry("label", &self.label);
+        s.entry("signals", &self.signals[..]);
+        if let Some(vcd) = &self.vcd {
+            s.entry("vcd", vcd);
+        }
+        if let Some(e) = &self.error {
+            s.entry("error", &e.to_string());
+        }
+    }
+}
+
+impl Walk for SweepStats {
+    fn walk(&self, s: &mut impl Sink) {
+        let optional = [
+            ("min_pulse_width", self.min_pulse_width),
+            ("max_pulse_width", self.max_pulse_width),
+            ("min_period", self.min_period),
+        ];
+        s.node("stats", 6 + count(&optional.map(|(_, v)| v.is_some())));
+        s.entry("scenarios", &self.scenarios);
+        s.entry("failures", &self.failures);
+        s.entry("retried", &self.retried);
+        s.entry("processed_events", &self.processed_events);
+        s.entry("scheduled_events", &self.scheduled_events);
+        s.entry("output_transitions", &self.output_transitions);
+        for (name, v) in optional {
+            if let Some(v) = v {
+                s.entry(name, &v);
+            }
+        }
+    }
+}
+
+impl Walk for ScenarioFailure {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("failure", 4 + count(&[self.seed.is_some()]));
+        s.entry("index", &self.index);
+        s.entry("label", &self.label);
+        if let Some(seed) = &self.seed {
+            s.entry("seed", seed);
+        }
+        s.entry("retries", &self.retries);
+        s.entry("cause", &self.cause.to_string());
+    }
+}
+
+impl Walk for QuarantinedScenario {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("quarantined", 3);
+        s.entry("index", &self.index);
+        s.entry("label", &self.label);
+        s.entry("spec", &self.spec);
+    }
+}
+
+impl Walk for DelaySample {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("sample", 3);
+        s.entry("offset", &self.offset);
+        s.entry("delay", &self.delay);
+        s.entry("edge", &self.edge);
+    }
+}
+
+impl Walk for DeviationSample {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("sample", 3);
+        s.entry("offset", &self.offset);
+        s.entry("deviation", &self.deviation);
+        s.entry("edge", &self.edge);
+    }
+}
+
+impl Walk for Edge {
+    fn walk(&self, s: &mut impl Sink) {
+        s.word(match self {
+            Edge::Rising => "rising",
+            Edge::Falling => "falling",
+        });
+    }
+}
+
+impl Walk for SpfTheory {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("theory", 11);
+        s.entry("delta_min", &self.delta_min);
+        s.entry("eta_minus", &self.eta_minus);
+        s.entry("eta_plus", &self.eta_plus);
+        s.entry("tau", &self.tau);
+        s.entry("delta_bar", &self.delta_bar);
+        s.entry("period", &self.period);
+        s.entry("gamma", &self.gamma);
+        s.entry("delta0_tilde", &self.delta0_tilde);
+        s.entry("growth", &self.growth);
+        s.entry("filter_bound", &self.filter_bound);
+        s.entry("lock_bound", &self.lock_bound);
+    }
+}
+
+impl Walk for SpfRun {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("run", 4);
+        s.entry("or", &self.or_signal);
+        s.entry("feedback", &self.feedback_signal);
+        s.entry("output", &self.output);
+        s.entry("events", &self.events);
+    }
 }
 
 // ======================================================================
@@ -342,7 +318,7 @@ pub struct ServedRun {
 pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
     let mut f = Fields::of(parse_document(text)?, "result")?;
     f.expect_tag(&["result"])?;
-    let workload = into_text(f.req("workload")?, "result", "workload")?;
+    let workload = f.string("workload")?;
     let result = match workload.as_str() {
         "channel" => {
             let (_, output) = sig_from_value(f.req("output")?)?;
@@ -358,14 +334,8 @@ pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
                 of.expect_tag(&["outcome"])?;
                 let label = of.string("label")?;
                 let signals = named_sigs_from_value(of.list("signals")?)?;
-                let vcd = of
-                    .take("vcd")
-                    .map(|v| into_text(v, "outcome", "vcd"))
-                    .transpose()?;
-                let error = of
-                    .take("error")
-                    .map(|v| into_text(v, "outcome", "error"))
-                    .transpose()?;
+                let vcd = of.opt_string("vcd")?;
+                let error = of.opt_string("error")?;
                 of.finish()?;
                 outcomes.push(ServedOutcome {
                     label,
@@ -386,18 +356,9 @@ pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
                         processed_events: sf.u64("processed_events")?,
                         scheduled_events: sf.u64("scheduled_events")?,
                         output_transitions: sf.u64("output_transitions")?,
-                        min_pulse_width: sf
-                            .take("min_pulse_width")
-                            .map(|v| as_f64(&v, "stats", "min_pulse_width"))
-                            .transpose()?,
-                        max_pulse_width: sf
-                            .take("max_pulse_width")
-                            .map(|v| as_f64(&v, "stats", "max_pulse_width"))
-                            .transpose()?,
-                        min_period: sf
-                            .take("min_period")
-                            .map(|v| as_f64(&v, "stats", "min_period"))
-                            .transpose()?,
+                        min_pulse_width: sf.opt_f64("min_pulse_width")?,
+                        max_pulse_width: sf.opt_f64("max_pulse_width")?,
+                        min_period: sf.opt_f64("min_period")?,
                     };
                     sf.finish()?;
                     Some(stats)
@@ -417,7 +378,7 @@ pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
             }
         }
         "analog" => {
-            let task = into_text(f.req("task")?, "result", "task")?;
+            let task = f.string("task")?;
             let analog = match task.as_str() {
                 "samples" => AnalogResult::Samples(delay_samples_from(f.list("samples")?)?),
                 "characterization" => AnalogResult::Characterization {
@@ -432,7 +393,7 @@ pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
                         let sample = DeviationSample {
                             offset: sf.f64("offset")?,
                             deviation: sf.f64("deviation")?,
-                            edge: edge_from_value(sf.req("edge")?)?,
+                            edge: edge_field(&mut sf)?,
                         };
                         sf.finish()?;
                         out.push(sample);
@@ -495,7 +456,7 @@ fn delay_samples_from(values: Vec<Value>) -> Result<Vec<DelaySample>, SpecError>
         let sample = DelaySample {
             offset: sf.f64("offset")?,
             delay: sf.f64("delay")?,
-            edge: edge_from_value(sf.req("edge")?)?,
+            edge: edge_field(&mut sf)?,
         };
         sf.finish()?;
         out.push(sample);
@@ -599,33 +560,47 @@ pub(crate) fn render_error(
     message: &str,
     diagnostics: &[Diagnostic],
 ) -> String {
-    let mut fields = vec![
-        field("kind", Value::word(kind.as_word())),
-        field("message", Value::str(message)),
-    ];
-    if !diagnostics.is_empty() {
-        fields.push(field(
-            "diagnostics",
-            Value::list(
-                diagnostics
-                    .iter()
-                    .map(|d| {
-                        let mut df = vec![
-                            field("code", Value::str(d.code)),
-                            field("severity", Value::word(d.severity.to_string())),
-                            field("message", Value::str(d.message.clone())),
-                        ];
-                        if let Some(span) = d.span {
-                            df.push(field("line", Value::int(u64::from(span.line))));
-                            df.push(field("column", Value::int(u64::from(span.column))));
-                        }
-                        Value::node("diag", df)
-                    })
-                    .collect(),
-            ),
-        ));
+    render_document(&ErrorDocument {
+        kind,
+        message,
+        diagnostics,
+    })
+}
+
+/// What an error frame carries: [`render_error`]'s arguments.
+struct ErrorDocument<'a> {
+    kind: ServedErrorKind,
+    message: &'a str,
+    diagnostics: &'a [Diagnostic],
+}
+
+impl Walk for ErrorDocument<'_> {
+    fn walk(&self, s: &mut impl Sink) {
+        let listed = !self.diagnostics.is_empty();
+        s.node("error", 2 + count(&[listed]));
+        s.field("kind");
+        s.word(self.kind.as_word());
+        s.field("message");
+        s.str(self.message);
+        if listed {
+            s.entry("diagnostics", self.diagnostics);
+        }
     }
-    render_document(&Value::node("error", fields))
+}
+
+impl Walk for Diagnostic {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("diag", 3 + 2 * count(&[self.span.is_some()]));
+        s.field("code");
+        s.str(self.code);
+        s.field("severity");
+        s.word(&self.severity.to_string());
+        s.entry("message", &self.message);
+        if let Some(span) = self.span {
+            s.entry("line", &span.line);
+            s.entry("column", &span.column);
+        }
+    }
 }
 
 /// Parses an error document from an error frame.
@@ -636,7 +611,7 @@ pub(crate) fn render_error(
 pub fn parse_error(text: &str) -> Result<ServedError, SpecError> {
     let mut f = Fields::of(parse_document(text)?, "error")?;
     f.expect_tag(&["error"])?;
-    let kind_word = into_text(f.req("kind")?, "error", "kind")?;
+    let kind_word = f.string("kind")?;
     let kind = ServedErrorKind::from_word(&kind_word)
         .ok_or_else(|| SpecError::new(format!("unknown error kind {kind_word:?}")))?;
     let message = f.string("message")?;
@@ -651,7 +626,7 @@ pub fn parse_error(text: &str) -> Result<ServedError, SpecError> {
             let mut df = Fields::of(v, "diag")?;
             df.expect_tag(&["diag"])?;
             let code = df.string("code")?;
-            let severity_word = into_text(df.req("severity")?, "diag", "severity")?;
+            let severity_word = df.string("severity")?;
             let severity = match severity_word.as_str() {
                 "info" => Severity::Info,
                 "warning" => Severity::Warning,
@@ -661,14 +636,8 @@ pub fn parse_error(text: &str) -> Result<ServedError, SpecError> {
                 }
             };
             let message = df.string("message")?;
-            let line = df
-                .take("line")
-                .map(|v| as_u64(&v, "diag", "line"))
-                .transpose()?;
-            let column = df
-                .take("column")
-                .map(|v| as_u64(&v, "diag", "column"))
-                .transpose()?;
+            let line = df.opt_u64("line")?;
+            let column = df.opt_u64("column")?;
             df.finish()?;
             let span = match (line, column) {
                 (Some(l), Some(c)) => Some((l as u32, c as u32)),
@@ -731,6 +700,235 @@ mod tests {
         assert_eq!(back.diagnostics[0].code, "IVL050");
         assert_eq!(back.diagnostics[0].severity, Severity::Info);
         assert_eq!(back.diagnostics[0].span, Some((3, 9)));
+    }
+
+    /// One document of every kind the library writes, with each
+    /// optional field present somewhere and lists both empty and not.
+    fn every_document_kind() -> String {
+        use crate::checkpoint::{self, DoneScenario};
+        use crate::experiment::{
+            ChannelResult, DigitalOutcome, DigitalResult, QuarantinedScenario, SpfResult,
+        };
+        use ivl_circuit::{ScenarioFailure, SimError};
+        use ivl_core::delay::ExpChannel;
+        use ivl_core::noise::EtaBounds;
+        use ivl_core::Bit;
+        use ivl_spf::{SpfRun, SpfTheory};
+
+        let sig = |initial, times: &[f64]| Signal::from_times(initial, times).unwrap();
+        let mut docs = Vec::new();
+        for name in [
+            "analog_characterize",
+            "channel_pulse",
+            "digital_sweep",
+            "spf_theory",
+        ] {
+            let path = format!("{}/specs/{name}.spec", env!("CARGO_MANIFEST_DIR"));
+            let spec: crate::ExperimentSpec =
+                std::fs::read_to_string(&path).unwrap().parse().unwrap();
+            docs.push((format!("spec {name}"), spec.to_string()));
+        }
+        let channel = ExperimentResult::Channel(ChannelResult {
+            output: sig(Bit::One, &[0.25, 1.5, 3.0000000000000004]),
+        });
+        let digital = ExperimentResult::Digital(DigitalResult {
+            outcomes: vec![
+                DigitalOutcome {
+                    label: "s0 \"quoted\"\\tab\t".to_owned(),
+                    signals: vec![
+                        ("y".to_owned(), sig(Bit::Zero, &[1.0, 2.5])),
+                        ("z".to_owned(), Signal::zero()),
+                    ],
+                    vcd: Some("$timescale 1ps $end\n#0\n0!\n".to_owned()),
+                    error: None,
+                },
+                DigitalOutcome {
+                    label: "s1".to_owned(),
+                    signals: Vec::new(),
+                    vcd: None,
+                    error: Some(SimError::UnknownPort {
+                        name: "q\r\n".to_owned(),
+                    }),
+                },
+            ],
+            stats: Some(SweepStats {
+                scenarios: 3,
+                failures: 1,
+                retried: 2,
+                processed_events: 40,
+                scheduled_events: 44,
+                output_transitions: 4,
+                min_pulse_width: Some(1.5),
+                max_pulse_width: Some(-0.0),
+                min_period: Some(1e-300),
+            }),
+            completed: 2,
+            failed: 1,
+            retried: 2,
+            failures: vec![
+                ScenarioFailure {
+                    index: 1,
+                    label: "s1".to_owned(),
+                    seed: Some(u64::MAX),
+                    cause: SimError::UnknownPort {
+                        name: "q".to_owned(),
+                    },
+                    retries: 2,
+                },
+                ScenarioFailure {
+                    index: 2,
+                    label: "s2".to_owned(),
+                    seed: None,
+                    cause: SimError::InputViolatesS1 {
+                        name: "a".to_owned(),
+                    },
+                    retries: 0,
+                },
+            ],
+            quarantine: vec![QuarantinedScenario {
+                index: 1,
+                label: "s1".to_owned(),
+                spec: "faithful/1 digital {\n  horizon = 1.0;\n}\n".to_owned(),
+            }],
+        });
+        let bare_digital = ExperimentResult::Digital(DigitalResult {
+            outcomes: Vec::new(),
+            stats: Some(SweepStats {
+                scenarios: 0,
+                failures: 0,
+                retried: 0,
+                processed_events: 0,
+                scheduled_events: 0,
+                output_transitions: 0,
+                min_pulse_width: None,
+                max_pulse_width: None,
+                min_period: None,
+            }),
+            completed: 0,
+            failed: 0,
+            retried: 0,
+            failures: Vec::new(),
+            quarantine: Vec::new(),
+        });
+        let no_stats = ExperimentResult::Digital(DigitalResult {
+            outcomes: Vec::new(),
+            stats: None,
+            completed: 0,
+            failed: 0,
+            retried: 0,
+            failures: Vec::new(),
+            quarantine: Vec::new(),
+        });
+        let delay = |offset, delay, edge| DelaySample {
+            offset,
+            delay,
+            edge,
+        };
+        let samples = ExperimentResult::Analog(AnalogResult::Samples(vec![
+            delay(-1.5, 10.25, Edge::Rising),
+            delay(0.0, 9.0, Edge::Falling),
+        ]));
+        let characterization = ExperimentResult::Analog(AnalogResult::Characterization {
+            up: vec![delay(1.0, 2.0, Edge::Rising)],
+            down: Vec::new(),
+        });
+        let deviations =
+            ExperimentResult::Analog(AnalogResult::Deviations(vec![DeviationSample {
+                offset: 2.0,
+                deviation: -0.125,
+                edge: Edge::Falling,
+            }]));
+        let theory = SpfTheory::compute(
+            &ExpChannel::new(1.0, 0.5, 0.5).unwrap(),
+            EtaBounds::new(0.02, 0.02).unwrap(),
+        )
+        .unwrap();
+        let spf_theory = ExperimentResult::Spf(SpfResult { theory, run: None });
+        let spf_run = ExperimentResult::Spf(SpfResult {
+            theory,
+            run: Some(SpfRun {
+                or_signal: sig(Bit::Zero, &[1.0, 4.5]),
+                feedback_signal: sig(Bit::Zero, &[2.0]),
+                output: Signal::zero(),
+                events: 17,
+            }),
+        });
+        for (name, result) in [
+            ("channel", channel),
+            ("digital", digital),
+            ("digital empty", bare_digital),
+            ("digital without stats", no_stats),
+            ("analog samples", samples),
+            ("analog characterization", characterization),
+            ("analog deviations", deviations),
+            ("spf theory", spf_theory),
+            ("spf run", spf_run),
+        ] {
+            docs.push((format!("result {name}"), render_result(&result)));
+        }
+        let diagnostics = [
+            Diagnostic {
+                code: "IVL050",
+                severity: Severity::Info,
+                message: "workers = 4 is \"ignored\"".to_owned(),
+                span: Some(Span { line: 3, column: 9 }),
+            },
+            Diagnostic {
+                code: "IVL001",
+                severity: Severity::Error,
+                message: "a zero-delay cycle".to_owned(),
+                span: None,
+            },
+        ];
+        docs.push((
+            "error lint".to_owned(),
+            render_error(ServedErrorKind::Lint, "rejected by lint", &diagnostics),
+        ));
+        docs.push((
+            "error spec".to_owned(),
+            render_error(ServedErrorKind::Spec, "bad\nspec", &[]),
+        ));
+        let done = [
+            DoneScenario {
+                label: "s0".to_owned(),
+                processed: 7,
+                scheduled: 9,
+                signals: vec![("y".to_owned(), sig(Bit::One, &[1.25]))],
+            },
+            DoneScenario {
+                label: "s3".to_owned(),
+                processed: 0,
+                scheduled: 0,
+                signals: Vec::new(),
+            },
+        ];
+        docs.push((
+            "checkpoint".to_owned(),
+            checkpoint::render(
+                "faithful/1 channel {\n  channel = fixed;\n  input = zero;\n}\n",
+                5,
+                1,
+                [(0, &done[0]), (3, &done[1])],
+            ),
+        ));
+        docs.push((
+            "checkpoint empty".to_owned(),
+            checkpoint::render("", 0, 0, []),
+        ));
+        docs.iter()
+            .map(|(name, doc)| format!("== {name}\n{doc}"))
+            .collect()
+    }
+
+    #[test]
+    fn written_documents_match_the_golden_file() {
+        let path = format!("{}/tests/wire_golden.txt", env!("CARGO_MANIFEST_DIR"));
+        let golden = std::fs::read_to_string(&path).unwrap();
+        let actual = every_document_kind();
+        assert!(
+            actual == golden,
+            "written documents drifted from tests/wire_golden.txt; actual:\n{actual}"
+        );
     }
 
     #[test]

@@ -28,7 +28,9 @@ use ivl_core::factory::{ChannelParams, ParamValue};
 use ivl_core::{Bit, Signal};
 
 use crate::error::{Span, SpecError};
-use crate::value::{key_hash, parse_document, render_document, Sink, Value, ValueKind, Walk};
+use crate::value::{
+    count, key_hash, parse_document, render_document, Sink, Value, ValueKind, Walk,
+};
 
 /// A complete, serializable description of one experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -1082,10 +1084,7 @@ impl ExperimentSpec {
     /// (`to_string()`) are equal.
     ///
     /// It is written by walking the spec once, the walk that also
-    /// builds the canonical tree behind `to_string()`, so neither the
-    /// text nor the tree is built for it. The bytes are those of the
-    /// tree's encoding, so keys and hashes stay what they were when the
-    /// key was taken from the built tree.
+    /// writes `to_string()`, so no text or tree is built for it.
     ///
     /// Every text that parses to the same spec therefore has the same
     /// key, whatever its comments, whitespace or formatting. The
@@ -1099,13 +1098,16 @@ impl ExperimentSpec {
         self.key_bytes()
     }
 
-    /// The cache key computed the long way, by building the canonical
-    /// tree and encoding it: the reference that
-    /// [`cache_key`](ExperimentSpec::cache_key) is tested against.
+    /// The cache key computed the long way, by parsing the canonical
+    /// text and encoding the parsed tree: the reference that
+    /// [`cache_key`](ExperimentSpec::cache_key) is tested against, which
+    /// ties the key to the text itself.
     #[doc(hidden)]
     #[must_use]
-    pub fn cache_key_via_tree(&self) -> Vec<u8> {
-        self.to_value().key_bytes()
+    pub fn cache_key_via_text(&self) -> Vec<u8> {
+        parse_document(&self.to_string())
+            .expect("a canonical text parses")
+            .key_bytes()
     }
 
     /// A stable 64-bit hash of [`cache_key`](ExperimentSpec::cache_key).
@@ -1135,31 +1137,43 @@ impl ExperimentSpec {
 // the round-trip and key proptests in `tests/spec_roundtrip.rs` fail
 // when it does not.
 
-/// How many of `present` are set: the count of a node's optional fields.
-fn count(present: &[bool]) -> usize {
-    present.iter().filter(|&&p| p).count()
-}
-
 impl Walk for f64 {
+    const SCALAR: bool = true;
+
     fn walk(&self, s: &mut impl Sink) {
         s.num(*self);
     }
 }
 
 impl Walk for u64 {
+    const SCALAR: bool = true;
+
     fn walk(&self, s: &mut impl Sink) {
         s.int(*self);
     }
 }
 
 impl Walk for u32 {
+    const SCALAR: bool = true;
+
     fn walk(&self, s: &mut impl Sink) {
         s.int(u64::from(*self));
     }
 }
 
+/// Counts and indices.
+impl Walk for usize {
+    const SCALAR: bool = true;
+
+    fn walk(&self, s: &mut impl Sink) {
+        s.int(*self as u64);
+    }
+}
+
 /// Booleans are the words `true` and `false`.
 impl Walk for bool {
+    const SCALAR: bool = true;
+
     fn walk(&self, s: &mut impl Sink) {
         s.word(if *self { "true" } else { "false" });
     }
@@ -1167,6 +1181,8 @@ impl Walk for bool {
 
 /// Names and labels are quoted strings.
 impl Walk for String {
+    const SCALAR: bool = true;
+
     fn walk(&self, s: &mut impl Sink) {
         s.str(self);
     }
@@ -1175,7 +1191,7 @@ impl Walk for String {
 /// A `[start, width]` pulse or an `[offset, delay]` sample.
 impl Walk for (f64, f64) {
     fn walk(&self, s: &mut impl Sink) {
-        s.list(2);
+        s.list(2, true);
         s.num(self.0);
         s.num(self.1);
     }
@@ -1183,7 +1199,7 @@ impl Walk for (f64, f64) {
 
 impl<T: Walk> Walk for [T] {
     fn walk(&self, s: &mut impl Sink) {
-        s.list(self.len());
+        s.list(self.len(), T::SCALAR);
         for item in self {
             item.walk(s);
         }
@@ -1396,7 +1412,7 @@ impl Walk for GateKindSpec {
                 s.node("table", 2);
                 s.entry("inputs", inputs);
                 s.field("rows");
-                s.list(rows.len());
+                s.list(rows.len(), true);
                 for &row in rows {
                     s.int(u64::from(row));
                 }
@@ -1425,7 +1441,7 @@ impl Walk for ScenarioSpec {
             s.entry("seed", seed);
         }
         s.field("inputs");
-        s.list(self.inputs.len());
+        s.list(self.inputs.len(), false);
         for (port, signal) in &self.inputs {
             s.node("drive", 2);
             s.entry("port", port);
@@ -1681,8 +1697,38 @@ impl Fields {
 
     pub(crate) fn u32(&mut self, name: &str) -> Result<u32, SpecError> {
         let v = self.req(name)?;
-        let x = as_u64(&v, &self.tag, name)?;
-        u32::try_from(x).map_err(|_| {
+        self.as_u32(&v, name)
+    }
+
+    /// An optional `u32` field: `None` when absent.
+    pub(crate) fn opt_u32(&mut self, name: &str) -> Result<Option<u32>, SpecError> {
+        self.take(name).map(|v| self.as_u32(&v, name)).transpose()
+    }
+
+    /// An optional integer field: `None` when absent.
+    pub(crate) fn opt_u64(&mut self, name: &str) -> Result<Option<u64>, SpecError> {
+        self.take(name)
+            .map(|v| as_u64(&v, &self.tag, name))
+            .transpose()
+    }
+
+    /// An optional real field: `None` when absent.
+    pub(crate) fn opt_f64(&mut self, name: &str) -> Result<Option<f64>, SpecError> {
+        self.take(name)
+            .map(|v| as_f64(&v, &self.tag, name))
+            .transpose()
+    }
+
+    /// An optional word or string field: `None` when absent.
+    pub(crate) fn opt_string(&mut self, name: &str) -> Result<Option<String>, SpecError> {
+        self.take(name)
+            .map(|v| into_text(v, &self.tag, name))
+            .transpose()
+    }
+
+    /// A `u32` field value; out of range is an error at its span.
+    fn as_u32(&self, v: &Value, name: &str) -> Result<u32, SpecError> {
+        u32::try_from(as_u64(v, &self.tag, name)?).map_err(|_| {
             SpecError::new(format!("{}: field {name:?} out of range", self.tag)).at(v.span())
         })
     }
@@ -1720,30 +1766,41 @@ impl Fields {
     }
 }
 
-pub(crate) fn field(name: &str, value: Value) -> (String, Value) {
-    (name.to_owned(), value)
+/// A signal in result documents and checkpoints: the node
+/// `sig { initial; times }`.
+impl Walk for Signal {
+    fn walk(&self, s: &mut impl Sink) {
+        walk_sig(s, None, self);
+    }
 }
 
-/// Encodes a signal as the `sig { name; initial; times }` node shared by
-/// result documents and checkpoints (`name` only when given).
-pub(crate) fn sig_to_value(name: Option<&str>, signal: &Signal) -> Value {
-    let times = signal.transitions().iter().map(|t| Value::num(t.time));
-    let fields = [
-        name.map(|n| field("name", Value::str(n))),
-        Some(field("initial", Value::bool(signal.initial() == Bit::One))),
-        Some(field("times", Value::list(times.collect()))),
-    ];
-    Value::node("sig", fields.into_iter().flatten().collect())
+/// A named signal: `sig { name; initial; times }`.
+impl Walk for (String, Signal) {
+    fn walk(&self, s: &mut impl Sink) {
+        walk_sig(s, Some(&self.0), &self.1);
+    }
 }
 
-/// Decodes a [`sig_to_value`] node.
+fn walk_sig(s: &mut impl Sink, name: Option<&str>, signal: &Signal) {
+    s.node("sig", 2 + count(&[name.is_some()]));
+    if let Some(name) = name {
+        s.field("name");
+        s.str(name);
+    }
+    s.entry("initial", &(signal.initial() == Bit::One));
+    let transitions = signal.transitions();
+    s.field("times");
+    s.list(transitions.len(), true);
+    for t in transitions {
+        s.num(t.time);
+    }
+}
+
+/// Decodes a `sig` node.
 pub(crate) fn sig_from_value(value: Value) -> Result<(Option<String>, Signal), SpecError> {
     let mut f = Fields::of(value, "sig")?;
     f.expect_tag(&["sig"])?;
-    let name = f
-        .take("name")
-        .map(|v| into_text(v, "sig", "name"))
-        .transpose()?;
+    let name = f.opt_string("name")?;
     let initial = Bit::from(f.bool("initial")?);
     let times = f
         .list("times")?
@@ -1757,17 +1814,7 @@ pub(crate) fn sig_from_value(value: Value) -> Result<(Option<String>, Signal), S
     Ok((name, signal))
 }
 
-/// Encodes `(name, signal)` pairs as a list of named `sig` nodes.
-pub(crate) fn named_sigs_to_value(signals: &[(String, Signal)]) -> Value {
-    Value::list(
-        signals
-            .iter()
-            .map(|(n, s)| sig_to_value(Some(n), s))
-            .collect(),
-    )
-}
-
-/// Decodes a [`named_sigs_to_value`] list; every `sig` must be named.
+/// Decodes a list of `sig` nodes, every one named.
 pub(crate) fn named_sigs_from_value(
     values: Vec<Value>,
 ) -> Result<Vec<(String, Signal)>, SpecError> {
@@ -1778,7 +1825,7 @@ pub(crate) fn named_sigs_from_value(
     values.into_iter().map(named).collect()
 }
 
-pub(crate) fn as_f64(v: &Value, tag: &str, name: &str) -> Result<f64, SpecError> {
+fn as_f64(v: &Value, tag: &str, name: &str) -> Result<f64, SpecError> {
     match v.kind() {
         ValueKind::Num(x) => Ok(*x),
         #[allow(clippy::cast_precision_loss)]
@@ -1790,7 +1837,7 @@ pub(crate) fn as_f64(v: &Value, tag: &str, name: &str) -> Result<f64, SpecError>
     }
 }
 
-pub(crate) fn as_u64(v: &Value, tag: &str, name: &str) -> Result<u64, SpecError> {
+fn as_u64(v: &Value, tag: &str, name: &str) -> Result<u64, SpecError> {
     match v.kind() {
         ValueKind::Int(x) => Ok(*x),
         _ => Err(SpecError::new(format!(
@@ -1812,7 +1859,7 @@ fn as_bool(v: &Value, tag: &str, name: &str) -> Result<bool, SpecError> {
 }
 
 /// The text of a string or word, moved out of `v`.
-pub(crate) fn into_text(v: Value, tag: &str, name: &str) -> Result<String, SpecError> {
+fn into_text(v: Value, tag: &str, name: &str) -> Result<String, SpecError> {
     let span = v.span();
     match v.into_kind() {
         ValueKind::Str(s) | ValueKind::Word(s) => Ok(s),
@@ -1966,10 +2013,7 @@ fn digital_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<DigitalSpec
     sp.horizon = f.span_of("horizon");
     let horizon = f.f64("horizon")?;
     sp.max_events = f.span_of("max_events");
-    let max_events = f
-        .take("max_events")
-        .map(|v| as_u64(&v, "digital", "max_events"))
-        .transpose()?;
+    let max_events = f.opt_u64("max_events")?;
     let workers = take_workers(f, sp)?;
     sp.on_failure = f.span_of("on_failure");
     let on_failure = match f.take("on_failure") {
@@ -2052,14 +2096,7 @@ fn digital_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<DigitalSpec
 
 fn take_workers(f: &mut Fields, sp: &mut SpecSpans) -> Result<Option<u32>, SpecError> {
     sp.workers = f.span_of("workers");
-    f.take("workers")
-        .map(|v| {
-            let w = as_u64(&v, &f.tag, "workers")?;
-            u32::try_from(w).map_err(|_| {
-                SpecError::new(format!("{}: field \"workers\" out of range", f.tag)).at(v.span())
-            })
-        })
-        .transpose()
+    f.opt_u32("workers")
 }
 
 fn topology_from_value(value: Value, sp: &mut SpecSpans) -> Result<TopologySpec, SpecError> {
@@ -2092,10 +2129,7 @@ fn topology_from_value(value: Value, sp: &mut SpecSpans) -> Result<TopologySpec,
         },
         "random_dag" => TopologySpec::RandomDag {
             nodes: f.u32("nodes")?,
-            seed: f
-                .take("seed")
-                .map(|v| as_u64(&v, "random_dag", "seed"))
-                .transpose()?,
+            seed: f.opt_u64("seed")?,
             channel: channel_from_value(f.req("channel")?)?,
         },
         "fat_tree" => TopologySpec::FatTree {
@@ -2125,14 +2159,7 @@ fn node_from_value(value: Value) -> Result<NodeSpec, SpecError> {
         "gate" => NodeSpec::Gate {
             name: f.string("name")?,
             kind: gate_kind_from_value(f.req("kind")?)?,
-            arity: f
-                .take("arity")
-                .map(|v| {
-                    let a = as_u64(&v, "gate", "arity")?;
-                    u32::try_from(a)
-                        .map_err(|_| SpecError::new("gate: field \"arity\" out of range"))
-                })
-                .transpose()?,
+            arity: f.opt_u32("arity")?,
             init: f.bool("init")?,
         },
         other => {
@@ -2191,10 +2218,7 @@ fn scenario_from_value(value: Value) -> Result<ScenarioSpec, SpecError> {
     let mut f = Fields::of(value, "scenario")?;
     f.expect_tag(&["scenario"])?;
     let label = f.string("label")?;
-    let seed = f
-        .take("seed")
-        .map(|v| as_u64(&v, "scenario", "seed"))
-        .transpose()?;
+    let seed = f.opt_u64("seed")?;
     let mut inputs = Vec::new();
     for item in f.list("inputs")? {
         let mut df = Fields::of(item, "drive")?;
@@ -2446,7 +2470,7 @@ impl fmt::Display for ExperimentSpec {
     /// [`FromStr`] for every spec whose numbers are finite and whose
     /// channel kinds/parameter names are identifiers.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&render_document(&self.to_value()))
+        f.write_str(&render_document(self))
     }
 }
 

@@ -1,7 +1,9 @@
-//! The generic text tree behind the spec serialization.
+//! The `faithful/1` text format: its writer, its reader, and the key
+//! encoding of its trees.
 //!
-//! [`ExperimentSpec`](crate::ExperimentSpec) serializes through a small
-//! self-describing tree of tagged nodes, fields, scalars and lists —
+//! Every document the library writes (specs, results, error documents,
+//! checkpoint sidecars, disk cache entries) is a small self-describing
+//! tree of tagged nodes, fields, scalars and lists —
 //! whitespace-insensitive, versioned at the document level, with no
 //! external dependencies. Grammar:
 //!
@@ -24,18 +26,19 @@
 //! client, so deeper input is refused with a [`SpecError`] instead of
 //! exhausting the stack.
 //!
-//! A spec is not converted to this tree to be printed or keyed: each spec
-//! type describes itself once, in a [`Walk`], to a [`Sink`]. One sink
-//! builds the tree (for printing); the other writes the cache key
-//! straight from the walk, in the encoding of the tree it would build.
+//! No document is built as a tree to be written: each one describes
+//! itself once, in a [`Walk`], to a [`Sink`]. There are two sinks and
+//! neither builds a tree. [`TextSink`] writes the text (every document
+//! goes through [`render_document`]); [`KeySink`] writes a spec's cache
+//! key, the binary encoding of the tree its text parses to.
 //!
-//! Every parsed [`Value`] carries the [`Span`] of its first token, so
-//! validation errors raised long after lexing (unknown fields, type
-//! mismatches, lint diagnostics) can still point at a line and column.
-//! Programmatically built values have no span; equality ignores spans
-//! so built and parsed trees compare equal.
+//! [`Value`] is what the reader produces and nothing more. Every parsed
+//! `Value` carries the [`Span`] of its first token, so validation errors
+//! raised long after lexing (unknown fields, type mismatches, lint
+//! diagnostics) can still point at a line and column. Its `Display`
+//! walks it into the same [`TextSink`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::error::{Span, SpecError};
 
@@ -87,6 +90,26 @@ impl Value {
         }
     }
 
+    /// The shape of this value.
+    pub fn kind(&self) -> &ValueKind {
+        &self.kind
+    }
+
+    /// Consumes the value, returning its shape.
+    pub fn into_kind(self) -> ValueKind {
+        self.kind
+    }
+
+    /// Where this value was parsed from, if it came from text.
+    pub fn span(&self) -> Option<Span> {
+        self.span
+    }
+}
+
+/// Built values, for tests only: library code writes documents by
+/// walking them into a [`TextSink`], never by building a tree.
+#[cfg(test)]
+impl Value {
     /// A real number.
     pub fn num(v: f64) -> Value {
         ValueKind::Num(v).into()
@@ -121,94 +144,6 @@ impl Value {
     pub fn bool(b: bool) -> Value {
         Value::word(if b { "true" } else { "false" })
     }
-
-    /// The shape of this value.
-    pub fn kind(&self) -> &ValueKind {
-        &self.kind
-    }
-
-    /// Consumes the value, returning its shape.
-    pub fn into_kind(self) -> ValueKind {
-        self.kind
-    }
-
-    /// Where this value was parsed from, if it came from text.
-    pub fn span(&self) -> Option<Span> {
-        self.span
-    }
-
-    fn is_scalar(&self) -> bool {
-        matches!(
-            self.kind,
-            ValueKind::Num(_) | ValueKind::Int(_) | ValueKind::Word(_) | ValueKind::Str(_)
-        )
-    }
-
-    fn write(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
-        match &self.kind {
-            ValueKind::Num(v) => write!(f, "{v:?}"),
-            ValueKind::Int(v) => write!(f, "{v}"),
-            ValueKind::Word(w) => f.write_str(w),
-            ValueKind::Str(s) => {
-                f.write_str("\"")?;
-                let mut rest = s.as_str();
-                while let Some(i) = rest.find(['"', '\\', '\n', '\t', '\r']) {
-                    f.write_str(&rest[..i])?;
-                    f.write_str(match rest.as_bytes()[i] {
-                        b'"' => "\\\"",
-                        b'\\' => "\\\\",
-                        b'\n' => "\\n",
-                        b'\t' => "\\t",
-                        _ => "\\r",
-                    })?;
-                    rest = &rest[i + 1..];
-                }
-                f.write_str(rest)?;
-                f.write_str("\"")
-            }
-            ValueKind::List(items) => {
-                if items.iter().all(Value::is_scalar) {
-                    f.write_str("[")?;
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            f.write_str(", ")?;
-                        }
-                        item.write(f, indent)?;
-                    }
-                    f.write_str("]")
-                } else {
-                    f.write_str("[")?;
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            f.write_str(",")?;
-                        }
-                        f.write_str("\n")?;
-                        pad(f, indent + 2)?;
-                        item.write(f, indent + 2)?;
-                    }
-                    f.write_str("\n")?;
-                    pad(f, indent)?;
-                    f.write_str("]")
-                }
-            }
-            ValueKind::Node(tag, fields) => {
-                f.write_str(tag)?;
-                if fields.is_empty() {
-                    return Ok(());
-                }
-                f.write_str(" {\n")?;
-                for (name, value) in fields {
-                    pad(f, indent + 2)?;
-                    f.write_str(name)?;
-                    f.write_str(" = ")?;
-                    value.write(f, indent + 2)?;
-                    f.write_str(";\n")?;
-                }
-                pad(f, indent)?;
-                f.write_str("}")
-            }
-        }
-    }
 }
 
 /// What a [`Walk`] describes itself to, one call per part of the tree,
@@ -228,8 +163,9 @@ pub(crate) trait Sink {
     fn word(&mut self, w: &str);
     /// A quoted string.
     fn str(&mut self, s: &str);
-    /// A list of `len` items.
-    fn list(&mut self, len: usize);
+    /// A list of `len` items; `inline` when every item is a scalar, so
+    /// the list prints on one line.
+    fn list(&mut self, len: usize, inline: bool);
 
     /// `name = value` in the current node.
     fn entry(&mut self, name: &str, value: &(impl Walk + ?Sized))
@@ -241,24 +177,25 @@ pub(crate) trait Sink {
     }
 }
 
-/// Something with a canonical tree, described by one walk that either
-/// sink can follow: [`to_value`](Walk::to_value) builds the tree,
-/// [`key_bytes`](Walk::key_bytes) encodes it without building it.
+/// How many of `present` are set: the count of a node's optional fields.
+pub(crate) fn count(present: &[bool]) -> usize {
+    present.iter().filter(|&&p| p).count()
+}
+
+/// Something written as a `faithful/1` tree, described by one walk
+/// that every sink follows: [`render_document`] writes its text,
+/// [`key_bytes`](Walk::key_bytes) its cache key.
 pub(crate) trait Walk {
-    /// Feeds this value's canonical tree to `sink`.
+    /// Whether every value of this type is a scalar (a number, word or
+    /// string), so a list of them prints on one line.
+    const SCALAR: bool = false;
+
+    /// Feeds this value's tree to `sink`.
     fn walk(&self, sink: &mut impl Sink);
 
-    /// The canonical tree.
-    fn to_value(&self) -> Value {
-        let mut tree = TreeSink::default();
-        self.walk(&mut tree);
-        tree.finish()
-    }
-
-    /// A compact binary encoding of the canonical tree, equal for two
-    /// trees exactly when their rendered texts are equal, so it can
-    /// stand in for the text as a cache key without rendering it (see
-    /// [`KeySink`]).
+    /// A compact binary encoding of the tree, equal for two trees
+    /// exactly when their texts are equal, so it can stand in for the
+    /// text as a cache key without rendering it (see [`KeySink`]).
     fn key_bytes(&self) -> Vec<u8> {
         let mut key = KeySink(Vec::with_capacity(256));
         self.walk(&mut key);
@@ -274,7 +211,9 @@ impl Walk for Value {
             ValueKind::Word(w) => sink.word(w),
             ValueKind::Str(s) => sink.str(s),
             ValueKind::List(items) => {
-                sink.list(items.len());
+                let scalar =
+                    |v: &Value| !matches!(v.kind, ValueKind::List(_) | ValueKind::Node(..));
+                sink.list(items.len(), items.iter().all(scalar));
                 for item in items {
                     item.walk(sink);
                 }
@@ -289,86 +228,146 @@ impl Walk for Value {
     }
 }
 
-/// The sink that builds the [`Value`] tree a walk describes. A node of
-/// no fields stays a `Node` (it is not folded into a `Word`), so the
-/// tree is exactly what the walk says.
+/// The sink that writes the text of the tree a walk describes: a node
+/// of no fields as its bare tag, any other node as `tag {` with one
+/// `name = value;` line per field, two spaces deeper than the node; a
+/// list on one line (`[1.0, 2.0]`) when its items are scalars, one item
+/// a line otherwise, and `[]` when empty.
 #[derive(Default)]
-struct TreeSink {
-    /// The lists and nodes open around the next value, each with the
-    /// number of values it still waits for.
-    open: Vec<(Value, usize)>,
-    done: Option<Value>,
+struct TextSink {
+    out: String,
+    /// The nodes and lists open around the next value, innermost last.
+    open: Vec<Open>,
+    /// The indent of the lines inside the innermost open node or list.
+    indent: usize,
 }
 
-impl TreeSink {
-    /// Places a finished value in the innermost open list or node,
-    /// closing every one it completes.
-    fn push(&mut self, mut value: Value) {
-        while let Some((open, left)) = self.open.last_mut() {
-            match &mut open.kind {
-                ValueKind::List(items) => items.push(value),
-                ValueKind::Node(_, fields) => {
-                    fields.last_mut().expect("a field was named").1 = value
+/// A node or list the next values go into, and how many it waits for.
+struct Open {
+    shape: Shape,
+    left: usize,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Shape {
+    Node,
+    /// A list on one line.
+    Inline,
+    /// A list of one item a line.
+    Block,
+}
+
+impl TextSink {
+    /// A line break and the current indent.
+    fn newline(&mut self) {
+        const SPACES: &str = "                                ";
+        self.out.push('\n');
+        let mut width = self.indent;
+        while width > 0 {
+            let n = width.min(SPACES.len());
+            self.out.push_str(&SPACES[..n]);
+            width -= n;
+        }
+    }
+
+    /// Opens a node or list for `len` values (at least one).
+    fn open(&mut self, shape: Shape, len: usize) {
+        self.open.push(Open { shape, left: len });
+        if shape != Shape::Inline {
+            self.indent += 2;
+        }
+        if shape == Shape::Block {
+            self.newline();
+        }
+    }
+
+    /// Ends a value: writes what follows it in the node or list around
+    /// it, and closes every node and list it completes.
+    fn done(&mut self) {
+        while let Some(open) = self.open.last_mut() {
+            open.left -= 1;
+            let (shape, more) = (open.shape, open.left > 0);
+            match shape {
+                Shape::Node => self.out.push(';'),
+                Shape::Inline if more => self.out.push_str(", "),
+                Shape::Block if more => {
+                    self.out.push(',');
+                    self.newline();
                 }
-                _ => unreachable!("only lists and nodes are opened"),
+                _ => {}
             }
-            *left -= 1;
-            if *left > 0 {
+            if more {
                 return;
             }
-            value = self.open.pop().expect("a container is open").0;
+            self.open.pop();
+            if shape == Shape::Inline {
+                self.out.push(']');
+                continue;
+            }
+            self.indent -= 2;
+            self.newline();
+            self.out.push(if shape == Shape::Node { '}' } else { ']' });
         }
-        debug_assert!(self.done.is_none(), "a walk describes one value");
-        self.done = Some(value);
-    }
-
-    /// Opens `container` for `len` values, or places it whole if empty.
-    fn open(&mut self, container: Value, len: usize) {
-        if len == 0 {
-            self.push(container);
-        } else {
-            self.open.push((container, len));
-        }
-    }
-
-    /// The tree, once the walk has described all of it.
-    fn finish(self) -> Value {
-        assert!(self.open.is_empty(), "a walk left a list or node open");
-        self.done.expect("a walk describes one value")
     }
 }
 
-impl Sink for TreeSink {
+impl Sink for TextSink {
     fn node(&mut self, tag: &str, fields: usize) {
-        self.open(Value::node(tag, Vec::with_capacity(fields)), fields);
+        self.out.push_str(tag);
+        if fields == 0 {
+            return self.done();
+        }
+        self.out.push_str(" {");
+        self.open(Shape::Node, fields);
     }
 
     fn field(&mut self, name: &str) {
-        match self.open.last_mut().map(|(open, _)| &mut open.kind) {
-            // the placeholder is overwritten by the value that follows
-            Some(ValueKind::Node(_, fields)) => fields.push((name.to_owned(), Value::int(0))),
-            _ => panic!("field {name:?} outside a node"),
-        }
+        self.newline();
+        self.out.push_str(name);
+        self.out.push_str(" = ");
     }
 
     fn num(&mut self, v: f64) {
-        self.push(Value::num(v));
+        let _ = write!(self.out, "{v:?}");
+        self.done();
     }
 
     fn int(&mut self, v: u64) {
-        self.push(Value::int(v));
+        let _ = write!(self.out, "{v}");
+        self.done();
     }
 
     fn word(&mut self, w: &str) {
-        self.push(Value::word(w));
+        self.out.push_str(w);
+        self.done();
     }
 
     fn str(&mut self, s: &str) {
-        self.push(Value::str(s));
+        self.out.push('"');
+        let mut rest = s;
+        while let Some(i) = rest.find(['"', '\\', '\n', '\t', '\r']) {
+            self.out.push_str(&rest[..i]);
+            self.out.push_str(match rest.as_bytes()[i] {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\t' => "\\t",
+                _ => "\\r",
+            });
+            rest = &rest[i + 1..];
+        }
+        self.out.push_str(rest);
+        self.out.push('"');
+        self.done();
     }
 
-    fn list(&mut self, len: usize) {
-        self.open(Value::list(Vec::with_capacity(len)), len);
+    fn list(&mut self, len: usize, inline: bool) {
+        self.out.push('[');
+        if len == 0 {
+            self.out.push(']');
+            return self.done();
+        }
+        self.open(if inline { Shape::Inline } else { Shape::Block }, len);
     }
 }
 
@@ -439,7 +438,7 @@ impl Sink for KeySink {
         self.text(4, s);
     }
 
-    fn list(&mut self, len: usize) {
+    fn list(&mut self, len: usize, _inline: bool) {
         self.0.push(5);
         self.len(len);
     }
@@ -450,7 +449,13 @@ impl Sink for KeySink {
 /// same value and it can name on-disk cache entries.
 pub(crate) fn key_hash(bytes: &[u8]) -> u64 {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    // a 128-bit product folded to 64 bits: every bit of `h ^ w` reaches
+    // every bit of the result, upwards through the low half and
+    // downwards through the high half
+    let mix = |h: u64, w: u64| {
+        let m = u128::from(h ^ w) * u128::from(K);
+        (m as u64) ^ (m >> 64) as u64
+    };
     let mut words = bytes.chunks_exact(8);
     let mut h = 0xcbf2_9ce4_8422_2325 ^ bytes.len() as u64;
     for w in &mut words {
@@ -467,17 +472,6 @@ pub(crate) fn key_hash(bytes: &[u8]) -> u64 {
     h ^ (h >> 33)
 }
 
-/// Writes `width` spaces.
-fn pad(f: &mut fmt::Formatter<'_>, mut width: usize) -> fmt::Result {
-    const SPACES: &str = "                                ";
-    while width > 0 {
-        let n = width.min(SPACES.len());
-        f.write_str(&SPACES[..n])?;
-        width -= n;
-    }
-    Ok(())
-}
-
 impl From<ValueKind> for Value {
     fn from(kind: ValueKind) -> Value {
         Value { kind, span: None }
@@ -486,13 +480,21 @@ impl From<ValueKind> for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write(f, 0)
+        let mut text = TextSink::default();
+        self.walk(&mut text);
+        f.write_str(&text.out)
     }
 }
 
-/// Renders a complete, versioned spec document around a workload value.
-pub fn render_document(workload: &Value) -> String {
-    format!("faithful/{SPEC_VERSION} {workload}\n")
+/// Writes a complete, versioned document: `faithful/1` and the text of
+/// `doc`, on the one sink every document is written through.
+pub(crate) fn render_document(doc: &(impl Walk + ?Sized)) -> String {
+    let mut text = TextSink::default();
+    let _ = write!(text.out, "faithful/{SPEC_VERSION} ");
+    doc.walk(&mut text);
+    debug_assert!(text.open.is_empty(), "a walk left a node or list open");
+    text.out.push('\n');
+    text.out
 }
 
 /// Parses a complete, versioned spec document.
@@ -1024,11 +1026,11 @@ mod tests {
     #[test]
     fn key_hash_is_pinned() {
         // names on-disk cache entries, so it may not change silently
-        assert_eq!(key_hash(b""), 0xd602_5a0a_43c0_936f, "{:#x}", key_hash(b""));
+        assert_eq!(key_hash(b""), 0x24fb_90e3_b201_aa88, "{:#x}", key_hash(b""));
         let key = Value::node("pulse", vec![("at".into(), Value::num(1.5))]).key_bytes();
         assert_eq!(
             key_hash(&key),
-            0xfdbf_0cc3_07f3_1567,
+            0x04e7_b7ca_d496_3da3,
             "{:#x}",
             key_hash(&key)
         );
