@@ -79,7 +79,7 @@ impl<D: Clone> Clone for SpfCircuit<D> {
 }
 
 /// The recorded signals of one SPF circuit run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpfRun {
     /// The OR gate's output (the storage-loop signal analysed by
     /// Theorem 9).

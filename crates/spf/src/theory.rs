@@ -8,10 +8,9 @@ use crate::error::Error;
 /// The closed set of quantities appearing in Lemmas 1–8 and Theorem 9,
 /// computed for a delay pair and η bounds satisfying constraint (C).
 ///
-/// All fields are public read-only data; construct via
-/// [`SpfTheory::compute`].
+/// All fields are public data: [`SpfTheory::compute`] derives them,
+/// and a served result document carries them exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub struct SpfTheory {
     /// `δ_min` of the delay pair (Lemma 1).
     pub delta_min: f64,

@@ -32,9 +32,8 @@ use std::path::Path;
 
 use ivl_core::Signal;
 
-use crate::error::CheckpointError;
-use crate::spec::{named_sigs_from_value, Fields};
-use crate::value::{parse_document, render_document, Sink, Walk};
+use crate::error::{CheckpointError, SpecError};
+use crate::value::{parse_document, render_document, Fields, Read, Sink, Value, Walk};
 
 /// Version tag of the checkpoint sidecar schema (inside the `faithful/1`
 /// document version).
@@ -110,50 +109,44 @@ impl Walk for Sidecar<'_> {
     }
 }
 
+/// A `done` node: a completed scenario and its sweep index.
+impl Read for (usize, DoneScenario) {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "done", |f| {
+            let index = f.req("index")?;
+            let done = DoneScenario {
+                label: f.req("label")?,
+                processed: f.req("processed")?,
+                scheduled: f.req("scheduled")?,
+                signals: f.req("signals")?,
+            };
+            Ok((index, done))
+        })
+    }
+}
+
 /// Parses a checkpoint document.
 pub(crate) fn parse(text: &str) -> Result<CheckpointState, CheckpointError> {
-    let value = parse_document(text)?;
-    let mut f = Fields::of(value, "checkpoint")?;
+    let mut f = Fields::of(parse_document(text)?, "checkpoint")?;
     f.expect_tag(&["checkpoint"])?;
-    let version = f.u64("version")?;
+    let version: u64 = f.req("version")?;
     if version != CHECKPOINT_VERSION {
         return Err(CheckpointError::new(format!(
             "unsupported checkpoint version {version} (this build reads version \
              {CHECKPOINT_VERSION})"
         )));
     }
-    let total = usize::try_from(f.u64("total")?)
-        .map_err(|_| CheckpointError::new("field \"total\" out of range"))?;
-    let retried = f.u64("retried")?;
-    let spec_text = f.string("spec")?;
+    let total = f.req("total")?;
+    let retried = f.req("retried")?;
+    let spec_text = f.req("spec")?;
     let mut done = BTreeMap::new();
-    for item in f.list("done")? {
-        let mut df = Fields::of(item, "done")?;
-        df.expect_tag(&["done"])?;
-        let index = usize::try_from(df.u64("index")?)
-            .map_err(|_| CheckpointError::new("scenario index out of range"))?;
+    for (index, scenario) in f.req::<Vec<(usize, DoneScenario)>>("done")? {
         if index >= total {
             return Err(CheckpointError::new(format!(
                 "completed scenario index {index} exceeds the sweep's total of {total}"
             )));
         }
-        let label = df.string("label")?;
-        let processed = df.u64("processed")?;
-        let scheduled = df.u64("scheduled")?;
-        let signals = named_sigs_from_value(df.list("signals")?)?;
-        df.finish()?;
-        let duplicate = done
-            .insert(
-                index,
-                DoneScenario {
-                    label,
-                    processed,
-                    scheduled,
-                    signals,
-                },
-            )
-            .is_some();
-        if duplicate {
+        if done.insert(index, scenario).is_some() {
             return Err(CheckpointError::new(format!(
                 "scenario index {index} is checkpointed twice"
             )));

@@ -28,8 +28,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use crate::spec::Fields;
-use crate::value::{parse_document, render_document, Sink, Walk};
+use crate::value::{parse_document, render_document, Fields, Sink, Walk};
 
 /// Schema version of on-disk cache entries. Version 3 stored the spec's
 /// key bytes (hex) instead of its canonical text; version 4 keeps that
@@ -266,13 +265,11 @@ fn read_entry(path: &Path, key: &[u8]) -> Option<String> {
     let text = std::fs::read_to_string(path).ok()?;
     let mut f = Fields::of(parse_document(&text).ok()?, "cached").ok()?;
     f.expect_tag(&["cached"]).ok()?;
-    if f.u64("version").ok()? != DISK_VERSION {
-        return None;
-    }
-    let stored = f.string("key").ok()?;
-    let result = f.string("result").ok()?;
+    let version: u64 = f.req("version").ok()?;
+    let stored: String = f.req("key").ok()?;
+    let result = f.req("result").ok()?;
     f.finish().ok()?;
-    (stored == hex(key)).then_some(result)
+    (version == DISK_VERSION && stored == hex(key)).then_some(result)
 }
 
 #[cfg(test)]

@@ -87,7 +87,7 @@ pub use protocol::GREETING;
 pub use server::{ServeConfig, ServeSummary, Server, ServiceHandle};
 pub use wire::{
     parse_error, parse_result, render_result, ServedDiagnostic, ServedError, ServedErrorKind,
-    ServedOutcome, ServedResult, ServedRun, ServedTheory,
+    ServedOutcome, ServedResult,
 };
 
 /// Environment knob naming the daemon's listen address

@@ -13,7 +13,11 @@
 //!
 //! [`render_result`] is the single serializer used by the daemon, the
 //! golden tests and the benchmark harness; [`parse_result`] is the
-//! typed client-side view.
+//! typed client-side view: every part that has a walk has a reader, and
+//! the view holds the library's own types wherever they round-trip. Only
+//! an outcome, whose error arrives as its message, has a client type
+//! ([`ServedOutcome`]); a failure is checked and dropped, its cause
+//! arriving as its outcome's error.
 
 use ivl_analog::characterize::{DelaySample, DeviationSample};
 use ivl_circuit::{ScenarioFailure, SweepStats};
@@ -23,17 +27,7 @@ use ivl_spf::{SpfRun, SpfTheory};
 use crate::error::SpecError;
 use crate::experiment::{AnalogResult, DigitalOutcome, ExperimentResult, QuarantinedScenario};
 use crate::lint::{Diagnostic, Severity};
-use crate::spec::{named_sigs_from_value, sig_from_value, Fields};
-use crate::value::{count, parse_document, render_document, Sink, Value, ValueKind, Walk};
-
-/// A sample's `edge` field: the word `rising` or `falling`.
-fn edge_field(f: &mut Fields) -> Result<Edge, SpecError> {
-    match f.string("edge")?.as_str() {
-        "rising" => Ok(Edge::Rising),
-        "falling" => Ok(Edge::Falling),
-        other => Err(SpecError::new(format!("unknown edge {other:?}"))),
-    }
-}
+use crate::value::{count, parse_document, render_document, Fields, Read, Sink, Value, Walk};
 
 // ======================================================================
 // Results: render
@@ -223,9 +217,10 @@ impl Walk for SpfRun {
 
 /// A result document decoded client-side.
 ///
-/// Mirrors [`ExperimentResult`] with wire-faithful types: simulation
-/// errors arrive as their rendered messages (the typed originals live
-/// server-side), everything numeric round-trips exactly.
+/// Mirrors [`ExperimentResult`] with the library's own types wherever
+/// they round-trip: simulation errors arrive as their rendered messages
+/// (the typed originals live server-side), everything numeric
+/// round-trips exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServedResult {
     /// A channel application: the output signal.
@@ -245,15 +240,17 @@ pub enum ServedResult {
         outcomes: Vec<ServedOutcome>,
         /// Aggregate output statistics, when the spec asked for them.
         stats: Option<SweepStats>,
+        /// A standalone replayable spec per failed scenario.
+        quarantine: Vec<QuarantinedScenario>,
     },
     /// An analog experiment (samples, characterization or deviations).
     Analog(AnalogResult),
     /// An SPF experiment: theory quantities plus the optional run.
     Spf {
         /// The Section IV theory bundle.
-        theory: ServedTheory,
+        theory: SpfTheory,
         /// The circuit run, when simulation was requested.
-        run: Option<ServedRun>,
+        run: Option<SpfRun>,
     },
 }
 
@@ -270,198 +267,172 @@ pub struct ServedOutcome {
     pub error: Option<String>,
 }
 
-/// The SPF theory quantities as served.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServedTheory {
-    /// `δ_min` of the delay pair.
-    pub delta_min: f64,
-    /// `η⁻` of the bounds used.
-    pub eta_minus: f64,
-    /// `η⁺` of the bounds used.
-    pub eta_plus: f64,
-    /// The Lemma 5 fixed point `τ`.
-    pub tau: f64,
-    /// Worst-case self-repeating up-time `∆`.
-    pub delta_bar: f64,
-    /// Worst-case period `P`.
-    pub period: f64,
-    /// Worst-case duty cycle `γ`.
-    pub gamma: f64,
-    /// Lemma 8 threshold `∆̃₀`.
-    pub delta0_tilde: f64,
-    /// Growth ratio `a` of Lemma 7.
-    pub growth: f64,
-    /// Lemma 4 filtering bound.
-    pub filter_bound: f64,
-    /// Lemma 3 locking bound.
-    pub lock_bound: f64,
-}
-
-/// The served signals of an SPF circuit run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServedRun {
-    /// The OR gate's output.
-    pub or_signal: Signal,
-    /// The feedback channel's output.
-    pub feedback_signal: Signal,
-    /// The circuit output after the high-threshold buffer.
-    pub output: Signal,
-    /// Simulation events processed.
-    pub events: u64,
-}
-
 /// Parses a served result document.
 ///
 /// # Errors
 ///
 /// [`SpecError`] when the text is not a well-formed result document.
 pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
-    let mut f = Fields::of(parse_document(text)?, "result")?;
-    f.expect_tag(&["result"])?;
-    let workload = f.string("workload")?;
-    let result = match workload.as_str() {
-        "channel" => {
-            let (_, output) = sig_from_value(f.req("output")?)?;
-            ServedResult::Channel { output }
-        }
-        "digital" => {
-            let completed = f.u64("completed")?;
-            let failed = f.u64("failed")?;
-            let retried = f.u64("retried")?;
-            let mut outcomes = Vec::new();
-            for v in f.list("outcomes")? {
-                let mut of = Fields::of(v, "outcome")?;
-                of.expect_tag(&["outcome"])?;
-                let label = of.string("label")?;
-                let signals = named_sigs_from_value(of.list("signals")?)?;
-                let vcd = of.opt_string("vcd")?;
-                let error = of.opt_string("error")?;
-                of.finish()?;
-                outcomes.push(ServedOutcome {
-                    label,
-                    signals,
-                    vcd,
-                    error,
-                });
-            }
-            let stats = match f.take("stats") {
-                None => None,
-                Some(v) => {
-                    let mut sf = Fields::of(v, "stats")?;
-                    sf.expect_tag(&["stats"])?;
-                    let stats = SweepStats {
-                        scenarios: sf.u64("scenarios")? as usize,
-                        failures: sf.u64("failures")? as usize,
-                        retried: sf.u64("retried")?,
-                        processed_events: sf.u64("processed_events")?,
-                        scheduled_events: sf.u64("scheduled_events")?,
-                        output_transitions: sf.u64("output_transitions")?,
-                        min_pulse_width: sf.opt_f64("min_pulse_width")?,
-                        max_pulse_width: sf.opt_f64("max_pulse_width")?,
-                        min_period: sf.opt_f64("min_period")?,
-                    };
-                    sf.finish()?;
-                    Some(stats)
-                }
-            };
-            // failures and quarantine are carried for completeness but
-            // fold into the typed view only as counts; drain them so
-            // unknown-field checking still covers the rest.
-            f.take("failures");
-            f.take("quarantine");
-            ServedResult::Digital {
-                completed,
-                failed,
-                retried,
-                outcomes,
-                stats,
-            }
-        }
-        "analog" => {
-            let task = f.string("task")?;
-            let analog = match task.as_str() {
-                "samples" => AnalogResult::Samples(delay_samples_from(f.list("samples")?)?),
-                "characterization" => AnalogResult::Characterization {
-                    up: delay_samples_from(f.list("up")?)?,
-                    down: delay_samples_from(f.list("down")?)?,
+    Fields::node(parse_document(text)?, "result", |f| {
+        Ok(match f.req::<String>("workload")?.as_str() {
+            "channel" => ServedResult::Channel {
+                output: f.req("output")?,
+            },
+            "digital" => ServedResult::Digital {
+                completed: f.req("completed")?,
+                failed: f.req("failed")?,
+                retried: f.req("retried")?,
+                outcomes: f.req("outcomes")?,
+                stats: f.opt("stats")?,
+                quarantine: {
+                    f.req::<Vec<Failure>>("failures")?;
+                    f.req("quarantine")?
                 },
-                "deviations" => {
-                    let mut out = Vec::new();
-                    for v in f.list("deviations")? {
-                        let mut sf = Fields::of(v, "sample")?;
-                        sf.expect_tag(&["sample"])?;
-                        let sample = DeviationSample {
-                            offset: sf.f64("offset")?,
-                            deviation: sf.f64("deviation")?,
-                            edge: edge_field(&mut sf)?,
-                        };
-                        sf.finish()?;
-                        out.push(sample);
-                    }
-                    AnalogResult::Deviations(out)
-                }
-                other => {
-                    return Err(SpecError::new(format!("unknown analog task {other:?}")));
-                }
-            };
-            ServedResult::Analog(analog)
-        }
-        "spf" => {
-            let mut tf = Fields::of(f.req("theory")?, "theory")?;
-            tf.expect_tag(&["theory"])?;
-            let theory = ServedTheory {
-                delta_min: tf.f64("delta_min")?,
-                eta_minus: tf.f64("eta_minus")?,
-                eta_plus: tf.f64("eta_plus")?,
-                tau: tf.f64("tau")?,
-                delta_bar: tf.f64("delta_bar")?,
-                period: tf.f64("period")?,
-                gamma: tf.f64("gamma")?,
-                delta0_tilde: tf.f64("delta0_tilde")?,
-                growth: tf.f64("growth")?,
-                filter_bound: tf.f64("filter_bound")?,
-                lock_bound: tf.f64("lock_bound")?,
-            };
-            tf.finish()?;
-            let run = match f.take("run") {
-                None => None,
-                Some(v) => {
-                    let mut rf = Fields::of(v, "run")?;
-                    rf.expect_tag(&["run"])?;
-                    let run = ServedRun {
-                        or_signal: sig_from_value(rf.req("or")?)?.1,
-                        feedback_signal: sig_from_value(rf.req("feedback")?)?.1,
-                        output: sig_from_value(rf.req("output")?)?.1,
-                        events: rf.u64("events")?,
-                    };
-                    rf.finish()?;
-                    Some(run)
-                }
-            };
-            ServedResult::Spf { theory, run }
-        }
-        other => {
-            return Err(SpecError::new(format!("unknown result workload {other:?}")));
-        }
-    };
-    f.finish()?;
-    Ok(result)
+            },
+            "analog" => ServedResult::Analog(match f.req::<String>("task")?.as_str() {
+                "samples" => AnalogResult::Samples(f.req("samples")?),
+                "characterization" => AnalogResult::Characterization {
+                    up: f.req("up")?,
+                    down: f.req("down")?,
+                },
+                "deviations" => AnalogResult::Deviations(f.req("deviations")?),
+                other => return Err(SpecError::new(format!("unknown analog task {other:?}"))),
+            }),
+            "spf" => ServedResult::Spf {
+                theory: f.req("theory")?,
+                run: f.opt("run")?,
+            },
+            other => return Err(SpecError::new(format!("unknown result workload {other:?}"))),
+        })
+    })
 }
 
-fn delay_samples_from(values: Vec<Value>) -> Result<Vec<DelaySample>, SpecError> {
-    let mut out = Vec::with_capacity(values.len());
-    for v in values {
-        let mut sf = Fields::of(v, "sample")?;
-        sf.expect_tag(&["sample"])?;
-        let sample = DelaySample {
-            offset: sf.f64("offset")?,
-            delay: sf.f64("delay")?,
-            edge: edge_field(&mut sf)?,
-        };
-        sf.finish()?;
-        out.push(sample);
+impl Read for ServedOutcome {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "outcome", |f| {
+            Ok(ServedOutcome {
+                label: f.req("label")?,
+                signals: f.req("signals")?,
+                vcd: f.opt("vcd")?,
+                error: f.opt("error")?,
+            })
+        })
     }
-    Ok(out)
+}
+
+impl Read for SweepStats {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "stats", |f| {
+            Ok(SweepStats {
+                scenarios: f.req("scenarios")?,
+                failures: f.req("failures")?,
+                retried: f.req("retried")?,
+                processed_events: f.req("processed_events")?,
+                scheduled_events: f.req("scheduled_events")?,
+                output_transitions: f.req("output_transitions")?,
+                min_pulse_width: f.opt("min_pulse_width")?,
+                max_pulse_width: f.opt("max_pulse_width")?,
+                min_period: f.opt("min_period")?,
+            })
+        })
+    }
+}
+
+/// A `failure` node, checked and dropped: its cause already arrives as
+/// the error of its scenario's outcome.
+struct Failure;
+
+impl Read for Failure {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "failure", |f| {
+            f.req::<usize>("index")?;
+            f.req::<String>("label")?;
+            f.opt::<u64>("seed")?;
+            f.req::<u32>("retries")?;
+            f.req::<String>("cause")?;
+            Ok(Failure)
+        })
+    }
+}
+
+impl Read for QuarantinedScenario {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "quarantined", |f| {
+            Ok(QuarantinedScenario {
+                index: f.req("index")?,
+                label: f.req("label")?,
+                spec: f.req("spec")?,
+            })
+        })
+    }
+}
+
+impl Read for DelaySample {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "sample", |f| {
+            Ok(DelaySample {
+                offset: f.req("offset")?,
+                delay: f.req("delay")?,
+                edge: f.req("edge")?,
+            })
+        })
+    }
+}
+
+impl Read for DeviationSample {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "sample", |f| {
+            Ok(DeviationSample {
+                offset: f.req("offset")?,
+                deviation: f.req("deviation")?,
+                edge: f.req("edge")?,
+            })
+        })
+    }
+}
+
+/// A sample's edge: the word `rising` or `falling`.
+impl Read for Edge {
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        match String::read(value, tag, name)?.as_str() {
+            "rising" => Ok(Edge::Rising),
+            "falling" => Ok(Edge::Falling),
+            other => Err(SpecError::new(format!("unknown edge {other:?}"))),
+        }
+    }
+}
+
+impl Read for SpfTheory {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "theory", |f| {
+            Ok(SpfTheory {
+                delta_min: f.req("delta_min")?,
+                eta_minus: f.req("eta_minus")?,
+                eta_plus: f.req("eta_plus")?,
+                tau: f.req("tau")?,
+                delta_bar: f.req("delta_bar")?,
+                period: f.req("period")?,
+                gamma: f.req("gamma")?,
+                delta0_tilde: f.req("delta0_tilde")?,
+                growth: f.req("growth")?,
+                filter_bound: f.req("filter_bound")?,
+                lock_bound: f.req("lock_bound")?,
+            })
+        })
+    }
+}
+
+impl Read for SpfRun {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "run", |f| {
+            Ok(SpfRun {
+                or_signal: f.req("or")?,
+                feedback_signal: f.req("feedback")?,
+                output: f.req("output")?,
+                events: f.req("events")?,
+            })
+        })
+    }
 }
 
 // ======================================================================
@@ -487,28 +458,28 @@ pub enum ServedErrorKind {
     Internal,
 }
 
+/// Every error kind and the word it is written as.
+const KINDS: [(ServedErrorKind, &str); 6] = [
+    (ServedErrorKind::Spec, "spec"),
+    (ServedErrorKind::Lint, "lint"),
+    (ServedErrorKind::Run, "run"),
+    (ServedErrorKind::Shutdown, "shutdown"),
+    (ServedErrorKind::Protocol, "protocol"),
+    (ServedErrorKind::Internal, "internal"),
+];
+
 impl ServedErrorKind {
     fn as_word(self) -> &'static str {
-        match self {
-            ServedErrorKind::Spec => "spec",
-            ServedErrorKind::Lint => "lint",
-            ServedErrorKind::Run => "run",
-            ServedErrorKind::Shutdown => "shutdown",
-            ServedErrorKind::Protocol => "protocol",
-            ServedErrorKind::Internal => "internal",
-        }
+        let word = KINDS.iter().find(|(k, _)| *k == self).map(|(_, w)| *w);
+        word.expect("every kind has a word")
     }
+}
 
-    fn from_word(w: &str) -> Option<Self> {
-        Some(match w {
-            "spec" => ServedErrorKind::Spec,
-            "lint" => ServedErrorKind::Lint,
-            "run" => ServedErrorKind::Run,
-            "shutdown" => ServedErrorKind::Shutdown,
-            "protocol" => ServedErrorKind::Protocol,
-            "internal" => ServedErrorKind::Internal,
-            _ => return None,
-        })
+impl Read for ServedErrorKind {
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        let word = String::read(value, tag, name)?;
+        let kind = KINDS.iter().find(|(_, w)| *w == word).map(|&(k, _)| k);
+        kind.ok_or_else(|| SpecError::new(format!("unknown error kind {word:?}")))
     }
 }
 
@@ -609,54 +580,44 @@ impl Walk for Diagnostic {
 ///
 /// [`SpecError`] when the text is not a well-formed error document.
 pub fn parse_error(text: &str) -> Result<ServedError, SpecError> {
-    let mut f = Fields::of(parse_document(text)?, "error")?;
-    f.expect_tag(&["error"])?;
-    let kind_word = f.string("kind")?;
-    let kind = ServedErrorKind::from_word(&kind_word)
-        .ok_or_else(|| SpecError::new(format!("unknown error kind {kind_word:?}")))?;
-    let message = f.string("message")?;
-    let mut diagnostics = Vec::new();
-    if let Some(list) = f.take("diagnostics") {
-        let ValueKind::List(items) = list.into_kind() else {
-            return Err(SpecError::new(
-                "error: field \"diagnostics\" must be a list",
-            ));
-        };
-        for v in items {
-            let mut df = Fields::of(v, "diag")?;
-            df.expect_tag(&["diag"])?;
-            let code = df.string("code")?;
-            let severity_word = df.string("severity")?;
-            let severity = match severity_word.as_str() {
-                "info" => Severity::Info,
-                "warning" => Severity::Warning,
-                "error" => Severity::Error,
-                other => {
-                    return Err(SpecError::new(format!("unknown severity {other:?}")));
-                }
-            };
-            let message = df.string("message")?;
-            let line = df.opt_u64("line")?;
-            let column = df.opt_u64("column")?;
-            df.finish()?;
-            let span = match (line, column) {
-                (Some(l), Some(c)) => Some((l as u32, c as u32)),
-                _ => None,
-            };
-            diagnostics.push(ServedDiagnostic {
-                code,
-                severity,
-                message,
-                span,
-            });
+    Fields::node(parse_document(text)?, "error", |f| {
+        Ok(ServedError {
+            kind: f.req("kind")?,
+            message: f.req("message")?,
+            diagnostics: f.opt("diagnostics")?.unwrap_or_default(),
+        })
+    })
+}
+
+impl Read for ServedDiagnostic {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "diag", |f| {
+            Ok(ServedDiagnostic {
+                code: f.req("code")?,
+                severity: f.req("severity")?,
+                message: f.req("message")?,
+                span: match (f.opt("line")?, f.opt("column")?) {
+                    (Some(line), Some(column)) => Some((line, column)),
+                    (None, None) => None,
+                    _ => {
+                        let both = "diag: fields \"line\" and \"column\" come together";
+                        return Err(SpecError::new(both).at(f.span));
+                    }
+                },
+            })
+        })
+    }
+}
+
+impl Read for Severity {
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        match String::read(value, tag, name)?.as_str() {
+            "info" => Ok(Severity::Info),
+            "warning" => Ok(Severity::Warning),
+            "error" => Ok(Severity::Error),
+            other => Err(SpecError::new(format!("unknown severity {other:?}"))),
         }
     }
-    f.finish()?;
-    Ok(ServedError {
-        kind,
-        message,
-        diagnostics,
-    })
 }
 
 #[cfg(test)]
@@ -702,32 +663,16 @@ mod tests {
         assert_eq!(back.diagnostics[0].span, Some((3, 9)));
     }
 
-    /// One document of every kind the library writes, with each
-    /// optional field present somewhere and lists both empty and not.
-    fn every_document_kind() -> String {
-        use crate::checkpoint::{self, DoneScenario};
-        use crate::experiment::{
-            ChannelResult, DigitalOutcome, DigitalResult, QuarantinedScenario, SpfResult,
-        };
-        use ivl_circuit::{ScenarioFailure, SimError};
+    /// One result of every kind, with each optional field present
+    /// somewhere and lists both empty and not.
+    fn every_result() -> Vec<(&'static str, ExperimentResult)> {
+        use crate::experiment::{ChannelResult, DigitalResult, SpfResult};
+        use ivl_circuit::SimError;
         use ivl_core::delay::ExpChannel;
         use ivl_core::noise::EtaBounds;
         use ivl_core::Bit;
-        use ivl_spf::{SpfRun, SpfTheory};
 
         let sig = |initial, times: &[f64]| Signal::from_times(initial, times).unwrap();
-        let mut docs = Vec::new();
-        for name in [
-            "analog_characterize",
-            "channel_pulse",
-            "digital_sweep",
-            "spf_theory",
-        ] {
-            let path = format!("{}/specs/{name}.spec", env!("CARGO_MANIFEST_DIR"));
-            let spec: crate::ExperimentSpec =
-                std::fs::read_to_string(&path).unwrap().parse().unwrap();
-            docs.push((format!("spec {name}"), spec.to_string()));
-        }
         let channel = ExperimentResult::Channel(ChannelResult {
             output: sig(Bit::One, &[0.25, 1.5, 3.0000000000000004]),
         });
@@ -853,7 +798,7 @@ mod tests {
                 events: 17,
             }),
         });
-        for (name, result) in [
+        vec![
             ("channel", channel),
             ("digital", digital),
             ("digital empty", bare_digital),
@@ -863,7 +808,29 @@ mod tests {
             ("analog deviations", deviations),
             ("spf theory", spf_theory),
             ("spf run", spf_run),
+        ]
+    }
+
+    /// One document of every kind the library writes, with each
+    /// optional field present somewhere and lists both empty and not.
+    fn every_document_kind() -> String {
+        use crate::checkpoint::{self, DoneScenario};
+        use ivl_core::Bit;
+
+        let sig = |initial, times: &[f64]| Signal::from_times(initial, times).unwrap();
+        let mut docs = Vec::new();
+        for name in [
+            "analog_characterize",
+            "channel_pulse",
+            "digital_sweep",
+            "spf_theory",
         ] {
+            let path = format!("{}/specs/{name}.spec", env!("CARGO_MANIFEST_DIR"));
+            let spec: crate::ExperimentSpec =
+                std::fs::read_to_string(&path).unwrap().parse().unwrap();
+            docs.push((format!("spec {name}"), spec.to_string()));
+        }
+        for (name, result) in every_result() {
             docs.push((format!("result {name}"), render_result(&result)));
         }
         let diagnostics = [
@@ -928,6 +895,402 @@ mod tests {
         assert!(
             actual == golden,
             "written documents drifted from tests/wire_golden.txt; actual:\n{actual}"
+        );
+    }
+
+    /// What a client reads back from the document of `result`.
+    fn served(result: &ExperimentResult) -> ServedResult {
+        match result.clone() {
+            ExperimentResult::Channel(c) => ServedResult::Channel { output: c.output },
+            ExperimentResult::Digital(d) => ServedResult::Digital {
+                completed: d.completed as u64,
+                failed: d.failed as u64,
+                retried: d.retried,
+                outcomes: d
+                    .outcomes
+                    .into_iter()
+                    .map(|o| ServedOutcome {
+                        label: o.label,
+                        signals: o.signals,
+                        vcd: o.vcd,
+                        error: o.error.map(|e| e.to_string()),
+                    })
+                    .collect(),
+                stats: d.stats,
+                quarantine: d.quarantine,
+            },
+            ExperimentResult::Analog(a) => ServedResult::Analog(a),
+            ExperimentResult::Spf(p) => ServedResult::Spf {
+                theory: p.theory,
+                run: p.run,
+            },
+        }
+    }
+
+    #[test]
+    fn every_result_kind_round_trips() {
+        for (name, result) in every_result() {
+            let back = parse_result(&render_result(&result));
+            assert_eq!(back, Ok(served(&result)), "{name}");
+        }
+    }
+
+    #[test]
+    fn diagnostic_spans_are_bounded_and_whole() {
+        let span = |fields: &str| {
+            let text = format!(
+                "faithful/1 error {{ kind = lint; message = \"m\"; diagnostics = [diag {{ \
+                 code = \"IVL050\"; severity = info; message = \"d\"; {fields} }}] }}"
+            );
+            parse_error(&text).map(|e| e.diagnostics[0].span)
+        };
+        assert_eq!(span("line = 3; column = 9"), Ok(Some((3, 9))));
+        assert_eq!(span(""), Ok(None));
+        assert_eq!(
+            span("line = 4294967295; column = 1"),
+            Ok(Some((u32::MAX, 1)))
+        );
+        // past u32 is refused, not wrapped round to line 1
+        let err = span("line = 4294967297; column = 3").unwrap_err();
+        assert_eq!(err.message(), "diag: field \"line\" out of range");
+        // half a span is refused, not dropped
+        for half in ["line = 3", "column = 9"] {
+            let err = span(half).unwrap_err();
+            let both = "diag: fields \"line\" and \"column\" come together";
+            assert_eq!(err.message(), both, "{half}");
+        }
+    }
+
+    #[test]
+    fn failures_and_quarantine_are_read_not_dropped() {
+        let empty = "faithful/1 result { workload = digital; completed = 0; failed = 0; \
+                     retried = 0; outcomes = []; failures = []; quarantine = [] }";
+        assert!(parse_result(empty).is_ok());
+        for (from, to, message) in [
+            (
+                "failures = []",
+                "failures = 7",
+                "result: field \"failures\" must be a list, found 7",
+            ),
+            (
+                "quarantine = []",
+                "quarantine = \"not a list\"",
+                "result: field \"quarantine\" must be a list, found \"not a list\"",
+            ),
+            (
+                "failures = []",
+                "failures = [failure { index = x }]",
+                "failure: field \"index\" must be an integer, found x",
+            ),
+            (
+                "quarantine = []",
+                "quarantine = [quarantined { index = 1; label = \"s\" }]",
+                "quarantined: missing field \"spec\"",
+            ),
+        ] {
+            let err = parse_result(&empty.replacen(from, to, 1)).unwrap_err();
+            assert_eq!(err.message(), message, "{to}");
+        }
+    }
+
+    /// The documents of `tests/wire_golden.txt` by name, plus a netlist
+    /// spec, which no shipped spec has.
+    fn golden_documents() -> Vec<(String, String)> {
+        let path = format!("{}/tests/wire_golden.txt", env!("CARGO_MANIFEST_DIR"));
+        let golden = std::fs::read_to_string(&path).unwrap();
+        let mut docs: Vec<(String, String)> = golden
+            .split("== ")
+            .skip(1)
+            .map(|doc| {
+                let (name, text) = doc.split_once('\n').unwrap();
+                (name.to_owned(), text.to_owned())
+            })
+            .collect();
+        docs.push((
+            "spec netlist".to_owned(),
+            "faithful/1 digital {\n  topology = netlist {\n    nodes = [\n      \
+             input { name = \"a\" },\n      \
+             gate { name = \"g\"; kind = not; arity = 1; init = false },\n      \
+             gate { name = \"t\"; kind = table { inputs = 1; rows = [1, 0] }; init = true },\n      \
+             output { name = \"y\" }\n    ];\n    edges = [\n      \
+             edge { from = \"a\"; to = \"g\"; pin = 0; channel = pure { delay = 1.0 } },\n      \
+             edge { from = \"g\"; to = \"t\"; pin = 0 },\n      \
+             edge { from = \"t\"; to = \"y\"; pin = 0 }\n    ];\n  };\n  \
+             horizon = 10.0;\n  on_failure = retry { attempts = 2 };\n  \
+             scenarios = [];\n  \
+             outputs = outputs { signals = true; stats = false; vcd = false; watch = [\"g\"] };\n}\n"
+                .to_owned(),
+        ));
+        docs
+    }
+
+    /// Malformed documents for every reader: `(document, from, to)`
+    /// replaces the first `from` of the named golden document with `to`;
+    /// an empty `from` reads `to` itself with the document's reader.
+    const MALFORMED: &[(&str, &str, &str)] = &[
+        // specs
+        ("spec channel_pulse", "width = 3.0;", ""),
+        ("spec channel_pulse", "at = 0.0;", "at = 0.0; bogus = 1;"),
+        ("spec channel_pulse", "width = 3.0", "width = \"wide\""),
+        ("spec channel_pulse", "width = 3.0", "width = 3"),
+        ("spec channel_pulse", "width = 3.0;", "width = 3.0; width = 4.0;"),
+        ("spec channel_pulse", "faithful/1 channel", "faithful/1 cooking"),
+        ("spec", "", "faithful/1 [1, 2]"),
+        ("spec", "", "faithful/1 channel"),
+        ("spec channel_pulse", "input = pulse", "input = blip"),
+        ("spec channel_pulse", "tau = 1.0;", "tau = [1.0];"),
+        ("spec channel_pulse", "tau = 1.0;", "tau = k { x = 1 };"),
+        ("spec channel_pulse", "channel = involution {", "channel = 3; c = involution {"),
+        ("spec channel_pulse", "pulse {\n    at = 0.0;\n    width = 3.0;\n  }", "train { pulses = [[1.0]] }"),
+        ("spec channel_pulse", "pulse {\n    at = 0.0;\n    width = 3.0;\n  }", "train { pulses = [[1.0, x]] }"),
+        ("spec channel_pulse", "pulse {\n    at = 0.0;\n    width = 3.0;\n  }", "train { pulses = [1.0] }"),
+        ("spec channel_pulse", "pulse {\n    at = 0.0;\n    width = 3.0;\n  }", "train { pulses = 1.0 }"),
+        ("spec channel_pulse", "pulse {\n    at = 0.0;\n    width = 3.0;\n  }", "times { initial = maybe; at = [] }"),
+        ("spec channel_pulse", "pulse {\n    at = 0.0;\n    width = 3.0;\n  }", "times { initial = true; at = [x] }"),
+        ("spec channel_pulse", "pulse {\n    at = 0.0;\n    width = 3.0;\n  }", "times { initial = \"true\"; at = [] }"),
+        ("spec digital_sweep", "stages = 8;", "stages = 4294967297;"),
+        ("spec digital_sweep", "stages = 8;", "stages = 8.0;"),
+        ("spec digital_sweep", "stages = 8;", "stages = -1;"),
+        ("spec digital_sweep", "stages = 8;", ""),
+        ("spec digital_sweep", "topology = chain", "topology = ring"),
+        ("spec digital_sweep", "topology = chain {", "topology = 3; t = chain {"),
+        ("spec digital_sweep", "horizon = 100.0;", ""),
+        ("spec digital_sweep", "horizon = 100.0;", "horizon = true;"),
+        ("spec digital_sweep", "horizon = 100.0;", "horizon = 100.0; max_events = 1.5;"),
+        ("spec digital_sweep", "horizon = 100.0;", "horizon = 100.0; max_events = 18446744073709551615;"),
+        ("spec digital_sweep", "horizon = 100.0;", "horizon = 100.0; on_failure = panic;"),
+        ("spec digital_sweep", "horizon = 100.0;", "horizon = 100.0; on_failure = retry { attempts = 4294967296 };"),
+        ("spec digital_sweep", "horizon = 100.0;", "horizon = 100.0; on_failure = retry;"),
+        ("spec digital_sweep", "horizon = 100.0;", "horizon = 100.0; on_failure = [];"),
+        ("spec digital_sweep", "workers = 4;", "workers = 4294967296;"),
+        ("spec digital_sweep", "workers = 4;", "workers = \"four\";"),
+        ("spec digital_sweep", "scenarios = [", "scenarios = 3; s = ["),
+        ("spec digital_sweep", "scenario {", "scene {"),
+        ("spec digital_sweep", "label = \"draw0\";", "label = 7;"),
+        ("spec digital_sweep", "label = \"draw0\";", ""),
+        ("spec digital_sweep", "seed = 0;\n      inputs", "seed = 0.5;\n      inputs"),
+        ("spec digital_sweep", "inputs = [", "inputs = 1; i = ["),
+        ("spec digital_sweep", "drive {", "push {"),
+        ("spec digital_sweep", "port = \"a\";", "port = [];"),
+        ("spec digital_sweep", "port = \"a\";", ""),
+        ("spec digital_sweep", "outputs = outputs {", "outputs = output {"),
+        ("spec digital_sweep", "signals = true;", "signals = 1;"),
+        ("spec digital_sweep", "vcd = false;", ""),
+        ("spec digital_sweep", "vcd = false;", "vcd = false; watch = 3;"),
+        ("spec digital_sweep", "vcd = false;", "vcd = false; watch = [1];"),
+        ("spec digital_sweep", "vcd = false;", "vcd = false; extra = 1;"),
+        ("spec netlist", "input { name = \"a\" }", "inputs { name = \"a\" }"),
+        ("spec netlist", "input { name = \"a\" }", "input { name = a }"),
+        ("spec netlist", "input { name = \"a\" }", "input { name = 1 }"),
+        ("spec netlist", "kind = not", "kind = maj"),
+        ("spec netlist", "kind = not", "kind = 1"),
+        ("spec netlist", "arity = 1", "arity = 5000000000"),
+        ("spec netlist", "init = false", "init = 0"),
+        ("spec netlist", "rows = [1, 0]", "rows = [1, 0.5]"),
+        ("spec netlist", "rows = [1, 0]", "rows = 1"),
+        ("spec netlist", "inputs = 1;", ""),
+        ("spec netlist", "nodes = [", "nodes = 1; n = ["),
+        ("spec netlist", "edges = [", "edges = {}; e = ["),
+        ("spec netlist", "edge {", "wire {"),
+        ("spec netlist", "pin = 0; channel", "channel"),
+        ("spec netlist", "pin = 0; channel", "pin = 4294967296; channel"),
+        ("spec netlist", "from = \"a\"", "from = 1"),
+        ("spec netlist", "channel = pure { delay = 1.0 }", "channel = 1.0"),
+        ("spec netlist", "watch = [\"g\"]", "watch = [\"g\", 1]"),
+        ("spec netlist", "topology = netlist", "topology = mesh"),
+        ("spec analog_characterize", "stages = 7;", "stages = 7.5;"),
+        ("spec analog_characterize", "width_scale = 1.0;", ""),
+        ("spec analog_characterize", "chain = chain", "chain = link"),
+        ("spec analog_characterize", "volts = 1.0", "volts = true"),
+        ("spec analog_characterize", "supply = dc", "supply = ac"),
+        ("spec analog_characterize", "supply = dc {\n    volts = 1.0;\n  }", "supply = sine { nominal = 1.0; amplitude = 0.1; period = 5.0 }"),
+        ("spec analog_characterize", "sweep = sweep", "sweep = scan"),
+        ("spec analog_characterize", "widths = [20.0,", "widths = [\"a\","),
+        ("spec analog_characterize", "widths = [", "widths = 5; w = ["),
+        ("spec analog_characterize", "stage = 3;", "stage = 4294967296;"),
+        ("spec analog_characterize", "dt = 0.05;", ""),
+        ("spec analog_characterize", "integrator = rk45", "integrator = euler"),
+        ("spec analog_characterize", "rtol = 1e-6;", "rtol = \"tight\";"),
+        ("spec analog_characterize", "task = characterize", "task = boil"),
+        ("spec analog_characterize", "task = characterize", "task = samples { inverted = 2 }"),
+        ("spec analog_characterize", "task = characterize", "task = deviations { reference = exp { tau = 1.0; t_p = 0.5; v_th = 0.5 }; orientation = sideways }"),
+        ("spec analog_characterize", "task = characterize", "task = deviations { reference = exp { tau = 1.0; t_p = 0.5; v_th = 0.5 }; orientation = 1 }"),
+        ("spec analog_characterize", "task = characterize", "task = deviations { reference = rational { a = 1.0 }; orientation = both }"),
+        ("spec analog_characterize", "task = characterize", "task = deviations { reference = guess; orientation = both }"),
+        ("spec analog_characterize", "task = characterize", "task = deviations { reference = empirical { up = [[1.0]]; down = [] }; orientation = both }"),
+        ("spec analog_characterize", "task = characterize", "task = deviations { reference = empirical { up = [[1.0, 2.0]]; down = [[x, 1.0]] }; orientation = both }"),
+        ("spec analog_characterize", "task = characterize", "task = deviations { reference = empirical { up = 3; down = [] }; orientation = both }"),
+        ("spec analog_characterize", "workers = 4;", "workers = -4;"),
+        ("spec spf_theory", "delay = exp", "delay = cubic"),
+        ("spec spf_theory", "tau = 1.0;", "tau = \"x\";"),
+        ("spec spf_theory", "delay = exp {\n    tau = 1.0;\n    t_p = 0.5;\n    v_th = 0.5;\n  }", "delay = rational { a = 1.0; b = 2.0 }"),
+        ("spec spf_theory", "eta_minus = 0.02;", "eta_minus = \"x\";"),
+        ("spec spf_theory", "eta_plus = 0.02;", ""),
+        ("spec spf_theory", "task = theory", "task = dance"),
+        ("spec spf_theory", "task = theory", "task = simulate { noise = laplace; input = zero; horizon = 1.0 }"),
+        ("spec spf_theory", "task = theory", "task = simulate { noise = uniform { seed = -1 }; input = zero; horizon = 1.0 }"),
+        ("spec spf_theory", "task = theory", "task = simulate { noise = uniform { seed = 18446744073709551616 }; input = zero; horizon = 1.0 }"),
+        ("spec spf_theory", "task = theory", "task = simulate { noise = gaussian { sigma = 1 }; input = zero; horizon = 1.0 }"),
+        ("spec spf_theory", "task = theory", "task = simulate { noise = constant { shift = x }; input = zero; horizon = 1.0 }"),
+        ("spec spf_theory", "task = theory", "task = simulate { noise = zero; input = zero }"),
+        ("spec spf_theory", "task = theory", "task = simulate { noise = zero; input = zero; horizon = 1.0; extra = 2 }"),
+        // results
+        ("result channel", "initial = true", "initial = yes"),
+        ("result channel", "initial = true;", ""),
+        ("result channel", "initial = true;", "initial = true; initial = false;"),
+        ("result channel", "times = [0.25,", "times = [\"a\","),
+        ("result channel", "times = [0.25, 1.5,", "times = [1.5, 0.25,"),
+        ("result channel", "times = [", "times = 3; t = ["),
+        ("result channel", "output = sig", "output = sag"),
+        ("result channel", "output = sig {", "output = 3; o = sig {"),
+        ("result channel", "initial = true;", "initial = true; name = \"o\";"),
+        ("result channel", "workload = channel", "workload = cooking"),
+        ("result channel", "workload = channel", "workload = 1"),
+        ("result channel", "workload = channel;", ""),
+        ("result channel", "faithful/1 result", "faithful/1 outcome"),
+        ("result", "", "faithful/1 [result]"),
+        ("result digital", "completed = 2;", "completed = 2.0;"),
+        ("result digital", "completed = 2;", "completed = 18446744073709551615;"),
+        ("result digital", "retried = 2;", ""),
+        ("result digital", "outcome {", "outcomes {"),
+        ("result digital", "outcomes = [", "outcomes = 2; o = ["),
+        ("result digital", "name = \"y\";", ""),
+        ("result digital", "name = \"y\";", "name = 7;"),
+        ("result digital", "signals = [\n", "signals = 1; s = [\n"),
+        ("result digital", "vcd = \"", "vcd = 5; v = \""),
+        ("result digital", "error = \"unknown", "error = []; e = \"unknown"),
+        ("result digital", "label = \"s1\";\n      signals", "signals"),
+        ("result digital", "scenarios = 3;", "scenarios = 3.5;"),
+        ("result digital", "scenarios = 3;", "scenarios = 18446744073709551615;"),
+        ("result digital", "min_pulse_width = 1.5;", "min_pulse_width = x;"),
+        ("result digital", "stats = stats", "stats = stat"),
+        ("result digital", "output_transitions = 4;", ""),
+        ("result digital", "failure {\n      index = 1;", "failure {\n      index = x;"),
+        ("result digital", "failure {", "fail {"),
+        ("result digital", "cause = \"unknown", "cause = 1; c = \"unknown"),
+        ("result digital", "quarantined {", "quarantine {"),
+        ("result digital", "spec = \"faithful", "spec = 1; s = \"faithful"),
+        ("result digital", "quarantine = [", "quarantine = 1; q = ["),
+        ("result digital empty", "failures = [];", "failures = 7;"),
+        ("result digital empty", "quarantine = [];", "quarantine = \"not a list\";"),
+        ("result digital empty", "failures = [];", "failures = [1];"),
+        ("result digital empty", "quarantine = [];", "quarantine = [quarantined { index = 1; label = \"a\" }];"),
+        ("result digital empty", "failures = [];", ""),
+        ("result digital without stats", "quarantine = [];", ""),
+        ("result analog samples", "task = samples", "task = boil"),
+        ("result analog samples", "task = samples;", ""),
+        ("result analog samples", "edge = rising", "edge = sideways"),
+        ("result analog samples", "edge = rising", "edge = 1"),
+        ("result analog samples", "offset = -1.5", "offset = \"x\""),
+        ("result analog samples", "delay = 10.25;", ""),
+        ("result analog samples", "sample {", "point {"),
+        ("result analog samples", "samples = [", "samples = 3; s = ["),
+        ("result analog samples", "edge = rising;", "edge = rising; extra = 1;"),
+        ("result analog characterization", "up = [", "u = ["),
+        ("result analog characterization", "down = [];", "down = [1.0];"),
+        ("result analog deviations", "deviation = -0.125", "deviation = true"),
+        ("result analog deviations", "edge = falling", "edge = up"),
+        ("result analog deviations", "deviations = [", "deviations = 1; d = ["),
+        ("result spf theory", "tau = 0.6488332285053009", "tau = \"x\""),
+        ("result spf theory", "gamma = 0.5426346618429234;", ""),
+        ("result spf theory", "theory = theory", "theory = thoery"),
+        ("result spf theory", "lock_bound = 1.2131471805599454;", "lock_bound = 1.0; extra = 1.0;"),
+        ("result spf run", "events = 17", "events = 17.0"),
+        ("result spf run", "events = 17", "events = 18446744073709551615"),
+        ("result spf run", "or = sig {", "or = 3; o = sig {"),
+        ("result spf run", "run = run", "run = walk"),
+        ("result spf run", "feedback = sig {", "feedback = sig {\n      name = \"f\";"),
+        ("result spf run", "times = [2.0]", "times = [2.0, 1.0]"),
+        ("result spf run", "events = 17;", ""),
+        // error documents
+        ("error lint", "kind = lint", "kind = weird"),
+        ("error lint", "kind = lint", "kind = 3"),
+        ("error lint", "kind = lint;", ""),
+        ("error lint", "message = \"rejected by lint\";", "message = 5;"),
+        ("error lint", "diag {", "diagnostic {"),
+        ("error lint", "severity = info", "severity = fatal"),
+        ("error lint", "severity = info", "severity = 1"),
+        ("error lint", "code = \"IVL050\";", "code = 50;"),
+        ("error lint", "code = \"IVL050\";", ""),
+        ("error lint", "code = \"IVL050\";", "code = \"IVL050\"; code = \"IVL051\";"),
+        ("error lint", "line = 3;", "line = 4294967297;"),
+        ("error lint", "column = 9;", "column = 4294967299;"),
+        ("error lint", "line = 3;", "line = -3;"),
+        ("error lint", "column = 9;", ""),
+        ("error lint", "line = 3;", ""),
+        ("error lint", "column = 9;", "column = 9; extra = 1;"),
+        ("error lint", "diagnostics = [", "diagnostics = 3; d = ["),
+        ("error lint", "diagnostics = [", "diagnostics = [1]; d = ["),
+        ("error spec", "message = \"bad\\nspec\";", "message = \"bad\\nspec\"; diagnostics = [];"),
+        ("error spec", "faithful/1 error {", "faithful/1 fault {"),
+        ("error", "", "faithful/1 error"),
+        ("error", "", "faithful/1 error {"),
+        // checkpoints
+        ("checkpoint", "version = 1;", "version = 99;"),
+        ("checkpoint", "version = 1;", "version = one;"),
+        ("checkpoint", "version = 1;", ""),
+        ("checkpoint", "total = 5;", "total = 1;"),
+        ("checkpoint", "total = 5;", "total = 5.0;"),
+        ("checkpoint", "retried = 1;", "retried = -1;"),
+        ("checkpoint", "spec = \"", "spec = 3; s = \""),
+        ("checkpoint", "done = [", "done = 4; d = ["),
+        ("checkpoint", "done {", "dome {"),
+        ("checkpoint", "index = 3;", "index = 0;"),
+        ("checkpoint", "index = 3;", "index = 18446744073709551615;"),
+        ("checkpoint", "index = 3;", "index = three;"),
+        ("checkpoint", "index = 3;", ""),
+        ("checkpoint", "processed = 7;", "processed = \"7\";"),
+        ("checkpoint", "label = \"s0\";", "label = s0;"),
+        ("checkpoint", "label = \"s0\";", "label = 0;"),
+        ("checkpoint", "label = \"s0\";", "label = \"s0\"; label = \"s1\";"),
+        ("checkpoint", "signals = [\n", "signals = 1; s = [\n"),
+        ("checkpoint", "name = \"y\";", ""),
+        ("checkpoint", "times = [1.25]", "times = [-1.25]"),
+        ("checkpoint", "scheduled = 9;", "scheduled = 9; extra = 0;"),
+        ("checkpoint empty", "done = [];", "done = [1];"),
+        ("checkpoint", "", "faithful/1 checkpoint { version = 1 }"),
+    ];
+
+    /// What each reader says about each of [`MALFORMED`]: `Ok` or the
+    /// error's text.
+    fn reader_verdicts() -> String {
+        use std::fmt::Write as _;
+        let docs = golden_documents();
+        let mut out = String::new();
+        for &(doc, from, to) in MALFORMED {
+            let text = if from.is_empty() {
+                to.to_owned()
+            } else {
+                let (_, base) = docs.iter().find(|(name, _)| name == doc).unwrap();
+                assert!(base.contains(from), "{doc}: no {from:?}");
+                base.replacen(from, to, 1)
+            };
+            let verdict = match doc.split(' ').next().unwrap() {
+                "spec" => text
+                    .parse::<crate::ExperimentSpec>()
+                    .map(drop)
+                    .map_err(|e| e.to_string()),
+                "result" => parse_result(&text).map(drop).map_err(|e| e.to_string()),
+                "error" => parse_error(&text).map(drop).map_err(|e| e.to_string()),
+                "checkpoint" => crate::checkpoint::parse(&text)
+                    .map(drop)
+                    .map_err(|e| e.to_string()),
+                other => panic!("no reader for {other:?}"),
+            };
+            let _ = writeln!(out, "== {doc}: {from:?} -> {to:?}");
+            let _ = writeln!(out, "{}", verdict.err().as_deref().unwrap_or("Ok"));
+        }
+        out
+    }
+
+    #[test]
+    fn reader_errors_match_the_golden_file() {
+        let path = format!("{}/tests/reader_golden.txt", env!("CARGO_MANIFEST_DIR"));
+        let actual = reader_verdicts();
+        let golden = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            actual == golden,
+            "reader errors drifted from tests/reader_golden.txt; actual:\n{actual}"
         );
     }
 

@@ -29,7 +29,7 @@ use ivl_core::{Bit, Signal};
 
 use crate::error::{Span, SpecError};
 use crate::value::{
-    count, key_hash, parse_document, render_document, Sink, Value, ValueKind, Walk,
+    count, key_hash, parse_document, render_document, Fields, Read, Sink, Value, ValueKind, Walk,
 };
 
 /// A complete, serializable description of one experiment.
@@ -1619,152 +1619,8 @@ impl Walk for NoiseSpec {
 }
 
 // ======================================================================
-// Value conversion: tree -> spec
+// Reading: tree -> spec
 // ======================================================================
-
-/// A consuming reader over one node's fields with contextual errors.
-///
-/// Carries the node's span so every error it raises points back into
-/// the spec text when the value was parsed rather than built, and hands
-/// out a field's span ([`span_of`](Fields::span_of)) for the reader to
-/// record in [`SpecSpans`] as it consumes the field.
-pub(crate) struct Fields {
-    pub(crate) tag: String,
-    pub(crate) span: Option<Span>,
-    fields: Vec<(String, Option<Value>)>,
-}
-
-impl Fields {
-    pub(crate) fn of(value: Value, context: &str) -> Result<Fields, SpecError> {
-        let span = value.span();
-        match value.into_kind() {
-            ValueKind::Node(tag, fields) => Ok(Fields {
-                tag,
-                span,
-                fields: fields.into_iter().map(|(n, v)| (n, Some(v))).collect(),
-            }),
-            ValueKind::Word(tag) => Ok(Fields {
-                tag,
-                span,
-                fields: Vec::new(),
-            }),
-            other => Err(SpecError::new(format!(
-                "{context}: expected a tagged node, found {}",
-                Value::from(other)
-            ))
-            .at(span)),
-        }
-    }
-
-    pub(crate) fn expect_tag(&self, expected: &[&str]) -> Result<(), SpecError> {
-        if expected.contains(&self.tag.as_str()) {
-            Ok(())
-        } else {
-            Err(SpecError::new(format!(
-                "unexpected tag {:?} (expected one of {expected:?})",
-                self.tag
-            ))
-            .at(self.span))
-        }
-    }
-
-    /// The span of field `name`, if it is present and not yet taken.
-    fn span_of(&self, name: &str) -> Option<Span> {
-        let (_, v) = self.fields.iter().find(|(n, v)| n == name && v.is_some())?;
-        v.as_ref()?.span()
-    }
-
-    pub(crate) fn take(&mut self, name: &str) -> Option<Value> {
-        self.fields
-            .iter_mut()
-            .find(|(n, v)| n == name && v.is_some())
-            .and_then(|(_, v)| v.take())
-    }
-
-    pub(crate) fn req(&mut self, name: &str) -> Result<Value, SpecError> {
-        let span = self.span;
-        self.take(name)
-            .ok_or_else(|| SpecError::new(format!("{}: missing field {name:?}", self.tag)).at(span))
-    }
-
-    pub(crate) fn f64(&mut self, name: &str) -> Result<f64, SpecError> {
-        as_f64(&self.req(name)?, &self.tag, name)
-    }
-
-    pub(crate) fn u64(&mut self, name: &str) -> Result<u64, SpecError> {
-        as_u64(&self.req(name)?, &self.tag, name)
-    }
-
-    pub(crate) fn u32(&mut self, name: &str) -> Result<u32, SpecError> {
-        let v = self.req(name)?;
-        self.as_u32(&v, name)
-    }
-
-    /// An optional `u32` field: `None` when absent.
-    pub(crate) fn opt_u32(&mut self, name: &str) -> Result<Option<u32>, SpecError> {
-        self.take(name).map(|v| self.as_u32(&v, name)).transpose()
-    }
-
-    /// An optional integer field: `None` when absent.
-    pub(crate) fn opt_u64(&mut self, name: &str) -> Result<Option<u64>, SpecError> {
-        self.take(name)
-            .map(|v| as_u64(&v, &self.tag, name))
-            .transpose()
-    }
-
-    /// An optional real field: `None` when absent.
-    pub(crate) fn opt_f64(&mut self, name: &str) -> Result<Option<f64>, SpecError> {
-        self.take(name)
-            .map(|v| as_f64(&v, &self.tag, name))
-            .transpose()
-    }
-
-    /// An optional word or string field: `None` when absent.
-    pub(crate) fn opt_string(&mut self, name: &str) -> Result<Option<String>, SpecError> {
-        self.take(name)
-            .map(|v| into_text(v, &self.tag, name))
-            .transpose()
-    }
-
-    /// A `u32` field value; out of range is an error at its span.
-    fn as_u32(&self, v: &Value, name: &str) -> Result<u32, SpecError> {
-        u32::try_from(as_u64(v, &self.tag, name)?).map_err(|_| {
-            SpecError::new(format!("{}: field {name:?} out of range", self.tag)).at(v.span())
-        })
-    }
-
-    pub(crate) fn bool(&mut self, name: &str) -> Result<bool, SpecError> {
-        as_bool(&self.req(name)?, &self.tag, name)
-    }
-
-    pub(crate) fn string(&mut self, name: &str) -> Result<String, SpecError> {
-        into_text(self.req(name)?, &self.tag, name)
-    }
-
-    pub(crate) fn list(&mut self, name: &str) -> Result<Vec<Value>, SpecError> {
-        let v = self.req(name)?;
-        let span = v.span();
-        match v.into_kind() {
-            ValueKind::List(items) => Ok(items),
-            other => Err(SpecError::new(format!(
-                "{}: field {name:?} must be a list, found {}",
-                self.tag,
-                Value::from(other)
-            ))
-            .at(span)),
-        }
-    }
-
-    pub(crate) fn finish(self) -> Result<(), SpecError> {
-        if let Some((name, v)) = self.fields.iter().find(|(_, v)| v.is_some()) {
-            return Err(
-                SpecError::new(format!("{}: unknown field {name:?}", self.tag))
-                    .at(v.as_ref().and_then(Value::span).or(self.span)),
-            );
-        }
-        Ok(())
-    }
-}
 
 /// A signal in result documents and checkpoints: the node
 /// `sig { initial; times }`.
@@ -1796,78 +1652,34 @@ fn walk_sig(s: &mut impl Sink, name: Option<&str>, signal: &Signal) {
     }
 }
 
-/// Decodes a `sig` node.
-pub(crate) fn sig_from_value(value: Value) -> Result<(Option<String>, Signal), SpecError> {
-    let mut f = Fields::of(value, "sig")?;
-    f.expect_tag(&["sig"])?;
-    let name = f.opt_string("name")?;
-    let initial = Bit::from(f.bool("initial")?);
-    let times = f
-        .list("times")?
-        .iter()
-        .map(|v| as_f64(v, "sig", "times"))
-        .collect::<Result<Vec<f64>, _>>()?;
-    let span = f.span;
-    f.finish()?;
-    let signal = Signal::from_times(initial, &times)
-        .map_err(|e| SpecError::new(format!("sig: invalid signal: {e}")).at(span))?;
-    Ok((name, signal))
-}
-
-/// Decodes a list of `sig` nodes, every one named.
-pub(crate) fn named_sigs_from_value(
-    values: Vec<Value>,
-) -> Result<Vec<(String, Signal)>, SpecError> {
-    let named = |v| match sig_from_value(v)? {
-        (Some(name), signal) => Ok((name, signal)),
-        (None, _) => Err(SpecError::new("sig: missing field \"name\"")),
-    };
-    values.into_iter().map(named).collect()
-}
-
-fn as_f64(v: &Value, tag: &str, name: &str) -> Result<f64, SpecError> {
-    match v.kind() {
-        ValueKind::Num(x) => Ok(*x),
-        #[allow(clippy::cast_precision_loss)]
-        ValueKind::Int(x) => Ok(*x as f64),
-        _ => Err(
-            SpecError::new(format!("{tag}: field {name:?} must be a number, found {v}"))
-                .at(v.span()),
-        ),
+/// A `sig` node and its name, when it has one.
+impl Read for (Option<String>, Signal) {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        let span = value.span();
+        let (name, initial, times) = Fields::node(value, "sig", |f| {
+            let name = f.opt("name")?;
+            Ok((name, f.req::<bool>("initial")?, f.req::<Vec<f64>>("times")?))
+        })?;
+        let signal = Signal::from_times(Bit::from(initial), &times)
+            .map_err(|e| SpecError::new(format!("sig: invalid signal: {e}")).at(span))?;
+        Ok((name, signal))
     }
 }
 
-fn as_u64(v: &Value, tag: &str, name: &str) -> Result<u64, SpecError> {
-    match v.kind() {
-        ValueKind::Int(x) => Ok(*x),
-        _ => Err(SpecError::new(format!(
-            "{tag}: field {name:?} must be an integer, found {v}"
-        ))
-        .at(v.span())),
+/// A `sig` node; a name is allowed and dropped.
+impl Read for Signal {
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        Ok(<(Option<String>, Signal)>::read(value, tag, name)?.1)
     }
 }
 
-fn as_bool(v: &Value, tag: &str, name: &str) -> Result<bool, SpecError> {
-    match v.kind() {
-        ValueKind::Word(w) if w == "true" => Ok(true),
-        ValueKind::Word(w) if w == "false" => Ok(false),
-        _ => Err(SpecError::new(format!(
-            "{tag}: field {name:?} must be true or false, found {v}"
-        ))
-        .at(v.span())),
-    }
-}
-
-/// The text of a string or word, moved out of `v`.
-fn into_text(v: Value, tag: &str, name: &str) -> Result<String, SpecError> {
-    let span = v.span();
-    match v.into_kind() {
-        ValueKind::Str(s) | ValueKind::Word(s) => Ok(s),
-        other => Err(SpecError::new(format!(
-            "{tag}: field {name:?} must be a string, found {}",
-            Value::from(other)
-        ))
-        .at(span)),
+/// A `sig` node that must be named.
+impl Read for (String, Signal) {
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        match <(Option<String>, Signal)>::read(value, tag, name)? {
+            (Some(name), signal) => Ok((name, signal)),
+            (None, _) => Err(SpecError::new("sig: missing field \"name\"")),
+        }
     }
 }
 
@@ -1896,569 +1708,485 @@ pub(crate) struct SpecSpans {
     pub(crate) delay: Option<Span>,
 }
 
-fn item_spans(items: &[Value]) -> Vec<Option<Span>> {
-    items.iter().map(Value::span).collect()
+/// Reads each of `items` (the list field `tag.name`) as a `T`, after
+/// recording their spans in `spans`.
+fn read_items<T: Read>(
+    items: Vec<Value>,
+    spans: &mut Vec<Option<Span>>,
+    tag: &str,
+    name: &str,
+) -> Result<Vec<T>, SpecError> {
+    *spans = items.iter().map(Value::span).collect();
+    items.into_iter().map(|v| T::read(v, tag, name)).collect()
 }
 
 impl ExperimentSpec {
     /// Parses a spec document, recording the [`SpecSpans`] of the parse.
     pub(crate) fn parse_spanned(text: &str) -> Result<(Self, SpecSpans), SpecError> {
-        let mut spans = SpecSpans::default();
-        let spec = Self::from_value(parse_document(text)?, &mut spans)?;
-        Ok((spec, spans))
-    }
-
-    fn from_value(value: Value, sp: &mut SpecSpans) -> Result<Self, SpecError> {
-        let mut f = Fields::of(value, "workload")?;
-        sp.workload = f.span;
-        let workload = match f.tag.as_str() {
-            "channel" => {
-                sp.channel = f.span_of("channel");
-                let channel = channel_from_value(f.req("channel")?)?;
-                let input = signal_from_value(f.req("input")?)?;
-                WorkloadSpec::Channel(ChannelRunSpec { channel, input })
-            }
-            "digital" => WorkloadSpec::Digital(digital_from_fields(&mut f, sp)?),
-            "analog" => WorkloadSpec::Analog(analog_from_fields(&mut f, sp)?),
-            "spf" => WorkloadSpec::Spf(spf_from_fields(&mut f, sp)?),
-            other => {
-                return Err(SpecError::new(format!(
-                    "unknown workload kind {other:?} (expected channel, digital, analog or spf)"
-                ))
-                .at(f.span))
-            }
-        };
-        f.finish()?;
-        Ok(ExperimentSpec { workload })
-    }
-}
-
-fn channel_from_value(value: Value) -> Result<ChannelSpec, SpecError> {
-    let f = Fields::of(value, "channel")?;
-    let mut params = ChannelParams::new();
-    for (name, v) in f.fields {
-        let v = v.expect("freshly constructed fields are present");
-        let span = v.span();
-        params = match v.into_kind() {
-            ValueKind::Num(x) => params.with_num(name, x),
-            ValueKind::Int(x) => params.with_int(name, x),
-            ValueKind::Word(text) | ValueKind::Str(text) => params.with_text(name, text),
-            other => {
-                return Err(SpecError::new(format!(
-                    "{}: channel parameter {name:?} must be scalar, found {}",
-                    f.tag,
-                    Value::from(other)
-                ))
-                .at(span))
-            }
-        };
-    }
-    Ok(ChannelSpec {
-        kind: f.tag,
-        params,
-    })
-}
-
-fn signal_from_value(value: Value) -> Result<SignalSpec, SpecError> {
-    let mut f = Fields::of(value, "signal")?;
-    let spec = match f.tag.as_str() {
-        "zero" => SignalSpec::Zero,
-        "pulse" => SignalSpec::Pulse {
-            at: f.f64("at")?,
-            width: f.f64("width")?,
-        },
-        "train" => {
-            let mut pulses = Vec::new();
-            for item in f.list("pulses")? {
-                match item.kind() {
-                    ValueKind::List(pair) if pair.len() == 2 => {
-                        pulses.push((
-                            as_f64(&pair[0], "train", "start")?,
-                            as_f64(&pair[1], "train", "width")?,
-                        ));
-                    }
-                    _ => {
-                        return Err(SpecError::new(format!(
-                            "train: each pulse must be a [start, width] pair, found {item}"
-                        ))
-                        .at(item.span()))
-                    }
+        let mut sp = SpecSpans::default();
+        let workload = Fields::variant(parse_document(text)?, "workload", |f| {
+            sp.workload = f.span;
+            Ok(match f.tag.as_str() {
+                "channel" => {
+                    sp.channel = f.span_of("channel");
+                    WorkloadSpec::Channel(ChannelRunSpec {
+                        channel: f.req("channel")?,
+                        input: f.req("input")?,
+                    })
                 }
+                "digital" => WorkloadSpec::Digital(digital_from_fields(f, &mut sp)?),
+                "analog" => WorkloadSpec::Analog(analog_from_fields(f, &mut sp)?),
+                "spf" => WorkloadSpec::Spf(spf_from_fields(f, &mut sp)?),
+                _ => return Err(f.unknown("workload kind", "channel, digital, analog or spf")),
+            })
+        })?;
+        Ok((ExperimentSpec { workload }, sp))
+    }
+}
+
+/// A channel: its kind's tag and scalar parameters, in document order.
+impl Read for ChannelSpec {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        let (kind, fields) = Fields::of(value, "channel")?.into_parts();
+        let mut params = ChannelParams::new();
+        for (name, v) in fields {
+            let span = v.span();
+            params = match v.into_kind() {
+                ValueKind::Num(x) => params.with_num(name, x),
+                ValueKind::Int(x) => params.with_int(name, x),
+                ValueKind::Word(text) | ValueKind::Str(text) => params.with_text(name, text),
+                other => {
+                    return Err(SpecError::new(format!(
+                        "{kind}: channel parameter {name:?} must be scalar, found {}",
+                        Value::from(other)
+                    ))
+                    .at(span))
+                }
+            };
+        }
+        Ok(ChannelSpec { kind, params })
+    }
+}
+
+impl Read for SignalSpec {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::variant(value, "signal", |f| {
+            Ok(match f.tag.as_str() {
+                "zero" => SignalSpec::Zero,
+                "pulse" => SignalSpec::Pulse {
+                    at: f.req("at")?,
+                    width: f.req("width")?,
+                },
+                "train" => SignalSpec::Train {
+                    pulses: pairs(f.req("pulses")?, "train", "pulse", ["start", "width"])?,
+                },
+                "times" => SignalSpec::Times {
+                    initial: f.req("initial")?,
+                    times: f.req("at")?,
+                },
+                _ => return Err(f.unknown("signal kind", "zero, pulse, train or times")),
+            })
+        })
+    }
+}
+
+/// `[a, b]` pairs of reals (a train's pulses, an empirical reference's
+/// samples), whose halves errors name `a` and `b`; any other item is
+/// the error that each `what` must be such a pair.
+fn pairs(
+    items: Vec<Value>,
+    tag: &str,
+    what: &str,
+    [a, b]: [&str; 2],
+) -> Result<Vec<(f64, f64)>, SpecError> {
+    // "a [start, width] pair", "an [offset, delay] pair"
+    let article = if a.starts_with(['a', 'e', 'i', 'o', 'u']) {
+        "an"
+    } else {
+        "a"
+    };
+    let pair = |item: Value| {
+        let span = item.span();
+        match item.into_kind() {
+            ValueKind::List(pair) if pair.len() == 2 => {
+                let [x, y] = <[Value; 2]>::try_from(pair).expect("two items");
+                Ok((f64::read(x, tag, a)?, f64::read(y, tag, b)?))
             }
-            SignalSpec::Train { pulses }
-        }
-        "times" => {
-            let initial = f.bool("initial")?;
-            let times = f
-                .list("at")?
-                .iter()
-                .map(|v| as_f64(v, "times", "at"))
-                .collect::<Result<Vec<_>, _>>()?;
-            SignalSpec::Times { initial, times }
-        }
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown signal kind {other:?} (expected zero, pulse, train or times)"
+            other => Err(SpecError::new(format!(
+                "{tag}: each {what} must be {article} [{a}, {b}] pair, found {}",
+                Value::from(other)
             ))
-            .at(f.span))
+            .at(span)),
         }
     };
-    f.finish()?;
-    Ok(spec)
+    items.into_iter().map(pair).collect()
 }
 
 fn digital_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<DigitalSpec, SpecError> {
     sp.topology = f.span_of("topology");
-    let topology = topology_from_value(f.req("topology")?, sp)?;
     sp.horizon = f.span_of("horizon");
-    let horizon = f.f64("horizon")?;
     sp.max_events = f.span_of("max_events");
-    let max_events = f.opt_u64("max_events")?;
-    let workers = take_workers(f, sp)?;
+    sp.workers = f.span_of("workers");
     sp.on_failure = f.span_of("on_failure");
-    let on_failure = match f.take("on_failure") {
-        None => FailurePolicySpec::default(),
-        Some(v) => {
-            let mut pf = Fields::of(v, "on_failure")?;
-            let p = match pf.tag.as_str() {
-                "abort" => FailurePolicySpec::Abort,
-                "skip" => FailurePolicySpec::Skip,
-                "retry" => FailurePolicySpec::Retry {
-                    attempts: pf.u32("attempts")?,
-                },
-                other => {
-                    return Err(SpecError::new(format!(
-                        "unknown failure policy {other:?} (expected abort, skip or retry)"
-                    ))
-                    .at(pf.span))
-                }
-            };
-            pf.finish()?;
-            p
-        }
-    };
-    let scenarios = f.list("scenarios")?;
-    sp.scenarios = item_spans(&scenarios);
-    let scenarios = scenarios
-        .into_iter()
-        .map(scenario_from_value)
-        .collect::<Result<Vec<_>, _>>()?;
-    let outputs = match f.take("outputs") {
-        None => OutputSelect::default(),
-        Some(v) => {
-            let mut of = Fields::of(v, "outputs")?;
-            of.expect_tag(&["outputs"])?;
-            let signals = of.bool("signals")?;
-            let stats = of.bool("stats")?;
-            let vcd = of.bool("vcd")?;
-            let watch = match of.take("watch") {
-                None => Vec::new(),
-                Some(v) => {
-                    let span = v.span();
-                    match v.into_kind() {
-                        ValueKind::List(items) => {
-                            sp.watch = item_spans(&items);
-                            items
-                                .into_iter()
-                                .map(|v| into_text(v, "outputs", "watch"))
-                                .collect::<Result<Vec<_>, _>>()?
-                        }
-                        other => {
-                            return Err(SpecError::new(format!(
-                                "outputs: field \"watch\" must be a list, found {}",
-                                Value::from(other)
-                            ))
-                            .at(span))
-                        }
-                    }
-                }
-            };
-            let sel = OutputSelect {
-                signals,
-                stats,
-                vcd,
-                watch,
-            };
-            of.finish()?;
-            sel
-        }
-    };
     Ok(DigitalSpec {
-        topology,
-        horizon,
-        max_events,
-        workers,
-        on_failure,
-        scenarios,
-        outputs,
+        topology: topology_from_value(f.req("topology")?, sp)?,
+        horizon: f.req("horizon")?,
+        max_events: f.opt("max_events")?,
+        workers: f.opt("workers")?,
+        on_failure: f.opt("on_failure")?.unwrap_or_default(),
+        scenarios: read_items(
+            f.req("scenarios")?,
+            &mut sp.scenarios,
+            "digital",
+            "scenarios",
+        )?,
+        outputs: match f.opt("outputs")? {
+            None => OutputSelect::default(),
+            Some(v) => Fields::node(v, "outputs", |f| {
+                let (signals, stats, vcd) = (f.req("signals")?, f.req("stats")?, f.req("vcd")?);
+                let watch = f.opt("watch")?.unwrap_or_default();
+                Ok(OutputSelect {
+                    signals,
+                    stats,
+                    vcd,
+                    watch: read_items(watch, &mut sp.watch, "outputs", "watch")?,
+                })
+            })?,
+        },
     })
 }
 
-fn take_workers(f: &mut Fields, sp: &mut SpecSpans) -> Result<Option<u32>, SpecError> {
-    sp.workers = f.span_of("workers");
-    f.opt_u32("workers")
+impl Read for FailurePolicySpec {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::variant(value, "on_failure", |f| {
+            Ok(match f.tag.as_str() {
+                "abort" => FailurePolicySpec::Abort,
+                "skip" => FailurePolicySpec::Skip,
+                "retry" => FailurePolicySpec::Retry {
+                    attempts: f.req("attempts")?,
+                },
+                _ => return Err(f.unknown("failure policy", "abort, skip or retry")),
+            })
+        })
+    }
 }
 
 fn topology_from_value(value: Value, sp: &mut SpecSpans) -> Result<TopologySpec, SpecError> {
-    let mut f = Fields::of(value, "topology")?;
-    // a generator's channel; a netlist has none at this level
-    sp.channel = f.span_of("channel");
-    let t = match f.tag.as_str() {
-        "netlist" => {
-            let nodes = f.list("nodes")?;
-            sp.nodes = item_spans(&nodes);
-            let nodes = nodes
-                .into_iter()
-                .map(node_from_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            let edges = f
-                .list("edges")?
-                .into_iter()
-                .map(|e| edge_from_value(e, sp))
-                .collect::<Result<Vec<_>, _>>()?;
-            TopologySpec::Netlist(NetlistSpec { nodes, edges })
-        }
-        "chain" => TopologySpec::InverterChain {
-            stages: f.u32("stages")?,
-            channel: channel_from_value(f.req("channel")?)?,
-        },
-        "grid" => TopologySpec::Grid2d {
-            width: f.u32("width")?,
-            height: f.u32("height")?,
-            channel: channel_from_value(f.req("channel")?)?,
-        },
-        "random_dag" => TopologySpec::RandomDag {
-            nodes: f.u32("nodes")?,
-            seed: f.opt_u64("seed")?,
-            channel: channel_from_value(f.req("channel")?)?,
-        },
-        "fat_tree" => TopologySpec::FatTree {
-            depth: f.u32("depth")?,
-            channel: channel_from_value(f.req("channel")?)?,
-        },
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown topology kind {other:?} (expected netlist, chain, grid, random_dag or fat_tree)"
-            ))
-            .at(f.span))
-        }
-    };
-    f.finish()?;
-    Ok(t)
+    Fields::variant(value, "topology", |f| {
+        // a generator's channel; a netlist has none at this level
+        sp.channel = f.span_of("channel");
+        Ok(match f.tag.as_str() {
+            "netlist" => {
+                let nodes = read_items(f.req("nodes")?, &mut sp.nodes, "netlist", "nodes")?;
+                let edges = f
+                    .req::<Vec<Value>>("edges")?
+                    .into_iter()
+                    .map(|e| edge_from_value(e, sp))
+                    .collect::<Result<_, _>>()?;
+                TopologySpec::Netlist(NetlistSpec { nodes, edges })
+            }
+            "chain" => TopologySpec::InverterChain {
+                stages: f.req("stages")?,
+                channel: f.req("channel")?,
+            },
+            "grid" => TopologySpec::Grid2d {
+                width: f.req("width")?,
+                height: f.req("height")?,
+                channel: f.req("channel")?,
+            },
+            "random_dag" => TopologySpec::RandomDag {
+                nodes: f.req("nodes")?,
+                seed: f.opt("seed")?,
+                channel: f.req("channel")?,
+            },
+            "fat_tree" => TopologySpec::FatTree {
+                depth: f.req("depth")?,
+                channel: f.req("channel")?,
+            },
+            _ => {
+                return Err(f.unknown(
+                    "topology kind",
+                    "netlist, chain, grid, random_dag or fat_tree",
+                ))
+            }
+        })
+    })
 }
 
-fn node_from_value(value: Value) -> Result<NodeSpec, SpecError> {
-    let mut f = Fields::of(value, "node")?;
-    let n = match f.tag.as_str() {
-        "input" => NodeSpec::Input {
-            name: f.string("name")?,
-        },
-        "output" => NodeSpec::Output {
-            name: f.string("name")?,
-        },
-        "gate" => NodeSpec::Gate {
-            name: f.string("name")?,
-            kind: gate_kind_from_value(f.req("kind")?)?,
-            arity: f.opt_u32("arity")?,
-            init: f.bool("init")?,
-        },
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown node kind {other:?} (expected input, output or gate)"
-            ))
-            .at(f.span))
-        }
-    };
-    f.finish()?;
-    Ok(n)
+impl Read for NodeSpec {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::variant(value, "node", |f| {
+            Ok(match f.tag.as_str() {
+                "input" => NodeSpec::Input {
+                    name: f.req("name")?,
+                },
+                "output" => NodeSpec::Output {
+                    name: f.req("name")?,
+                },
+                "gate" => NodeSpec::Gate {
+                    name: f.req("name")?,
+                    kind: f.req("kind")?,
+                    arity: f.opt("arity")?,
+                    init: f.req("init")?,
+                },
+                _ => return Err(f.unknown("node kind", "input, output or gate")),
+            })
+        })
+    }
 }
 
-fn gate_kind_from_value(value: Value) -> Result<GateKindSpec, SpecError> {
-    let mut f = Fields::of(value, "gate kind")?;
-    let k = match f.tag.as_str() {
-        "buf" => GateKindSpec::Buf,
-        "not" => GateKindSpec::Not,
-        "and" => GateKindSpec::And,
-        "or" => GateKindSpec::Or,
-        "nand" => GateKindSpec::Nand,
-        "nor" => GateKindSpec::Nor,
-        "xor" => GateKindSpec::Xor,
-        "xnor" => GateKindSpec::Xnor,
-        "table" => {
-            let inputs = f.u32("inputs")?;
-            let rows = f
-                .list("rows")?
-                .iter()
-                .map(|v| Ok(as_u64(v, "table", "rows")? != 0))
-                .collect::<Result<Vec<_>, SpecError>>()?;
-            GateKindSpec::Table { inputs, rows }
-        }
-        other => return Err(SpecError::new(format!("unknown gate kind {other:?}")).at(f.span)),
-    };
-    f.finish()?;
-    Ok(k)
+impl Read for GateKindSpec {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::variant(value, "gate kind", |f| {
+            Ok(match f.tag.as_str() {
+                "buf" => GateKindSpec::Buf,
+                "not" => GateKindSpec::Not,
+                "and" => GateKindSpec::And,
+                "or" => GateKindSpec::Or,
+                "nand" => GateKindSpec::Nand,
+                "nor" => GateKindSpec::Nor,
+                "xor" => GateKindSpec::Xor,
+                "xnor" => GateKindSpec::Xnor,
+                "table" => GateKindSpec::Table {
+                    inputs: f.req("inputs")?,
+                    rows: f.req::<Vec<u64>>("rows")?.iter().map(|&r| r != 0).collect(),
+                },
+                _ => return Err(f.unknown("gate kind", "")),
+            })
+        })
+    }
 }
 
 fn edge_from_value(value: Value, sp: &mut SpecSpans) -> Result<EdgeSpec, SpecError> {
     sp.edges.push(value.span());
-    let mut f = Fields::of(value, "edge")?;
-    f.expect_tag(&["edge"])?;
-    sp.edge_channels.push(f.span_of("channel"));
-    let e = EdgeSpec {
-        from: f.string("from")?,
-        to: f.string("to")?,
-        pin: f.u32("pin")?,
-        channel: f.take("channel").map(channel_from_value).transpose()?,
-    };
-    f.finish()?;
-    Ok(e)
+    Fields::node(value, "edge", |f| {
+        sp.edge_channels.push(f.span_of("channel"));
+        Ok(EdgeSpec {
+            from: f.req("from")?,
+            to: f.req("to")?,
+            pin: f.req("pin")?,
+            channel: f.opt("channel")?,
+        })
+    })
 }
 
-fn scenario_from_value(value: Value) -> Result<ScenarioSpec, SpecError> {
-    let mut f = Fields::of(value, "scenario")?;
-    f.expect_tag(&["scenario"])?;
-    let label = f.string("label")?;
-    let seed = f.opt_u64("seed")?;
-    let mut inputs = Vec::new();
-    for item in f.list("inputs")? {
-        let mut df = Fields::of(item, "drive")?;
-        df.expect_tag(&["drive"])?;
-        let port = df.string("port")?;
-        let signal = signal_from_value(df.req("signal")?)?;
-        df.finish()?;
-        inputs.push((port, signal));
+impl Read for ScenarioSpec {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "scenario", |f| {
+            Ok(ScenarioSpec {
+                label: f.req("label")?,
+                seed: f.opt("seed")?,
+                inputs: f.req("inputs")?,
+            })
+        })
     }
-    f.finish()?;
-    Ok(ScenarioSpec {
-        label,
-        seed,
-        inputs,
-    })
+}
+
+/// A scenario's input: `drive { port; signal }`.
+impl Read for (String, SignalSpec) {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "drive", |f| Ok((f.req("port")?, f.req("signal")?)))
+    }
 }
 
 fn analog_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<AnalogSpec, SpecError> {
-    let mut cf = Fields::of(f.req("chain")?, "chain")?;
-    cf.expect_tag(&["chain"])?;
-    let chain = ChainSpec {
-        stages: cf.u32("stages")?,
-        width_scale: cf.f64("width_scale")?,
-    };
-    cf.finish()?;
-
-    let mut sf = Fields::of(f.req("supply")?, "supply")?;
-    let supply = match sf.tag.as_str() {
-        "dc" => SupplySpec::Dc {
-            volts: sf.f64("volts")?,
-        },
-        "sine" => SupplySpec::Sine {
-            nominal: sf.f64("nominal")?,
-            amplitude: sf.f64("amplitude")?,
-            period: sf.f64("period")?,
-            phase: sf.f64("phase")?,
-        },
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown supply kind {other:?} (expected dc or sine)"
-            ))
-            .at(sf.span))
-        }
-    };
-    sf.finish()?;
-
-    let mut wf = Fields::of(f.req("sweep")?, "sweep")?;
-    wf.expect_tag(&["sweep"])?;
-    sp.widths = wf.span_of("widths");
-    let widths = wf
-        .list("widths")?
-        .iter()
-        .map(|v| as_f64(v, "sweep", "widths"))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut sweep = SweepSpec {
-        widths,
-        settle: wf.f64("settle")?,
-        tail: wf.f64("tail")?,
-        dt: wf.f64("dt")?,
-        slew: wf.f64("slew")?,
-        stage: wf.u32("stage")?,
-        integrator: IntegratorSpec::default(),
-    };
-    let mut intf = Fields::of(wf.req("integrator")?, "integrator")?;
-    sweep.integrator = match intf.tag.as_str() {
-        "rk4" => IntegratorSpec::Rk4,
-        "rk45" => IntegratorSpec::Rk45 {
-            rtol: intf.f64("rtol")?,
-            atol: intf.f64("atol")?,
-        },
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown integrator {other:?} (expected rk4 or rk45)"
-            ))
-            .at(intf.span))
-        }
-    };
-    intf.finish()?;
-    wf.finish()?;
-
-    let mut tf = Fields::of(f.req("task")?, "task")?;
-    let task = match tf.tag.as_str() {
-        "samples" => AnalogTask::Samples {
-            inverted: tf.bool("inverted")?,
-        },
-        "characterize" => AnalogTask::Characterize,
-        "deviations" => {
-            let reference = reference_from_value(tf.req("reference")?)?;
-            let orientation = match tf.string("orientation")?.as_str() {
-                "both" => Orientation::Both,
-                "normal" => Orientation::Normal,
-                "inverted" => Orientation::Inverted,
-                other => {
-                    return Err(SpecError::new(format!(
-                        "unknown orientation {other:?} (expected both, normal or inverted)"
-                    ))
-                    .at(tf.span))
-                }
-            };
-            AnalogTask::Deviations {
-                reference,
-                orientation,
-            }
-        }
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown analog task {other:?} (expected samples, characterize or deviations)"
-            ))
-            .at(tf.span))
-        }
-    };
-    tf.finish()?;
-
-    let workers = take_workers(f, sp)?;
+    sp.workers = f.span_of("workers");
     Ok(AnalogSpec {
-        chain,
-        supply,
-        sweep,
-        task,
-        workers,
+        chain: f.req("chain")?,
+        supply: f.req("supply")?,
+        sweep: Fields::node(f.req("sweep")?, "sweep", |f| {
+            sp.widths = f.span_of("widths");
+            Ok(SweepSpec {
+                widths: f.req("widths")?,
+                settle: f.req("settle")?,
+                tail: f.req("tail")?,
+                dt: f.req("dt")?,
+                slew: f.req("slew")?,
+                stage: f.req("stage")?,
+                integrator: f.req("integrator")?,
+            })
+        })?,
+        task: f.req("task")?,
+        workers: f.opt("workers")?,
     })
 }
 
-fn reference_from_value(value: Value) -> Result<ReferenceSpec, SpecError> {
-    let mut f = Fields::of(value, "reference")?;
-    let r = match f.tag.as_str() {
-        "exp" => ReferenceSpec::Exp {
-            tau: f.f64("tau")?,
-            t_p: f.f64("t_p")?,
-            v_th: f.f64("v_th")?,
-        },
-        "rational" => ReferenceSpec::Rational {
-            a: f.f64("a")?,
-            b: f.f64("b")?,
-            c: f.f64("c")?,
-        },
-        "self_empirical" => ReferenceSpec::SelfEmpirical,
-        "empirical" => ReferenceSpec::Empirical {
-            up: samples_from_value(f.req("up")?)?,
-            down: samples_from_value(f.req("down")?)?,
-        },
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown reference {other:?} (expected exp, rational, empirical or self_empirical)"
-            ))
-            .at(f.span))
-        }
-    };
-    f.finish()?;
-    Ok(r)
+impl Read for ChainSpec {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::node(value, "chain", |f| {
+            Ok(ChainSpec {
+                stages: f.req("stages")?,
+                width_scale: f.req("width_scale")?,
+            })
+        })
+    }
 }
 
-fn samples_from_value(value: Value) -> Result<Vec<(f64, f64)>, SpecError> {
+impl Read for SupplySpec {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::variant(value, "supply", |f| {
+            Ok(match f.tag.as_str() {
+                "dc" => SupplySpec::Dc {
+                    volts: f.req("volts")?,
+                },
+                "sine" => SupplySpec::Sine {
+                    nominal: f.req("nominal")?,
+                    amplitude: f.req("amplitude")?,
+                    period: f.req("period")?,
+                    phase: f.req("phase")?,
+                },
+                _ => return Err(f.unknown("supply kind", "dc or sine")),
+            })
+        })
+    }
+}
+
+impl Read for IntegratorSpec {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::variant(value, "integrator", |f| {
+            Ok(match f.tag.as_str() {
+                "rk4" => IntegratorSpec::Rk4,
+                "rk45" => IntegratorSpec::Rk45 {
+                    rtol: f.req("rtol")?,
+                    atol: f.req("atol")?,
+                },
+                _ => return Err(f.unknown("integrator", "rk4 or rk45")),
+            })
+        })
+    }
+}
+
+impl Read for AnalogTask {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::variant(value, "task", |f| {
+            Ok(match f.tag.as_str() {
+                "samples" => AnalogTask::Samples {
+                    inverted: f.req("inverted")?,
+                },
+                "characterize" => AnalogTask::Characterize,
+                "deviations" => AnalogTask::Deviations {
+                    reference: f.req("reference")?,
+                    orientation: match f.req::<String>("orientation")?.as_str() {
+                        "both" => Orientation::Both,
+                        "normal" => Orientation::Normal,
+                        "inverted" => Orientation::Inverted,
+                        other => {
+                            return Err(SpecError::new(format!(
+                                "unknown orientation {other:?} (expected both, normal or inverted)"
+                            ))
+                            .at(f.span))
+                        }
+                    },
+                },
+                _ => return Err(f.unknown("analog task", "samples, characterize or deviations")),
+            })
+        })
+    }
+}
+
+impl Read for ReferenceSpec {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::variant(value, "reference", |f| {
+            Ok(match f.tag.as_str() {
+                "exp" => ReferenceSpec::Exp {
+                    tau: f.req("tau")?,
+                    t_p: f.req("t_p")?,
+                    v_th: f.req("v_th")?,
+                },
+                "rational" => ReferenceSpec::Rational {
+                    a: f.req("a")?,
+                    b: f.req("b")?,
+                    c: f.req("c")?,
+                },
+                "self_empirical" => ReferenceSpec::SelfEmpirical,
+                "empirical" => ReferenceSpec::Empirical {
+                    up: samples(f.req("up")?)?,
+                    down: samples(f.req("down")?)?,
+                },
+                _ => {
+                    return Err(f.unknown("reference", "exp, rational, empirical or self_empirical"))
+                }
+            })
+        })
+    }
+}
+
+/// An empirical reference's `[offset, delay]` samples.
+fn samples(value: Value) -> Result<Vec<(f64, f64)>, SpecError> {
     let span = value.span();
     let ValueKind::List(items) = value.into_kind() else {
         return Err(SpecError::new("empirical: samples must be a list").at(span));
     };
-    items
-        .into_iter()
-        .map(|item| match item.kind() {
-            ValueKind::List(pair) if pair.len() == 2 => Ok((
-                as_f64(&pair[0], "empirical", "offset")?,
-                as_f64(&pair[1], "empirical", "delay")?,
-            )),
-            _ => Err(SpecError::new(format!(
-                "empirical: each sample must be an [offset, delay] pair, found {item}"
-            ))
-            .at(item.span())),
-        })
-        .collect()
+    pairs(items, "empirical", "sample", ["offset", "delay"])
 }
 
 fn spf_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<SpfSpec, SpecError> {
     sp.delay = f.span_of("delay");
-    let mut df = Fields::of(f.req("delay")?, "delay")?;
-    let delay = match df.tag.as_str() {
-        "exp" => DelaySpec::Exp {
-            tau: df.f64("tau")?,
-            t_p: df.f64("t_p")?,
-            v_th: df.f64("v_th")?,
-        },
-        "rational" => DelaySpec::Rational {
-            a: df.f64("a")?,
-            b: df.f64("b")?,
-            c: df.f64("c")?,
-        },
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown delay family {other:?} (expected exp or rational)"
-            ))
-            .at(df.span))
-        }
-    };
-    df.finish()?;
-    let eta_minus = f.f64("eta_minus")?;
-    let eta_plus = f.f64("eta_plus")?;
-    let mut tf = Fields::of(f.req("task")?, "task")?;
-    let task = match tf.tag.as_str() {
-        "theory" => SpfTask::Theory,
-        "simulate" => SpfTask::Simulate {
-            noise: noise_from_value(tf.req("noise")?)?,
-            input: signal_from_value(tf.req("input")?)?,
-            horizon: tf.f64("horizon")?,
-        },
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown spf task {other:?} (expected theory or simulate)"
-            ))
-            .at(tf.span))
-        }
-    };
-    tf.finish()?;
     Ok(SpfSpec {
-        delay,
-        eta_minus,
-        eta_plus,
-        task,
+        delay: f.req("delay")?,
+        eta_minus: f.req("eta_minus")?,
+        eta_plus: f.req("eta_plus")?,
+        task: f.req("task")?,
     })
 }
 
-fn noise_from_value(value: Value) -> Result<NoiseSpec, SpecError> {
-    let mut f = Fields::of(value, "noise")?;
-    let n = match f.tag.as_str() {
-        "zero" => NoiseSpec::Zero,
-        "worst_case" => NoiseSpec::WorstCase,
-        "extending" => NoiseSpec::Extending,
-        "uniform" => NoiseSpec::Uniform {
-            seed: f.u64("seed")?,
-        },
-        "gaussian" => NoiseSpec::Gaussian {
-            sigma: f.f64("sigma")?,
-            seed: f.u64("seed")?,
-        },
-        "constant" => NoiseSpec::Constant {
-            shift: f.f64("shift")?,
-        },
-        other => return Err(SpecError::new(format!("unknown noise kind {other:?}")).at(f.span)),
-    };
-    f.finish()?;
-    Ok(n)
+impl Read for DelaySpec {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::variant(value, "delay", |f| {
+            Ok(match f.tag.as_str() {
+                "exp" => DelaySpec::Exp {
+                    tau: f.req("tau")?,
+                    t_p: f.req("t_p")?,
+                    v_th: f.req("v_th")?,
+                },
+                "rational" => DelaySpec::Rational {
+                    a: f.req("a")?,
+                    b: f.req("b")?,
+                    c: f.req("c")?,
+                },
+                _ => return Err(f.unknown("delay family", "exp or rational")),
+            })
+        })
+    }
+}
+
+impl Read for SpfTask {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::variant(value, "task", |f| {
+            Ok(match f.tag.as_str() {
+                "theory" => SpfTask::Theory,
+                "simulate" => SpfTask::Simulate {
+                    noise: f.req("noise")?,
+                    input: f.req("input")?,
+                    horizon: f.req("horizon")?,
+                },
+                _ => return Err(f.unknown("spf task", "theory or simulate")),
+            })
+        })
+    }
+}
+
+impl Read for NoiseSpec {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Fields::variant(value, "noise", |f| {
+            Ok(match f.tag.as_str() {
+                "zero" => NoiseSpec::Zero,
+                "worst_case" => NoiseSpec::WorstCase,
+                "extending" => NoiseSpec::Extending,
+                "uniform" => NoiseSpec::Uniform {
+                    seed: f.req("seed")?,
+                },
+                "gaussian" => NoiseSpec::Gaussian {
+                    sigma: f.req("sigma")?,
+                    seed: f.req("seed")?,
+                },
+                "constant" => NoiseSpec::Constant {
+                    shift: f.req("shift")?,
+                },
+                _ => return Err(f.unknown("noise kind", "")),
+            })
+        })
+    }
 }
 
 // ======================================================================

@@ -32,11 +32,15 @@
 //! goes through [`render_document`]); [`KeySink`] writes a spec's cache
 //! key, the binary encoding of the tree its text parses to.
 //!
-//! [`Value`] is what the reader produces and nothing more. Every parsed
+//! [`Value`] is what the parser produces and nothing more. Every parsed
 //! `Value` carries the [`Span`] of its first token, so validation errors
 //! raised long after lexing (unknown fields, type mismatches, lint
 //! diagnostics) can still point at a line and column. Its `Display`
 //! walks it into the same [`TextSink`].
+//!
+//! Reading mirrors writing: what has a [`Walk`] has a [`Read`], and a
+//! node's reader takes each field through [`Fields::req`] or
+//! [`Fields::opt`], so each kind of field error has one text.
 
 use std::fmt::{self, Write as _};
 
@@ -90,11 +94,6 @@ impl Value {
         }
     }
 
-    /// The shape of this value.
-    pub fn kind(&self) -> &ValueKind {
-        &self.kind
-    }
-
     /// Consumes the value, returning its shape.
     pub fn into_kind(self) -> ValueKind {
         self.kind
@@ -110,6 +109,11 @@ impl Value {
 /// walking them into a [`TextSink`], never by building a tree.
 #[cfg(test)]
 impl Value {
+    /// The shape of this value.
+    pub fn kind(&self) -> &ValueKind {
+        &self.kind
+    }
+
     /// A real number.
     pub fn num(v: f64) -> Value {
         ValueKind::Num(v).into()
@@ -519,6 +523,237 @@ pub fn parse_document(text: &str) -> Result<Value, SpecError> {
     let value = p.parse_value()?;
     p.expect_end()?;
     Ok(value)
+}
+
+/// Something read from a parsed tree: the reading mirror of [`Walk`].
+/// Fields hand their values to it through [`Fields::req`] and
+/// [`Fields::opt`].
+pub(crate) trait Read: Sized {
+    /// Reads `value`, found in field `name` of a `tag` node; `tag` and
+    /// `name` only say where, in errors, which point at `value`'s span.
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError>;
+}
+
+impl Value {
+    /// What `take` gets out of this value's kind, or the error that
+    /// field `name` of a `tag` node must be `what`.
+    fn expect<T>(
+        self,
+        tag: &str,
+        name: &str,
+        what: &str,
+        take: impl FnOnce(ValueKind) -> Result<T, ValueKind>,
+    ) -> Result<T, SpecError> {
+        take(self.kind).map_err(|kind| {
+            let found = Value::from(kind);
+            SpecError::new(format!(
+                "{tag}: field {name:?} must be {what}, found {found}"
+            ))
+            .at(self.span)
+        })
+    }
+
+    /// An integer that fits `T`, else the error that it is out of range.
+    fn int_in<T: TryFrom<u64>>(self, tag: &str, name: &str) -> Result<T, SpecError> {
+        let span = self.span;
+        T::try_from(u64::read(self, tag, name)?)
+            .map_err(|_| SpecError::new(format!("{tag}: field {name:?} out of range")).at(span))
+    }
+}
+
+impl Read for Value {
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Ok(value)
+    }
+}
+
+impl Read for f64 {
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        value.expect(tag, name, "a number", |kind| match kind {
+            ValueKind::Num(x) => Ok(x),
+            #[allow(clippy::cast_precision_loss)]
+            ValueKind::Int(x) => Ok(x as f64),
+            kind => Err(kind),
+        })
+    }
+}
+
+impl Read for u64 {
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        value.expect(tag, name, "an integer", |kind| match kind {
+            ValueKind::Int(x) => Ok(x),
+            kind => Err(kind),
+        })
+    }
+}
+
+impl Read for u32 {
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        value.int_in(tag, name)
+    }
+}
+
+impl Read for usize {
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        value.int_in(tag, name)
+    }
+}
+
+impl Read for bool {
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        value.expect(tag, name, "true or false", |kind| match kind {
+            ValueKind::Word(w) if w == "true" => Ok(true),
+            ValueKind::Word(w) if w == "false" => Ok(false),
+            kind => Err(kind),
+        })
+    }
+}
+
+/// The text of a string or a word, moved out of the value.
+impl Read for String {
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        value.expect(tag, name, "a string", |kind| match kind {
+            ValueKind::Str(s) | ValueKind::Word(s) => Ok(s),
+            kind => Err(kind),
+        })
+    }
+}
+
+/// A list whose every item reads as `T`, in the same field.
+impl<T: Read> Read for Vec<T> {
+    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        let items = value.expect(tag, name, "a list", |kind| match kind {
+            ValueKind::List(items) => Ok(items),
+            kind => Err(kind),
+        })?;
+        items.into_iter().map(|v| T::read(v, tag, name)).collect()
+    }
+}
+
+/// A consuming reader over one node's fields with contextual errors.
+///
+/// Carries the node's span so every error it raises points back into
+/// the text when the value was parsed rather than built, and hands out
+/// a field's span ([`span_of`](Fields::span_of)) for a spec reader to
+/// record as it consumes the field.
+pub(crate) struct Fields {
+    pub(crate) tag: String,
+    pub(crate) span: Option<Span>,
+    /// The fields not yet taken, in document order.
+    fields: Vec<(String, Value)>,
+}
+
+impl Fields {
+    /// The fields of a node (a bare word is a node of none); `context`
+    /// names what was expected in the error for any other value.
+    pub(crate) fn of(value: Value, context: &str) -> Result<Fields, SpecError> {
+        let span = value.span;
+        match value.kind {
+            ValueKind::Node(tag, fields) => Ok(Fields { tag, span, fields }),
+            ValueKind::Word(tag) => Ok(Fields {
+                tag,
+                span,
+                fields: Vec::new(),
+            }),
+            other => Err(SpecError::new(format!(
+                "{context}: expected a tagged node, found {}",
+                Value::from(other)
+            ))
+            .at(span)),
+        }
+    }
+
+    /// Reads `value`, a node of one tag: `body` takes its fields, and
+    /// any field `body` leaves is an error.
+    pub(crate) fn node<T>(
+        value: Value,
+        tag: &str,
+        body: impl FnOnce(&mut Fields) -> Result<T, SpecError>,
+    ) -> Result<T, SpecError> {
+        Fields::variant(value, tag, |f| {
+            f.expect_tag(&[tag])?;
+            body(f)
+        })
+    }
+
+    /// Reads `value`, a node whose tag names a variant: `body` matches
+    /// the tag and takes its fields, and any field it leaves is an
+    /// error. `context` names what was expected in errors.
+    pub(crate) fn variant<T>(
+        value: Value,
+        context: &str,
+        body: impl FnOnce(&mut Fields) -> Result<T, SpecError>,
+    ) -> Result<T, SpecError> {
+        let mut f = Fields::of(value, context)?;
+        let read = body(&mut f)?;
+        f.finish()?;
+        Ok(read)
+    }
+
+    pub(crate) fn expect_tag(&self, expected: &[&str]) -> Result<(), SpecError> {
+        if expected.contains(&self.tag.as_str()) {
+            Ok(())
+        } else {
+            Err(SpecError::new(format!(
+                "unexpected tag {:?} (expected one of {expected:?})",
+                self.tag
+            ))
+            .at(self.span))
+        }
+    }
+
+    /// The error that this node's tag names no `what` (listing the
+    /// `expected` ones, when given).
+    pub(crate) fn unknown(&self, what: &str, expected: &str) -> SpecError {
+        let mut message = format!("unknown {what} {:?}", self.tag);
+        if !expected.is_empty() {
+            let _ = write!(message, " (expected {expected})");
+        }
+        SpecError::new(message).at(self.span)
+    }
+
+    /// The span of field `name`, if it is present and not yet taken.
+    pub(crate) fn span_of(&self, name: &str) -> Option<Span> {
+        self.fields.iter().find(|(n, _)| n == name)?.1.span
+    }
+
+    fn take(&mut self, name: &str) -> Option<Value> {
+        let i = self.fields.iter().position(|(n, _)| n == name)?;
+        Some(self.fields.remove(i).1)
+    }
+
+    /// Field `name`, read as a `T`; missing is an error.
+    pub(crate) fn req<T: Read>(&mut self, name: &str) -> Result<T, SpecError> {
+        match self.take(name) {
+            Some(v) => T::read(v, &self.tag, name),
+            None => {
+                Err(SpecError::new(format!("{}: missing field {name:?}", self.tag)).at(self.span))
+            }
+        }
+    }
+
+    /// Field `name`, read as a `T`; `None` when absent.
+    pub(crate) fn opt<T: Read>(&mut self, name: &str) -> Result<Option<T>, SpecError> {
+        self.take(name)
+            .map(|v| T::read(v, &self.tag, name))
+            .transpose()
+    }
+
+    /// The node's tag and its unread fields, in document order.
+    pub(crate) fn into_parts(self) -> (String, Vec<(String, Value)>) {
+        (self.tag, self.fields)
+    }
+
+    /// Ends the read: a field left unread is unknown, so an error.
+    pub(crate) fn finish(self) -> Result<(), SpecError> {
+        match self.fields.first() {
+            Some((name, v)) => Err(
+                SpecError::new(format!("{}: unknown field {name:?}", self.tag))
+                    .at(v.span.or(self.span)),
+            ),
+            None => Ok(()),
+        }
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]

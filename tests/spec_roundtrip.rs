@@ -1,6 +1,7 @@
 //! Property tests for the `ExperimentSpec` text serialization: for any
 //! finite spec, `spec -> String -> spec` is the identity.
 
+use faithful::service::{parse_error, parse_result};
 use faithful::{
     AnalogSpec, AnalogTask, ChainSpec, ChannelRunSpec, ChannelSpec, DelaySpec, DigitalSpec,
     EdgeSpec, ExperimentSpec, FailurePolicySpec, GateKindSpec, IntegratorSpec, NetlistSpec,
@@ -510,6 +511,79 @@ fn mutants(text: &str, rng: &mut StdRng) -> Vec<String> {
         out.push(splice(site, edited));
     }
     out
+}
+
+/// Values at the edges of what a reader accepts: past `u32`, at and
+/// past `u64`, a negative zero, an empty list and node, an empty string
+/// and a word.
+const HOSTILE: [&str; 8] = [
+    "4294967297",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-0.0",
+    "[]",
+    "{}",
+    "\"\"",
+    "x",
+];
+
+/// Every document of `tests/wire_golden.txt`: specs, results, error
+/// documents and checkpoints.
+fn written_documents() -> Vec<&'static str> {
+    include_str!("wire_golden.txt")
+        .split("== ")
+        .skip(1)
+        .map(|doc| doc.split_once('\n').expect("a named document").1)
+        .collect()
+}
+
+/// Eight hostile edits of `text`: cut short, a range cut out, a
+/// literal replaced by a [`HOSTILE`] value, or one put in anywhere.
+fn hostile_mutants(text: &str, rng: &mut StdRng) -> Vec<String> {
+    let (numbers, words) = literal_sites(text);
+    let sites: Sites = numbers.into_iter().chain(words).collect();
+    let at = |rng: &mut StdRng| {
+        let mut i = rng.gen_range(0..text.len() + 1);
+        while !text.is_char_boundary(i) {
+            i -= 1;
+        }
+        i
+    };
+    let mut out = Vec::new();
+    for _ in 0..8 {
+        let hostile = HOSTILE[rng.gen_range(0..HOSTILE.len())];
+        let (a, b) = (at(rng), at(rng));
+        let (a, b) = (a.min(b), a.max(b));
+        out.push(match rng.gen_range(0..4u32) {
+            0 => text[..a].to_owned(),
+            1 => format!("{}{}", &text[..a], &text[b..]),
+            2 if !sites.is_empty() => {
+                let (start, end) = sites[rng.gen_range(0..sites.len())];
+                format!("{}{hostile}{}", &text[..start], &text[end..])
+            }
+            _ => format!("{}{hostile}{}", &text[..a], &text[a..]),
+        });
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// No text a peer sends makes a reader panic: every hostile edit of
+    /// every written document reads as a value or as a typed error,
+    /// through each public reader.
+    #[test]
+    fn hostile_documents_read_without_panicking(seed in 0u64..u64::MAX) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        for doc in written_documents() {
+            for mutant in hostile_mutants(doc, rng) {
+                let _ = mutant.parse::<ExperimentSpec>();
+                let _ = parse_result(&mutant);
+                let _ = parse_error(&mutant);
+            }
+        }
+    }
 }
 
 /// The pairs the cache key must get right, pinned: what the canonical
