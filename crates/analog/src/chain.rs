@@ -1,4 +1,15 @@
 //! The 7-stage inverter chain of the paper's validation ASIC (Fig. 6).
+//!
+//! A chain is integrated along one of two pipelines, one per kind of
+//! output:
+//!
+//! * [`InverterChain::simulate`] (and
+//!   [`simulate_with_ground`](InverterChain::simulate_with_ground) for a
+//!   bouncing ground rail) runs fixed-step RK4 and returns dense
+//!   [`Waveform`]s — the reference every faster path is checked against;
+//! * [`InverterChain::simulate_crossings`] runs adaptive RK45 and returns
+//!   only the digitized threshold crossings, which is all a
+//!   characterization sweep needs.
 
 use ivl_core::{Bit, Edge, Signal, SignalBuilder};
 
@@ -247,94 +258,6 @@ impl InverterChain {
         Ok(ChainRun { input, nodes })
     }
 
-    /// Like [`simulate`](InverterChain::simulate) but with the adaptive
-    /// Dormand–Prince RK45 integrator: integration restarts at the
-    /// stimulus corner times (so no step straddles a slope
-    /// discontinuity) and the returned waveforms are sampled from the
-    /// cubic-Hermite dense output on a uniform `out_dt` grid — the
-    /// expensive right-hand side only runs where the error controller
-    /// demands it.
-    ///
-    /// # Errors
-    ///
-    /// As [`simulate`](InverterChain::simulate), plus
-    /// [`Error::Integration`] if the step controller fails.
-    pub fn simulate_adaptive(
-        &self,
-        stimulus: &Pulse,
-        vdd: &VddSource,
-        t_end: f64,
-        out_dt: f64,
-        opts: &Rk45Options,
-    ) -> Result<ChainRun, Error> {
-        self.simulate_adaptive_with_ground(
-            stimulus,
-            vdd,
-            &GroundSource::ideal(),
-            t_end,
-            out_dt,
-            opts,
-        )
-    }
-
-    /// [`simulate_adaptive`](InverterChain::simulate_adaptive) with a
-    /// bouncing ground rail.
-    ///
-    /// # Errors
-    ///
-    /// As [`simulate_adaptive`](InverterChain::simulate_adaptive).
-    pub fn simulate_adaptive_with_ground(
-        &self,
-        stimulus: &Pulse,
-        vdd: &VddSource,
-        gnd: &GroundSource,
-        t_end: f64,
-        out_dt: f64,
-        opts: &Rk45Options,
-    ) -> Result<ChainRun, Error> {
-        validate_grid(t_end, out_dt)?;
-        let n = self.stages.len();
-        let y0 = self.dc_initial_state(stimulus, vdd);
-        // the same output grid the RK4 path would produce
-        let steps = (t_end / out_dt).ceil() as usize;
-        let t_final = steps as f64 * out_dt;
-        let mut flat = Vec::with_capacity((steps + 1) * n);
-        let mut samples_in = Vec::with_capacity(steps + 1);
-        flat.extend_from_slice(&y0);
-        samples_in.push(stimulus.value_at(0.0));
-        let mut next_k = 1usize;
-        let mut rhs = self.rhs(stimulus, vdd, gnd);
-        let mut y = y0;
-        for (a, b) in segments(stimulus, t_final) {
-            let (y_end, _) = rk45(a, b, &y, opts, &mut rhs, |step| {
-                while next_k <= steps {
-                    let t_k = next_k as f64 * out_dt;
-                    if t_k > step.t1 + 1e-9 * out_dt {
-                        break;
-                    }
-                    let row_start = flat.len();
-                    flat.resize(row_start + n, 0.0);
-                    step.eval_into(t_k, &mut flat[row_start..]);
-                    samples_in.push(stimulus.value_at(t_k));
-                    next_k += 1;
-                }
-            })?;
-            y = y_end;
-        }
-        // a grid point can fall on t_final itself and be missed by a
-        // hair of floating-point noise — it holds the final state
-        while next_k <= steps {
-            flat.extend_from_slice(&y);
-            samples_in.push(stimulus.value_at(next_k as f64 * out_dt));
-            next_k += 1;
-        }
-        let input = Waveform::new(0.0, out_dt, samples_in)?;
-        let nodes = (0..n)
-            .map(|i| Waveform::from_strided(0.0, out_dt, &flat, i, n))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ChainRun { input, nodes })
-    }
-
     /// The crossings-only fast path: adaptively integrates the chain
     /// and detects `threshold` crossings of every node by root-finding
     /// on the dense interpolant, without ever materializing a sampled
@@ -348,38 +271,14 @@ impl InverterChain {
     ///
     /// # Errors
     ///
-    /// As [`simulate_adaptive`](InverterChain::simulate_adaptive);
-    /// [`Error::Core`] if the detected crossings do not form a valid
-    /// signal.
+    /// Returns [`Error::InvalidParameter`] for a non-positive `t_end` or
+    /// a non-finite `threshold`, [`Error::Integration`] if the step
+    /// controller fails, and [`Error::Core`] if the detected crossings
+    /// do not form a valid signal.
     pub fn simulate_crossings(
         &self,
         stimulus: &Pulse,
         vdd: &VddSource,
-        t_end: f64,
-        threshold: f64,
-        opts: &Rk45Options,
-    ) -> Result<ChainCrossings, Error> {
-        self.simulate_crossings_with_ground(
-            stimulus,
-            vdd,
-            &GroundSource::ideal(),
-            t_end,
-            threshold,
-            opts,
-        )
-    }
-
-    /// [`simulate_crossings`](InverterChain::simulate_crossings) with a
-    /// bouncing ground rail.
-    ///
-    /// # Errors
-    ///
-    /// As [`simulate_crossings`](InverterChain::simulate_crossings).
-    pub fn simulate_crossings_with_ground(
-        &self,
-        stimulus: &Pulse,
-        vdd: &VddSource,
-        gnd: &GroundSource,
         t_end: f64,
         threshold: f64,
         opts: &Rk45Options,
@@ -403,7 +302,8 @@ impl InverterChain {
             .iter()
             .map(|&v| SignalBuilder::new(Bit::from(v >= threshold)))
             .collect();
-        let mut rhs = self.rhs(stimulus, vdd, gnd);
+        let gnd = GroundSource::ideal();
+        let mut rhs = self.rhs(stimulus, vdd, &gnd);
         let mut y = y0;
         let mut stats = Rk45Stats::default();
         let mut push_err: Option<ivl_core::Error> = None;
@@ -712,28 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_dense_run_matches_rk4() {
-        let c = InverterChain::umc90_like(7).unwrap();
-        let vdd = VddSource::dc(1.0);
-        let stim = pulse(80.0);
-        let rk4_run = c.simulate(&stim, &vdd, 400.0, 0.1).unwrap();
-        let ad_run = c
-            .simulate_adaptive(&stim, &vdd, 400.0, 0.1, &Rk45Options::default())
-            .unwrap();
-        assert_eq!(ad_run.stage_count(), rk4_run.stage_count());
-        for i in 0..7 {
-            assert_eq!(
-                ad_run.node(i).samples().len(),
-                rk4_run.node(i).samples().len()
-            );
-            let rms = ad_run.node(i).rms_difference(rk4_run.node(i));
-            assert!(rms < 1e-3, "node {i} rms {rms}");
-        }
-        // the sampled input stimulus is identical (same grid, same pulse)
-        assert_eq!(ad_run.input(), rk4_run.input());
-    }
-
-    #[test]
     fn crossings_fast_path_matches_digitized_rk4() {
         let c = InverterChain::umc90_like(7).unwrap();
         let vdd = VddSource::dc(1.0);
@@ -789,39 +667,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_ground_bounce_matches_rk4_qualitatively() {
-        let c = InverterChain::umc90_like(3).unwrap();
-        let vdd = VddSource::dc(1.0);
-        let gnd = GroundSource::with_sine(0.05, 80.0, 90.0).unwrap();
-        let a = c
-            .simulate_with_ground(&pulse(100.0), &vdd, &gnd, 400.0, 0.1)
-            .unwrap();
-        let b = c
-            .simulate_adaptive_with_ground(
-                &pulse(100.0),
-                &vdd,
-                &gnd,
-                400.0,
-                0.1,
-                &Rk45Options::default(),
-            )
-            .unwrap();
-        let ta = a.node(2).falling_crossings(0.5)[0];
-        let tb = b.node(2).falling_crossings(0.5)[0];
-        assert!((ta - tb).abs() < 0.01, "{ta} vs {tb}");
-    }
-
-    #[test]
-    fn adaptive_validates() {
+    fn crossings_validates() {
         let c = InverterChain::umc90_like(1).unwrap();
         let vdd = VddSource::dc(1.0);
         let opts = Rk45Options::default();
-        assert!(c
-            .simulate_adaptive(&pulse(50.0), &vdd, 0.0, 0.1, &opts)
-            .is_err());
-        assert!(c
-            .simulate_adaptive(&pulse(50.0), &vdd, 100.0, 0.0, &opts)
-            .is_err());
         assert!(c
             .simulate_crossings(&pulse(50.0), &vdd, -1.0, 0.5, &opts)
             .is_err());

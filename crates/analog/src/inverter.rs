@@ -91,14 +91,8 @@ impl Inverter {
     }
 
     /// Net charging current (mA) into the output node for input voltage
-    /// `v_in`, output voltage `v_out` and supply `v_dd` (ideal ground).
-    #[must_use]
-    pub fn output_current(&self, v_in: f64, v_out: f64, v_dd: f64) -> f64 {
-        self.output_current_rails(v_in, v_out, v_dd, 0.0)
-    }
-
-    /// Net charging current with an explicit ground level `v_ss`
-    /// (ground-bounce experiments): the NMOS sees `V_GS = v_in − v_ss`
+    /// `v_in`, output voltage `v_out`, supply `v_dd` and ground level
+    /// `v_ss` (`0.0` for an ideal ground): the NMOS sees `V_GS = v_in − v_ss`
     /// and `V_DS = v_out − v_ss`.
     #[must_use]
     pub fn output_current_rails(&self, v_in: f64, v_out: f64, v_dd: f64, v_ss: f64) -> f64 {
@@ -107,13 +101,8 @@ impl Inverter {
         i_p - i_n
     }
 
-    /// `dV_out/dt` in V/ps (ideal ground).
-    #[must_use]
-    pub fn dv_out(&self, v_in: f64, v_out: f64, v_dd: f64) -> f64 {
-        self.output_current(v_in, v_out, v_dd) / self.c_load
-    }
-
-    /// `dV_out/dt` in V/ps with an explicit ground level.
+    /// `dV_out/dt` in V/ps, with the rails as in
+    /// [`output_current_rails`](Inverter::output_current_rails).
     #[must_use]
     pub fn dv_out_rails(&self, v_in: f64, v_out: f64, v_dd: f64, v_ss: f64) -> f64 {
         self.output_current_rails(v_in, v_out, v_dd, v_ss) / self.c_load
@@ -143,12 +132,12 @@ mod tests {
         let i = inv();
         // input low → output pulled high: at v_out just below VDD the
         // PMOS still sources current, NMOS is off
-        assert!(i.output_current(0.0, 0.5, 1.0) > 0.0);
+        assert!(i.output_current_rails(0.0, 0.5, 1.0, 0.0) > 0.0);
         // input high → output pulled low
-        assert!(i.output_current(1.0, 0.5, 1.0) < 0.0);
+        assert!(i.output_current_rails(1.0, 0.5, 1.0, 0.0) < 0.0);
         // rails are stable
-        assert_eq!(i.output_current(0.0, 1.0, 1.0), 0.0);
-        assert_eq!(i.output_current(1.0, 0.0, 1.0), 0.0);
+        assert_eq!(i.output_current_rails(0.0, 1.0, 1.0, 0.0), 0.0);
+        assert_eq!(i.output_current_rails(1.0, 0.0, 1.0, 0.0), 0.0);
     }
 
     #[test]
@@ -156,7 +145,7 @@ mod tests {
         let i = inv();
         // input steps high at t = 0, output starts at VDD
         let trace = rk4_flat(0.0, &[1.0], 0.05, 2000, |_t, y, dy| {
-            dy[0] = i.dv_out(1.0, y[0], 1.0);
+            dy[0] = i.dv_out_rails(1.0, y[0], 1.0, 0.0);
         });
         let v_final = *trace.last().unwrap();
         assert!(v_final < 0.01, "output must settle low: {v_final}");
@@ -175,7 +164,7 @@ mod tests {
         let fast = slow.scaled_width(1.5).unwrap();
         let cross = |i: Inverter| {
             let trace = rk4_flat(0.0, &[1.0], 0.05, 4000, |_t, y, dy| {
-                dy[0] = i.dv_out(1.0, y[0], 1.0);
+                dy[0] = i.dv_out_rails(1.0, y[0], 1.0, 0.0);
             });
             trace.iter().position(|&v| v < 0.5).unwrap()
         };
@@ -187,7 +176,7 @@ mod tests {
         let i = inv();
         let cross = |vdd: f64| {
             let trace = rk4_flat(0.0, &[vdd], 0.05, 40000, |_t, y, dy| {
-                dy[0] = i.dv_out(vdd, y[0], vdd);
+                dy[0] = i.dv_out_rails(vdd, y[0], vdd, 0.0);
             });
             trace
                 .iter()

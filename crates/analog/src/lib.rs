@@ -11,8 +11,9 @@
 //!
 //! * [`mosfet`] — the alpha-power-law (Sakurai–Newton) MOSFET model;
 //! * [`inverter`] / [`chain`] — CMOS inverters and the 7-stage chain of
-//!   Fig. 6, integrated with classic RK4 or adaptive Dormand–Prince
-//!   RK45 with dense output and crossing events ([`ode`]);
+//!   Fig. 6, with one integration pipeline ([`ode`]) per output: classic
+//!   RK4 for dense [`Waveform`]s (the reference), adaptive
+//!   Dormand–Prince RK45 with crossing events for digitized signals;
 //! * [`supply`] — DC and sine-modulated supplies (the ±1 % VDD
 //!   experiment of Fig. 8a);
 //! * [`senseamp`] — the on-chip sense-amplifier model (gain 0.15,

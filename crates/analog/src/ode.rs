@@ -12,7 +12,11 @@
 //! interpolant of the step, which supports cheap intra-step evaluation
 //! ([`DenseStep::eval`]) and threshold-crossing root-finding
 //! ([`DenseStep::find_crossing`]) — the basis of the crossings-only
-//! fast path used by the characterization pipeline.
+//! fast path ([`InverterChain::simulate_crossings`]) used by the
+//! characterization pipeline. Dense waveforms come from [`rk4_with`]
+//! alone.
+//!
+//! [`InverterChain::simulate_crossings`]: crate::chain::InverterChain::simulate_crossings
 
 use crate::error::Error;
 
@@ -164,13 +168,6 @@ impl DenseStep<'_> {
             + (s3 - 2.0 * s2 + s) * h * self.f0[i]
             + (-2.0 * s3 + 3.0 * s2) * self.y1[i]
             + (s3 - s2) * h * self.f1[i]
-    }
-
-    /// Evaluates the whole state at `t ∈ [t0, t1]` into `out`.
-    pub fn eval_into(&self, t: f64, out: &mut [f64]) {
-        for (i, v) in out.iter_mut().enumerate() {
-            *v = self.eval(i, t);
-        }
     }
 
     /// Time at which component `i` crosses `threshold` in the given

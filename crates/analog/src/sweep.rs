@@ -13,7 +13,7 @@
 //! worker count** — unlike `ScenarioRunner`, no seeds are needed for
 //! determinism.
 
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::AtomicUsize;
 use std::thread;
 
 use ivl_core::delay::DelayPair;
@@ -189,12 +189,12 @@ impl SweepRunner {
         F: Fn(usize) -> Result<T, Error> + Sync,
     {
         let mut workers = vec![(); self.workers().min(jobs)];
-        fan_out(&mut workers, jobs, &AtomicBool::new(false), |(), index| {
+        fan_out(&mut workers, jobs, &AtomicUsize::new(jobs), |(), index| {
             catch_panic(|| job(index))
                 .unwrap_or_else(|message| Err(Error::WorkerPanic { index, message }))
         })
         .into_iter()
-        .map(|r| r.expect("nothing stops the fan-out, so every job runs"))
+        .map(|r| r.expect("the bound never drops, so every job runs"))
         .collect()
     }
 }

@@ -195,27 +195,6 @@ impl Waveform {
             samples: self.samples.iter().map(|&v| f(v)).collect(),
         }
     }
-
-    /// Root-mean-square difference against another waveform over the
-    /// overlapping time range (resampling `other` onto this grid).
-    #[must_use]
-    pub fn rms_difference(&self, other: &Waveform) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for (i, &v) in self.samples.iter().enumerate() {
-            let t = self.t0 + i as f64 * self.dt;
-            if t >= other.t0() && t <= other.t_end() {
-                let d = v - other.value_at(t);
-                sum += d * d;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            (sum / n as f64).sqrt()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -278,13 +257,16 @@ mod tests {
     }
 
     #[test]
-    fn map_and_rms() {
+    fn map_applies_to_every_sample() {
         let w = Waveform::from_fn(0.0, 0.1, 100, |t| t);
         let scaled = w.map(|v| 0.15 * v);
         assert!((scaled.value_at(5.0) - 0.75).abs() < 1e-12);
         let shifted = w.map(|v| v + 1.0);
-        assert!((w.rms_difference(&shifted) - 1.0).abs() < 1e-9);
-        assert!(w.rms_difference(&w.clone()) < 1e-12);
+        assert_eq!(shifted.t0(), w.t0());
+        assert_eq!(shifted.dt(), w.dt());
+        for (a, b) in shifted.samples().iter().zip(w.samples()) {
+            assert_eq!(*a, b + 1.0);
+        }
     }
 
     #[test]

@@ -50,13 +50,6 @@ fn bench_integrators(c: &mut Criterion) {
     group.bench_function("rk4_7stage", |b| {
         b.iter(|| chain.simulate(&stim, &vdd, 400.0, 0.05).unwrap());
     });
-    group.bench_function("rk45_dense_7stage", |b| {
-        b.iter(|| {
-            chain
-                .simulate_adaptive(&stim, &vdd, 400.0, 0.05, &opts)
-                .unwrap()
-        });
-    });
     group.bench_function("rk45_crossings_7stage", |b| {
         b.iter(|| {
             chain

@@ -43,8 +43,9 @@
 //! * the [`FailurePolicy`] decides what a failure does to the sweep:
 //!   record and continue ([`FailurePolicy::Skip`], the default), retry
 //!   with the same seed up to a bound ([`FailurePolicy::Retry`]), or
-//!   stop dispatching and report the failing scenario's identity
-//!   ([`FailurePolicy::Abort`] via [`try_run`]).
+//!   stop and report the lowest-index failing scenario's identity
+//!   ([`FailurePolicy::Abort`] via [`try_run`]) — the same one for any
+//!   worker count or timing.
 //!
 //! A seeded [`FaultPlan`] can inject deterministic faults (panics,
 //! budget exhaustion, stalls, corrupted channels) into chosen scenario
@@ -63,7 +64,7 @@
 //! [`try_run`]: ScenarioRunner::try_run
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -151,10 +152,13 @@ impl ScenarioOutcome {
 /// panic, or watchdog cancellation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailurePolicy {
-    /// Stop dispatching new scenarios on the first failure, cancel
-    /// stragglers, and report the failing scenario's identity (index,
+    /// Stop at the lowest-index failure and report its identity (index,
     /// label, seed, cause) through
-    /// [`try_run`](ScenarioRunner::try_run)'s error.
+    /// [`try_run`](ScenarioRunner::try_run)'s error. No scenario above a
+    /// failure starts, those already running above it are cancelled,
+    /// and every scenario below it runs to the end — a lower failure
+    /// found late replaces the reported one, so the report does not
+    /// depend on worker count or timing.
     Abort,
     /// Record the failure in the scenario's outcome and keep sweeping
     /// (the default).
@@ -209,14 +213,16 @@ impl std::error::Error for ScenarioFailure {
     }
 }
 
-/// A sweep stopped by [`FailurePolicy::Abort`]: the triggering failure
-/// (index, label, seed, cause — nothing is lost) plus how many
-/// scenarios had already completed successfully.
+/// A sweep stopped by [`FailurePolicy::Abort`]: the lowest-index
+/// failure (index, label, seed, cause — nothing is lost) plus how many
+/// scenarios below it completed successfully.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepAborted {
-    /// The failure that tripped the abort.
+    /// The lowest-index failure of the sweep.
     pub failure: ScenarioFailure,
-    /// Scenarios that had completed successfully when the sweep stopped.
+    /// Scenarios below the failure that completed successfully: every
+    /// one of them runs, so this is the failure's index within the
+    /// sweep.
     pub completed: usize,
 }
 
@@ -450,27 +456,31 @@ impl SweepResult {
 /// A worker's supervision handle, shared between the thread running
 /// its scenarios, an aborting sweep, and the watchdog.
 struct Supervisor {
-    /// `Some(start)` while the worker is inside a scenario. Guarded by
-    /// a mutex so the watchdog never cancels a scenario that started
-    /// after the stamp it read.
-    busy_since: Mutex<Option<Instant>>,
-    /// The cancel flag wired into the worker's simulator. Cleared at
-    /// the start of every scenario attempt (under the `busy_since`
-    /// lock), set by the watchdog or an aborting sweep.
+    /// `Some((start, index))` while the worker is inside scenario
+    /// `index`. Guarded by a mutex so neither the watchdog nor an
+    /// aborting sweep cancels a scenario that started after the stamp
+    /// it read.
+    busy_since: Mutex<Option<(Instant, usize)>>,
+    /// The cancel flag wired into the worker's simulator. Reset at the
+    /// start of every scenario attempt (under the `busy_since` lock),
+    /// set by the watchdog or an aborting sweep.
     cancel: Arc<AtomicBool>,
 }
 
 impl Supervisor {
-    fn busy(&self) -> MutexGuard<'_, Option<Instant>> {
+    fn busy(&self) -> MutexGuard<'_, Option<(Instant, usize)>> {
         self.busy_since
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn begin(&self) {
+    /// Stamps the start of scenario `index`, cancelled from the outset
+    /// if an aborting sweep already lowered `bound` to or below it.
+    fn begin(&self, index: usize, bound: &AtomicUsize) {
         let mut busy = self.busy();
-        self.cancel.store(false, Ordering::SeqCst);
-        *busy = Some(Instant::now());
+        self.cancel
+            .store(index >= bound.load(Ordering::SeqCst), Ordering::SeqCst);
+        *busy = Some((Instant::now(), index));
     }
 
     fn end(&self) {
@@ -483,7 +493,16 @@ impl Supervisor {
     /// scenario is never cancelled by a stale observation.
     fn expire(&self, deadline: Duration) {
         let busy = self.busy();
-        if busy.is_some_and(|since| since.elapsed() >= deadline) {
+        if busy.is_some_and(|(since, _)| since.elapsed() >= deadline) {
+            self.cancel.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Cancels the running scenario if its index is above `index`: an
+    /// aborting sweep drops its result anyway.
+    fn cancel_above(&self, index: usize) {
+        let busy = self.busy();
+        if busy.is_some_and(|(_, running)| running > index) {
             self.cancel.store(true, Ordering::SeqCst);
         }
     }
@@ -754,40 +773,30 @@ impl ScenarioRunner {
             .collect();
         let supervisors: Vec<&Supervisor> = states.iter().map(|(_, s)| *s).collect();
 
-        let stop = AtomicBool::new(false);
+        // scenarios at or above `bound` do not start; an aborting
+        // failure lowers it to just above itself, so only a lower
+        // failure can still happen and replace it
+        let bound = AtomicUsize::new(n);
         let retried = AtomicU64::new(0);
-        let tripped: Mutex<Option<ScenarioFailure>> = Mutex::new(None);
         let job = |(sim, supervisor): &mut (&mut Simulator, &Supervisor), idx: usize| {
             let scenario = &scenarios[idx];
             let (result, retries) =
-                self.run_supervised(sim, supervisor, idx, scenario, &stop, &retried);
-            if let (Err(cause), FailurePolicy::Abort) = (&result, self.policy) {
-                // the first failure is the one reported; then stop
-                // dispatch and reclaim every straggler
-                tripped
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get_or_insert_with(|| ScenarioFailure {
-                        index: idx,
-                        label: scenario.label.clone(),
-                        seed: scenario.seed,
-                        cause: cause.clone(),
-                        retries,
-                    });
-                stop.store(true, Ordering::SeqCst);
+                self.run_supervised(sim, supervisor, idx, scenario, &bound, &retried);
+            if result.is_err() && self.policy == FailurePolicy::Abort {
+                bound.fetch_min(idx + 1, Ordering::SeqCst);
                 for s in &supervisors {
-                    s.cancel.store(true, Ordering::SeqCst);
+                    s.cancel_above(idx);
                 }
             }
             (result, retries)
         };
         let finished = AtomicBool::new(false);
-        let slots = thread::scope(|scope| {
+        let mut slots = thread::scope(|scope| {
             let watchdog = self.timeout.map(|deadline| {
                 let (supervisors, finished) = (&supervisors, &finished);
                 scope.spawn(move || run_watchdog(supervisors, deadline, finished))
             });
-            let slots = catch_panic(|| fan_out(&mut states, n, &stop, job));
+            let slots = catch_panic(|| fan_out(&mut states, n, &bound, job));
             finished.store(true, Ordering::SeqCst);
             if let Some(handle) = watchdog {
                 handle.thread().unpark();
@@ -799,12 +808,27 @@ impl ScenarioRunner {
         });
         drop(stash);
 
-        if let Some(failure) = tripped.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            let completed = slots
-                .iter()
-                .filter(|slot| matches!(slot, Some((Ok(_), _))))
-                .count();
-            return Err(SweepAborted { failure, completed });
+        if self.policy == FailurePolicy::Abort {
+            // every scenario below the lowest failure ran and succeeded;
+            // a failure above it (found earlier, or a cancellation the
+            // abort caused) goes unreported
+            if let Some(index) = slots.iter().position(|s| matches!(s, Some((Err(_), _)))) {
+                let Some((Err(cause), retries)) = slots[index].take() else {
+                    unreachable!("the slot holds a failure");
+                };
+                let scenario = &scenarios[index];
+                let failure = ScenarioFailure {
+                    index,
+                    label: scenario.label.clone(),
+                    seed: scenario.seed,
+                    cause,
+                    retries,
+                };
+                return Err(SweepAborted {
+                    failure,
+                    completed: index,
+                });
+            }
         }
 
         let mut failures: Vec<ScenarioFailure> = Vec::new();
@@ -899,7 +923,7 @@ impl ScenarioRunner {
         supervisor: &Supervisor,
         idx: usize,
         scenario: &Scenario,
-        stop: &AtomicBool,
+        bound: &AtomicUsize,
         retried: &AtomicU64,
     ) -> (Result<SimResult, SimError>, u32) {
         let fault = self.fault.as_ref().and_then(|p| p.kind_at(idx));
@@ -909,7 +933,7 @@ impl ScenarioRunner {
         };
         let mut attempt: u32 = 0;
         loop {
-            supervisor.begin();
+            supervisor.begin(idx, bound);
             let outcome =
                 catch_panic(|| self.run_with_fault(sim, supervisor, scenario, fault, attempt));
             supervisor.end();
@@ -919,7 +943,7 @@ impl ScenarioRunner {
                 *sim = self.new_sim(&supervisor.cancel);
                 Err(SimError::ScenarioPanicked { message })
             });
-            if result.is_ok() || attempt >= extra || stop.load(Ordering::Relaxed) {
+            if result.is_ok() || attempt >= extra {
                 return (result, attempt);
             }
             attempt += 1;

@@ -17,7 +17,7 @@
 //! stopped.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// Runs `f(state, j)` for every job index `j < jobs`, one scoped thread
@@ -26,8 +26,9 @@ use std::thread;
 ///
 /// Workers claim chunks of about `jobs / (4 · workers)` indices, capped
 /// at 64: ~4 chunks per worker balance cursor traffic against load
-/// imbalance. Dispatch halts once `stop` is set: a job already running
-/// finishes, no new one starts, and every job that never ran is `None`.
+/// imbalance. Job `j` starts only while `j < bound`: lowering `bound`
+/// halts dispatch above it, a job already running finishes, every job
+/// below it still runs, and every job that never ran is `None`.
 /// Which worker runs which job is unspecified; callers that need
 /// reproducible output make each job a function of its index alone.
 ///
@@ -35,7 +36,7 @@ use std::thread;
 ///
 /// Panics if `jobs > 0` and `states` is empty, and re-raises the first
 /// panic that escapes `f` (after every worker has stopped).
-pub fn fan_out<S, T, F>(states: &mut [S], jobs: usize, stop: &AtomicBool, f: F) -> Vec<Option<T>>
+pub fn fan_out<S, T, F>(states: &mut [S], jobs: usize, bound: &AtomicUsize, f: F) -> Vec<Option<T>>
 where
     S: Send,
     T: Send,
@@ -59,8 +60,10 @@ where
             if start >= jobs {
                 return done;
             }
+            // the cursor only grows, so once a job is past the bound
+            // every later claim is too
             for j in start..(start + chunk).min(jobs) {
-                if stop.load(Ordering::Relaxed) {
+                if j >= bound.load(Ordering::Relaxed) {
                     return done;
                 }
                 done.push((j, f(state, j)));
@@ -119,8 +122,8 @@ pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 mod tests {
     use super::*;
 
-    fn never() -> AtomicBool {
-        AtomicBool::new(false)
+    fn never() -> AtomicUsize {
+        AtomicUsize::new(usize::MAX)
     }
 
     #[test]
@@ -173,16 +176,16 @@ mod tests {
     }
 
     #[test]
-    fn setting_stop_halts_dispatch() {
+    fn lowering_the_bound_halts_dispatch_above_it() {
         for workers in [1, 2, 4] {
-            let stop = never();
+            let bound = never();
             let mut states = vec![(); workers];
-            let out = fan_out(&mut states, 1000, &stop, |(), j| {
+            let out = fan_out(&mut states, 1000, &bound, |(), j| {
                 if j == 3 {
-                    stop.store(true, Ordering::Relaxed);
+                    bound.fetch_min(4, Ordering::SeqCst);
                 } else if j > 3 {
-                    // hold every later job until the stop is raised
-                    while !stop.load(Ordering::Relaxed) {
+                    // hold every later job until the bound is lowered
+                    while bound.load(Ordering::SeqCst) > 4 {
                         thread::yield_now();
                     }
                 }
@@ -193,8 +196,21 @@ mod tests {
             // every other worker finishes at most the job it was holding
             assert!(ran < 4 + workers, "workers={workers}: {ran} jobs ran");
         }
-        let stopped = AtomicBool::new(true);
-        let out = fan_out(&mut [(), ()], 10, &stopped, |(), j| j);
+        // jobs below a lowered bound still run, whoever claimed them
+        for workers in [2, 4] {
+            let bound = never();
+            let mut states = vec![(); workers];
+            let out = fan_out(&mut states, 64, &bound, |(), j| {
+                if j == 40 {
+                    bound.fetch_min(41, Ordering::SeqCst);
+                } else if j < 40 {
+                    thread::yield_now();
+                }
+                j
+            });
+            assert!(out[..41].iter().all(Option::is_some), "workers={workers}");
+        }
+        let out = fan_out(&mut [(), ()], 10, &AtomicUsize::new(0), |(), j| j);
         assert!(out.iter().all(Option::is_none));
     }
 

@@ -168,9 +168,10 @@ pub enum Error {
     /// A spec parse/validation error.
     Spec(SpecError),
     /// A sweep stopped by the `abort` failure policy; carries the
-    /// failing scenario's index in the spec, label, seed and cause, and
-    /// how many scenarios had completed (a checkpointed sweep counts
-    /// every batch, resumed scenarios included).
+    /// lowest-index failing scenario's index in the spec, label, seed
+    /// and cause, and how many scenarios below it completed (a
+    /// checkpointed sweep counts every batch, resumed scenarios
+    /// included) — the same report for any worker count or timing.
     Sweep(ivl_circuit::SweepAborted),
     /// A checkpoint sidecar could not be read, written or validated.
     Checkpoint(CheckpointError),

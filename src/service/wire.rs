@@ -274,6 +274,9 @@ pub struct ServedOutcome {
 /// [`SpecError`] when the text is not a well-formed result document.
 pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
     Fields::node(parse_document(text)?, "result", |f| {
+        // taken before `req` consumes the fields: an unknown word is
+        // reported at its own span
+        let (workload_span, task_span) = (f.span_of("workload"), f.span_of("task"));
         Ok(match f.req::<String>("workload")?.as_str() {
             "channel" => ServedResult::Channel {
                 output: f.req("output")?,
@@ -296,13 +299,19 @@ pub fn parse_result(text: &str) -> Result<ServedResult, SpecError> {
                     down: f.req("down")?,
                 },
                 "deviations" => AnalogResult::Deviations(f.req("deviations")?),
-                other => return Err(SpecError::new(format!("unknown analog task {other:?}"))),
+                other => {
+                    let unknown = format!("unknown analog task {other:?}");
+                    return Err(SpecError::new(unknown).at(task_span));
+                }
             }),
             "spf" => ServedResult::Spf {
                 theory: f.req("theory")?,
                 run: f.opt("run")?,
             },
-            other => return Err(SpecError::new(format!("unknown result workload {other:?}"))),
+            other => {
+                let unknown = format!("unknown result workload {other:?}");
+                return Err(SpecError::new(unknown).at(workload_span));
+            }
         })
     })
 }
@@ -394,10 +403,11 @@ impl Read for DeviationSample {
 /// A sample's edge: the word `rising` or `falling`.
 impl Read for Edge {
     fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        let span = value.span();
         match String::read(value, tag, name)?.as_str() {
             "rising" => Ok(Edge::Rising),
             "falling" => Ok(Edge::Falling),
-            other => Err(SpecError::new(format!("unknown edge {other:?}"))),
+            other => Err(SpecError::new(format!("unknown edge {other:?}")).at(span)),
         }
     }
 }
@@ -477,9 +487,10 @@ impl ServedErrorKind {
 
 impl Read for ServedErrorKind {
     fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        let span = value.span();
         let word = String::read(value, tag, name)?;
         let kind = KINDS.iter().find(|(_, w)| *w == word).map(|&(k, _)| k);
-        kind.ok_or_else(|| SpecError::new(format!("unknown error kind {word:?}")))
+        kind.ok_or_else(|| SpecError::new(format!("unknown error kind {word:?}")).at(span))
     }
 }
 
@@ -611,11 +622,12 @@ impl Read for ServedDiagnostic {
 
 impl Read for Severity {
     fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
+        let span = value.span();
         match String::read(value, tag, name)?.as_str() {
             "info" => Ok(Severity::Info),
             "warning" => Ok(Severity::Warning),
             "error" => Ok(Severity::Error),
-            other => Err(SpecError::new(format!("unknown severity {other:?}"))),
+            other => Err(SpecError::new(format!("unknown severity {other:?}")).at(span)),
         }
     }
 }

@@ -1652,34 +1652,33 @@ fn walk_sig(s: &mut impl Sink, name: Option<&str>, signal: &Signal) {
     }
 }
 
-/// A `sig` node and its name, when it has one.
-impl Read for (Option<String>, Signal) {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        let span = value.span();
-        let (name, initial, times) = Fields::node(value, "sig", |f| {
-            let name = f.opt("name")?;
-            Ok((name, f.req::<bool>("initial")?, f.req::<Vec<f64>>("times")?))
-        })?;
-        let signal = Signal::from_times(Bit::from(initial), &times)
-            .map_err(|e| SpecError::new(format!("sig: invalid signal: {e}")).at(span))?;
-        Ok((name, signal))
-    }
+/// A `sig` node whose `name` field, if any, `name` takes: a field it
+/// leaves is unknown, like any other.
+fn read_sig<N>(
+    value: Value,
+    name: impl FnOnce(&mut Fields) -> Result<N, SpecError>,
+) -> Result<(N, Signal), SpecError> {
+    let span = value.span();
+    let (name, initial, times) = Fields::node(value, "sig", |f| {
+        let name = name(f)?;
+        Ok((name, f.req::<bool>("initial")?, f.req::<Vec<f64>>("times")?))
+    })?;
+    let signal = Signal::from_times(Bit::from(initial), &times)
+        .map_err(|e| SpecError::new(format!("sig: invalid signal: {e}")).at(span))?;
+    Ok((name, signal))
 }
 
-/// A `sig` node; a name is allowed and dropped.
+/// A `sig` node without a name.
 impl Read for Signal {
-    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
-        Ok(<(Option<String>, Signal)>::read(value, tag, name)?.1)
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        Ok(read_sig(value, |_| Ok(()))?.1)
     }
 }
 
 /// A `sig` node that must be named.
 impl Read for (String, Signal) {
-    fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
-        match <(Option<String>, Signal)>::read(value, tag, name)? {
-            (Some(name), signal) => Ok((name, signal)),
-            (None, _) => Err(SpecError::new("sig: missing field \"name\"")),
-        }
+    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+        read_sig(value, |f| f.req("name"))
     }
 }
 

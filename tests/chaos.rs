@@ -195,35 +195,43 @@ fn env_seeded_fault_plan_is_survived() {
 
 /// A checkpointed sweep that aborts reports the whole sweep's progress,
 /// not only its last batch's: the same `completed` as the unbatched
-/// sweep. One worker, so no scenario after the panic runs. The cause
-/// names the scenario the sweep failed at, not its place in a batch.
+/// sweep. The cause names the scenario the sweep failed at, not its
+/// place in a batch. The report does not depend on worker timing
+/// either: at 1, 2 and 4 workers, run after run, it names the same
+/// failure with the same `completed = 4`, though scenario 5 may finish
+/// before scenario 4 fails.
 #[test]
 fn a_checkpointed_abort_counts_every_completed_batch() {
-    let spec = chaos_spec(6, 1).with_on_failure(FailurePolicySpec::Abort);
     let path = std::env::temp_dir().join(format!(
         "faithful_ckpt_abort_progress_{}.spec",
         std::process::id()
     ));
-    let abort = |experiment: Experiment| match experiment
-        .with_fault_plan(FaultPlan::new().with_fault(4, FaultKind::Panic))
-        .run()
-    {
-        Err(Error::Sweep(aborted)) => aborted,
-        other => panic!("expected Error::Sweep, got {other:?}"),
-    };
-    let unbatched = abort(Experiment::digital(spec.clone()));
-    let batched = abort(
-        Experiment::digital(spec)
-            .with_checkpoint(&path)
-            .with_checkpoint_every(2),
-    );
-    std::fs::remove_file(&path).ok();
-    for aborted in [unbatched, batched] {
-        assert_eq!(aborted.failure.index, 4);
-        assert_eq!(aborted.completed, 4, "{aborted}");
-        let cause = aborted.failure.cause.to_string();
-        assert!(cause.contains("\"s4\""), "{cause}");
+    let mut texts = Vec::new();
+    for workers in [1, 2, 4] {
+        let spec = chaos_spec(6, workers).with_on_failure(FailurePolicySpec::Abort);
+        for batched in [false, true] {
+            for _ in 0..16 {
+                let mut experiment = Experiment::digital(spec.clone())
+                    .with_fault_plan(FaultPlan::new().with_fault(4, FaultKind::Panic));
+                if batched {
+                    std::fs::remove_file(&path).ok();
+                    experiment = experiment.with_checkpoint(&path).with_checkpoint_every(2);
+                }
+                let aborted = match experiment.run() {
+                    Err(Error::Sweep(aborted)) => aborted,
+                    other => panic!("expected Error::Sweep, got {other:?}"),
+                };
+                let context = format!("workers={workers} batched={batched}: {aborted}");
+                assert_eq!(aborted.failure.index, 4, "{context}");
+                assert_eq!(aborted.completed, 4, "{context}");
+                let cause = aborted.failure.cause.to_string();
+                assert!(cause.contains("\"s4\""), "{cause}");
+                texts.push(aborted.to_string());
+            }
+        }
     }
+    std::fs::remove_file(&path).ok();
+    assert!(texts.iter().all(|t| *t == texts[0]), "{texts:#?}");
 }
 
 proptest! {
