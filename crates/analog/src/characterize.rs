@@ -116,9 +116,10 @@ impl SweepConfig {
     /// non-empty width axis of finite positive widths, finite timing
     /// knobs, and a positive integration step.
     ///
-    /// Every sweep entry point calls this first, so a malformed
-    /// configuration fails with a typed [`Error::InvalidSweep`] instead
-    /// of panicking or silently measuring nothing.
+    /// Every sweep entry point calls this first, and also checks that
+    /// `stage` is one of its chain's, so a malformed configuration fails
+    /// with a typed [`Error::InvalidSweep`] instead of panicking or
+    /// silently measuring nothing.
     ///
     /// # Errors
     ///

@@ -95,8 +95,9 @@ impl SweepRunner {
     /// # Errors
     ///
     /// Returns [`Error::InvalidSweep`] for an empty or non-finite sweep
-    /// axis and propagates simulation errors; sweep points whose pulses
-    /// are swallowed analogly are skipped.
+    /// axis or a measured stage past the end of the chain, and
+    /// propagates simulation errors; sweep points whose pulses are
+    /// swallowed analogly are skipped.
     pub fn sweep_samples(
         &self,
         chain: &InverterChain,
@@ -104,7 +105,7 @@ impl SweepRunner {
         config: &SweepConfig,
         inverted: bool,
     ) -> Result<Vec<DelaySample>, Error> {
-        config.validate()?;
+        validate(chain, config)?;
         let runs = self.run_widths(chain, vdd, config, inverted);
         collect_samples(runs, config)
     }
@@ -122,7 +123,7 @@ impl SweepRunner {
         vdd: &VddSource,
         config: &SweepConfig,
     ) -> Result<(Vec<DelaySample>, Vec<DelaySample>), Error> {
-        config.validate()?;
+        validate(chain, config)?;
         let w = config.widths.len();
         let results = self.run_jobs(2 * w, |j| {
             let inverted = j >= w;
@@ -197,6 +198,22 @@ impl SweepRunner {
         .map(|r| r.expect("the bound never drops, so every job runs"))
         .collect()
     }
+}
+
+/// [`SweepConfig::validate`], and the measured stage must be one of
+/// `chain`'s, so no sweep fans out jobs that would index past it.
+fn validate(chain: &InverterChain, config: &SweepConfig) -> Result<(), Error> {
+    config.validate()?;
+    let stages = chain.stages().len();
+    if config.stage >= stages {
+        return Err(Error::InvalidSweep {
+            reason: format!(
+                "stage {} is past the end of a {stages}-stage chain (stages count from 0)",
+                config.stage
+            ),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -308,6 +325,37 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, Error::InvalidSweep { .. }), "{err:?}");
             assert!(!err.to_string().is_empty());
+        }
+    }
+
+    #[test]
+    fn a_stage_past_the_chain_reports_invalid_sweep() {
+        let vdd = VddSource::dc(1.0);
+        let chain = InverterChain::umc90_like(3).unwrap();
+        let config = SweepConfig {
+            widths: vec![40.0],
+            stage: 3,
+            ..SweepConfig::default()
+        };
+        let runner = SweepRunner::new().with_workers(2);
+        let reference = ivl_core::delay::ExpChannel::new(1.0, 0.5, 0.5).unwrap();
+        let errors = [
+            runner
+                .sweep_samples(&chain, &vdd, &config, false)
+                .unwrap_err(),
+            runner.characterize(&chain, &vdd, &config).unwrap_err(),
+            runner
+                .measure_deviations(&chain, &vdd, &config, &reference, true)
+                .unwrap_err(),
+        ];
+        for err in errors {
+            let Error::InvalidSweep { reason } = &err else {
+                panic!("expected InvalidSweep, got {err:?}");
+            };
+            assert_eq!(
+                reason,
+                "stage 3 is past the end of a 3-stage chain (stages count from 0)"
+            );
         }
     }
 

@@ -104,7 +104,7 @@ impl Walk for Sidecar<'_> {
             s.entry("label", &d.label);
             s.entry("processed", &d.processed);
             s.entry("scheduled", &d.scheduled);
-            s.entry("signals", &d.signals[..]);
+            s.entry("signals", &d.signals);
         }
     }
 }

@@ -1163,6 +1163,18 @@ impl<'a, 's> Linter<'a, 's> {
         ] {
             self.check_finite(value, what, self.spans.widths);
         }
+        if a.sweep.stage >= a.chain.stages {
+            self.push(
+                "IVL035",
+                Severity::Error,
+                self.spans.stage,
+                format!(
+                    "sweep: field \"stage\" = {} is past the end of a {}-stage chain (stages \
+                     count from 0)",
+                    a.sweep.stage, a.chain.stages
+                ),
+            );
+        }
         if !(a.sweep.dt.is_finite() && a.sweep.dt > 0.0) {
             self.push(
                 "IVL035",

@@ -27,6 +27,7 @@ use ivl_spf::{SpfRun, SpfTheory};
 use crate::error::SpecError;
 use crate::experiment::{AnalogResult, DigitalOutcome, ExperimentResult, QuarantinedScenario};
 use crate::lint::{Diagnostic, Severity};
+use crate::value::schema;
 use crate::value::{count, parse_document, render_document, Fields, Read, Sink, Value, Walk};
 
 // ======================================================================
@@ -53,25 +54,25 @@ impl Walk for ExperimentResult {
                 s.entry("completed", &d.completed);
                 s.entry("failed", &d.failed);
                 s.entry("retried", &d.retried);
-                s.entry("outcomes", &d.outcomes[..]);
+                s.entry("outcomes", &d.outcomes);
                 if let Some(stats) = &d.stats {
                     s.entry("stats", stats);
                 }
-                s.entry("failures", &d.failures[..]);
-                s.entry("quarantine", &d.quarantine[..]);
+                s.entry("failures", &d.failures);
+                s.entry("quarantine", &d.quarantine);
             }
             ExperimentResult::Analog(AnalogResult::Samples(samples)) => {
                 open_analog(s, "samples", 1);
-                s.entry("samples", &samples[..]);
+                s.entry("samples", samples);
             }
             ExperimentResult::Analog(AnalogResult::Characterization { up, down }) => {
                 open_analog(s, "characterization", 2);
-                s.entry("up", &up[..]);
-                s.entry("down", &down[..]);
+                s.entry("up", up);
+                s.entry("down", down);
             }
             ExperimentResult::Analog(AnalogResult::Deviations(deviations)) => {
                 open_analog(s, "deviations", 1);
-                s.entry("deviations", &deviations[..]);
+                s.entry("deviations", deviations);
             }
             ExperimentResult::Spf(p) => {
                 open_result(s, "spf", 2 + count(&[p.run.is_some()]));
@@ -103,34 +104,12 @@ impl Walk for DigitalOutcome {
         let optional = [self.vcd.is_some(), self.error.is_some()];
         s.node("outcome", 2 + count(&optional));
         s.entry("label", &self.label);
-        s.entry("signals", &self.signals[..]);
+        s.entry("signals", &self.signals);
         if let Some(vcd) = &self.vcd {
             s.entry("vcd", vcd);
         }
         if let Some(e) = &self.error {
             s.entry("error", &e.to_string());
-        }
-    }
-}
-
-impl Walk for SweepStats {
-    fn walk(&self, s: &mut impl Sink) {
-        let optional = [
-            ("min_pulse_width", self.min_pulse_width),
-            ("max_pulse_width", self.max_pulse_width),
-            ("min_period", self.min_period),
-        ];
-        s.node("stats", 6 + count(&optional.map(|(_, v)| v.is_some())));
-        s.entry("scenarios", &self.scenarios);
-        s.entry("failures", &self.failures);
-        s.entry("retried", &self.retried);
-        s.entry("processed_events", &self.processed_events);
-        s.entry("scheduled_events", &self.scheduled_events);
-        s.entry("output_transitions", &self.output_transitions);
-        for (name, v) in optional {
-            if let Some(v) = v {
-                s.entry(name, &v);
-            }
         }
     }
 }
@@ -148,33 +127,6 @@ impl Walk for ScenarioFailure {
     }
 }
 
-impl Walk for QuarantinedScenario {
-    fn walk(&self, s: &mut impl Sink) {
-        s.node("quarantined", 3);
-        s.entry("index", &self.index);
-        s.entry("label", &self.label);
-        s.entry("spec", &self.spec);
-    }
-}
-
-impl Walk for DelaySample {
-    fn walk(&self, s: &mut impl Sink) {
-        s.node("sample", 3);
-        s.entry("offset", &self.offset);
-        s.entry("delay", &self.delay);
-        s.entry("edge", &self.edge);
-    }
-}
-
-impl Walk for DeviationSample {
-    fn walk(&self, s: &mut impl Sink) {
-        s.node("sample", 3);
-        s.entry("offset", &self.offset);
-        s.entry("deviation", &self.deviation);
-        s.entry("edge", &self.edge);
-    }
-}
-
 impl Walk for Edge {
     fn walk(&self, s: &mut impl Sink) {
         s.word(match self {
@@ -184,31 +136,37 @@ impl Walk for Edge {
     }
 }
 
-impl Walk for SpfTheory {
-    fn walk(&self, s: &mut impl Sink) {
-        s.node("theory", 11);
-        s.entry("delta_min", &self.delta_min);
-        s.entry("eta_minus", &self.eta_minus);
-        s.entry("eta_plus", &self.eta_plus);
-        s.entry("tau", &self.tau);
-        s.entry("delta_bar", &self.delta_bar);
-        s.entry("period", &self.period);
-        s.entry("gamma", &self.gamma);
-        s.entry("delta0_tilde", &self.delta0_tilde);
-        s.entry("growth", &self.growth);
-        s.entry("filter_bound", &self.filter_bound);
-        s.entry("lock_bound", &self.lock_bound);
+// The plain parts of a result: each names its fields once, in one
+// table that yields its walk and its reader.
+
+schema! {
+    struct SweepStats = "stats" {
+        scenarios, failures, retried, processed_events, scheduled_events, output_transitions,
+        min_pulse_width?, max_pulse_width?, min_period?,
     }
 }
 
-impl Walk for SpfRun {
-    fn walk(&self, s: &mut impl Sink) {
-        s.node("run", 4);
-        s.entry("or", &self.or_signal);
-        s.entry("feedback", &self.feedback_signal);
-        s.entry("output", &self.output);
-        s.entry("events", &self.events);
+schema! {
+    struct QuarantinedScenario = "quarantined" { index, label, spec }
+}
+
+schema! {
+    struct DelaySample = "sample" { offset, delay, edge }
+}
+
+schema! {
+    struct DeviationSample = "sample" { offset, deviation, edge }
+}
+
+schema! {
+    struct SpfTheory = "theory" {
+        delta_min, eta_minus, eta_plus, tau, delta_bar, period, gamma, delta0_tilde, growth,
+        filter_bound, lock_bound,
     }
+}
+
+schema! {
+    struct SpfRun = "run" { or_signal as "or", feedback_signal as "feedback", output, events }
 }
 
 // ======================================================================
@@ -329,24 +287,6 @@ impl Read for ServedOutcome {
     }
 }
 
-impl Read for SweepStats {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::node(value, "stats", |f| {
-            Ok(SweepStats {
-                scenarios: f.req("scenarios")?,
-                failures: f.req("failures")?,
-                retried: f.req("retried")?,
-                processed_events: f.req("processed_events")?,
-                scheduled_events: f.req("scheduled_events")?,
-                output_transitions: f.req("output_transitions")?,
-                min_pulse_width: f.opt("min_pulse_width")?,
-                max_pulse_width: f.opt("max_pulse_width")?,
-                min_period: f.opt("min_period")?,
-            })
-        })
-    }
-}
-
 /// A `failure` node, checked and dropped: its cause already arrives as
 /// the error of its scenario's outcome.
 struct Failure;
@@ -364,42 +304,6 @@ impl Read for Failure {
     }
 }
 
-impl Read for QuarantinedScenario {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::node(value, "quarantined", |f| {
-            Ok(QuarantinedScenario {
-                index: f.req("index")?,
-                label: f.req("label")?,
-                spec: f.req("spec")?,
-            })
-        })
-    }
-}
-
-impl Read for DelaySample {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::node(value, "sample", |f| {
-            Ok(DelaySample {
-                offset: f.req("offset")?,
-                delay: f.req("delay")?,
-                edge: f.req("edge")?,
-            })
-        })
-    }
-}
-
-impl Read for DeviationSample {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::node(value, "sample", |f| {
-            Ok(DeviationSample {
-                offset: f.req("offset")?,
-                deviation: f.req("deviation")?,
-                edge: f.req("edge")?,
-            })
-        })
-    }
-}
-
 /// A sample's edge: the word `rising` or `falling`.
 impl Read for Edge {
     fn read(value: Value, tag: &str, name: &str) -> Result<Self, SpecError> {
@@ -409,39 +313,6 @@ impl Read for Edge {
             "falling" => Ok(Edge::Falling),
             other => Err(SpecError::new(format!("unknown edge {other:?}")).at(span)),
         }
-    }
-}
-
-impl Read for SpfTheory {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::node(value, "theory", |f| {
-            Ok(SpfTheory {
-                delta_min: f.req("delta_min")?,
-                eta_minus: f.req("eta_minus")?,
-                eta_plus: f.req("eta_plus")?,
-                tau: f.req("tau")?,
-                delta_bar: f.req("delta_bar")?,
-                period: f.req("period")?,
-                gamma: f.req("gamma")?,
-                delta0_tilde: f.req("delta0_tilde")?,
-                growth: f.req("growth")?,
-                filter_bound: f.req("filter_bound")?,
-                lock_bound: f.req("lock_bound")?,
-            })
-        })
-    }
-}
-
-impl Read for SpfRun {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::node(value, "run", |f| {
-            Ok(SpfRun {
-                or_signal: f.req("or")?,
-                feedback_signal: f.req("feedback")?,
-                output: f.req("output")?,
-                events: f.req("events")?,
-            })
-        })
     }
 }
 
@@ -899,15 +770,31 @@ mod tests {
             .collect()
     }
 
+    /// Panics at the first line where `actual` differs from the golden
+    /// file `path` (relative to the crate root), showing both lines.
+    fn assert_matches_golden(path: &str, actual: &str) {
+        let golden = std::fs::read_to_string(format!("{}/{path}", env!("CARGO_MANIFEST_DIR")));
+        let golden = golden.unwrap();
+        if actual == golden {
+            return;
+        }
+        let (mut expected, mut found) = (golden.split('\n'), actual.split('\n'));
+        let show = |line: Option<&str>| line.map_or("end of file".to_owned(), |l| format!("{l:?}"));
+        for number in 1.. {
+            let (e, a) = (expected.next(), found.next());
+            if e != a {
+                panic!(
+                    "{path} differs at line {number}:\n  expected {}\n  actual   {}",
+                    show(e),
+                    show(a)
+                );
+            }
+        }
+    }
+
     #[test]
     fn written_documents_match_the_golden_file() {
-        let path = format!("{}/tests/wire_golden.txt", env!("CARGO_MANIFEST_DIR"));
-        let golden = std::fs::read_to_string(&path).unwrap();
-        let actual = every_document_kind();
-        assert!(
-            actual == golden,
-            "written documents drifted from tests/wire_golden.txt; actual:\n{actual}"
-        );
+        assert_matches_golden("tests/wire_golden.txt", &every_document_kind());
     }
 
     /// What a client reads back from the document of `result`.
@@ -1297,13 +1184,7 @@ mod tests {
 
     #[test]
     fn reader_errors_match_the_golden_file() {
-        let path = format!("{}/tests/reader_golden.txt", env!("CARGO_MANIFEST_DIR"));
-        let actual = reader_verdicts();
-        let golden = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            actual == golden,
-            "reader errors drifted from tests/reader_golden.txt; actual:\n{actual}"
-        );
+        assert_matches_golden("tests/reader_golden.txt", &reader_verdicts());
     }
 
     #[test]

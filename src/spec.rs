@@ -29,7 +29,8 @@ use ivl_core::{Bit, Signal};
 
 use crate::error::{Span, SpecError};
 use crate::value::{
-    count, key_hash, parse_document, render_document, Fields, Read, Sink, Value, ValueKind, Walk,
+    count, key_hash, parse_document, render_document, schema, Fields, Read, Sink, Value, ValueKind,
+    Walk,
 };
 
 /// A complete, serializable description of one experiment.
@@ -789,7 +790,8 @@ pub struct SweepSpec {
     pub dt: f64,
     /// Input slew (ps).
     pub slew: f64,
-    /// Which inverter stage to measure, 0-based.
+    /// Which inverter stage to measure, 0-based (below the chain's
+    /// `stages`).
     pub stage: u32,
     /// The integrator.
     pub integrator: IntegratorSpec,
@@ -1206,6 +1208,12 @@ impl<T: Walk> Walk for [T] {
     }
 }
 
+impl<T: Walk> Walk for Vec<T> {
+    fn walk(&self, s: &mut impl Sink) {
+        self[..].walk(s);
+    }
+}
+
 impl Walk for ExperimentSpec {
     fn walk(&self, s: &mut impl Sink) {
         match &self.workload {
@@ -1260,12 +1268,12 @@ impl Walk for SignalSpec {
             }
             SignalSpec::Train { pulses } => {
                 s.node("train", 1);
-                s.entry("pulses", &pulses[..]);
+                s.entry("pulses", pulses);
             }
             SignalSpec::Times { initial, times } => {
                 s.node("times", 2);
                 s.entry("initial", initial);
-                s.entry("at", &times[..]);
+                s.entry("at", times);
             }
         }
     }
@@ -1290,23 +1298,8 @@ impl Walk for DigitalSpec {
         if self.on_failure != FailurePolicySpec::Skip {
             s.entry("on_failure", &self.on_failure);
         }
-        s.entry("scenarios", &self.scenarios[..]);
+        s.entry("scenarios", &self.scenarios);
         s.entry("outputs", &self.outputs);
-    }
-}
-
-/// `skip`, the default, is never written: [`DigitalSpec`] omits the
-/// field for it.
-impl Walk for FailurePolicySpec {
-    fn walk(&self, s: &mut impl Sink) {
-        match self {
-            FailurePolicySpec::Abort => s.word("abort"),
-            FailurePolicySpec::Skip => s.word("skip"),
-            FailurePolicySpec::Retry { attempts } => {
-                s.node("retry", 1);
-                s.entry("attempts", attempts);
-            }
-        }
     }
 }
 
@@ -1319,7 +1312,7 @@ impl Walk for OutputSelect {
         s.entry("stats", &self.stats);
         s.entry("vcd", &self.vcd);
         if !self.watch.is_empty() {
-            s.entry("watch", &self.watch[..]);
+            s.entry("watch", &self.watch);
         }
     }
 }
@@ -1329,8 +1322,8 @@ impl Walk for TopologySpec {
         match self {
             TopologySpec::Netlist(n) => {
                 s.node("netlist", 2);
-                s.entry("nodes", &n.nodes[..]);
-                s.entry("edges", &n.edges[..]);
+                s.entry("nodes", &n.nodes);
+                s.entry("edges", &n.edges);
             }
             TopologySpec::InverterChain { stages, channel } => {
                 s.node("chain", 2);
@@ -1363,35 +1356,6 @@ impl Walk for TopologySpec {
                 s.node("fat_tree", 2);
                 s.entry("depth", depth);
                 s.entry("channel", channel);
-            }
-        }
-    }
-}
-
-impl Walk for NodeSpec {
-    fn walk(&self, s: &mut impl Sink) {
-        match self {
-            NodeSpec::Input { name } => {
-                s.node("input", 1);
-                s.entry("name", name);
-            }
-            NodeSpec::Output { name } => {
-                s.node("output", 1);
-                s.entry("name", name);
-            }
-            NodeSpec::Gate {
-                name,
-                kind,
-                arity,
-                init,
-            } => {
-                s.node("gate", 3 + count(&[arity.is_some()]));
-                s.entry("name", name);
-                s.entry("kind", kind);
-                if let Some(a) = arity {
-                    s.entry("arity", a);
-                }
-                s.entry("init", init);
             }
         }
     }
@@ -1433,30 +1397,10 @@ impl Walk for EdgeSpec {
     }
 }
 
-impl Walk for ScenarioSpec {
-    fn walk(&self, s: &mut impl Sink) {
-        s.node("scenario", 2 + count(&[self.seed.is_some()]));
-        s.entry("label", &self.label);
-        if let Some(seed) = &self.seed {
-            s.entry("seed", seed);
-        }
-        s.field("inputs");
-        s.list(self.inputs.len(), false);
-        for (port, signal) in &self.inputs {
-            s.node("drive", 2);
-            s.entry("port", port);
-            s.entry("signal", signal);
-        }
-    }
-}
-
 impl Walk for AnalogSpec {
     fn walk(&self, s: &mut impl Sink) {
         s.node("analog", 4 + count(&[self.workers.is_some()]));
-        s.field("chain");
-        s.node("chain", 2);
-        s.entry("stages", &self.chain.stages);
-        s.entry("width_scale", &self.chain.width_scale);
+        s.entry("chain", &self.chain);
         s.entry("supply", &self.supply);
         s.entry("sweep", &self.sweep);
         s.entry("task", &self.task);
@@ -1466,47 +1410,16 @@ impl Walk for AnalogSpec {
     }
 }
 
-impl Walk for SupplySpec {
-    fn walk(&self, s: &mut impl Sink) {
-        match self {
-            SupplySpec::Dc { volts } => {
-                s.node("dc", 1);
-                s.entry("volts", volts);
-            }
-            SupplySpec::Sine {
-                nominal,
-                amplitude,
-                period,
-                phase,
-            } => {
-                s.node("sine", 4);
-                s.entry("nominal", nominal);
-                s.entry("amplitude", amplitude);
-                s.entry("period", period);
-                s.entry("phase", phase);
-            }
-        }
-    }
-}
-
 impl Walk for SweepSpec {
     fn walk(&self, s: &mut impl Sink) {
         s.node("sweep", 7);
-        s.entry("widths", &self.widths[..]);
+        s.entry("widths", &self.widths);
         s.entry("settle", &self.settle);
         s.entry("tail", &self.tail);
         s.entry("dt", &self.dt);
         s.entry("slew", &self.slew);
         s.entry("stage", &self.stage);
-        s.field("integrator");
-        match self.integrator {
-            IntegratorSpec::Rk4 => s.word("rk4"),
-            IntegratorSpec::Rk45 { rtol, atol } => {
-                s.node("rk45", 2);
-                s.entry("rtol", &rtol);
-                s.entry("atol", &atol);
-            }
-        }
+        s.entry("integrator", &self.integrator);
     }
 }
 
@@ -1538,83 +1451,94 @@ impl Walk for AnalogTask {
 impl Walk for ReferenceSpec {
     fn walk(&self, s: &mut impl Sink) {
         match self {
-            ReferenceSpec::Exp { tau, t_p, v_th } => walk_exp(s, *tau, *t_p, *v_th),
-            ReferenceSpec::Rational { a, b, c } => walk_rational(s, *a, *b, *c),
+            // the same nodes as the delay pairs of an SPF spec
+            &ReferenceSpec::Exp { tau, t_p, v_th } => DelaySpec::Exp { tau, t_p, v_th }.walk(s),
+            &ReferenceSpec::Rational { a, b, c } => DelaySpec::Rational { a, b, c }.walk(s),
             ReferenceSpec::SelfEmpirical => s.word("self_empirical"),
             ReferenceSpec::Empirical { up, down } => {
                 s.node("empirical", 2);
-                s.entry("up", &up[..]);
-                s.entry("down", &down[..]);
+                s.entry("up", up);
+                s.entry("down", down);
             }
         }
     }
-}
-
-/// The `exp { tau; t_p; v_th }` node shared by SPF delays and analog
-/// references.
-fn walk_exp(s: &mut impl Sink, tau: f64, t_p: f64, v_th: f64) {
-    s.node("exp", 3);
-    s.entry("tau", &tau);
-    s.entry("t_p", &t_p);
-    s.entry("v_th", &v_th);
-}
-
-/// The `rational { a; b; c }` node shared by SPF delays and analog
-/// references.
-fn walk_rational(s: &mut impl Sink, a: f64, b: f64, c: f64) {
-    s.node("rational", 3);
-    s.entry("a", &a);
-    s.entry("b", &b);
-    s.entry("c", &c);
 }
 
 impl Walk for SpfSpec {
     fn walk(&self, s: &mut impl Sink) {
         s.node("spf", 4);
-        s.field("delay");
-        match self.delay {
-            DelaySpec::Exp { tau, t_p, v_th } => walk_exp(s, tau, t_p, v_th),
-            DelaySpec::Rational { a, b, c } => walk_rational(s, a, b, c),
-        }
+        s.entry("delay", &self.delay);
         s.entry("eta_minus", &self.eta_minus);
         s.entry("eta_plus", &self.eta_plus);
-        s.field("task");
-        match &self.task {
-            SpfTask::Theory => s.word("theory"),
-            SpfTask::Simulate {
-                noise,
-                input,
-                horizon,
-            } => {
-                s.node("simulate", 3);
-                s.entry("noise", noise);
-                s.entry("input", input);
-                s.entry("horizon", horizon);
-            }
-        }
+        s.entry("task", &self.task);
     }
 }
 
-impl Walk for NoiseSpec {
-    fn walk(&self, s: &mut impl Sink) {
-        match self {
-            NoiseSpec::Zero => s.word("zero"),
-            NoiseSpec::WorstCase => s.word("worst_case"),
-            NoiseSpec::Extending => s.word("extending"),
-            NoiseSpec::Uniform { seed } => {
-                s.node("uniform", 1);
-                s.entry("seed", seed);
-            }
-            NoiseSpec::Gaussian { sigma, seed } => {
-                s.node("gaussian", 2);
-                s.entry("sigma", sigma);
-                s.entry("seed", seed);
-            }
-            NoiseSpec::Constant { shift } => {
-                s.node("constant", 1);
-                s.entry("shift", shift);
-            }
-        }
+// The plain spec types: each names its fields once, in one table that
+// yields its walk and its reader.
+
+schema! {
+    struct ScenarioSpec = "scenario" { label, seed?, inputs }
+}
+
+schema! {
+    struct ChainSpec = "chain" { stages, width_scale }
+}
+
+// `skip`, the default, is never written: `DigitalSpec` omits the field
+// for it.
+schema! {
+    enum FailurePolicySpec in "on_failure", "failure policy" {
+        Abort = "abort",
+        Skip = "skip",
+        Retry = "retry" { attempts },
+    }
+}
+
+schema! {
+    enum NodeSpec in "node", "node kind" {
+        Input = "input" { name },
+        Output = "output" { name },
+        Gate = "gate" { name, kind, arity?, init },
+    }
+}
+
+schema! {
+    enum SupplySpec in "supply", "supply kind" {
+        Dc = "dc" { volts },
+        Sine = "sine" { nominal, amplitude, period, phase },
+    }
+}
+
+schema! {
+    enum IntegratorSpec in "integrator", "integrator" {
+        Rk4 = "rk4",
+        Rk45 = "rk45" { rtol, atol },
+    }
+}
+
+schema! {
+    enum DelaySpec in "delay", "delay family" {
+        Exp = "exp" { tau, t_p, v_th },
+        Rational = "rational" { a, b, c },
+    }
+}
+
+schema! {
+    enum SpfTask in "task", "spf task" {
+        Theory = "theory",
+        Simulate = "simulate" { noise, input, horizon },
+    }
+}
+
+schema! {
+    enum NoiseSpec in "noise", "noise kind" {
+        Zero = "zero",
+        WorstCase = "worst_case",
+        Extending = "extending",
+        Uniform = "uniform" { seed },
+        Gaussian = "gaussian" { sigma, seed },
+        Constant = "constant" { shift },
     }
 }
 
@@ -1704,6 +1628,7 @@ pub(crate) struct SpecSpans {
     pub(crate) max_events: Option<Span>,
     pub(crate) on_failure: Option<Span>,
     pub(crate) widths: Option<Span>,
+    pub(crate) stage: Option<Span>,
     pub(crate) delay: Option<Span>,
 }
 
@@ -1736,7 +1661,10 @@ impl ExperimentSpec {
                 "digital" => WorkloadSpec::Digital(digital_from_fields(f, &mut sp)?),
                 "analog" => WorkloadSpec::Analog(analog_from_fields(f, &mut sp)?),
                 "spf" => WorkloadSpec::Spf(spf_from_fields(f, &mut sp)?),
-                _ => return Err(f.unknown("workload kind", "channel, digital, analog or spf")),
+                _ => {
+                    let kinds = ["channel", "digital", "analog", "spf"];
+                    return Err(f.unknown("workload kind", &kinds));
+                }
             })
         })?;
         Ok((ExperimentSpec { workload }, sp))
@@ -1783,7 +1711,7 @@ impl Read for SignalSpec {
                     initial: f.req("initial")?,
                     times: f.req("at")?,
                 },
-                _ => return Err(f.unknown("signal kind", "zero, pulse, train or times")),
+                _ => return Err(f.unknown("signal kind", &["zero", "pulse", "train", "times"])),
             })
         })
     }
@@ -1855,21 +1783,6 @@ fn digital_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<DigitalSpec
     })
 }
 
-impl Read for FailurePolicySpec {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::variant(value, "on_failure", |f| {
-            Ok(match f.tag.as_str() {
-                "abort" => FailurePolicySpec::Abort,
-                "skip" => FailurePolicySpec::Skip,
-                "retry" => FailurePolicySpec::Retry {
-                    attempts: f.req("attempts")?,
-                },
-                _ => return Err(f.unknown("failure policy", "abort, skip or retry")),
-            })
-        })
-    }
-}
-
 fn topology_from_value(value: Value, sp: &mut SpecSpans) -> Result<TopologySpec, SpecError> {
     Fields::variant(value, "topology", |f| {
         // a generator's channel; a netlist has none at this level
@@ -1903,35 +1816,11 @@ fn topology_from_value(value: Value, sp: &mut SpecSpans) -> Result<TopologySpec,
                 channel: f.req("channel")?,
             },
             _ => {
-                return Err(f.unknown(
-                    "topology kind",
-                    "netlist, chain, grid, random_dag or fat_tree",
-                ))
+                let kinds = ["netlist", "chain", "grid", "random_dag", "fat_tree"];
+                return Err(f.unknown("topology kind", &kinds));
             }
         })
     })
-}
-
-impl Read for NodeSpec {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::variant(value, "node", |f| {
-            Ok(match f.tag.as_str() {
-                "input" => NodeSpec::Input {
-                    name: f.req("name")?,
-                },
-                "output" => NodeSpec::Output {
-                    name: f.req("name")?,
-                },
-                "gate" => NodeSpec::Gate {
-                    name: f.req("name")?,
-                    kind: f.req("kind")?,
-                    arity: f.opt("arity")?,
-                    init: f.req("init")?,
-                },
-                _ => return Err(f.unknown("node kind", "input, output or gate")),
-            })
-        })
-    }
 }
 
 impl Read for GateKindSpec {
@@ -1950,7 +1839,12 @@ impl Read for GateKindSpec {
                     inputs: f.req("inputs")?,
                     rows: f.req::<Vec<u64>>("rows")?.iter().map(|&r| r != 0).collect(),
                 },
-                _ => return Err(f.unknown("gate kind", "")),
+                _ => {
+                    let kinds = [
+                        "buf", "not", "and", "or", "nand", "nor", "xor", "xnor", "table",
+                    ];
+                    return Err(f.unknown("gate kind", &kinds));
+                }
             })
         })
     }
@@ -1969,19 +1863,15 @@ fn edge_from_value(value: Value, sp: &mut SpecSpans) -> Result<EdgeSpec, SpecErr
     })
 }
 
-impl Read for ScenarioSpec {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::node(value, "scenario", |f| {
-            Ok(ScenarioSpec {
-                label: f.req("label")?,
-                seed: f.opt("seed")?,
-                inputs: f.req("inputs")?,
-            })
-        })
+/// A scenario's input: `drive { port; signal }`.
+impl Walk for (String, SignalSpec) {
+    fn walk(&self, s: &mut impl Sink) {
+        s.node("drive", 2);
+        s.entry("port", &self.0);
+        s.entry("signal", &self.1);
     }
 }
 
-/// A scenario's input: `drive { port; signal }`.
 impl Read for (String, SignalSpec) {
     fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
         Fields::node(value, "drive", |f| Ok((f.req("port")?, f.req("signal")?)))
@@ -1995,6 +1885,7 @@ fn analog_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<AnalogSpec, 
         supply: f.req("supply")?,
         sweep: Fields::node(f.req("sweep")?, "sweep", |f| {
             sp.widths = f.span_of("widths");
+            sp.stage = f.span_of("stage");
             Ok(SweepSpec {
                 widths: f.req("widths")?,
                 settle: f.req("settle")?,
@@ -2008,51 +1899,6 @@ fn analog_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<AnalogSpec, 
         task: f.req("task")?,
         workers: f.opt("workers")?,
     })
-}
-
-impl Read for ChainSpec {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::node(value, "chain", |f| {
-            Ok(ChainSpec {
-                stages: f.req("stages")?,
-                width_scale: f.req("width_scale")?,
-            })
-        })
-    }
-}
-
-impl Read for SupplySpec {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::variant(value, "supply", |f| {
-            Ok(match f.tag.as_str() {
-                "dc" => SupplySpec::Dc {
-                    volts: f.req("volts")?,
-                },
-                "sine" => SupplySpec::Sine {
-                    nominal: f.req("nominal")?,
-                    amplitude: f.req("amplitude")?,
-                    period: f.req("period")?,
-                    phase: f.req("phase")?,
-                },
-                _ => return Err(f.unknown("supply kind", "dc or sine")),
-            })
-        })
-    }
-}
-
-impl Read for IntegratorSpec {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::variant(value, "integrator", |f| {
-            Ok(match f.tag.as_str() {
-                "rk4" => IntegratorSpec::Rk4,
-                "rk45" => IntegratorSpec::Rk45 {
-                    rtol: f.req("rtol")?,
-                    atol: f.req("atol")?,
-                },
-                _ => return Err(f.unknown("integrator", "rk4 or rk45")),
-            })
-        })
-    }
 }
 
 impl Read for AnalogTask {
@@ -2077,7 +1923,10 @@ impl Read for AnalogTask {
                         }
                     },
                 },
-                _ => return Err(f.unknown("analog task", "samples, characterize or deviations")),
+                _ => {
+                    let tasks = ["samples", "characterize", "deviations"];
+                    return Err(f.unknown("analog task", &tasks));
+                }
             })
         })
     }
@@ -2103,7 +1952,8 @@ impl Read for ReferenceSpec {
                     down: samples(f.req("down")?)?,
                 },
                 _ => {
-                    return Err(f.unknown("reference", "exp, rational, empirical or self_empirical"))
+                    let kinds = ["exp", "rational", "empirical", "self_empirical"];
+                    return Err(f.unknown("reference", &kinds));
                 }
             })
         })
@@ -2127,65 +1977,6 @@ fn spf_from_fields(f: &mut Fields, sp: &mut SpecSpans) -> Result<SpfSpec, SpecEr
         eta_plus: f.req("eta_plus")?,
         task: f.req("task")?,
     })
-}
-
-impl Read for DelaySpec {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::variant(value, "delay", |f| {
-            Ok(match f.tag.as_str() {
-                "exp" => DelaySpec::Exp {
-                    tau: f.req("tau")?,
-                    t_p: f.req("t_p")?,
-                    v_th: f.req("v_th")?,
-                },
-                "rational" => DelaySpec::Rational {
-                    a: f.req("a")?,
-                    b: f.req("b")?,
-                    c: f.req("c")?,
-                },
-                _ => return Err(f.unknown("delay family", "exp or rational")),
-            })
-        })
-    }
-}
-
-impl Read for SpfTask {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::variant(value, "task", |f| {
-            Ok(match f.tag.as_str() {
-                "theory" => SpfTask::Theory,
-                "simulate" => SpfTask::Simulate {
-                    noise: f.req("noise")?,
-                    input: f.req("input")?,
-                    horizon: f.req("horizon")?,
-                },
-                _ => return Err(f.unknown("spf task", "theory or simulate")),
-            })
-        })
-    }
-}
-
-impl Read for NoiseSpec {
-    fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
-        Fields::variant(value, "noise", |f| {
-            Ok(match f.tag.as_str() {
-                "zero" => NoiseSpec::Zero,
-                "worst_case" => NoiseSpec::WorstCase,
-                "extending" => NoiseSpec::Extending,
-                "uniform" => NoiseSpec::Uniform {
-                    seed: f.req("seed")?,
-                },
-                "gaussian" => NoiseSpec::Gaussian {
-                    sigma: f.req("sigma")?,
-                    seed: f.req("seed")?,
-                },
-                "constant" => NoiseSpec::Constant {
-                    shift: f.req("shift")?,
-                },
-                _ => return Err(f.unknown("noise kind", "")),
-            })
-        })
-    }
 }
 
 // ======================================================================

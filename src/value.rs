@@ -41,6 +41,20 @@
 //! Reading mirrors writing: what has a [`Walk`] has a [`Read`], and a
 //! node's reader takes each field through [`Fields::req`] or
 //! [`Fields::opt`], so each kind of field error has one text.
+//!
+//! A plain type names its fields once, in a [`schema!`] table that
+//! yields both its walk and its reader: `FailurePolicySpec`,
+//! `NodeSpec`, `ScenarioSpec`, `ChainSpec`, `SupplySpec`,
+//! `IntegratorSpec`, `DelaySpec`, `SpfTask` and `NoiseSpec` (in
+//! `spec.rs`), and `SweepStats`, `QuarantinedScenario`, `DelaySample`,
+//! `DeviationSample`, `SpfTheory` and `SpfRun` (in `service/wire.rs`).
+//! The rest stay hand-written, because the table has no per-field
+//! codec: readers that record a spec's `SpecSpans`, types with an
+//! encoding of their own (a channel's parameters, signals and `sig`
+//! nodes, a truth table's rows, an empirical reference's sample pairs,
+//! an analog task's orientation, an output selection's `watch`), and
+//! pairs whose writer and reader are different types (a result and its
+//! served view, a lint diagnostic and its served copy).
 
 use std::fmt::{self, Write as _};
 
@@ -630,6 +644,98 @@ impl<T: Read> Read for Vec<T> {
     }
 }
 
+/// Declares how a plain type is written and read, naming each field
+/// once: the table yields the type's [`Walk`] and its [`Read`].
+///
+/// ```text
+/// schema! { struct ScenarioSpec = "scenario" { label, seed?, inputs } }
+/// schema! {
+///     enum NoiseSpec in "noise", "noise kind" {
+///         Zero = "zero",
+///         Uniform = "uniform" { seed },
+///     }
+/// }
+/// ```
+///
+/// A struct is one tagged node with its fields in walk order: `?` marks
+/// an optional field (an `Option`, written only when set), `as "name"`
+/// a field whose document name is not its own. An enum is one node per
+/// variant, and a variant without fields is written as its bare word.
+/// Its header gives the context word of its reader's errors and what an
+/// unknown tag is not; that error lists the variants' tags. The walk is
+/// a [`Sink::node`] and one [`Sink::entry`] per field, the read a
+/// [`Fields::node`] (or a [`Fields::variant`] matching the tag) and one
+/// [`Fields::req`] or [`Fields::opt`] per field, in the same order.
+///
+/// `$opt` matches nothing: it only records that a field had its `?`.
+macro_rules! schema {
+    (struct $ty:ident = $tag:literal {
+        $($f:ident $(as $name:literal)? $(? $opt:vis)?),* $(,)?
+    }) => {
+        const _: () = {
+            use $crate::{error::SpecError, value::{count, Fields, Read, Sink, Value, Walk}};
+            impl Walk for $ty {
+                fn walk(&self, s: &mut impl Sink) {
+                    let Self { $($f),* } = self;
+                    s.node($tag, count(&[$(schema!(@set $f $(? $opt)?)),*]));
+                    $(schema!(@entry s $f [$($name)?] $(? $opt)?);)*
+                }
+            }
+            impl Read for $ty {
+                fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+                    Fields::node(value, $tag, |f| {
+                        Ok(Self { $($f: schema!(@take f $f [$($name)?] $(? $opt)?)),* })
+                    })
+                }
+            }
+        };
+    };
+    (enum $ty:ident in $context:literal, $what:literal {
+        $($variant:ident = $tag:literal $({
+            $($f:ident $(as $name:literal)? $(? $opt:vis)?),* $(,)?
+        })?),* $(,)?
+    }) => {
+        const _: () = {
+            use $crate::{error::SpecError, value::{count, Fields, Read, Sink, Value, Walk}};
+            impl Walk for $ty {
+                fn walk(&self, s: &mut impl Sink) {
+                    match self {$(
+                        Self::$variant { $($($f),*)? } => {
+                            s.node($tag, count(&[$($(schema!(@set $f $(? $opt)?)),*)?]));
+                            $($(schema!(@entry s $f [$($name)?] $(? $opt)?);)*)?
+                        }
+                    )*}
+                }
+            }
+            impl Read for $ty {
+                fn read(value: Value, _: &str, _: &str) -> Result<Self, SpecError> {
+                    Fields::variant(value, $context, |f| Ok(match f.tag.as_str() {
+                        $($tag => Self::$variant {
+                            $($($f: schema!(@take f $f [$($name)?] $(? $opt)?)),*)?
+                        },)*
+                        _ => return Err(f.unknown($what, &[$($tag),*])),
+                    }))
+                }
+            }
+        };
+    };
+    (@name $f:ident) => { stringify!($f) };
+    (@name $f:ident $name:literal) => { $name };
+    (@set $f:ident) => { true };
+    (@set $f:ident ? $($opt:tt)*) => { $f.is_some() };
+    (@entry $s:ident $f:ident [$($name:literal)?]) => { $s.entry(schema!(@name $f $($name)?), $f) };
+    (@entry $s:ident $f:ident [$($name:literal)?] ? $($opt:tt)*) => {
+        if let Some($f) = $f { $s.entry(schema!(@name $f $($name)?), $f) }
+    };
+    (@take $fields:ident $f:ident [$($name:literal)?]) => {
+        $fields.req(schema!(@name $f $($name)?))?
+    };
+    (@take $fields:ident $f:ident [$($name:literal)?] ? $($opt:tt)*) => {
+        $fields.opt(schema!(@name $f $($name)?))?
+    };
+}
+pub(crate) use schema;
+
 /// A consuming reader over one node's fields with contextual errors.
 ///
 /// Carries the node's span so every error it raises points back into
@@ -639,8 +745,11 @@ impl<T: Read> Read for Vec<T> {
 pub(crate) struct Fields {
     pub(crate) tag: String,
     pub(crate) span: Option<Span>,
-    /// The fields not yet taken, in document order.
+    /// The node's fields, the `taken` ones first and the rest in
+    /// document order. A taken field keeps its name, so a second field
+    /// of that name reads as a duplicate, not as unknown.
     fields: Vec<(String, Value)>,
+    taken: usize,
 }
 
 impl Fields {
@@ -648,19 +757,21 @@ impl Fields {
     /// names what was expected in the error for any other value.
     pub(crate) fn of(value: Value, context: &str) -> Result<Fields, SpecError> {
         let span = value.span;
-        match value.kind {
-            ValueKind::Node(tag, fields) => Ok(Fields { tag, span, fields }),
-            ValueKind::Word(tag) => Ok(Fields {
-                tag,
-                span,
-                fields: Vec::new(),
-            }),
-            other => Err(SpecError::new(format!(
-                "{context}: expected a tagged node, found {}",
-                Value::from(other)
-            ))
-            .at(span)),
-        }
+        let (tag, fields) = match value.kind {
+            ValueKind::Node(tag, fields) => (tag, fields),
+            ValueKind::Word(tag) => (tag, Vec::new()),
+            other => {
+                let found = Value::from(other);
+                let message = format!("{context}: expected a tagged node, found {found}");
+                return Err(SpecError::new(message).at(span));
+            }
+        };
+        Ok(Fields {
+            tag,
+            span,
+            fields,
+            taken: 0,
+        })
     }
 
     /// Reads `value`, a node of one tag: `body` takes its fields, and
@@ -702,24 +813,40 @@ impl Fields {
         }
     }
 
-    /// The error that this node's tag names no `what` (listing the
-    /// `expected` ones, when given).
-    pub(crate) fn unknown(&self, what: &str, expected: &str) -> SpecError {
-        let mut message = format!("unknown {what} {:?}", self.tag);
-        if !expected.is_empty() {
-            let _ = write!(message, " (expected {expected})");
-        }
+    /// The error that this node's tag names no `what`, listing the
+    /// `expected` tags.
+    pub(crate) fn unknown(&self, what: &str, expected: &[&str]) -> SpecError {
+        let (last, rest) = expected
+            .split_last()
+            .expect("a variant reader knows its tags");
+        let list = if rest.is_empty() {
+            (*last).to_owned()
+        } else {
+            format!("{} or {last}", rest.join(", "))
+        };
+        let message = format!("unknown {what} {:?} (expected {list})", self.tag);
         SpecError::new(message).at(self.span)
+    }
+
+    /// The fields not yet taken, in document order.
+    fn left(&self) -> &[(String, Value)] {
+        &self.fields[self.taken..]
     }
 
     /// The span of field `name`, if it is present and not yet taken.
     pub(crate) fn span_of(&self, name: &str) -> Option<Span> {
-        self.fields.iter().find(|(n, _)| n == name)?.1.span
+        self.left().iter().find(|(n, _)| n == name)?.1.span
     }
 
+    /// Moves field `name` to the end of the taken ones, keeping the
+    /// rest in document order, and its value out.
     fn take(&mut self, name: &str) -> Option<Value> {
-        let i = self.fields.iter().position(|(n, _)| n == name)?;
-        Some(self.fields.remove(i).1)
+        let i = self.taken + self.left().iter().position(|(n, _)| n == name)?;
+        self.fields[self.taken..=i].rotate_right(1);
+        let tombstone = Value::from(ValueKind::Int(0));
+        let value = std::mem::replace(&mut self.fields[self.taken].1, tombstone);
+        self.taken += 1;
+        Some(value)
     }
 
     /// Field `name`, read as a `T`; missing is an error.
@@ -740,19 +867,24 @@ impl Fields {
     }
 
     /// The node's tag and its unread fields, in document order.
-    pub(crate) fn into_parts(self) -> (String, Vec<(String, Value)>) {
+    pub(crate) fn into_parts(mut self) -> (String, Vec<(String, Value)>) {
+        self.fields.drain(..self.taken);
         (self.tag, self.fields)
     }
 
-    /// Ends the read: a field left unread is unknown, so an error.
+    /// Ends the read: a field left unread is an error, a duplicate when
+    /// a field of its name was taken and unknown otherwise.
     pub(crate) fn finish(self) -> Result<(), SpecError> {
-        match self.fields.first() {
-            Some((name, v)) => Err(
-                SpecError::new(format!("{}: unknown field {name:?}", self.tag))
-                    .at(v.span.or(self.span)),
-            ),
-            None => Ok(()),
-        }
+        let Some((name, v)) = self.left().first() else {
+            return Ok(());
+        };
+        let taken = &self.fields[..self.taken];
+        let what = if taken.iter().any(|(n, _)| n == name) {
+            "duplicate"
+        } else {
+            "unknown"
+        };
+        Err(SpecError::new(format!("{}: {what} field {name:?}", self.tag)).at(v.span.or(self.span)))
     }
 }
 
@@ -932,10 +1064,12 @@ impl<'a> Parser<'a> {
                     return Ok(Token::Int(v));
                 }
             }
-            return n
-                .parse::<f64>()
-                .map(Token::Num)
-                .map_err(|_| self.err(format!("bad number {n:?}")));
+            // a literal past f64's range parses as infinite: refused,
+            // since a spec holds finite reals only
+            return match n.parse::<f64>() {
+                Ok(v) if v.is_finite() => Ok(Token::Num(v)),
+                _ => Err(self.err(format!("bad number {n:?}"))),
+            };
         }
         if b"{}[]=;,/".contains(&b) {
             self.advance(1);
@@ -1150,6 +1284,22 @@ mod tests {
         assert!(parse_document("faithful/1 node { a 1 }").is_err());
         assert!(parse_document("nope/1 zero").is_err());
         assert!(parse_document("faithful/1 \"bad\\q\"").is_err());
+    }
+
+    #[test]
+    fn reals_past_the_f64_range_are_refused() {
+        // they would parse as infinite, which a document cannot hold
+        for real in ["1e999", "-1e999", "+2.5e400"] {
+            let err = parse_document(&format!("faithful/1 x {{ a = {real} }}")).unwrap_err();
+            let expected =
+                format!("experiment spec error at line 1, column 20: bad number {real:?}");
+            assert_eq!(err.to_string(), expected);
+        }
+        let largest = parse_document("faithful/1 1.7976931348623157e308").unwrap();
+        assert_eq!(largest, Value::num(f64::MAX));
+        // an integer past u64 is still a (finite) real
+        let big = parse_document("faithful/1 18446744073709551616").unwrap();
+        assert_eq!(big, Value::num(18_446_744_073_709_551_616.0));
     }
 
     #[test]

@@ -488,6 +488,38 @@ fn facade_errors_unify_layer_errors() {
 }
 
 #[test]
+fn an_analog_stage_past_the_chain_is_a_typed_error() {
+    let spec = AnalogSpec::new(3, AnalogTask::Characterize)
+        .with_sweep(SweepSpec {
+            stage: 9,
+            ..fast_sweep()
+        })
+        .with_workers(2);
+    // lint refuses it before anything runs ...
+    let err = Experiment::analog(spec.clone()).run().unwrap_err();
+    let faithful::Error::Lint(report) = err else {
+        panic!("expected Error::Lint, got {err:?}");
+    };
+    assert!(
+        report.diagnostics().iter().any(|d| d.code == "IVL035"),
+        "{report}"
+    );
+    // ... and the sweep itself refuses it, instead of a worker indexing
+    // past the chain and panicking
+    let err = Experiment::analog(spec)
+        .with_lint(faithful::LintConfig::Off)
+        .run()
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            faithful::Error::Analog(faithful::analog::Error::InvalidSweep { .. })
+        ),
+        "{err:?}"
+    );
+}
+
+#[test]
 fn sweep_and_checkpoint_errors_display_and_chain() {
     use std::error::Error as StdError;
 

@@ -34,6 +34,7 @@ const EXPECTED: &[(&str, &str, Severity)] = &[
     ("unknown_kind.spec", "IVL030", Severity::Error),
     ("unknown_port.spec", "IVL033", Severity::Error),
     ("empty_sweep_axis.spec", "IVL034", Severity::Error),
+    ("analog_stage_out_of_range.spec", "IVL035", Severity::Error),
     ("duplicate_nodes.spec", "IVL031", Severity::Error),
     ("unknown_edge_ref.spec", "IVL032", Severity::Error),
     ("workers_zero.spec", "IVL037", Severity::Warning),
@@ -143,10 +144,22 @@ fn lint_output_matches_the_golden_file() {
         actual.push_str(&format!("== {file}\n{}", render_report(&report)));
     }
     let golden = std::fs::read_to_string(root.join("tests/lint_golden.txt")).unwrap();
-    assert!(
-        actual == golden,
-        "lint output drifted from tests/lint_golden.txt; actual:\n{actual}"
-    );
+    if actual == golden {
+        return;
+    }
+    // the first line that differs, not the whole file
+    let (mut expected, mut found) = (golden.split('\n'), actual.split('\n'));
+    let show = |line: Option<&str>| line.map_or("end of file".to_owned(), |l| format!("{l:?}"));
+    for number in 1.. {
+        let (e, a) = (expected.next(), found.next());
+        if e != a {
+            panic!(
+                "tests/lint_golden.txt differs at line {number}:\n  expected {}\n  actual   {}",
+                show(e),
+                show(a)
+            );
+        }
+    }
 }
 
 #[test]
